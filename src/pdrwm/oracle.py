@@ -10,9 +10,14 @@ separates genuinely geometric chains (gap stabilizes) from ones whose
 convergence collapses in the tails (gap falls toward zero).
 
 The chain is reversible by construction, so similarity by sqrt(pi)
-symmetrizes the transition matrix exactly; the symmetrized matrix is
-assembled in the log domain alongside the transition matrix because the
-density ratio across a wide window can overflow anything linear.
+symmetrizes the transition matrix exactly.  By detailed balance that
+similarity transform equals sqrt(P_ij P_ji) entrywise, which needs no
+density ratio and so cannot overflow; only the transition matrix is
+stored, and the symmetric matrix is formed from it when the spectrum is
+wanted.  When target, field and grid are symmetric under x -> -x, so is
+the chain: half of its rows are mirror images of the other half, and the
+symmetric matrix splits into an even and an odd block of about n/2 that
+are solved separately.
 
 The module also holds the deterministic routes the Monte Carlo probes
 are checked against: adaptive quadrature for the one-step drift ratio,
@@ -32,7 +37,6 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .chain import log_accept_ratio_closed_form, log_accept_terms
 from .diagnostics import LyapunovFunction
@@ -59,29 +63,50 @@ __all__ = [
 #: grid spacing must be at most this fraction of the finest proposal std
 SPACING_FRACTION = 0.2
 
-#: dense eigensolver up to this size, Lanczos beyond
-_DENSE_LIMIT = 2200
+#: entries per row block of the n x n passes: each temporary is 2 MB,
+#: small enough that a block's several elementwise passes stay in cache
+_BLOCK_ENTRIES = 1 << 18
+
+#: relative tolerance of the x -> -x symmetry test
+_MIRROR_RTOL = 1e-12
+
+
+def _row_blocks(n: int, start: int = 0):
+    """(i0, i1) ranges over rows start..n-1 of an n x n matrix, about
+    ``_BLOCK_ENTRIES`` entries each."""
+    block = max(1, _BLOCK_ENTRIES // n)
+    for i0 in range(start, n, block):
+        yield i0, min(i0 + block, n)
 
 
 @dataclass
 class DiscretizedChain:
     """Grid restriction of the position-dependent random walk Metropolis.
 
-    ``transition`` is row-stochastic; ``pi_hat`` the grid-renormalized
-    target; ``symmetrized`` the similarity transform
-    D^{1/2} P D^{-1/2} with D = diag(pi_hat), symmetric by reversibility.
+    ``transition`` is row-stochastic and the only n x n matrix stored;
+    ``pi_hat`` is the grid-renormalized target.  ``mirrored`` records
+    that the problem is symmetric under x -> -x, so that
+    ``transition[i, j] == transition[n-1-i, n-1-j]`` exactly.
     """
 
     grid: np.ndarray
     step: float
     transition: np.ndarray
     pi_hat: np.ndarray
-    symmetrized: np.ndarray
     label: str
+    mirrored: bool
 
     @property
     def n(self) -> int:
         return len(self.grid)
+
+    @property
+    def symmetrized(self) -> np.ndarray:
+        """The similarity transform D^{1/2} P D^{-1/2}, D = diag(pi_hat),
+        formed on demand as sqrt(P_ij P_ji), which detailed balance makes
+        the same matrix."""
+        sym = self.transition * self.transition.T
+        return np.sqrt(sym, out=sym)
 
     def row_sum_residual(self) -> float:
         return float(np.abs(self.transition.sum(axis=1) - 1.0).max())
@@ -90,8 +115,14 @@ class DiscretizedChain:
         return float(np.abs(self.pi_hat @ self.transition - self.pi_hat).max())
 
     def reversibility_residual(self) -> float:
-        flow = self.pi_hat[:, None] * self.transition
-        return float(np.abs(flow - flow.T).max())
+        """Largest |pi_i P_ij - pi_j P_ji|, taken one row block at a time."""
+        p, pi = self.transition, self.pi_hat
+        worst = 0.0
+        for i0, i1 in _row_blocks(self.n):
+            flow = pi[i0:i1, None] * p[i0:i1]
+            flow -= (pi[:, None] * p[:, i0:i1]).T
+            worst = max(worst, float(np.abs(flow, out=flow).max()))
+        return worst
 
 
 def _grid_values(
@@ -167,21 +198,29 @@ def build_discretized(
     lp, g = _grid_values(target, cov_field, grid)
     _check_spacing(step, h, g)
 
+    # a mirrored chain has P[i, j] == P[n-1-i, n-1-j]: compute the rows
+    # from n//2 up and reflect them into the lower ones
+    mirrored = _reflects(grid, -1.0) and _reflects(lp, 1.0) and _reflects(g, 1.0)
+    s = n // 2 if mirrored else 0
+    if mirrored:
+        # linspace rounds its two halves differently: symmetric within
+        # rounding is made exact, so that the reflected rows are this
+        # chain's own rows
+        grid[:s] = -grid[n - s:][::-1]
+        lp[:s] = lp[n - s:][::-1]
+        g[:s] = g[n - s:][::-1]
+        if n % 2:
+            grid[s] = 0.0
     log_step = math.log(step)
     transition = np.empty((n, n))
-    symmetrized = np.empty((n, n))
-    block = max(1, 4_000_000 // n)
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
+    for i0, i1 in _row_blocks(n, start=s):
         _, log_move = _log_move_rows(grid, lp, g, h, i0, i1)
-        log_flow = log_move + log_step
-        transition[i0:i1] = np.exp(log_flow)
-        # exact similarity transform: multiply by sqrt(pi_i / pi_j)
-        symmetrized[i0:i1] = np.exp(log_flow + 0.5 * (lp[i0:i1, None] - lp[None, :]))
+        log_move += log_step
+        np.exp(log_move, out=transition[i0:i1])
 
-    idx = np.arange(n)
+    idx = np.arange(s, n)
     transition[idx, idx] = 0.0
-    stay = 1.0 - transition.sum(axis=1)
+    stay = 1.0 - transition[s:].sum(axis=1)
     if float(stay.min()) < -1e-10:
         raise DiscretizationError(
             f"off-diagonal mass overshoots a row by {-float(stay.min()):g}; "
@@ -189,13 +228,21 @@ def build_discretized(
         )
     np.clip(stay, 0.0, None, out=stay)
     transition[idx, idx] = stay
-    symmetrized[idx, idx] = stay
+    if mirrored:
+        transition[:s] = transition[n - s:][::-1, ::-1]
 
     w = np.exp(lp - lp.max())
     pi_hat = w / w.sum()
 
     label = f"grid(L={half_width:g},n={n},h={h:g},{cov_field.label},{target.label})"
-    return DiscretizedChain(grid, step, transition, pi_hat, symmetrized, label)
+    return DiscretizedChain(grid, step, transition, pi_hat, label, mirrored)
+
+
+def _reflects(values: np.ndarray, parity: float) -> bool:
+    """Whether grid values satisfy v(-x) = parity * v(x) to within
+    rounding."""
+    gap = np.abs(values[::-1] - parity * values).max()
+    return bool(gap <= _MIRROR_RTOL * np.abs(values).max())
 
 
 class SpectralResult(NamedTuple):
@@ -203,29 +250,63 @@ class SpectralResult(NamedTuple):
     lambda2: float
 
 
+def _symmetric_blocks(chain: DiscretizedChain) -> list[np.ndarray]:
+    """The symmetrized matrix S = sqrt(P o P^T), whole, or for a mirrored
+    chain split into its even and odd blocks.
+
+    S commutes with the reversal i -> n-1-i of a mirrored chain, so in the
+    basis (e_i +- e_{n-1-i}) / sqrt(2) it splits in two.  Over the rows
+    i >= n//2, the even block is S[i, j] + S[i, n-1-j] and the odd block
+    S[i, j] - S[i, n-1-j], for columns j >= n//2.  For odd n the centre
+    basis vector is e_c alone: the even block's centre row and column
+    carry 1/sqrt(2) of that sum, and the odd block drops them.  Both
+    blocks are written one row block at a time, with no n x n/2
+    temporary.
+    """
+    if not chain.mirrored:
+        return [chain.symmetrized]
+    p, n = chain.transition, chain.n
+    s = n // 2
+    m = n - s  # rows s..n-1: the centre row (odd n) and the upper half
+    odd_from = m - s  # 1 for odd n, whose odd block has no centre
+    even = np.empty((m, m))
+    odd = np.empty((s, s))
+    for i0, i1 in _row_blocks(n, start=s):
+        rows = p[i0:i1] * p[:, i0:i1].T
+        np.sqrt(rows, out=rows)
+        upper, reflected = rows[:, s:], rows[:, m - 1::-1]
+        k0, k1 = i0 - s, i1 - s
+        np.add(upper, reflected, out=even[k0:k1])
+        lo = max(k0, odd_from) - k0
+        np.subtract(upper[lo:, odd_from:], reflected[lo:, odd_from:],
+                    out=odd[k0 + lo - odd_from:k1 - odd_from])
+    if odd_from:
+        even[0] *= math.sqrt(0.5)
+        even[:, 0] *= math.sqrt(0.5)
+    return [even, odd]
+
+
 def spectral_gap(chain: DiscretizedChain) -> SpectralResult:
     """Spectral gap 1 - |lambda_2| of the grid chain.
 
-    Small problems get the full symmetric spectrum; large ones a Lanczos
-    run for the few extreme eigenvalues, which is all the gap needs.  The
-    leading eigenvalue must come out as 1 to six decimals or the chain
-    construction itself is broken.
+    The full spectrum of the symmetrized matrix comes from a dense
+    symmetric eigensolver, run on the even and odd blocks of a mirrored
+    chain (each about n/2) or on the whole matrix otherwise; the result
+    is deterministic.  The leading eigenvalue, which belongs to the even
+    block, must come out as 1 to six decimals or the chain construction
+    itself is broken.
     """
-    sym = chain.symmetrized
-    n = chain.n
-    if n <= _DENSE_LIMIT:
-        vals = scipy.linalg.eigh(sym, eigvals_only=True)
-        lead = float(vals[-1])
-        lambda2 = max(abs(float(vals[0])), abs(float(vals[-2])))
-    else:
-        try:
-            vals = eigsh(sym, k=4, which="LM", return_eigenvectors=False)
-        except ArpackNoConvergence as exc:
-            raise NumericError(f"eigensolver failed on {chain.label}") from exc
-        mods = np.sort(np.abs(vals))[::-1]
-        lead_idx = int(np.argmax(np.abs(vals)))
-        lead = float(vals[lead_idx])
-        lambda2 = float(mods[1])
+    spectra = [
+        scipy.linalg.eigh(b, eigvals_only=True, overwrite_a=True)
+        for b in _symmetric_blocks(chain)
+    ]
+    lead = float(spectra[0][-1])
+    # every eigenvalue but the leading one: the rest of the first block
+    # and the whole of the second
+    rest = [spectra[0][0], spectra[0][-2]]
+    for vals in spectra[1:]:
+        rest += [vals[0], vals[-1]]
+    lambda2 = max(abs(float(v)) for v in rest)
     if abs(lead - 1.0) > 1e-6:
         raise NumericError(
             f"leading eigenvalue {lead!r} is not 1; chain {chain.label} "

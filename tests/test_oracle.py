@@ -1,13 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pdrwm import (
+    OTHER,
     DiscretizationError,
+    DiscretizedChain,
     NumericError,
     ParameterError,
+    TargetDensity,
     build_discretized,
     classify_gap_trend,
     constant_field,
@@ -15,12 +21,14 @@ from pdrwm import (
     make_exponential_tail,
     make_gaussian,
     make_polynomial_tail,
+    make_subexponential_tail,
     power_field,
     spectral_gap,
     stationary_jump_quadrature,
     tuned_jump_quadrature,
     tv_decay_curve,
 )
+from pdrwm.oracle import SPACING_FRACTION
 
 
 @pytest.fixture(scope="module")
@@ -81,19 +89,100 @@ class TestSpectralGap:
         assert res.lambda2 == pytest.approx(mods[1], abs=1e-8)
         assert res.gap == pytest.approx(1.0 - mods[1], abs=1e-8)
 
-    def test_lanczos_path_matches_dense(self):
-        # force the sparse solver by exceeding the dense-size threshold
+    @pytest.mark.parametrize("n", [2401, 2400])
+    def test_block_split_matches_full_eigh(self, n):
+        # odd and even n fold the centre differently; both must give the
+        # spectrum of the whole symmetrized matrix
         t = make_gaussian()
         f = constant_field(1.0)
-        chain = build_discretized(t, f, h=1.0, half_width=12.0, n=2401)
+        chain = build_discretized(t, f, h=1.0, half_width=12.0, n=n)
+        assert chain.mirrored is True
         res = spectral_gap(chain)
         dense = scipy.linalg.eigh(chain.symmetrized, eigvals_only=True)
         lam2 = max(abs(dense[0]), abs(dense[-2]))
-        assert res.lambda2 == pytest.approx(lam2, abs=1e-9)
+        assert abs(res.lambda2 - lam2) <= 1e-12
+        assert abs(res.gap - (1.0 - lam2)) <= 1e-12
+
+    def test_asymmetric_target_solved_whole(self):
+        # log pi(x) = -|x| - 0.3x has no x -> -x symmetry, so the chain is
+        # built row by row and its spectrum solved as one block
+        def logp(x):
+            v = float(x[0])
+            return -abs(v) - 0.3 * v
+
+        t = TargetDensity(1, logp, OTHER, lambda x: True, "skewed_laplace")
+        chain = build_discretized(t, power_field(1.0), h=1.0, half_width=10.0, n=301)
+        assert chain.mirrored is False
+        assert chain.reversibility_residual() < 1e-14
+        res = spectral_gap(chain)
+        mods = np.sort(np.abs(np.linalg.eigvals(chain.transition)))[::-1]
+        assert mods[0] == pytest.approx(1.0, abs=1e-10)
+        assert res.lambda2 == pytest.approx(mods[1], abs=1e-10)
+
+    def test_negative_odd_eigenvalue_sets_lambda2(self):
+        # a hand-built mirrored chain whose spectrum is 1, 0.8 (even) and
+        # -0.7, -0.9 (odd): lambda_2 is the odd block's lowest eigenvalue
+        p = np.array([
+            [0.05, 0.10, 0.00, 0.85],
+            [0.10, 0.05, 0.85, 0.00],
+            [0.00, 0.85, 0.05, 0.10],
+            [0.85, 0.00, 0.10, 0.05],
+        ])
+        grid = np.array([-1.5, -0.5, 0.5, 1.5])
+        chain = DiscretizedChain(grid, 1.0, p, np.full(4, 0.25), "hand", True)
+        res = spectral_gap(chain)
+        assert res.lambda2 == pytest.approx(0.9, abs=1e-14)
+        assert res.gap == pytest.approx(0.1, abs=1e-14)
+
+    def test_rerun_is_bit_identical(self):
+        # nothing in the build or the solve is random: two builds of the
+        # same problem, and repeated solves, agree to the last bit
+        t = make_gaussian()
+        f = constant_field(1.0)
+        a = build_discretized(t, f, h=1.0, half_width=12.0, n=2401)
+        b = build_discretized(t, f, h=1.0, half_width=12.0, n=2401)
+        assert np.array_equal(a.transition, b.transition)
+        gaps = [spectral_gap(c).gap for c in (a, b, a)]
+        assert gaps[0] == gaps[1] == gaps[2]
 
     def test_gap_in_unit_interval(self, small_chain):
         res = spectral_gap(small_chain)
         assert 0.0 < res.gap < 1.0
+
+
+_SYMMETRIC_TARGETS = st.one_of(
+    st.builds(make_gaussian, st.floats(0.5, 3.0)),
+    st.builds(make_exponential_tail, st.floats(0.2, 3.0)),
+    st.builds(make_subexponential_tail, st.floats(0.2, 2.0), st.floats(0.1, 0.9)),
+    st.builds(make_polynomial_tail, st.floats(1.0, 5.0)),
+)
+
+
+class TestMirroredChainProperties:
+    @given(
+        target=_SYMMETRIC_TARGETS,
+        b=st.floats(0.0, 4.0),
+        log_h=st.floats(math.log(0.01), math.log(10.0)),
+        n=st.integers(50, 401),
+        width=st.floats(0.05, 1.0),
+    )
+    def test_symmetric_problem_splits_exactly(self, target, b, log_h, n, width):
+        # power fields have variance >= 1, so this half-width keeps the
+        # spacing within the limit for every n and h drawn
+        h = math.exp(log_h)
+        half_width = width * 0.5 * SPACING_FRACTION * math.sqrt(h) * (n - 1)
+        chain = build_discretized(target, power_field(b), h, half_width, n)
+        assert chain.mirrored is True
+        p = chain.transition
+        assert np.array_equal(p, p[::-1, ::-1])
+        assert np.array_equal(chain.grid, -chain.grid[::-1])
+        assert chain.row_sum_residual() <= 1e-12
+        assert chain.stationarity_residual() <= 1e-12
+        assert chain.reversibility_residual() <= 1e-12
+        split = spectral_gap(chain)
+        whole = spectral_gap(dataclasses.replace(chain, mirrored=False))
+        assert abs(split.gap - whole.gap) <= 1e-10
+        assert abs(split.lambda2 - whole.lambda2) <= 1e-10
 
 
 class TestTvDecay:
