@@ -10,9 +10,11 @@ geometry for a staircase-shaped counterexample target.
 
 from .chain import (
     ChainTrajectory,
+    batch_means_se,
     config_digest,
     estimate_expectation,
     log_accept_ratio,
+    log_accept_ratio_batch,
     log_accept_ratio_closed_form,
     mh_step,
     run_chain,

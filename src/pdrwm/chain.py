@@ -28,11 +28,13 @@ from .targets import TargetDensity
 __all__ = [
     "log_accept_terms",
     "log_accept_ratio",
+    "log_accept_ratio_batch",
     "log_accept_ratio_closed_form",
     "mh_step",
     "run_chain",
     "ChainTrajectory",
     "estimate_expectation",
+    "batch_means_se",
     "config_digest",
 ]
 
@@ -70,6 +72,36 @@ def log_accept_ratio(
         return -math.inf
     lp_x = target.log_density(x)
     return float(log_accept_terms(lp_x, lp_y, lq_yx, lq_xy))
+
+
+def log_accept_ratio_batch(
+    target: TargetDensity, kernel: ProposalKernel, x: np.ndarray, ys: np.ndarray
+) -> np.ndarray:
+    """:func:`log_accept_ratio` of the moves ``x -> ys[i]``, as an array.
+
+    One pass over the ``(m, dim)`` rows through the batch callables, with
+    the per-point rules: ``-inf`` off the support, ``-inf`` where the
+    reverse kernel cannot reach ``x``, and :class:`ParameterError` if
+    the forward kernel cannot reach an on-support row.  Agrees with the
+    per-point route to float rounding.
+    """
+    if not target.support_test(x):
+        raise SupportError(f"current point {x} is outside the target support")
+    lp_y = target.log_density_batch(ys)
+    out = np.full(len(ys), -np.inf)
+    on = lp_y > -np.inf
+    if not on.any():
+        return out
+    ys_on = ys[on]
+    lq_yx = kernel.log_q_batch(ys_on, x)
+    unreachable = lq_yx == -np.inf
+    if unreachable.any():
+        y = ys_on[np.argmax(unreachable)]
+        raise ParameterError(f"move {x} -> {y} is not proposable by {kernel.label}")
+    # where lq_xy is -inf the finite other terms carry it through to -inf
+    lq_xy = kernel.log_q_batch(x, ys_on)
+    out[on] = log_accept_terms(target.log_density(x), lp_y[on], lq_yx, lq_xy)
+    return out
 
 
 def log_accept_ratio_closed_form(
@@ -255,13 +287,17 @@ def estimate_expectation(
             f"burn_in must lie in [0, {n_total - 1}], got {burn_in}"
         )
     values = np.array([f(s) for s in traj.states[burn_in:]], dtype=float)
+    return float(values.mean()), batch_means_se(values)
+
+
+def batch_means_se(values: np.ndarray) -> float:
+    """Batch-means standard error of the mean of a serially correlated
+    series: about sqrt(n) equal batches, trailing values dropped, and
+    zero when there are too few values for two batches."""
     n = len(values)
-    estimate = float(values.mean())
     n_batches = int(math.isqrt(n))
     if n_batches < 2:
-        return estimate, 0.0
+        return 0.0
     batch = n // n_batches
-    used = values[: n_batches * batch].reshape(n_batches, batch)
-    means = used.mean(axis=1)
-    se = float(means.std(ddof=1) / math.sqrt(n_batches))
-    return estimate, se
+    means = values[: n_batches * batch].reshape(n_batches, batch).mean(axis=1)
+    return float(means.std(ddof=1) / math.sqrt(n_batches))

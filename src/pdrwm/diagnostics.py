@@ -7,7 +7,10 @@ function of its seed: probes at different positions reuse the same seed
 so curves over position are common-random-number smooth.
 
 The probes estimate one-step integrals under the proposal, not ergodic
-averages, so their standard errors are iid Monte Carlo errors.
+averages, so their standard errors are iid Monte Carlo errors.  Each
+probe draws its n proposals in one ``sample_batch`` call and evaluates
+them in one pass through the batch callables of the target, kernel and
+Lyapunov function (:func:`pdrwm.chain.log_accept_ratio_batch`).
 """
 
 from __future__ import annotations
@@ -18,7 +21,12 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .chain import log_accept_ratio, log_accept_ratio_closed_form, run_chain
+from .chain import (
+    batch_means_se,
+    log_accept_ratio_batch,
+    log_accept_ratio_closed_form,
+    run_chain,
+)
 from .errors import NumericError, ParameterError
 from .fields import CovarianceField, power_field
 from .proposals import ProposalKernel, gaussian_proposal
@@ -54,11 +62,14 @@ class LyapunovFunction:
 
     ``log_evaluate`` is the primary interface; ``evaluate`` exponentiates
     and returns ``inf`` past the float range, which is why every consumer
-    in this package works with the logs.
+    in this package works with the logs.  ``log_evaluate_batch`` maps an
+    ``(m, dim)`` array of points to the ``(m,)`` array of log V, equal to
+    ``log_evaluate`` row by row to float rounding.
     """
 
     label: str
     log_evaluate: Callable[[np.ndarray], float]
+    log_evaluate_batch: Callable[[np.ndarray], np.ndarray]
 
     def evaluate(self, x: np.ndarray) -> float:
         try:
@@ -74,7 +85,9 @@ def exp_abs(s: float) -> LyapunovFunction:
         raise ParameterError(f"scale must be positive, got {s}")
     s = float(s)
     return LyapunovFunction(
-        f"exp_abs(s={s:g})", lambda x: s * float(np.linalg.norm(x))
+        f"exp_abs(s={s:g})",
+        lambda x: s * float(np.linalg.norm(x)),
+        lambda xs: s * np.linalg.norm(xs, axis=1),
     )
 
 
@@ -88,6 +101,7 @@ def exp_abs_pow(s: float, beta: float) -> LyapunovFunction:
     return LyapunovFunction(
         f"exp_abs_pow(s={s:g},beta={beta:g})",
         lambda x: s * float(np.linalg.norm(x)) ** beta,
+        lambda xs: s * np.linalg.norm(xs, axis=1) ** beta,
     )
 
 
@@ -101,7 +115,12 @@ def abs_pow(s: float) -> LyapunovFunction:
         r = float(np.linalg.norm(x))
         return max(0.0, s * math.log(r)) if r > 0 else 0.0
 
-    return LyapunovFunction(f"abs_pow(s={s:g})", logv)
+    def logv_batch(xs: np.ndarray) -> np.ndarray:
+        # r <= 1 gives V = 1; the floor keeps log(0) out of the pass
+        r = np.maximum(np.linalg.norm(xs, axis=1), 1.0)
+        return np.maximum(0.0, s * np.log(r))
+
+    return LyapunovFunction(f"abs_pow(s={s:g})", logv, logv_batch)
 
 
 def rectangle_v() -> LyapunovFunction:
@@ -112,7 +131,10 @@ def rectangle_v() -> LyapunovFunction:
     def logv(y: np.ndarray) -> float:
         return math.log(abs(float(y[1])) + max(1.0, abs(float(y[0]))))
 
-    return LyapunovFunction("rectangle_v", logv)
+    def logv_batch(ys: np.ndarray) -> np.ndarray:
+        return np.log(np.abs(ys[:, 1]) + np.maximum(1.0, np.abs(ys[:, 0])))
+
+    return LyapunovFunction("rectangle_v", logv, logv_batch)
 
 
 class DriftResult(NamedTuple):
@@ -126,25 +148,32 @@ class ProbeEstimate(NamedTuple):
     se: float
 
 
-def _proposals(
-    kernel: ProposalKernel, x: np.ndarray, n: int, rng: np.random.Generator
+def _probe_setup(
+    target: TargetDensity, kernel: ProposalKernel, x, n: int
 ) -> np.ndarray:
-    if kernel.sample_batch is not None:
-        return kernel.sample_batch(x, n, rng)
-    return np.stack([kernel.sample(x, rng) for _ in range(n)])
+    """The probe point as a length-``dim`` array, after the checks every
+    probe shares: enough proposals, and point, target and kernel of one
+    dimension."""
+    if n < 1000:
+        raise ParameterError(f"need n >= 1000 proposals, got {n}")
+    x = np.asarray(x, dtype=float).ravel()
+    if x.shape != (target.dim,):
+        raise ParameterError(
+            f"probe point has shape {x.shape}, target dim is {target.dim}"
+        )
+    if target.dim != kernel.dim:
+        raise ParameterError(
+            f"target dim {target.dim} != kernel dim {kernel.dim}"
+        )
+    return x
 
 
 def _alphas(
-    target: TargetDensity, kernel: ProposalKernel, x: np.ndarray, ys: np.ndarray
+    target: TargetDensity, kernel: ProposalKernel, x: np.ndarray, n: int, seed: int
 ) -> np.ndarray:
-    """Acceptance probability for each proposed point, zero off support."""
-    out = np.empty(len(ys))
-    for i, y in enumerate(ys):
-        if target.support_test(y):
-            out[i] = math.exp(log_accept_ratio(target, kernel, x, y))
-        else:
-            out[i] = 0.0
-    return out
+    """Acceptance probabilities of ``n`` proposals from ``x``, zero off support."""
+    ys = kernel.sample_batch(x, n, np.random.default_rng(seed))
+    return np.exp(log_accept_ratio_batch(target, kernel, x, ys))
 
 
 def drift_ratio(
@@ -168,28 +197,17 @@ def drift_ratio(
     growing |x| bounded away from 1 is the numerical fingerprint of a
     geometric drift condition.
     """
-    if n < 1000:
-        raise ParameterError(f"need n >= 1000 proposals, got {n}")
-    x = np.asarray(x, dtype=float).ravel()
+    x = _probe_setup(target, kernel, x, n)
     log_vx = lyapunov.log_evaluate(x)
     if not math.isfinite(log_vx):
         raise ParameterError(f"V must be finite at the probe point, got {log_vx}")
-    rng = np.random.default_rng(seed)
-    ys = _proposals(kernel, x, n, rng)
-
-    summands = np.empty(n)
-    clipped = 0
-    for i, y in enumerate(ys):
-        if not target.support_test(y):
-            summands[i] = 1.0  # certain rejection leaves V in place
-            continue
-        la = log_accept_ratio(target, kernel, x, y)
-        dv = lyapunov.log_evaluate(y) - log_vx
-        if dv > _LOG_CAP:
-            clipped += 1
-            dv = _LOG_CAP
-        a = math.exp(la)
-        summands[i] = (1.0 - a) + math.exp(la + dv)
+    ys = kernel.sample_batch(x, n, np.random.default_rng(seed))
+    la = log_accept_ratio_batch(target, kernel, x, ys)
+    dv = lyapunov.log_evaluate_batch(ys) - log_vx
+    over = dv > _LOG_CAP
+    # clipping counts on the support only; off it alpha = 0 leaves V in place
+    clipped = int(np.count_nonzero(target.log_density_batch(ys[over]) > -np.inf))
+    summands = (1.0 - np.exp(la)) + np.exp(la + np.minimum(dv, _LOG_CAP))
 
     estimate = float(summands.mean())
     se = float(summands.std(ddof=1) / math.sqrt(n))
@@ -208,11 +226,8 @@ def rejection_probability(
     r(x) -> 1 along a sequence of x's rules out geometric ergodicity;
     sup r(x) < 1 is one of the two legs certifying it.
     """
-    if n < 1000:
-        raise ParameterError(f"need n >= 1000 proposals, got {n}")
-    x = np.asarray(x, dtype=float).ravel()
-    rng = np.random.default_rng(seed)
-    alphas = _alphas(target, kernel, x, _proposals(kernel, x, n, rng))
+    x = _probe_setup(target, kernel, x, n)
+    alphas = _alphas(target, kernel, x, n, seed)
     return ProbeEstimate(
         1.0 - float(alphas.mean()), float(alphas.std(ddof=1) / math.sqrt(n))
     )
@@ -235,11 +250,8 @@ def acceptance_set_mass(
     """
     if not 0.0 < eps < 1.0:
         raise ParameterError(f"eps must lie in (0,1), got {eps}")
-    if n < 1000:
-        raise ParameterError(f"need n >= 1000 proposals, got {n}")
-    x = np.asarray(x, dtype=float).ravel()
-    rng = np.random.default_rng(seed)
-    alphas = _alphas(target, kernel, x, _proposals(kernel, x, n, rng))
+    x = _probe_setup(target, kernel, x, n)
+    alphas = _alphas(target, kernel, x, n, seed)
     hits = (alphas >= eps).astype(float)
     return ProbeEstimate(
         float(hits.mean()), float(hits.std(ddof=1) / math.sqrt(n))
@@ -386,12 +398,15 @@ def esjd_scan(
             target, gaussian_proposal(fld, h_b), np.zeros(1), n_steps, seed_run
         )
         jumps_sq = np.diff(traj.states[:, 0]) ** 2
-        esjd = float(jumps_sq.mean())
-        n_batches = int(math.isqrt(len(jumps_sq)))
-        batch = len(jumps_sq) // n_batches
-        means = jumps_sq[: n_batches * batch].reshape(n_batches, batch).mean(axis=1)
-        se = float(means.std(ddof=1) / math.sqrt(n_batches))
-        out.append(EsjdPoint(float(b), h_b, esjd, se, traj.acceptance_rate))
+        out.append(
+            EsjdPoint(
+                float(b),
+                h_b,
+                float(jumps_sq.mean()),
+                batch_means_se(jumps_sq),
+                traj.acceptance_rate,
+            )
+        )
     return out
 
 

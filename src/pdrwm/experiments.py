@@ -72,11 +72,15 @@ def one_plus_square_field() -> CovarianceField:
     def inv_metric(x: np.ndarray) -> np.ndarray:
         return np.array([[1.0 + float(x[0]) ** 2]])
 
+    def inv_metric_batch(xs: np.ndarray) -> np.ndarray:
+        return (1.0 + xs[:, 0] ** 2)[:, None, None]
+
     return CovarianceField(
         dim=1,
         inv_metric=inv_metric,
         growth_class=GrowthClass("quadratic", 2.0),
         label="one_plus_square",
+        inv_metric_batch=inv_metric_batch,
     )
 
 
@@ -96,11 +100,18 @@ def ridge_conditional_field() -> CovarianceField:
             ]
         )
 
+    def inv_metric_batch(xs: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(xs), 2, 2))
+        out[:, 0, 0] = 1.0 / (2.0 * (1.0 + xs[:, 1] ** 2))
+        out[:, 1, 1] = 1.0 / (2.0 * (1.0 + xs[:, 0] ** 2))
+        return out
+
     return CovarianceField(
         dim=2,
         inv_metric=inv_metric,
         growth_class=GrowthClass("bounded", 0.0),
         label="ridge_conditional",
+        inv_metric_batch=inv_metric_batch,
     )
 
 

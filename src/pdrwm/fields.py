@@ -7,7 +7,12 @@ kernel proposes ``y ~ N(x, h * S(x))``.  Each field carries a
 what the ergodicity diagnostics condition on.
 
 Fields return dense ``(dim, dim)`` arrays even in one dimension; callers
-that want the scalar fast path read ``value[0, 0]``.
+that want the scalar fast path read ``value[0, 0]``.  Every field also
+has a batch form that maps an ``(m, dim)`` array of points to the
+``(m, dim, dim)`` stack of their values.  The closed-form fields compute
+it in whole-array numpy; the fields built on per-point callbacks or on a
+sample set (regional, mixture, kernel-adaptive, weighted-empirical)
+stack their per-point values row by row.
 """
 
 from __future__ import annotations
@@ -93,12 +98,27 @@ class CovarianceField:
         Tail scaling tag.
     label : str
         Short identifier used in config digests.
+    inv_metric_batch : callable
+        Maps an ``(m, dim)`` array of points to the ``(m, dim, dim)``
+        stack of their covariance shapes; agrees with ``inv_metric`` row
+        by row to float rounding.
     """
 
     dim: int
     inv_metric: Callable[[np.ndarray], np.ndarray]
     growth_class: GrowthClass
     label: str
+    inv_metric_batch: Callable[[np.ndarray], np.ndarray]
+
+
+def _rowwise(inv_metric: Callable[[np.ndarray], np.ndarray]):
+    """Batch form of a field whose value comes from per-point work: the
+    stack of its values at each row."""
+
+    def inv_metric_batch(xs: np.ndarray) -> np.ndarray:
+        return np.stack([inv_metric(x) for x in xs])
+
+    return inv_metric_batch
 
 
 class PastSampleSet:
@@ -172,7 +192,12 @@ def constant_field(sigma) -> CovarianceField:
     def inv_metric(_: np.ndarray) -> np.ndarray:
         return m
 
-    return CovarianceField(dim, inv_metric, BOUNDED, f"constant(dim={dim})")
+    def inv_metric_batch(xs: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(m, (len(xs), dim, dim))
+
+    return CovarianceField(
+        dim, inv_metric, BOUNDED, f"constant(dim={dim})", inv_metric_batch
+    )
 
 
 def power_field(b: float, dim: int = 1) -> CovarianceField:
@@ -200,11 +225,18 @@ def power_field(b: float, dim: int = 1) -> CovarianceField:
     else:
         growth = superquadratic(b)
 
-    def inv_metric(x: np.ndarray) -> np.ndarray:
-        r = float(np.linalg.norm(x))
-        return (1.0 + r) ** b * eye
+    def scale(r):
+        return (1.0 + r) ** b
 
-    return CovarianceField(dim, inv_metric, growth, f"power(b={b:g},dim={dim})")
+    def inv_metric(x: np.ndarray) -> np.ndarray:
+        return scale(float(np.linalg.norm(x))) * eye
+
+    def inv_metric_batch(xs: np.ndarray) -> np.ndarray:
+        return scale(np.linalg.norm(xs, axis=1))[:, None, None] * eye
+
+    return CovarianceField(
+        dim, inv_metric, growth, f"power(b={b:g},dim={dim})", inv_metric_batch
+    )
 
 
 def tempered_langevin_field(
@@ -247,11 +279,23 @@ def tempered_langevin_field(
         scale = c_max if -lp >= log_cap else math.exp(-lp)
         return scale * eye
 
+    def inv_metric_batch(xs: np.ndarray) -> np.ndarray:
+        lp = target.log_density_batch(xs)
+        off = lp == -np.inf
+        if off.any():
+            x = xs[np.argmax(off)]
+            raise EvaluationError(
+                f"reciprocal-density field undefined off support at {x}"
+            )
+        scale = np.where(-lp >= log_cap, c_max, np.exp(np.minimum(-lp, log_cap)))
+        return scale[:, None, None] * eye
+
     return CovarianceField(
         target.dim,
         inv_metric,
         growth,
         f"tempered_langevin({target.label},cap={c_max:g})",
+        inv_metric_batch,
     )
 
 
@@ -307,7 +351,11 @@ def regional_field(
         return frozen[hit[-1]]
 
     return CovarianceField(
-        dim, inv_metric, BOUNDED, f"regional(n={len(regions)},dim={dim})"
+        dim,
+        inv_metric,
+        BOUNDED,
+        f"regional(n={len(regions)},dim={dim})",
+        _rowwise(inv_metric),
     )
 
 
@@ -348,7 +396,9 @@ def mixture_field(
             )
         return np.tensordot(np.clip(w, 0.0, None), stack, axes=1)
 
-    return CovarianceField(dim, inv_metric, BOUNDED, f"mixture(k={k},dim={dim})")
+    return CovarianceField(
+        dim, inv_metric, BOUNDED, f"mixture(k={k},dim={dim})", _rowwise(inv_metric)
+    )
 
 
 def kernel_adaptive_field(
@@ -390,6 +440,7 @@ def kernel_adaptive_field(
         inv_metric,
         BOUNDED,
         f"kernel_adaptive(n={n},gamma={gamma:g},nu={nu:g},sigma_k={sigma_k:g})",
+        _rowwise(inv_metric),
     )
 
 
@@ -428,5 +479,9 @@ def weighted_empirical_field(
         return (diff.T * w) @ diff + ridge * eye
 
     return CovarianceField(
-        dim, inv_metric, QUADRATIC, f"weighted_empirical(n={n},ridge={ridge:g})"
+        dim,
+        inv_metric,
+        QUADRATIC,
+        f"weighted_empirical(n={n},ridge={ridge:g})",
+        _rowwise(inv_metric),
     )

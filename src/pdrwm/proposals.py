@@ -7,14 +7,16 @@ level-dependent ellipse) support the narrowing-rectangle analysis, where
 acceptance probabilities reduce to area ratios.
 
 Argument order convention: ``log_q(y, x)`` is the log density at ``y`` of
-the proposal launched from ``x``.
+the proposal launched from ``x``.  ``log_q_batch(ys, xs)`` is the same
+density over rows: one start point against an ``(m, dim)`` array of end
+points, or an ``(m, dim)`` array of start points against one end point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
@@ -53,34 +55,40 @@ class ProposalKernel:
         ``x``; ``-inf`` where the proposal cannot reach.
     label : str
         Identifier used in config digests.
-    sample_batch : callable, optional
+    sample_batch : callable
         ``sample_batch(x, n, rng)`` draws ``n`` proposals from the same
-        start as an ``(n, dim)`` array, consuming the stream exactly as
-        ``n`` single draws would not necessarily match; batch users only
-        need identical distribution, not identical draws.
+        start as an ``(n, dim)`` array.  The draws follow the same
+        distribution as ``n`` calls of ``sample``, but not draw for draw:
+        the stream is consumed in a different order.
+    log_q_batch : callable
+        ``log_q_batch(ys, xs)`` is ``log_q`` over rows as an ``(m,)``
+        array: ``ys`` of shape ``(m, dim)`` against one start ``xs`` of
+        shape ``(dim,)``, or one end point ``ys`` against ``m`` starts
+        ``xs``.  Agrees with ``log_q`` row by row to float rounding.
     """
 
     dim: int
     sample: Callable[[np.ndarray, np.random.Generator], np.ndarray]
     log_q: Callable[[np.ndarray, np.ndarray], float]
     label: str
-    sample_batch: Optional[
-        Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
-    ] = None
+    sample_batch: Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
+    log_q_batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
     """Random walk with position-dependent covariance ``h * S(x)``.
 
     One-dimensional fields use a scalar fast path; higher dimensions go
-    through a Cholesky factor per evaluation.  A field value that fails
-    to factor raises :class:`NumericError` naming the point.
+    through a Cholesky factor per evaluation, and ``log_q_batch``
+    factors all its start points in one stacked call.  A field value
+    that fails to factor raises :class:`NumericError` naming the point.
     """
     if not h > 0:
         raise ParameterError(f"step size must be positive, got {h}")
     h = float(h)
     dim = field.dim
     inv_metric = field.inv_metric
+    inv_metric_batch = field.inv_metric_batch
 
     if dim == 1:
 
@@ -100,6 +108,17 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
 
         def sample_batch(x, n, rng):
             return x[None, :] + _std(x) * rng.standard_normal((n, 1))
+
+        def log_q_batch(ys, xs):
+            ys, xs = np.atleast_2d(ys), np.atleast_2d(xs)
+            g = inv_metric_batch(xs)[:, 0, 0]
+            bad = ~((g > 0) & np.isfinite(g))
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise NumericError(f"field value {g[i]:g} at {xs[i]} is not usable")
+            s = np.sqrt(h * g)
+            u = (ys[:, 0] - xs[:, 0]) / s
+            return -0.5 * _LOG_2PI - np.log(s) - 0.5 * u * u
 
     else:
 
@@ -122,8 +141,25 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
         def sample_batch(x, n, rng):
             return x[None, :] + rng.standard_normal((n, dim)) @ _chol(x).T
 
+        def log_q_batch(ys, xs):
+            ys, xs = np.atleast_2d(ys), np.atleast_2d(xs)
+            try:
+                low = np.linalg.cholesky(h * inv_metric_batch(xs))
+            except np.linalg.LinAlgError:
+                for x in xs:
+                    _chol(x)  # names the first point whose value fails
+                raise
+            v = np.linalg.solve(low, (ys - xs)[..., None])[..., 0]
+            logdet = 2.0 * np.log(np.diagonal(low, axis1=1, axis2=2)).sum(axis=1)
+            return -0.5 * (dim * _LOG_2PI + logdet + (v * v).sum(axis=1))
+
     return ProposalKernel(
-        dim, sample, log_q, f"gaussian(h={h:g},{field.label})", sample_batch
+        dim,
+        sample,
+        log_q,
+        f"gaussian(h={h:g},{field.label})",
+        sample_batch,
+        log_q_batch,
     )
 
 
@@ -148,7 +184,13 @@ def circle_proposal() -> ProposalKernel:
     def sample_batch(x, n, rng):
         return x[None, :] + _disc_offsets(n, rng)
 
-    return ProposalKernel(2, sample, log_q, "uniform_disc", sample_batch)
+    def log_q_batch(ys, xs):
+        d = np.atleast_2d(ys) - np.atleast_2d(xs)
+        return np.where((d * d).sum(axis=1) <= 1.0, log_density, -np.inf)
+
+    return ProposalKernel(
+        2, sample, log_q, "uniform_disc", sample_batch, log_q_batch
+    )
 
 
 def ellipse_semi_width(x2: float) -> float:
@@ -192,7 +234,16 @@ def ellipse_proposal() -> ProposalKernel:
         off[:, 0] *= _w(x)
         return x[None, :] + off
 
-    return ProposalKernel(2, sample, log_q, "uniform_ellipse", sample_batch)
+    def log_q_batch(ys, xs):
+        ys, xs = np.atleast_2d(ys), np.atleast_2d(xs)
+        w = np.minimum(3.0 ** (1.0 - np.floor(xs[:, 1])), 1.0)
+        du = (ys[:, 0] - xs[:, 0]) / w
+        dv = ys[:, 1] - xs[:, 1]
+        return np.where(du * du + dv * dv <= 1.0, -np.log(math.pi * w), -np.inf)
+
+    return ProposalKernel(
+        2, sample, log_q, "uniform_ellipse", sample_batch, log_q_batch
+    )
 
 
 # --- truncated Gaussian helpers -------------------------------------------

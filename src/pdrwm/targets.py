@@ -5,7 +5,13 @@ log-density, a support test, and a :class:`TailClass` tag that the
 diagnostics and oracle modules key their expectations on.  Densities are
 unnormalized throughout; all Metropolis quantities depend only on ratios.
 
-Points are 1-D numpy arrays of length ``dim``.
+Points are 1-D numpy arrays of length ``dim``; batches of points are
+``(m, dim)`` arrays, one point per row.  Each formula is written once
+over coordinates: the per-point form hands it Python floats, the batch
+form whole columns.  The two forms therefore agree to the last bit or
+two, not exactly: numpy's vectorised ``power``/``exp``/``log1p`` may
+round differently from the C library on a few percent of inputs, and
+the chains keep the per-point arithmetic they always had.
 """
 
 from __future__ import annotations
@@ -86,6 +92,11 @@ class TargetDensity:
         Maps a point to ``True`` iff the density is positive there.
     label : str
         Short human-readable identifier, used in config digests.
+    log_density_batch : callable
+        Maps an ``(m, dim)`` array of points to the ``(m,)`` array of
+        their log-densities, ``-inf`` off support, so ``> -inf`` is the
+        batch support test.  Agrees with ``log_density`` row by row to
+        float rounding.
     """
 
     dim: int
@@ -93,6 +104,7 @@ class TargetDensity:
     tail_class: TailClass
     support_test: Callable[[np.ndarray], bool]
     label: str
+    log_density_batch: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -124,6 +136,24 @@ def _always(_: np.ndarray) -> bool:
     return True
 
 
+def _log1p(v):
+    """``log1p`` of a Python float (C library) or of an array (numpy)."""
+    return math.log1p(v) if isinstance(v, float) else np.log1p(v)
+
+
+def _one_dim(formula, tail_class: TailClass, label: str) -> TargetDensity:
+    """Full-support 1-D target from one formula in the coordinate: the
+    per-point form passes it ``float(x[0])``, the batch form ``xs[:, 0]``."""
+    return TargetDensity(
+        1,
+        lambda x: formula(float(x[0])),
+        tail_class,
+        _always,
+        label,
+        lambda xs: formula(xs[:, 0]),
+    )
+
+
 def make_exponential_tail(a: float) -> TargetDensity:
     """Density with log pi(x) = -a|x| on the line.
 
@@ -133,11 +163,7 @@ def make_exponential_tail(a: float) -> TargetDensity:
     if not a > 0:
         raise ParameterError(f"decay rate must be positive, got {a}")
     a = float(a)
-
-    def logp(x: np.ndarray) -> float:
-        return -a * abs(float(x[0]))
-
-    return TargetDensity(1, logp, log_concave(a), _always, f"exp_tail(a={a:g})")
+    return _one_dim(lambda v: -a * abs(v), log_concave(a), f"exp_tail(a={a:g})")
 
 
 def make_subexponential_tail(a: float, beta: float) -> TargetDensity:
@@ -150,12 +176,10 @@ def make_subexponential_tail(a: float, beta: float) -> TargetDensity:
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"tail exponent must lie in (0,1), got {beta}")
     a, beta = float(a), float(beta)
-
-    def logp(x: np.ndarray) -> float:
-        return -a * abs(float(x[0])) ** beta
-
-    return TargetDensity(
-        1, logp, subexponential(a, beta), _always, f"subexp_tail(a={a:g},beta={beta:g})"
+    return _one_dim(
+        lambda v: -a * abs(v) ** beta,
+        subexponential(a, beta),
+        f"subexp_tail(a={a:g},beta={beta:g})",
     )
 
 
@@ -168,11 +192,7 @@ def make_polynomial_tail(p: float) -> TargetDensity:
     if not p >= 1:
         raise ParameterError(f"tail power must be >= 1, got {p}")
     p = float(p)
-
-    def logp(x: np.ndarray) -> float:
-        return -p * math.log1p(abs(float(x[0])))
-
-    return TargetDensity(1, logp, polynomial(p), _always, f"poly_tail(p={p:g})")
+    return _one_dim(lambda v: -p * _log1p(abs(v)), polynomial(p), f"poly_tail(p={p:g})")
 
 
 def make_gaussian(sigma: float = 1.0) -> TargetDensity:
@@ -184,12 +204,7 @@ def make_gaussian(sigma: float = 1.0) -> TargetDensity:
     if not sigma > 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
     s2 = float(sigma) ** 2
-
-    def logp(x: np.ndarray) -> float:
-        v = float(x[0])
-        return -0.5 * v * v / s2
-
-    return TargetDensity(1, logp, OTHER, _always, f"gaussian(sigma={sigma:g})")
+    return _one_dim(lambda v: -0.5 * v * v / s2, OTHER, f"gaussian(sigma={sigma:g})")
 
 
 def make_ridge_2d() -> TargetDensity:
@@ -199,11 +214,17 @@ def make_ridge_2d() -> TargetDensity:
     so a sensible proposal covariance varies strongly with position.
     """
 
-    def logp(x: np.ndarray) -> float:
-        u, v = float(x[0]), float(x[1])
+    def formula(u, v):
         return -u * u - v * v - u * u * v * v
 
-    return TargetDensity(2, logp, OTHER, _always, "ridge_2d")
+    return TargetDensity(
+        2,
+        lambda x: formula(float(x[0]), float(x[1])),
+        OTHER,
+        _always,
+        "ridge_2d",
+        lambda xs: formula(xs[:, 0], xs[:, 1]),
+    )
 
 
 _LOG3 = math.log(3.0)
@@ -228,7 +249,16 @@ def make_rectangle() -> RectangleDensity:
             return -math.inf
         return -math.floor(float(y[1])) * _LOG3
 
-    return RectangleDensity(2, logp, OTHER, in_support, "rectangle_staircase")
+    def logp_batch(ys: np.ndarray) -> np.ndarray:
+        y1, y2 = ys[:, 0], ys[:, 1]
+        k = np.floor(y2)
+        with np.errstate(over="ignore"):  # 3**(1-k) overflows far below the support
+            inside = (y2 >= 1.0) & (np.abs(y1) <= 3.0 ** (1.0 - k))
+        return np.where(inside, -k * _LOG3, -np.inf)
+
+    return RectangleDensity(
+        2, logp, OTHER, in_support, "rectangle_staircase", logp_batch
+    )
 
 
 def get_target(name: str, **params) -> TargetDensity:

@@ -6,25 +6,35 @@ from scipy.special import ndtr
 
 from pdrwm import (
     DiagnosticReport,
+    DriftResult,
     ParameterError,
+    ProbeEstimate,
     abs_pow,
     acceptance_set_mass,
+    circle_proposal,
     constant_field,
     drift_ratio,
     drift_ratio_quadrature,
+    ellipse_proposal,
     esjd_scan,
     exp_abs,
     exp_abs_pow,
     gaussian_proposal,
+    log_accept_ratio,
     make_exponential_tail,
     make_gaussian,
     make_polynomial_tail,
+    make_rectangle,
+    make_ridge_2d,
+    one_plus_square_field,
     power_field,
     rectangle_v,
     rejection_probability,
+    ridge_conditional_field,
     tail_acceptance_profile,
     tune_step_size,
 )
+from pdrwm.diagnostics import V_RATIO_CAP
 
 
 def pt(*vals):
@@ -196,6 +206,146 @@ class TestAcceptanceSetMass:
         for eps in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ParameterError):
                 acceptance_set_mass(t, k, pt(0.0), eps, n=2000, seed=0)
+
+
+def _loop_alphas(target, kernel, x, ys):
+    """Reference: the acceptance of each proposal, one draw at a time."""
+    out = np.empty(len(ys))
+    for i, y in enumerate(ys):
+        if target.support_test(y):
+            out[i] = math.exp(log_accept_ratio(target, kernel, x, y))
+        else:
+            out[i] = 0.0
+    return out
+
+
+def _loop_probes(target, kernel, lyapunov, x, n, seed, eps):
+    """Reference implementation of the three probes as per-draw loops over
+    the same proposals the probes draw: (drift, rejection, mass)."""
+    x = np.asarray(x, dtype=float).ravel()
+    ys = kernel.sample_batch(x, n, np.random.default_rng(seed))
+    log_vx = lyapunov.log_evaluate(x)
+    log_cap = math.log(V_RATIO_CAP)
+    summands = np.empty(n)
+    clipped = 0
+    for i, y in enumerate(ys):
+        if not target.support_test(y):
+            summands[i] = 1.0
+            continue
+        la = log_accept_ratio(target, kernel, x, y)
+        dv = lyapunov.log_evaluate(y) - log_vx
+        if dv > log_cap:
+            clipped += 1
+            dv = log_cap
+        a = math.exp(la)
+        summands[i] = (1.0 - a) + math.exp(la + dv)
+    drift = DriftResult(
+        float(summands.mean()), float(summands.std(ddof=1) / math.sqrt(n)), clipped / n
+    )
+    alphas = _loop_alphas(target, kernel, x, ys)
+    rejection = ProbeEstimate(
+        1.0 - float(alphas.mean()), float(alphas.std(ddof=1) / math.sqrt(n))
+    )
+    hits = (alphas >= eps).astype(float)
+    mass = ProbeEstimate(float(hits.mean()), float(hits.std(ddof=1) / math.sqrt(n)))
+    return drift, rejection, mass
+
+
+#: (target, kernel, Lyapunov function, probe point)
+_PROBE_CASES = {
+    "exp_power1.5": (
+        make_exponential_tail(1.0), gaussian_proposal(power_field(1.5), 1.0),
+        exp_abs(0.5), (20.0,),
+    ),
+    # V ratios far past the cap: exercises the clipped-mass count
+    "exp_power4_clipped": (
+        make_exponential_tail(1.0), gaussian_proposal(power_field(4.0), 1.0),
+        exp_abs(0.5), (40.0,),
+    ),
+    "poly_square_h0.01": (
+        make_polynomial_tail(2.0), gaussian_proposal(one_plus_square_field(), 0.01),
+        abs_pow(0.25), (100.0,),
+    ),
+    "poly_square_h100": (
+        make_polynomial_tail(2.0), gaussian_proposal(one_plus_square_field(), 100.0),
+        abs_pow(0.25), (100.0,),
+    ),
+    "ridge_2d": (
+        make_ridge_2d(), gaussian_proposal(ridge_conditional_field(), 1.0),
+        exp_abs(0.5), (4.0, 0.0),
+    ),
+    # most disc proposals leave the narrow level: the -inf branch
+    "rectangle_circle": (
+        make_rectangle(), circle_proposal(), rectangle_v(), (0.05, 3.5),
+    ),
+    "rectangle_circle_level1": (
+        make_rectangle(), circle_proposal(), rectangle_v(), (0.5, 1.5),
+    ),
+    # reverse ellipses from level 2 miss the start: lq_xy = -inf
+    "rectangle_ellipse": (
+        make_rectangle(), ellipse_proposal(), rectangle_v(), (0.5, 1.9),
+    ),
+}
+
+
+class TestProbesMatchPerDrawLoop:
+    """The batch probes against the per-draw loop they replaced, on the
+    same proposals: every estimate, standard error and clipped mass to
+    1e-12."""
+
+    @pytest.mark.parametrize("case", sorted(_PROBE_CASES))
+    def test_three_probes(self, case):
+        target, kernel, lyapunov, x = _PROBE_CASES[case]
+        n, seed, eps = 4000, 7, 0.1
+        drift, rejection, mass = _loop_probes(target, kernel, lyapunov, x, n, seed, eps)
+        got = (
+            drift_ratio(target, kernel, lyapunov, x, n=n, seed=seed),
+            rejection_probability(target, kernel, x, n=n, seed=seed),
+            acceptance_set_mass(target, kernel, x, eps, n=n, seed=seed),
+        )
+        for result, ref in zip(got, (drift, rejection, mass)):
+            assert type(result) is type(ref)
+            for v, r in zip(result, ref):
+                assert v == pytest.approx(r, rel=1e-12, abs=1e-12)
+        assert got[0].truncated_mass == drift.truncated_mass
+
+    def test_cases_reach_their_branches(self):
+        n, seed = 4000, 7
+        t, k, v, x = _PROBE_CASES["exp_power4_clipped"]
+        assert drift_ratio(t, k, v, x, n=n, seed=seed).truncated_mass > 0.0
+        t, k, _, x = _PROBE_CASES["rectangle_circle"]
+        ys = k.sample_batch(pt(*x), n, np.random.default_rng(seed))
+        assert not all(t.support_test(y) for y in ys)
+        t, k, _, x = _PROBE_CASES["rectangle_ellipse"]
+        x = pt(*x)
+        ys = k.sample_batch(x, n, np.random.default_rng(seed))
+        assert any(t.support_test(y) and k.log_q(x, y) == -math.inf for y in ys)
+
+
+class TestProbeInputChecks:
+    """A probe point of the wrong length, or a kernel of another dimension
+    than the target, is refused instead of silently broadcast."""
+
+    def _probes(self, t, k, x):
+        return (
+            lambda: drift_ratio(t, k, exp_abs(0.5), x, n=1000, seed=0),
+            lambda: rejection_probability(t, k, x, n=1000, seed=0),
+            lambda: acceptance_set_mass(t, k, x, 0.1, n=1000, seed=0),
+        )
+
+    @pytest.mark.parametrize("probe", [0, 1, 2])
+    def test_point_of_wrong_length(self, probe):
+        t = make_exponential_tail(1.0)
+        k = gaussian_proposal(power_field(4.0), 1.0)
+        with pytest.raises(ParameterError, match="probe point has shape"):
+            self._probes(t, k, (10.0, 99.0))[probe]()
+
+    @pytest.mark.parametrize("probe", [0, 1, 2])
+    def test_kernel_of_other_dimension(self, probe):
+        t = make_exponential_tail(1.0)
+        k = gaussian_proposal(power_field(1.5, dim=2), 1.0)
+        with pytest.raises(ParameterError, match="kernel dim"):
+            self._probes(t, k, (20.0,))[probe]()
 
 
 class TestTailProfile:

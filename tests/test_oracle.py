@@ -110,7 +110,14 @@ class TestSpectralGap:
             v = float(x[0])
             return -abs(v) - 0.3 * v
 
-        t = TargetDensity(1, logp, OTHER, lambda x: True, "skewed_laplace")
+        t = TargetDensity(
+            1,
+            logp,
+            OTHER,
+            lambda x: True,
+            "skewed_laplace",
+            lambda xs: np.array([logp(x) for x in xs]),
+        )
         chain = build_discretized(t, power_field(1.0), h=1.0, half_width=10.0, n=301)
         assert chain.mirrored is False
         assert chain.reversibility_residual() < 1e-14

@@ -84,12 +84,19 @@ class TestGaussianKernelMultiDim:
     def test_non_spd_field_value_raises(self):
         from pdrwm import CovarianceField, BOUNDED
 
+        value = np.array([[1.0, 2.0], [2.0, 1.0]])
         bad = CovarianceField(
-            2, lambda x: np.array([[1.0, 2.0], [2.0, 1.0]]), BOUNDED, "bad"
+            2,
+            lambda x: value,
+            BOUNDED,
+            "bad",
+            lambda xs: np.broadcast_to(value, (len(xs), 2, 2)),
         )
         k = gaussian_proposal(bad, h=1.0)
         with pytest.raises(NumericError):
             k.sample(pt(0.0, 0.0), np.random.default_rng(0))
+        with pytest.raises(NumericError, match="failed to factor"):
+            k.log_q_batch(np.zeros((3, 2)), pt(0.0, 0.0))
 
 
 class TestCircle:
