@@ -20,7 +20,6 @@ from .chain import (
     run_chain,
 )
 from .diagnostics import (
-    DiagnosticReport,
     DriftResult,
     EsjdPoint,
     LyapunovFunction,

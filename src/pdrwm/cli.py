@@ -2,7 +2,8 @@
 
 Three commands: ``run`` executes one scenario from a YAML config file
 and writes its CSV artifacts, ``verify-all`` runs the ten numbered
-acceptance checks, ``list-scenarios`` prints the registry.  Exit codes:
+acceptance checks, ``list-scenarios`` prints the registry with each
+scenario's parameters and their defaults.  Exit codes:
 0 on success, 1 when a scenario check or acceptance criterion fails,
 2 on a configuration problem.  Setting the environment variable named
 by ``PDRWM_OUTPUT_DIR`` redirects all scenario output.
@@ -13,22 +14,20 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, PDRWMError
+from .errors import ConfigError, ParameterError, PDRWMError
 from .experiments import OUTPUT_DIR_ENV, list_scenarios, load_config, run_scenario
+from .experiments import scenario_parameters
 from .verify import verify_all
 
 
 def _cmd_run(config_path: str) -> int:
     try:
         config = load_config(config_path)
-    except ConfigError as exc:
-        key = f" (key: {exc.key})" if exc.key else ""
-        print(f"config error{key}: {exc}", file=sys.stderr)
-        return 2
-    try:
         result = run_scenario(config)
-    except ConfigError as exc:
-        key = f" (key: {exc.key})" if exc.key else ""
+    except (ConfigError, ParameterError) as exc:
+        # a ParameterError from a scenario body can only come from a
+        # config value, so it is a config error too
+        key = f" (key: {exc.key})" if getattr(exc, "key", None) else ""
         print(f"config error{key}: {exc}", file=sys.stderr)
         return 2
     except PDRWMError as exc:
@@ -59,6 +58,8 @@ def _cmd_verify_all(seed: int, only: list[int] | None) -> int:
 def _cmd_list_scenarios() -> int:
     for name, desc in list_scenarios():
         print(f"{name:<14} {desc}")
+        for param in scenario_parameters(name):
+            print(f"{'':<15}{param}")
     return 0
 
 
@@ -80,7 +81,9 @@ def main(argv: list[str] | None = None) -> int:
         help="restrict to criterion N (repeatable)",
     )
 
-    sub.add_parser("list-scenarios", help="list registered scenarios")
+    sub.add_parser(
+        "list-scenarios", help="list registered scenarios and their parameters"
+    )
 
     args = parser.parse_args(argv)
     if args.command == "run":

@@ -16,7 +16,7 @@ Lyapunov function (:func:`pdrwm.chain.log_accept_ratio_batch`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -48,7 +48,6 @@ __all__ = [
     "EsjdPoint",
     "esjd_scan",
     "tune_step_size",
-    "DiagnosticReport",
 ]
 
 #: cap on the one-sample Lyapunov ratio V(y)/V(x) inside the drift probe
@@ -409,26 +408,3 @@ def esjd_scan(
         )
     return out
 
-
-@dataclass
-class DiagnosticReport:
-    """Accumulates probe rows and writes the diagnostics CSV.
-
-    Columns: probe, x, estimate, se, n, seed.  Multi-dimensional probe
-    points are joined with ';' inside the x column.
-    """
-
-    rows: list = dc_field(default_factory=list)
-
-    def add(self, probe: str, x, estimate: float, se: float, n: int, seed: int):
-        if np.ndim(x) == 0:
-            x_str = repr(float(x))
-        else:
-            x_str = ";".join(repr(float(v)) for v in np.ravel(x))
-        self.rows.append((probe, x_str, float(estimate), float(se), int(n), int(seed)))
-
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("probe,x,estimate,se,n,seed\n")
-            for probe, x_str, est, se, n, seed in self.rows:
-                fh.write(f"{probe},{x_str},{est!r},{se!r},{n},{seed}\n")

@@ -6,6 +6,11 @@ outcomes make up the scenario's pass/fail summary.  Scenario bodies are
 deterministic functions of (params, seed): re-running with an identical
 config reproduces every output file byte for byte.
 
+A scenario body's keyword-only parameters declare the keys its
+``params`` take, with types and defaults; target and field specs bind
+to the factory they name.  ``bind_params`` checks a mapping against a
+signature and names the offending key.
+
 Output files start with a comment line carrying the config digest and
 the seed, so an artifact can always be traced back to the settings that
 produced it.
@@ -14,10 +19,13 @@ produced it.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import os
+import typing
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
+from types import UnionType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,7 +40,7 @@ from .diagnostics import (
     exp_abs,
     rectangle_v,
 )
-from .errors import ConfigError, PDRWMError
+from .errors import ConfigError, ParameterError, PDRWMError
 from .fields import (
     CovarianceField,
     GrowthClass,
@@ -49,8 +57,8 @@ from .rectangle import (
     hemisphere_sweep,
 )
 from .targets import (
+    TARGET_FACTORIES,
     TargetDensity,
-    get_target,
     make_exponential_tail,
     make_gaussian,
     make_polynomial_tail,
@@ -142,6 +150,14 @@ class ExperimentConfig:
     output_dir: str | None = None
     params: dict = dataclass_field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.scenario not in SCENARIOS:
+            raise ConfigError(f"unknown scenario {self.scenario!r}", key="scenario")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ConfigError(
+                f"seed must be a non-negative integer, got {self.seed!r}", key="seed"
+            )
+
 
 def scenario_digest(scenario: str, seed: int, params: dict) -> str:
     """Twelve hex chars identifying (scenario, seed, params)."""
@@ -167,85 +183,117 @@ def _write_rows(path: Path, digest: str, seed: int, header: Sequence[str], rows)
     lines = [f"# config={digest} seed={seed}", ",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # config plumbing
 
-_TARGET_KEYS = {
-    "exponential": ("a",),
-    "subexponential": ("a", "beta"),
-    "polynomial": ("p",),
-    "gaussian": ("sigma",),
-    "ridge": (),
-    "rectangle": (),
-}
+def _config_parameters(fn: Callable) -> dict[str, inspect.Parameter]:
+    """The parameters of ``fn`` that a config mapping may name: all but
+    the positional-only ones, which the caller supplies."""
+    params = inspect.signature(fn, eval_str=True).parameters.values()
+    return {p.name: p for p in params if p.kind != p.POSITIONAL_ONLY}
+
+
+def _coerce(value, hint, key: str):
+    """``value`` as the annotation ``hint`` reads, or ``ConfigError``.
+
+    An int passes for a float and is converted with ``float()``; a bool
+    or a string never passes for a number.  ``tuple[T, ...]`` takes a
+    YAML list.
+    """
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is UnionType:
+        for alt in args:
+            try:
+                return _coerce(value, alt, key)
+            except ConfigError:
+                pass
+    elif origin is tuple:
+        if isinstance(value, (list, tuple)):
+            return tuple(_coerce(v, args[0], f"{key}[{i}]") for i, v in enumerate(value))
+    elif hint is float or hint is int:
+        if isinstance(value, (int, hint)) and not isinstance(value, bool):
+            return hint(value)
+    elif isinstance(value, hint):
+        return value
+    raise ConfigError(
+        f"{key} must be {inspect.formatannotation(hint)}, got {value!r}", key=key
+    )
+
+
+def bind_params(fn: Callable, mapping: dict, prefix: str = "") -> dict:
+    """Keyword arguments for ``fn`` from a config mapping.
+
+    Raises ``ConfigError`` naming the key, with ``prefix`` in front (as
+    in ``target.a``), for a key ``fn`` does not take, a required key the
+    mapping lacks, or a value that does not fit the annotation.
+    """
+    params = _config_parameters(fn)
+    for key in mapping:
+        if key not in params:
+            raise ConfigError(
+                f"unknown key {prefix}{key}; takes {', '.join(params) or 'none'}",
+                key=f"{prefix}{key}",
+            )
+    for name, p in params.items():
+        if p.default is p.empty and name not in mapping:
+            raise ConfigError(f"missing key {prefix}{name}", key=f"{prefix}{name}")
+    return {
+        k: _coerce(v, params[k].annotation, f"{prefix}{k}") for k, v in mapping.items()
+    }
+
+
+def _build_from_spec(spec, what: str, factories: dict[str, Callable]):
+    """Call the factory a ``{name: ..., key: value}`` spec names with the
+    rest of the spec bound to its signature."""
+    if not isinstance(spec, dict) or "name" not in spec:
+        raise ConfigError(f"{what} spec must be a mapping with a 'name'", key=what)
+    name = spec["name"]
+    if not isinstance(name, str) or name not in factories:
+        raise ConfigError(
+            f"unknown {what} {name!r}; choose from {sorted(factories)}",
+            key=f"{what}.name",
+        )
+    factory = factories[name]
+    kwargs = bind_params(
+        factory, {k: v for k, v in spec.items() if k != "name"}, prefix=f"{what}."
+    )
+    try:
+        return factory(**kwargs)
+    except PDRWMError as exc:
+        raise ConfigError(str(exc), key=what) from exc
 
 
 def build_target(spec: dict) -> TargetDensity:
-    if not isinstance(spec, dict) or "name" not in spec:
-        raise ConfigError("target spec must be a mapping with a 'name'", key="target")
-    name = spec["name"]
-    if name not in _TARGET_KEYS:
-        raise ConfigError(f"unknown target {name!r}", key="target.name")
-    params = {k: v for k, v in spec.items() if k != "name"}
-    extra = set(params) - set(_TARGET_KEYS[name])
-    if extra:
-        raise ConfigError(
-            f"target {name!r} does not take {sorted(extra)}",
-            key=f"target.{sorted(extra)[0]}",
-        )
-    try:
-        return get_target(name, **params)
-    except PDRWMError as exc:
-        raise ConfigError(str(exc), key="target") from exc
+    """The target a config spec such as ``{name: exponential, a: 1.0}`` names."""
+    return _build_from_spec(spec, "target", TARGET_FACTORIES)
+
+
+def _constant_field(sigma2: float = 1.0, dim: int = 1) -> CovarianceField:
+    """Config adapter: ``sigma2`` times the ``dim``-dimensional identity."""
+    return constant_field(np.eye(dim) * sigma2 if dim > 1 else sigma2)
 
 
 def build_field(spec: dict, target: TargetDensity | None = None) -> CovarianceField:
-    if not isinstance(spec, dict) or "name" not in spec:
-        raise ConfigError("field spec must be a mapping with a 'name'", key="field")
-    name = spec["name"]
-    params = {k: v for k, v in spec.items() if k != "name"}
-    try:
-        if name == "constant":
-            sigma = params.pop("sigma2", 1.0)
-            dim = int(params.pop("dim", 1))
-            if params:
-                raise ConfigError(
-                    f"constant field does not take {sorted(params)}",
-                    key=f"field.{sorted(params)[0]}",
-                )
-            return constant_field(np.eye(dim) * sigma if dim > 1 else sigma)
-        if name == "power":
-            b = params.pop("b", 1.0)
-            dim = int(params.pop("dim", 1))
-            if params:
-                raise ConfigError(
-                    f"power field does not take {sorted(params)}",
-                    key=f"field.{sorted(params)[0]}",
-                )
-            return power_field(float(b), dim=dim)
-        if name == "one_plus_square":
-            if params:
-                raise ConfigError(
-                    f"one_plus_square field does not take {sorted(params)}",
-                    key=f"field.{sorted(params)[0]}",
-                )
-            return one_plus_square_field()
-        if name == "tempered_langevin":
-            if target is None:
-                raise ConfigError(
-                    "tempered_langevin field needs a target", key="field"
-                )
-            return tempered_langevin_field(target, **params)
-        if name == "ridge_conditional":
-            return ridge_conditional_field()
-    except ConfigError:
-        raise
-    except PDRWMError as exc:
-        raise ConfigError(str(exc), key="field") from exc
-    raise ConfigError(f"unknown field {name!r}", key="field.name")
+    """The field a config spec such as ``{name: power, b: 1.5}`` names;
+    ``tempered_langevin`` is built from ``target``."""
+
+    def tempered_langevin(c_max: float = 1e12) -> CovarianceField:
+        if target is None:
+            raise ParameterError("tempered_langevin field needs a target")
+        return tempered_langevin_field(target, c_max)
+
+    factories = {
+        "constant": _constant_field,
+        "power": power_field,
+        "one_plus_square": one_plus_square_field,
+        "tempered_langevin": tempered_langevin,
+        "ridge_conditional": ridge_conditional_field,
+    }
+    return _build_from_spec(spec, "field", factories)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -260,29 +308,9 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping", key="path")
 
-    allowed = {"scenario", "seed", "output_dir", "params"}
-    for k in raw:
-        if k not in allowed:
-            raise ConfigError(f"unknown config key {k!r}", key=str(k))
-    if "scenario" not in raw:
-        raise ConfigError("config needs a 'scenario'", key="scenario")
-    scenario = raw["scenario"]
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}", key="scenario")
-    if "seed" not in raw:
-        raise ConfigError("config needs an explicit integer 'seed'", key="seed")
-    seed = raw["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}", key="seed")
-    params = raw.get("params") or {}
-    if not isinstance(params, dict):
-        raise ConfigError("params must be a mapping", key="params")
-    output_dir = raw.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise ConfigError("output_dir must be a string", key="output_dir")
-    return ExperimentConfig(
-        scenario=scenario, seed=seed, output_dir=output_dir, params=dict(params)
-    )
+    if raw.get("params") is None:  # an empty ``params:`` block reads as None
+        raw["params"] = {}
+    return ExperimentConfig(**bind_params(ExperimentConfig, raw))
 
 
 def resolve_output_dir(config: ExperimentConfig) -> Path:
@@ -297,14 +325,12 @@ def resolve_output_dir(config: ExperimentConfig) -> Path:
 # ---------------------------------------------------------------------------
 # scenario bodies
 
-def _scenario_figure1(params: dict, out: Path, seed: int, digest: str) -> ScenarioResult:
+def _scenario_figure1(
+    out, seed, digest, /, *, x_points: tuple[float, ...] = (5.0, 10.0, 20.0, 40.0),
+    n_proposals: int = 2000, b: float = 4.0, h: float = 1.0, a: float = 1.0,
+) -> ScenarioResult:
     """Per-proposal acceptance under a fast-growing field, by start point."""
-    xs = [float(v) for v in params.get("x_points", [5.0, 10.0, 20.0, 40.0])]
-    n = int(params.get("n_proposals", 2000))
-    b = float(params.get("b", 4.0))
-    h = float(params.get("h", 1.0))
-    a = float(params.get("a", 1.0))
-    if n < 100:
+    if n_proposals < 100:
         raise ConfigError("n_proposals must be at least 100", key="n_proposals")
 
     target = make_exponential_tail(a)
@@ -312,9 +338,9 @@ def _scenario_figure1(params: dict, out: Path, seed: int, digest: str) -> Scenar
     rng = np.random.default_rng(seed)
     rows = []
     fractions = []
-    for x in xs:
+    for x in x_points:
         std = float(np.sqrt(h * fld.inv_metric(np.array([x]))[0, 0]))
-        ys = x + std * rng.standard_normal(n)
+        ys = x + std * rng.standard_normal(n_proposals)
         above = 0
         for y in ys:
             la = log_accept_ratio_closed_form(
@@ -324,7 +350,7 @@ def _scenario_figure1(params: dict, out: Path, seed: int, digest: str) -> Scenar
             flag = alpha > 0.5
             above += flag
             rows.append((x, float(y), alpha, flag))
-        fractions.append(above / n)
+        fractions.append(above / n_proposals)
 
     path = out / "figure1_proposals.csv"
     _write_rows(path, digest, seed, ("x", "y", "alpha", "above_half"), rows)
@@ -339,13 +365,12 @@ def _scenario_figure1(params: dict, out: Path, seed: int, digest: str) -> Scenar
     return ScenarioResult("figure1", digest, seed, (str(path),), checks)
 
 
-def _scenario_figure2(params: dict, out: Path, seed: int, digest: str) -> ScenarioResult:
+def _scenario_figure2(
+    out, seed, digest, /, *, arm_positions: tuple[float, ...] = (0.0, 1.0, 2.0, 4.0, 8.0),
+    n_proposals: int = 3000, h: float = 1.0, sigma2: float = 0.25,
+) -> ScenarioResult:
     """Ridge-target acceptance along the arm, fixed vs position-matched field."""
-    arm = [float(v) for v in params.get("arm_positions", [0.0, 1.0, 2.0, 4.0, 8.0])]
-    n = int(params.get("n_proposals", 3000))
-    h = float(params.get("h", 1.0))
-    sigma2 = float(params.get("sigma2", 0.25))
-    if n < 100:
+    if n_proposals < 100:
         raise ConfigError("n_proposals must be at least 100", key="n_proposals")
 
     ridge = make_ridge_2d()
@@ -355,18 +380,18 @@ def _scenario_figure2(params: dict, out: Path, seed: int, digest: str) -> Scenar
     }
     means: dict[str, list[float]] = {k: [] for k in fields}
     rows = []
-    for x1 in arm:
+    for x1 in arm_positions:
         x = np.array([x1, 0.0])
         row = [x1]
         for name, fld in fields.items():
             kern = gaussian_proposal(fld, h)
             rng = np.random.default_rng(seed)  # common draws across arm points
             acc = 0.0
-            for _ in range(n):
+            for _ in range(n_proposals):
                 y = kern.sample(x, rng)
                 acc += float(np.exp(log_accept_ratio(ridge, kern, x, y)))
-            means[name].append(acc / n)
-            row.append(acc / n)
+            means[name].append(acc / n_proposals)
+            row.append(acc / n_proposals)
         rows.append(tuple(row))
 
     path = out / "figure2_arm_acceptance.csv"
@@ -394,14 +419,17 @@ def _scenario_figure2(params: dict, out: Path, seed: int, digest: str) -> Scenar
     return ScenarioResult("figure2_data", digest, seed, (str(path),), checks)
 
 
-def _scenario_figure3(params: dict, out: Path, seed: int, digest: str) -> ScenarioResult:
+def _scenario_figure3(
+    out, seed, digest, /, *, max_level: int = 12,
+    probe_levels: tuple[int, ...] = (2, 3, 4, 5, 6), height_frac: float = 0.5,
+) -> ScenarioResult:
     """Staircase geometry of the rectangle target, plus hemisphere overlaps."""
-    max_level = int(params.get("max_level", 12))
-    probe_levels = [int(k) for k in params.get("probe_levels", [2, 3, 4, 5, 6])]
-    frac = float(params.get("height_frac", 0.5))
     if max_level < 2:
         raise ConfigError("max_level must be at least 2", key="max_level")
 
+    sweep = hemisphere_sweep(
+        levels=probe_levels, height_fracs=(height_frac,), x1_fracs=(0.0,)
+    )
     rows = []
     cum = 0.0
     for k in range(1, max_level + 1):
@@ -415,7 +443,6 @@ def _scenario_figure3(params: dict, out: Path, seed: int, digest: str) -> Scenar
         levels_path, digest, seed, ("level", "half_width", "mass", "cum_mass_fraction"), rows
     )
 
-    sweep = hemisphere_sweep(levels=probe_levels, height_fracs=(frac,), x1_fracs=(0.0,))
     hemi_rows = [
         (r.k, r.x1, r.x2, r.lower_overlap, r.upper_overlap, r.passes) for r in sweep
     ]
@@ -473,7 +500,7 @@ _TABLE1_CELLS: tuple[tuple[str, str, Callable, Callable, float, tuple, int, str]
 )
 
 
-def _scenario_table1(params: dict, out: Path, seed: int, digest: str) -> ScenarioResult:
+def _scenario_table1(out, seed, digest, /) -> ScenarioResult:
     """Tail-by-growth classification grid from windowed spectral gaps.
 
     Three tail classes crossed with three variance growth classes; each
@@ -511,15 +538,11 @@ def _scenario_table1(params: dict, out: Path, seed: int, digest: str) -> Scenari
     return ScenarioResult("table1_grid", digest, seed, (str(path),), tuple(checks))
 
 
-def _scenario_lemma2(params: dict, out: Path, seed: int, digest: str) -> ScenarioResult:
+def _scenario_lemma2(
+    out, seed, digest, /, *, a: float = 1.0, b: float = 1.5, h: float = 1.0,
+    s: float = 0.5, xs: tuple[float, ...] = (20.0, 40.0, 80.0), n: int = 20_000,
+) -> ScenarioResult:
     """Drift-ratio probe in the light-tail regime with a sub-linear field."""
-    a = float(params.get("a", 1.0))
-    b = float(params.get("b", 1.5))
-    h = float(params.get("h", 1.0))
-    s = float(params.get("s", 0.5))
-    xs = [float(v) for v in params.get("xs", [20.0, 40.0, 80.0])]
-    n = int(params.get("n", 20_000))
-
     target = make_exponential_tail(a)
     fld = power_field(b)
     kern = gaussian_proposal(fld, h)
@@ -553,7 +576,14 @@ def _scenario_lemma2(params: dict, out: Path, seed: int, digest: str) -> Scenari
     return ScenarioResult("lemma2_drift", digest, seed, (str(path),), checks)
 
 
-def _scenario_lemma3(params: dict, out: Path, seed: int, digest: str) -> ScenarioResult:
+def _scenario_lemma3(
+    out, seed, digest, /, *, p: float = 2.0, s: float = 0.25,
+    xs: tuple[float, ...] = (50.0, 100.0, 200.0), h_small: float = 0.01,
+    h_large: float = 100.0,
+    # the small-step contraction margin is under 1e-3, so the probe
+    # needs the full sample size for est + 3 se to resolve it
+    n: int = 100_000,
+) -> ScenarioResult:
     """Drift-ratio probe for a heavy-tail target with a quadratic field.
 
     Runs the same probe grid at a small and a large step size, each
@@ -564,15 +594,6 @@ def _scenario_lemma3(params: dict, out: Path, seed: int, digest: str) -> Scenari
     is below one at every step size for 0 < s < p - 1.  See the README's
     verification notes.
     """
-    p = float(params.get("p", 2.0))
-    s = float(params.get("s", 0.25))
-    xs = [float(v) for v in params.get("xs", [50.0, 100.0, 200.0])]
-    h_small = float(params.get("h_small", 0.01))
-    h_large = float(params.get("h_large", 100.0))
-    # the small-step contraction margin is under 1e-3, so the probe
-    # needs the full sample size for est + 3 se to resolve it
-    n = int(params.get("n", 100_000))
-
     target = make_polynomial_tail(p)
     fld = one_plus_square_field()
     V = abs_pow(s)
@@ -607,15 +628,11 @@ def _scenario_lemma3(params: dict, out: Path, seed: int, digest: str) -> Scenari
     return ScenarioResult("lemma3_drift", digest, seed, (str(path),), checks)
 
 
-def _scenario_lemma4(params: dict, out: Path, seed: int, digest: str) -> ScenarioResult:
+def _scenario_lemma4(
+    out, seed, digest, /, *, a: float = 1.0, b: float = 4.0, h: float = 1.0,
+    eps: float = 0.1, xs: tuple[float, ...] = (10.0, 20.0, 40.0, 80.0), n: int = 20_000,
+) -> ScenarioResult:
     """Acceptance-set mass decay under a super-quadratic field."""
-    a = float(params.get("a", 1.0))
-    b = float(params.get("b", 4.0))
-    h = float(params.get("h", 1.0))
-    eps = float(params.get("eps", 0.1))
-    xs = [float(v) for v in params.get("xs", [10.0, 20.0, 40.0, 80.0])]
-    n = int(params.get("n", 20_000))
-
     target = make_exponential_tail(a)
     kern = gaussian_proposal(power_field(b), h)
     rows = []
@@ -639,7 +656,10 @@ def _scenario_lemma4(params: dict, out: Path, seed: int, digest: str) -> Scenari
     return ScenarioResult("lemma4_probe", digest, seed, (str(path),), checks)
 
 
-def _scenario_lemma6(params: dict, out: Path, seed: int, digest: str) -> ScenarioResult:
+def _scenario_lemma6(
+    out, seed, digest, /, *, p_values: tuple[int, ...] = (3, 4, 5, 6, 7, 8),
+    mc_draws: int = 100_000,
+) -> ScenarioResult:
     """Exact unit-disc rejection on the rectangle target versus its bounds.
 
     The exact overlap computation is cross-checked by Monte Carlo and
@@ -650,34 +670,32 @@ def _scenario_lemma6(params: dict, out: Path, seed: int, digest: str) -> Scenari
     width.  The corresponding checks document the shortfall
     deliberately; see the README's verification notes.
     """
-    ps = [int(v) for v in params.get("p_values", [3, 4, 5, 6, 7, 8])]
-    draws = int(params.get("mc_draws", 100_000))
-    if min(ps) < 3:
-        raise ConfigError("p_values must be >= 3", key="p_values")
+    if not p_values or min(p_values) < 3:
+        raise ConfigError("p_values must be nonempty and >= 3", key="p_values")
 
     rect = make_rectangle()
     rng = np.random.default_rng(seed)
     rows = []
     mc_ok = True
     meets_pinned = True
-    for p in ps:
+    for p in p_values:
         exact = exact_rejection_disc((0.0, float(p)))
         pinned = disc_rejection_lower_bound(p)
         area = disc_rejection_area_bound(p)
         # uniform draws on the unit disc at (0, p); alpha is the level
         # weight ratio clipped at one
-        r = np.sqrt(rng.random(draws))
-        th = rng.random(draws) * 2.0 * np.pi
+        r = np.sqrt(rng.random(mc_draws))
+        th = rng.random(mc_draws) * 2.0 * np.pi
         y1 = r * np.cos(th)
         y2 = p + r * np.sin(th)
-        alpha = np.zeros(draws)
-        for i in range(draws):
+        alpha = np.zeros(mc_draws)
+        for i in range(mc_draws):
             y = np.array([y1[i], y2[i]])
             if rect.support_test(y):
                 alpha[i] = min(1.0, 3.0 ** (p - rect.level(y)))
         rej = 1.0 - alpha
         mc_est = float(rej.mean())
-        mc_se = float(rej.std(ddof=1) / np.sqrt(draws))
+        mc_se = float(rej.std(ddof=1) / np.sqrt(mc_draws))
         z = abs(exact - mc_est) / mc_se
         rows.append((p, exact, pinned, area, exact >= pinned, mc_est, mc_se, z))
         mc_ok &= z <= 4.0
@@ -714,22 +732,15 @@ def _scenario_lemma6(params: dict, out: Path, seed: int, digest: str) -> Scenari
     return ScenarioResult("lemma6_exact", digest, seed, (str(path),), checks)
 
 
-def _scenario_lemma7(params: dict, out: Path, seed: int, digest: str) -> ScenarioResult:
+def _scenario_lemma7(
+    out, seed, digest, /, *, levels: tuple[int, ...] = tuple(range(2, 13)),
+    n_steps: int = 20_000, start_level: float = 10.0,
+) -> ScenarioResult:
     """Hemisphere sweep plus a long ellipse-proposal chain down the staircase."""
-    levels = [int(k) for k in params.get("levels", list(range(2, 13)))]
-    n_steps = int(params.get("n_steps", 20_000))
-    start_level = float(params.get("start_level", 10.0))
     if n_steps < 1000:
         raise ConfigError("n_steps must be at least 1000", key="n_steps")
 
     sweep = hemisphere_sweep(levels=levels)
-    sweep_path = out / "lemma7_sweep.csv"
-    _write_rows(
-        sweep_path, digest, seed,
-        ("k", "x1", "x2", "lower_overlap", "upper_overlap", "passes"),
-        [(r.k, r.x1, r.x2, r.lower_overlap, r.upper_overlap, r.passes) for r in sweep],
-    )
-
     rect = make_rectangle()
     traj = run_chain(rect, ellipse_proposal(), (0.0, start_level + 0.5), n_steps, seed)
     levels_visited = np.floor(traj.states[:, 1]).astype(int)
@@ -737,6 +748,13 @@ def _scenario_lemma7(params: dict, out: Path, seed: int, digest: str) -> Scenari
     V = rectangle_v()
     tail = traj.states[traj.n_steps // 2 :]
     mean_v = float(np.mean([V.evaluate(s) for s in tail]))
+
+    sweep_path = out / "lemma7_sweep.csv"
+    _write_rows(
+        sweep_path, digest, seed,
+        ("k", "x1", "x2", "lower_overlap", "upper_overlap", "passes"),
+        [(r.k, r.x1, r.x2, r.lower_overlap, r.upper_overlap, r.passes) for r in sweep],
+    )
     summary_path = out / "lemma7_chain.csv"
     _write_rows(
         summary_path, digest, seed,
@@ -760,17 +778,16 @@ def _scenario_lemma7(params: dict, out: Path, seed: int, digest: str) -> Scenari
     )
 
 
-def _scenario_esjd(params: dict, out: Path, seed: int, digest: str) -> ScenarioResult:
+def _scenario_esjd(
+    out, seed, digest, /, *,
+    b_values: tuple[float, ...] = tuple(round(0.4 * i, 1) for i in range(9)),
+    n_steps: int = 20_000, h: float = 1.0, tune_acceptance: float | None = 0.44,
+    sigma: float = 1.0,
+) -> ScenarioResult:
     """Jump-distance scan over field exponents at a fixed acceptance rate."""
-    b_values = [float(v) for v in params.get("b_values", [round(0.4 * i, 1) for i in range(9)])]
-    n_steps = int(params.get("n_steps", 20_000))
-    h = float(params.get("h", 1.0))
-    acc = params.get("tune_acceptance", 0.44)
-    sigma = float(params.get("sigma", 1.0))
-
     points = esjd_scan(
         make_gaussian(sigma), b_values, h, n_steps=n_steps, seed=seed,
-        tune_acceptance=acc,
+        tune_acceptance=tune_acceptance,
     )
     path = out / "esjd_scan.csv"
     _write_rows(
@@ -778,7 +795,9 @@ def _scenario_esjd(params: dict, out: Path, seed: int, digest: str) -> ScenarioR
         ("b", "step_size", "esjd", "se", "acceptance_rate"),
         [(p.b, p.step_size, p.esjd, p.se, p.acceptance_rate) for p in points],
     )
-    window_ok = acc is None or all(abs(p.acceptance_rate - acc) <= 0.05 for p in points)
+    window_ok = tune_acceptance is None or all(
+        abs(p.acceptance_rate - tune_acceptance) <= 0.05 for p in points
+    )
     checks = (
         ScenarioCheck(
             "acceptance_in_window", window_ok,
@@ -820,7 +839,7 @@ def run_oracle_cells():
     return results
 
 
-def _scenario_oracle(params: dict, out: Path, seed: int, digest: str) -> ScenarioResult:
+def _scenario_oracle(out, seed, digest, /) -> ScenarioResult:
     """Windowed spectral-gap verdicts on four classification cells.
 
     Each cell runs at its own window pair (see ``ORACLE_CELLS``): a
@@ -852,33 +871,27 @@ def _scenario_oracle(params: dict, out: Path, seed: int, digest: str) -> Scenari
     return ScenarioResult("oracle_scan", digest, seed, (str(path),), checks)
 
 
-def _scenario_custom(params: dict, out: Path, seed: int, digest: str) -> ScenarioResult:
+def _scenario_custom(
+    out, seed, digest, /, *, target: dict, field: dict, x0: float | tuple[float, ...],
+    n_steps: int, h: float = 1.0,
+) -> ScenarioResult:
     """One chain with a user-specified target, field, and step size."""
-    for key in ("target", "field", "x0", "n_steps"):
-        if key not in params:
-            raise ConfigError(f"custom scenario needs {key!r}", key=key)
-    n_steps = params["n_steps"]
-    if not isinstance(n_steps, int) or isinstance(n_steps, bool) or n_steps < 1:
+    if n_steps < 1:
         raise ConfigError(
             f"n_steps must be a positive integer, got {n_steps!r}", key="n_steps"
         )
-    h = float(params.get("h", 1.0))
     if not h > 0:
         raise ConfigError(f"h must be positive, got {h}", key="h")
 
-    target = build_target(params["target"])
-    fld = build_field(params["field"], target)
-    x0 = np.atleast_1d(np.asarray(params["x0"], dtype=float))
-    if x0.shape != (target.dim,):
-        raise ConfigError(
-            f"x0 must have {target.dim} coordinates, got {x0.shape[0]}", key="x0"
-        )
-    kern = gaussian_proposal(fld, h)
+    density = build_target(target)
+    kern = gaussian_proposal(build_field(field, density), h)
     try:
-        traj = run_chain(target, kern, x0, n_steps, seed)
+        # a start point of the wrong dimension or off the support
+        traj = run_chain(density, kern, x0, n_steps, seed)
     except PDRWMError as exc:
         raise ConfigError(str(exc), key="x0") from exc
     path = out / "custom_trajectory.csv"
+    out.mkdir(parents=True, exist_ok=True)
     traj.to_csv(path)
     checks = (
         ScenarioCheck(
@@ -889,7 +902,7 @@ def _scenario_custom(params: dict, out: Path, seed: int, digest: str) -> Scenari
     return ScenarioResult("custom", digest, seed, (str(path),), checks)
 
 
-SCENARIOS: dict[str, Callable[[dict, Path, int, str], ScenarioResult]] = {
+SCENARIOS: dict[str, Callable[..., ScenarioResult]] = {
     "figure1": _scenario_figure1,
     "figure2_data": _scenario_figure2,
     "figure3_data": _scenario_figure3,
@@ -914,34 +927,26 @@ def list_scenarios() -> list[tuple[str, str]]:
     return out
 
 
+def scenario_parameters(name: str) -> list[str]:
+    """``key: type = default`` for each parameter scenario ``name`` takes,
+    read from the scenario body's signature."""
+    return [
+        f"{p.name}: {inspect.formatannotation(p.annotation)}"
+        + ("" if p.default is p.empty else f" = {p.default!r}")
+        for p in _config_parameters(SCENARIOS[name]).values()
+    ]
+
+
 def run_scenario(config: ExperimentConfig) -> ScenarioResult:
-    """Validate the config, run the scenario body, write its artifacts.
+    """Bind the params to the scenario body's signature, run it, and
+    write its artifacts.
 
-    Config problems surface as ``ConfigError`` before any file is
-    written; the output directory is only created once the parameters
-    have been accepted.
+    Config problems surface as ``ConfigError``.  The output directory
+    is created at the first write, after every check on the params has
+    passed, so a rejected config leaves no files behind.
     """
-    if config.scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {config.scenario!r}", key="scenario")
-    if not isinstance(config.seed, int) or config.seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer", key="seed")
-    digest = scenario_digest(config.scenario, config.seed, config.params)
-    out = resolve_output_dir(config)
-
     runner = SCENARIOS[config.scenario]
-    if config.scenario == "custom":
-        # validate before touching the filesystem: a rejected config
-        # must leave no files behind
-        probe = dict(config.params)
-        n_steps = probe.get("n_steps")
-        for key in ("target", "field", "x0", "n_steps"):
-            if key not in probe:
-                raise ConfigError(f"custom scenario needs {key!r}", key=key)
-        if not isinstance(n_steps, int) or isinstance(n_steps, bool) or n_steps < 1:
-            raise ConfigError(
-                f"n_steps must be a positive integer, got {n_steps!r}", key="n_steps"
-            )
-        build_field(probe["field"], build_target(probe["target"]))
-
-    out.mkdir(parents=True, exist_ok=True)
-    return runner(dict(config.params), out, config.seed, digest)
+    kwargs = bind_params(runner, config.params)
+    # the digest hashes the params as written, not the bound values
+    digest = scenario_digest(config.scenario, config.seed, config.params)
+    return runner(resolve_output_dir(config), config.seed, digest, **kwargs)

@@ -15,6 +15,7 @@ points, or an ``(m, dim)`` array of start points against one end point.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -210,11 +211,19 @@ def ellipse_proposal() -> ProposalKernel:
     so the shape tracks the rectangle level containing the start point and
     degenerates to the unit disc at the lowest level.  Because ``w``
     depends on the start, the density ratio between forward and reverse
-    moves is the area ratio of the two ellipses.
+    moves is the area ratio of the two ellipses.  From height 646 up,
+    ``w`` falls below the smallest normal float, and sampling from or
+    evaluating the density at such a start raises ``NumericError``.
     """
 
     def _w(x: np.ndarray) -> float:
-        return min(ellipse_semi_width(float(x[1])), 1.0)
+        w = min(ellipse_semi_width(float(x[1])), 1.0)
+        if w < sys.float_info.min:
+            raise NumericError(
+                "ellipse semi-width 3**(1 - floor(x2)) underflows at height "
+                f"{float(x[1])!r}"
+            )
+        return w
 
     def sample(x, rng):
         off = _disc_offsets(1, rng)[0]
@@ -236,6 +245,7 @@ def ellipse_proposal() -> ProposalKernel:
 
     def log_q_batch(ys, xs):
         ys, xs = np.atleast_2d(ys), np.atleast_2d(xs)
+        _w(xs[np.argmax(xs[:, 1])])  # the narrowest start must not underflow
         w = np.minimum(3.0 ** (1.0 - np.floor(xs[:, 1])), 1.0)
         du = (ys[:, 0] - xs[:, 0]) / w
         dv = ys[:, 1] - xs[:, 1]

@@ -40,6 +40,7 @@ __all__ = [
     "make_ridge_2d",
     "make_rectangle",
     "get_target",
+    "TARGET_FACTORIES",
 ]
 
 
@@ -261,18 +262,22 @@ def make_rectangle() -> RectangleDensity:
     )
 
 
+#: density families by name; experiment configs bind their target specs
+#: to these factories' signatures
+TARGET_FACTORIES = {
+    "exponential": make_exponential_tail,
+    "subexponential": make_subexponential_tail,
+    "polynomial": make_polynomial_tail,
+    "gaussian": make_gaussian,
+    "ridge": make_ridge_2d,
+    "rectangle": make_rectangle,
+}
+
+
 def get_target(name: str, **params) -> TargetDensity:
-    """Look up a density family by name; used by the experiment configs."""
-    factories = {
-        "exponential": make_exponential_tail,
-        "subexponential": make_subexponential_tail,
-        "polynomial": make_polynomial_tail,
-        "gaussian": make_gaussian,
-        "ridge": make_ridge_2d,
-        "rectangle": make_rectangle,
-    }
-    if name not in factories:
+    """Look up a density family by name and build it from ``params``."""
+    if name not in TARGET_FACTORIES:
         raise ParameterError(
-            f"unknown target family {name!r}; choose from {sorted(factories)}"
+            f"unknown target family {name!r}; choose from {sorted(TARGET_FACTORIES)}"
         )
-    return factories[name](**params)
+    return TARGET_FACTORIES[name](**params)

@@ -1,3 +1,5 @@
+import pytest
+
 from pdrwm import verify
 from pdrwm.cli import main
 from pdrwm.experiments import OUTPUT_DIR_ENV
@@ -15,6 +17,33 @@ class TestListScenarios:
         out = capsys.readouterr().out
         for name in ("figure1", "table1_grid", "esjd_scan", "custom"):
             assert name in out
+
+    def test_parameters_and_defaults_listed(self, capsys):
+        main(["list-scenarios"])
+        out = capsys.readouterr().out
+        assert "n_proposals: int = 2000" in out
+        assert "tune_acceptance: float | None = 0.44" in out
+        assert "x0: float | tuple[float, ...]\n" in out
+
+
+CUSTOM = "  target: {name: exponential, a: 1.0}\n  field: {name: power, b: 1.5}\n"
+
+# (scenario, params block, key named on stderr)
+BAD_CONFIGS = [
+    ("lemma4_probe", "  n_stepz: 5\n", "n_stepz"),
+    ("lemma4_probe", "  n: abc\n", "n"),
+    ("figure1", "  n_proposals: 50\n", "n_proposals"),
+    ("esjd_scan", "  n_steps: 50\n", "n_steps"),
+    ("lemma2_drift", "  n: 10\n", "n"),
+    ("custom", "  target: {name: exponential}\n  field: {name: power, b: 1.5}\n"
+     "  x0: [0.0]\n  n_steps: 10\n", "target.a"),
+    ("custom", "  target: {name: gaussian}\n  field: {name: tempered_langevin, cap: 3}\n"
+     "  x0: [0.0]\n  n_steps: 10\n", "field.cap"),
+    ("custom", "  target: {name: ridge}\n  field: {name: ridge_conditional, b: 2}\n"
+     "  x0: [0.0, 0.0]\n  n_steps: 10\n", "field.b"),
+    ("custom", CUSTOM + "  x0: [0.0]\n  n_steps: 10\n  h: true\n", "h"),
+    ("custom", CUSTOM + "  x0: [0.0]\n", "n_steps"),
+]
 
 
 class TestRun:
@@ -54,6 +83,21 @@ class TestRun:
         )
         assert main(["run", cfg]) == 2
         assert "n_steps" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "scenario, params, key", BAD_CONFIGS, ids=[f"{s}-{k}" for s, _, k in BAD_CONFIGS]
+    )
+    def test_bad_params_exit_two_without_files(self, tmp_path, capsys, scenario, params, key):
+        out_dir = tmp_path / "out"
+        cfg = write_config(
+            tmp_path,
+            f"scenario: {scenario}\nseed: 0\noutput_dir: {out_dir}\nparams:\n{params}",
+        )
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error")
+        assert key in err
         assert not out_dir.exists()
 
     def test_failing_check_exits_one(self, tmp_path, capsys):

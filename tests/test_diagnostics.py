@@ -5,7 +5,6 @@ import pytest
 from scipy.special import ndtr
 
 from pdrwm import (
-    DiagnosticReport,
     DriftResult,
     ParameterError,
     ProbeEstimate,
@@ -402,14 +401,3 @@ def test_tune_step_size_converges():
     rate = run_chain(t, k, [0.0], 20_000, seed=99).acceptance_rate
     assert abs(rate - 0.44) < 0.04
 
-
-def test_report_csv(tmp_path):
-    rep = DiagnosticReport()
-    rep.add("drift", 30.0, 0.95, 0.001, 100_000, 7)
-    rep.add("rejection", pt(0.0, 1.5), 0.5, 0.002, 50_000, 8)
-    path = tmp_path / "diag.csv"
-    rep.write_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "probe,x,estimate,se,n,seed"
-    assert lines[1].startswith("drift,30.0,0.95,")
-    assert lines[2].startswith("rejection,0.0;1.5,")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,15 @@ from pdrwm import (
     run_scenario,
     scenario_digest,
 )
-from pdrwm.experiments import OUTPUT_DIR_ENV, build_field, build_target
+from pdrwm.experiments import (
+    OUTPUT_DIR_ENV,
+    SCENARIOS,
+    bind_params,
+    build_field,
+    build_target,
+)
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
 
 def write_config(tmp_path, text):
@@ -106,6 +116,82 @@ class TestSpecBuilders:
             build_field({"name": "power", "b": 1.0, "c": 2.0})
         assert err.value.key == "field.c"
 
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ({"name": "exponential"}, "target.a"),
+            ({"name": "exponential", "a": "1.0"}, "target.a"),
+            ({"name": "ridge", "a": 1.0}, "target.a"),
+        ],
+    )
+    def test_target_spec_bound_to_factory(self, spec, key):
+        with pytest.raises(ConfigError) as err:
+            build_target(spec)
+        assert err.value.key == key
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ({"name": "tempered_langevin", "cap": 3}, "field.cap"),
+            ({"name": "ridge_conditional", "b": 2}, "field.b"),
+            ({"name": "constant", "dim": 2.5}, "field.dim"),
+            ({"name": "power"}, "field.b"),
+        ],
+    )
+    def test_field_spec_bound_to_factory(self, spec, key):
+        with pytest.raises(ConfigError) as err:
+            build_field(spec, build_target({"name": "gaussian"}))
+        assert err.value.key == key
+
+    def test_tempered_langevin_takes_cap_and_needs_target(self):
+        fld = build_field(
+            {"name": "tempered_langevin", "c_max": 100}, build_target({"name": "gaussian"})
+        )
+        assert fld.label == "tempered_langevin(gaussian(sigma=1),cap=100)"
+        with pytest.raises(ConfigError) as err:
+            build_field({"name": "tempered_langevin"})
+        assert err.value.key == "field"
+
+
+class TestBindParams:
+    @staticmethod
+    def body(out, seed, digest, /, *, n: int, h: float = 1.0,
+             xs: tuple[float, ...] = (), rate: float | None = 0.5):
+        raise AssertionError("binding never calls the body")
+
+    def test_values_as_annotated(self):
+        kw = bind_params(self.body, {"n": 3, "h": 2, "xs": [1, 2.5], "rate": None})
+        assert kw == {"n": 3, "h": 2.0, "xs": (1.0, 2.5), "rate": None}
+        assert type(kw["h"]) is float and type(kw["xs"][0]) is float
+
+    @pytest.mark.parametrize(
+        "params, key",
+        [
+            ({"h": 1.0}, "n"),
+            ({"n": 1, "n_stepz": 5}, "n_stepz"),
+            ({"n": 1, "out": "x"}, "out"),
+            ({"n": "abc"}, "n"),
+            ({"n": 2.0}, "n"),
+            ({"n": True}, "n"),
+            ({"n": 1, "h": False}, "h"),
+            ({"n": 1, "h": "1e-2"}, "h"),
+            ({"n": 1, "xs": 1.0}, "xs"),
+            ({"n": 1, "xs": [1.0, "two"]}, "xs[1]"),
+            ({"n": 1, "rate": "none"}, "rate"),
+        ],
+    )
+    def test_bad_mapping_names_key(self, params, key):
+        with pytest.raises(ConfigError) as err:
+            bind_params(self.body, params)
+        assert err.value.key == key
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+    def test_shipped_config_binds_to_its_signature(self, path):
+        cfg = load_config(path)
+        kw = bind_params(SCENARIOS[cfg.scenario], cfg.params)
+        if "target" in kw:
+            build_field(kw["field"], build_target(kw["target"]))
+
 
 class TestScenarioPlumbing:
     def test_digest_depends_on_params(self):
@@ -192,21 +278,20 @@ class TestScenarioBodies:
 
     def test_custom_zero_steps_rejected_before_any_file(self, tmp_path):
         out = tmp_path / "never"
-        cfg = ExperimentConfig(
-            "custom",
-            0,
-            str(out),
-            {
-                "target": {"name": "gaussian"},
-                "field": {"name": "constant"},
-                "x0": [0.0],
-                "n_steps": 0,
-            },
-        )
-        with pytest.raises(ConfigError) as err:
-            run_scenario(cfg)
-        assert err.value.key == "n_steps"
-        assert not out.exists()
+        custom = {
+            "target": {"name": "gaussian"},
+            "field": {"name": "constant"},
+            "x0": [0.0],
+            "n_steps": 0,
+        }
+        for scenario, params, key in (
+            ("custom", custom, "n_steps"),
+            ("figure1", {"n_proposals": 50}, "n_proposals"),
+        ):
+            with pytest.raises(ConfigError) as err:
+                run_scenario(ExperimentConfig(scenario, 0, str(out), params))
+            assert err.value.key == key
+            assert not out.exists()
 
     def test_custom_dimension_mismatch(self, tmp_path):
         cfg = ExperimentConfig(

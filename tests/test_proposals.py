@@ -14,7 +14,9 @@ from pdrwm import (
     ellipse_semi_width,
     gaussian_proposal,
     gaussian_tail_bound,
+    make_rectangle,
     power_field,
+    run_chain,
     truncated_mean,
     truncated_mgf,
 )
@@ -149,6 +151,21 @@ class TestEllipse:
         x = pt(0.0, 2.9)
         y = pt(0.0, 3.05)
         assert k.log_q(y, x) - k.log_q(x, y) == pytest.approx(-math.log(3.0))
+
+    def test_underflowing_semi_width_raises_named_error(self):
+        # 3**(1 - 700) is 0.0 in floating point; from height 646 up the
+        # semi-width is below the smallest normal float
+        k = ellipse_proposal()
+        x = pt(0.0, 700.5)
+        with pytest.raises(NumericError, match="700.5"):
+            k.log_q(x, x)
+        with pytest.raises(NumericError, match="646.0"):
+            k.log_q_batch(x, np.array([[0.0, 2.5], [0.0, 646.0]]))
+        with pytest.raises(NumericError, match="700.5"):
+            run_chain(make_rectangle(), k, (0.0, 700.5), 10, seed=0)
+        # one level lower the width is still a normal float
+        y = pt(0.0, 645.5)
+        assert k.log_q(y, y) == k.log_q_batch(y, y)[0] == -math.log(math.pi * 3.0**-644)
 
 
 class TestTruncatedGaussian:
