@@ -40,7 +40,7 @@ from .diagnostics import (
     exp_abs,
     rectangle_v,
 )
-from .errors import ConfigError, ParameterError, PDRWMError
+from .errors import ConfigError, ParameterError, PDRWMError, SupportError
 from .fields import (
     CovarianceField,
     GrowthClass,
@@ -688,12 +688,16 @@ def _scenario_lemma6(
         th = rng.random(mc_draws) * 2.0 * np.pi
         y1 = r * np.cos(th)
         y2 = p + r * np.sin(th)
-        alpha = np.zeros(mc_draws)
-        for i in range(mc_draws):
-            y = np.array([y1[i], y2[i]])
-            if rect.support_test(y):
-                alpha[i] = min(1.0, 3.0 ** (p - rect.level(y)))
-        rej = 1.0 - alpha
+        # per-level half-widths and acceptances in Python float arithmetic,
+        # as the per-point support test computes them, indexed by level
+        levels = np.floor(y2).astype(int)
+        low = int(levels.min())
+        ks = range(low, int(levels.max()) + 1)
+        half = np.array([rect.half_width(k) for k in ks])
+        accept = np.array([min(1.0, 3.0 ** (p - k)) for k in ks])
+        levels -= low
+        rej = 1.0 - accept[levels]
+        rej[(y2 < 1.0) | (np.abs(y1) > half[levels])] = 1.0  # off the support
         mc_est = float(rej.mean())
         mc_se = float(rej.std(ddof=1) / np.sqrt(mc_draws))
         z = abs(exact - mc_est) / mc_se
@@ -884,11 +888,16 @@ def _scenario_custom(
         raise ConfigError(f"h must be positive, got {h}", key="h")
 
     density = build_target(target)
-    kern = gaussian_proposal(build_field(field, density), h)
+    fld = build_field(field, density)
+    if fld.dim != density.dim:
+        raise ConfigError(
+            f"field dim {fld.dim} != target dim {density.dim}", key="field"
+        )
+    kern = gaussian_proposal(fld, h)
     try:
-        # a start point of the wrong dimension or off the support
         traj = run_chain(density, kern, x0, n_steps, seed)
-    except PDRWMError as exc:
+    except (ParameterError, SupportError) as exc:
+        # the start point has the wrong dimension or is off the support
         raise ConfigError(str(exc), key="x0") from exc
     path = out / "custom_trajectory.csv"
     out.mkdir(parents=True, exist_ok=True)

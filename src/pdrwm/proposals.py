@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import get_lapack_funcs
 from scipy.special import log_ndtr
 
 from .errors import NumericError, ParameterError
@@ -76,13 +76,46 @@ class ProposalKernel:
     log_q_batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
+def _last_two(compute: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
+    """``compute`` remembered at the two most recently used points.
+
+    On a chain these are the current state and the latest proposal, so
+    each point's value is computed once.  The key is the point's float64
+    bytes: ``-0.0`` and ``0.0`` stay apart, and a point given as ints
+    shares its entry with the same point given as floats.
+    """
+    slots = ((None, None), (None, None))  # (key, value), most recent first
+
+    def lookup(x: np.ndarray):
+        nonlocal slots
+        key = np.asarray(x, dtype=np.float64).tobytes()
+        newest, older = slots
+        if key == newest[0]:
+            return newest[1]
+        if key == older[0]:
+            slots = (older, newest)
+            return older[1]
+        entry = (key, compute(x))
+        slots = (entry, newest)
+        return entry[1]
+
+    return lookup
+
+
 def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
     """Random walk with position-dependent covariance ``h * S(x)``.
 
-    One-dimensional fields use a scalar fast path; higher dimensions go
-    through a Cholesky factor per evaluation, and ``log_q_batch``
-    factors all its start points in one stacked call.  A field value
-    that fails to factor raises :class:`NumericError` naming the point.
+    The proposal scale at a point is computed once and remembered for
+    the two most recently used points (on a chain, the current state
+    and the latest proposal): the standard deviation in one dimension,
+    the lower Cholesky factor and log-determinant in higher dimensions,
+    where LAPACK ``potrf`` and ``trtrs`` are called directly with the
+    arguments ``scipy.linalg.cholesky`` and ``solve_triangular`` pass.
+    ``sample``, ``log_q`` and ``sample_batch`` read that one memo, so a
+    chain evaluates the field at most once per state it visits or
+    proposes.  ``log_q_batch`` factors all its start points in one
+    stacked call.  A field value that is not finite or fails to factor
+    raises :class:`NumericError` naming the point.
     """
     if not h > 0:
         raise ParameterError(f"step size must be positive, got {h}")
@@ -99,16 +132,18 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
                 raise NumericError(f"field value {g:g} at {x} is not usable")
             return math.sqrt(h * g)
 
+        std = _last_two(_std)
+
         def sample(x, rng):
-            return x + _std(x) * rng.standard_normal(1)
+            return x + std(x) * rng.standard_normal(1)
 
         def log_q(y, x):
-            s = _std(x)
+            s = std(x)
             u = (float(y[0]) - float(x[0])) / s
             return -0.5 * _LOG_2PI - math.log(s) - 0.5 * u * u
 
         def sample_batch(x, n, rng):
-            return x[None, :] + _std(x) * rng.standard_normal((n, 1))
+            return x[None, :] + std(x) * rng.standard_normal((n, 1))
 
         def log_q_batch(ys, xs):
             ys, xs = np.atleast_2d(ys), np.atleast_2d(xs)
@@ -122,33 +157,43 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
             return -0.5 * _LOG_2PI - np.log(s) - 0.5 * u * u
 
     else:
+        potrf, trtrs = get_lapack_funcs(("potrf", "trtrs"), (np.empty((dim, dim)),))
 
-        def _chol(x: np.ndarray) -> np.ndarray:
-            m = inv_metric(x)
-            try:
-                return cholesky(h * m, lower=True)
-            except np.linalg.LinAlgError as exc:
-                raise NumericError(f"covariance at {x} failed to factor") from exc
+        def _factor(x: np.ndarray) -> tuple[np.ndarray, float]:
+            cov = h * inv_metric(x)
+            if not np.isfinite(cov).all():
+                raise NumericError(f"covariance at {x} is not finite")
+            low, info = potrf(cov, lower=True, overwrite_a=False, clean=True)
+            if info != 0:
+                raise NumericError(f"covariance at {x} failed to factor")
+            low.setflags(write=False)
+            return low, 2.0 * float(np.sum(np.log(np.diag(low))))
+
+        factor = _last_two(_factor)
 
         def sample(x, rng):
-            return x + _chol(x) @ rng.standard_normal(dim)
+            return x + factor(x)[0] @ rng.standard_normal(dim)
 
         def log_q(y, x):
-            low = _chol(x)
-            v = solve_triangular(low, y - x, lower=True)
-            logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
+            low, logdet = factor(x)
+            # potrf returns a Fortran-ordered factor, which trtrs solves as is
+            v, _ = trtrs(low, y - x, lower=True)
             return -0.5 * (dim * _LOG_2PI + logdet + float(v @ v))
 
         def sample_batch(x, n, rng):
-            return x[None, :] + rng.standard_normal((n, dim)) @ _chol(x).T
+            return x[None, :] + rng.standard_normal((n, dim)) @ factor(x)[0].T
 
         def log_q_batch(ys, xs):
             ys, xs = np.atleast_2d(ys), np.atleast_2d(xs)
+            cov = h * inv_metric_batch(xs)
+            bad = ~np.isfinite(cov).all(axis=(1, 2))
+            if bad.any():
+                raise NumericError(f"covariance at {xs[np.argmax(bad)]} is not finite")
             try:
-                low = np.linalg.cholesky(h * inv_metric_batch(xs))
+                low = np.linalg.cholesky(cov)
             except np.linalg.LinAlgError:
                 for x in xs:
-                    _chol(x)  # names the first point whose value fails
+                    _factor(x)  # names the first point whose value fails
                 raise
             v = np.linalg.solve(low, (ys - xs)[..., None])[..., 0]
             logdet = 2.0 * np.log(np.diagonal(low, axis1=1, axis2=2)).sum(axis=1)

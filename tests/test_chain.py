@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pdrwm import (
     ParameterError,
@@ -19,8 +21,10 @@ from pdrwm import (
     make_polynomial_tail,
     make_rectangle,
     make_ridge_2d,
+    make_subexponential_tail,
     mh_step,
     power_field,
+    ridge_conditional_field,
     run_chain,
 )
 
@@ -188,6 +192,64 @@ class TestRunChain:
         path2 = tmp_path / "traj2.csv"
         run_chain(t, k, [0.25], 20, seed=9).to_csv(path2)
         assert path.read_text() == path2.read_text()
+
+
+ONE_DIM_TARGETS = {
+    "exponential": lambda: make_exponential_tail(1.0),
+    "subexponential": lambda: make_subexponential_tail(1.0, 0.5),
+    "polynomial": lambda: make_polynomial_tail(3.0),
+    "gaussian": make_gaussian,
+}
+RIDGE_FIELDS = {
+    "spherical": lambda: constant_field(0.25 * np.eye(2)),
+    "conditional": ridge_conditional_field,
+}
+
+
+def assert_same_chain(a, b):
+    np.testing.assert_array_equal(a.states, b.states)
+    np.testing.assert_array_equal(a.accepted, b.accepted)
+    np.testing.assert_array_equal(a.alpha, b.alpha)
+
+
+def assert_reruns_identical(target, make_kernel, x0, other_x0, seed):
+    """A rerun on the same kernel, after a chain from elsewhere has used
+    it, and a run on a freshly built kernel all repeat the first run."""
+    n_steps = 200
+    kernel = make_kernel()
+    first = run_chain(target, kernel, x0, n_steps, seed)
+    run_chain(target, kernel, other_x0, n_steps, seed + 1)
+    assert_same_chain(first, run_chain(target, kernel, x0, n_steps, seed))
+    assert_same_chain(first, run_chain(target, make_kernel(), x0, n_steps, seed))
+
+
+class TestRerunProperty:
+    @given(
+        st.sampled_from(sorted(ONE_DIM_TARGETS)),
+        st.floats(0.0, 4.0),
+        st.floats(0.01, 100.0),
+        st.floats(-20.0, 20.0),
+        st.integers(0, 2**32 - 2),
+    )
+    def test_one_dimensional(self, name, b, h, x0, seed):
+        assert_reruns_identical(
+            ONE_DIM_TARGETS[name](),
+            lambda: gaussian_proposal(power_field(b), h),
+            [x0], [x0 + 1.0], seed,
+        )
+
+    @given(
+        st.sampled_from(sorted(RIDGE_FIELDS)),
+        st.floats(0.01, 10.0),
+        st.tuples(st.floats(-8.0, 8.0), st.floats(-0.5, 0.5)),
+        st.integers(0, 2**32 - 2),
+    )
+    def test_ridge(self, name, h, x0, seed):
+        assert_reruns_identical(
+            make_ridge_2d(),
+            lambda: gaussian_proposal(RIDGE_FIELDS[name](), h),
+            list(x0), [x0[1], x0[0]], seed,
+        )
 
 
 class TestEstimateExpectation:

@@ -41,6 +41,8 @@ BAD_CONFIGS = [
      "  x0: [0.0]\n  n_steps: 10\n", "field.cap"),
     ("custom", "  target: {name: ridge}\n  field: {name: ridge_conditional, b: 2}\n"
      "  x0: [0.0, 0.0]\n  n_steps: 10\n", "field.b"),
+    ("custom", "  target: {name: ridge}\n  field: {name: constant}\n"
+     "  x0: [0.0, 0.0]\n  n_steps: 10\n", "field"),
     ("custom", CUSTOM + "  x0: [0.0]\n  n_steps: 10\n  h: true\n", "h"),
     ("custom", CUSTOM + "  x0: [0.0]\n", "n_steps"),
 ]

@@ -294,17 +294,20 @@ class TestScenarioBodies:
             assert not out.exists()
 
     def test_custom_dimension_mismatch(self, tmp_path):
-        cfg = ExperimentConfig(
-            "custom",
-            0,
-            str(tmp_path),
-            {
-                "target": {"name": "ridge"},
-                "field": {"name": "constant", "dim": 2},
-                "x0": [0.0],
-                "n_steps": 10,
-            },
-        )
-        with pytest.raises(ConfigError) as err:
-            run_scenario(cfg)
-        assert err.value.key == "x0"
+        # a start point of the wrong shape or off the support is an x0
+        # error; a field of the wrong dimension is a field error
+        for target, field, x0, key in (
+            ({"name": "ridge"}, {"name": "constant", "dim": 2}, [0.0], "x0"),
+            ({"name": "rectangle"}, {"name": "constant", "dim": 2}, [0.0, 0.5], "x0"),
+            ({"name": "ridge"}, {"name": "constant"}, [0.0, 0.0], "field"),
+            ({"name": "gaussian"}, {"name": "constant", "dim": 2}, [0.0], "field"),
+        ):
+            cfg = ExperimentConfig(
+                "custom",
+                0,
+                str(tmp_path),
+                {"target": target, "field": field, "x0": x0, "n_steps": 10},
+            )
+            with pytest.raises(ConfigError) as err:
+                run_scenario(cfg)
+            assert err.value.key == key

@@ -1,12 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.linalg import cholesky, solve_triangular
 from scipy.stats import multivariate_normal, norm, truncnorm
 
 from pdrwm import (
+    BOUNDED,
+    CovarianceField,
     NumericError,
     ParameterError,
+    ProposalKernel,
     TruncatedGaussianSpec,
     circle_proposal,
     constant_field,
@@ -14,8 +21,11 @@ from pdrwm import (
     ellipse_semi_width,
     gaussian_proposal,
     gaussian_tail_bound,
+    make_exponential_tail,
     make_rectangle,
+    make_ridge_2d,
     power_field,
+    ridge_conditional_field,
     run_chain,
     truncated_mean,
     truncated_mgf,
@@ -84,8 +94,6 @@ class TestGaussianKernelMultiDim:
         np.testing.assert_allclose(np.cov(ys.T), 0.5 * sigma, atol=0.02)
 
     def test_non_spd_field_value_raises(self):
-        from pdrwm import CovarianceField, BOUNDED
-
         value = np.array([[1.0, 2.0], [2.0, 1.0]])
         bad = CovarianceField(
             2,
@@ -99,6 +107,158 @@ class TestGaussianKernelMultiDim:
             k.sample(pt(0.0, 0.0), np.random.default_rng(0))
         with pytest.raises(NumericError, match="failed to factor"):
             k.log_q_batch(np.zeros((3, 2)), pt(0.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_field_value_raises(self, bad):
+        # finite below x1 = 1, non-finite from there on
+        def value(x):
+            return np.array([[1.0, 0.0], [0.0, 1.0 if x[0] < 1.0 else bad]])
+
+        field = CovarianceField(
+            2, value, BOUNDED, "bad", lambda xs: np.stack([value(x) for x in xs])
+        )
+        k = gaussian_proposal(field, h=1.0)
+        x, far = pt(0.0, 0.0), pt(2.5, 0.0)
+        with pytest.raises(NumericError, match=r"\[2\.5 0\. *\] is not finite"):
+            k.sample(far, np.random.default_rng(0))
+        with pytest.raises(NumericError, match=r"\[2\.5 0\. *\] is not finite"):
+            k.log_q(x, far)
+        with pytest.raises(NumericError, match=r"\[2\.5 0\. *\] is not finite"):
+            k.log_q_batch(x, np.array([[0.5, 0.0], [2.5, 0.0], [3.0, 0.0]]))
+        # the finite side still evaluates
+        assert np.isfinite(k.log_q(far, x))
+        assert np.isfinite(k.log_q_batch(np.zeros((2, 2)), x)).all()
+
+
+def uncached_gaussian_proposal(field, h):
+    """The Gaussian kernel as it reads with no memo: a fresh field value,
+    standard deviation or scipy Cholesky factor at every call."""
+    dim = field.dim
+
+    if dim == 1:
+
+        def std(x):
+            return math.sqrt(h * float(field.inv_metric(x)[0, 0]))
+
+        def sample(x, rng):
+            return x + std(x) * rng.standard_normal(1)
+
+        def log_q(y, x):
+            s = std(x)
+            u = (float(y[0]) - float(x[0])) / s
+            return -0.5 * math.log(2.0 * math.pi) - math.log(s) - 0.5 * u * u
+
+    else:
+
+        def chol(x):
+            return cholesky(h * field.inv_metric(x), lower=True)
+
+        def sample(x, rng):
+            return x + chol(x) @ rng.standard_normal(dim)
+
+        def log_q(y, x):
+            low = chol(x)
+            v = solve_triangular(low, y - x, lower=True)
+            logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
+            return -0.5 * (dim * math.log(2.0 * math.pi) + logdet + float(v @ v))
+
+    return ProposalKernel(dim, sample, log_q, "uncached", None, None)
+
+
+def counting(field):
+    """``field`` whose ``inv_metric`` counts its calls in ``.calls``."""
+
+    def inv_metric(x):
+        inv_metric.calls += 1
+        return field.inv_metric(x)
+
+    inv_metric.calls = 0
+    return dataclasses.replace(field, inv_metric=inv_metric)
+
+
+# entries of B and c in the field S(x) = B(x) B(x)^T + c I, where
+# B(x) = [[b00 + x1, b01], [b10, b11 + x2]]: SPD and, in general, not diagonal
+entries = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+def spd_field(b00, b01, b10, b11, c):
+    def inv_metric(x):
+        b = np.array([[b00 + x[0], b01], [b10, b11 + x[1]]])
+        return b @ b.T + c * np.eye(2)
+
+    return CovarianceField(
+        2, inv_metric, BOUNDED, "spd", lambda xs: np.stack([inv_metric(x) for x in xs])
+    )
+
+
+class TestScaleMemo:
+    """The kernel remembers each point's scale; none of this may show in
+    what it returns."""
+
+    @given(
+        st.tuples(entries, entries, entries, entries),
+        st.floats(0.01, 1.0),
+        st.floats(0.01, 10.0),
+        st.lists(st.tuples(entries, entries), min_size=3, max_size=3, unique=True),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_memo_equals_fresh_evaluation(self, bs, c, h, points, seed):
+        field = spd_field(*bs, c)
+        k = gaussian_proposal(field, h)
+        fresh = uncached_gaussian_proposal(field, h)
+        x, y, z = (pt(*p) for p in points)
+        # revisits a point after one and after two others have been used
+        order = (x, y, x, z, y, x, x, z, z, y, y, x, z, x)
+        rng, rng_fresh = np.random.default_rng(seed), np.random.default_rng(seed)
+        for a, b in zip(order, order[1:]):
+            assert k.log_q(b, a) == fresh.log_q(b, a)
+            assert k.log_q(a, b) == fresh.log_q(a, b)
+            np.testing.assert_array_equal(k.sample(a, rng), fresh.sample(a, rng_fresh))
+
+    @pytest.mark.parametrize(
+        "target, field, h, x0",
+        [
+            (make_exponential_tail(1.0), power_field(1.5), 1.0, [0.0]),
+            (make_exponential_tail(1.0), power_field(0.5), 30.0, [-2.0]),
+            (make_ridge_2d(), ridge_conditional_field(), 1.0, [4.0, 0.0]),
+            (make_ridge_2d(), constant_field(0.25 * np.eye(2)), 1.0, [4.0, 0.0]),
+        ],
+    )
+    def test_chain_matches_uncached_kernel_with_one_field_call_per_point(
+        self, target, field, h, x0
+    ):
+        n_steps = 300
+        field = counting(field)
+        k = gaussian_proposal(field, h)
+        traj = run_chain(target, k, x0, n_steps, seed=11)
+        # one call per point: the start and each proposal on the support
+        assert field.inv_metric.calls <= n_steps + 1
+        ref = run_chain(target, uncached_gaussian_proposal(field, h), x0, n_steps, seed=11)
+        np.testing.assert_array_equal(traj.states, ref.states)
+        np.testing.assert_array_equal(traj.accepted, ref.accepted)
+        np.testing.assert_array_equal(traj.alpha, ref.alpha)
+
+    def test_points_that_compare_equal_are_kept_apart(self):
+        # -0.0 == 0.0, but the memo keys on the bytes of the point
+        def inv_metric(x):
+            return np.array([[2.0 if math.copysign(1.0, x[0]) < 0 else 1.0]])
+
+        field = CovarianceField(1, inv_metric, BOUNDED, "sign", None)
+        k = gaussian_proposal(field, 1.0)
+        y = pt(1.0)
+        assert k.log_q(y, pt(0.0)) != k.log_q(y, pt(-0.0))
+        assert k.log_q(y, pt(0.0)) == k.log_q(y, np.array([0]))
+
+    @pytest.mark.parametrize("field", [power_field(1.5), ridge_conditional_field()])
+    def test_sample_log_q_and_sample_batch_share_one_evaluation(self, field):
+        field = counting(field)
+        k = gaussian_proposal(field, 0.5)
+        x = np.full(field.dim, 0.5)
+        rng = np.random.default_rng(0)
+        k.sample(x, rng)
+        k.log_q(x + 0.1, x)
+        k.sample_batch(x, 5, rng)
+        assert field.inv_metric.calls == 1
 
 
 class TestCircle:
