@@ -64,13 +64,20 @@ def log_accept_ratio(
     lp_y = target.log_density(y)
     if lp_y == -math.inf:
         return -math.inf
+    return _log_accept(kernel, x, y, target.log_density(x), lp_y)
+
+
+def _log_accept(
+    kernel: ProposalKernel, x: np.ndarray, y: np.ndarray, lp_x: float, lp_y: float
+) -> float:
+    """:func:`log_accept_ratio` once both log-densities are known and
+    ``lp_y`` is finite."""
     lq_yx = kernel.log_q(y, x)
     if lq_yx == -math.inf:
         raise ParameterError(f"move {x} -> {y} is not proposable by {kernel.label}")
     lq_xy = kernel.log_q(x, y)
     if lq_xy == -math.inf:
         return -math.inf
-    lp_x = target.log_density(x)
     return float(log_accept_terms(lp_x, lp_y, lq_yx, lq_xy))
 
 
@@ -168,15 +175,34 @@ def mh_step(
     one uniform are drawn per call whatever the outcome, so trajectories
     are reproducible functions of the seed.  The uniform is taken in
     (0, 1] so a certain acceptance (alpha = 1) can never be refused.
+    ``x`` must be in the target support.
     """
+    if not target.support_test(x):
+        raise SupportError(f"current point {x} is outside the target support")
+    nxt, _, accepted, alpha = _transition(target, kernel, x, target.log_density(x), rng)
+    return nxt, accepted, alpha
+
+
+def _transition(
+    target: TargetDensity,
+    kernel: ProposalKernel,
+    x: np.ndarray,
+    lp_x: float,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, float, bool, float]:
+    """:func:`mh_step` from a support point ``x`` whose log-density
+    ``lp_x`` the caller carries; also returns the next point's
+    log-density.  A proposal's log-density is its support test: ``-inf``
+    off the support."""
     y = kernel.sample(x, rng)
     u = 1.0 - rng.random()
-    if not target.support_test(y):
-        return x, False, 0.0
-    la = log_accept_ratio(target, kernel, x, y)
+    lp_y = target.log_density(y)
+    if lp_y == -math.inf:
+        return x, lp_x, False, 0.0
+    la = _log_accept(kernel, x, y, lp_x, lp_y)
     if math.log(u) < la:
-        return y, True, math.exp(la)
-    return x, False, math.exp(la)
+        return y, lp_y, True, math.exp(la)
+    return x, lp_x, False, math.exp(la)
 
 
 def config_digest(target: TargetDensity, kernel: ProposalKernel) -> str:
@@ -239,7 +265,9 @@ def run_chain(
     """Run ``n_steps`` transitions from ``x0`` with a fresh seeded stream.
 
     The start must lie in the target support.  Rerunning with the same
-    arguments reproduces the trajectory bit for bit.
+    arguments reproduces the trajectory bit for bit.  The log-density of
+    the current state is carried from the step that accepted it, so a
+    chain evaluates the target ``n_steps + 1`` times.
     """
     if n_steps < 1:
         raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
@@ -260,9 +288,9 @@ def run_chain(
     accepted = np.empty(n_steps, dtype=bool)
     alpha = np.empty(n_steps)
     states[0] = x0
-    x = x0
+    x, lp_x = x0, target.log_density(x0)
     for i in range(n_steps):
-        x, acc, a = mh_step(target, kernel, x, rng)
+        x, lp_x, acc, a = _transition(target, kernel, x, lp_x, rng)
         states[i + 1] = x
         accepted[i] = acc
         alpha[i] = a

@@ -19,6 +19,14 @@ the chain: half of its rows are mirror images of the other half, and the
 symmetric matrix splits into an even and an odd block of about n/2 that
 are solved separately.
 
+The gap needs only the extremes of the spectrum.  The known eigenvector
+sqrt(pi) of eigenvalue 1 is projected out, shift-invert Lanczos finds
+the top of what is left, and Cholesky factorisations (or, at the bottom,
+Gershgorin discs) certify that no eigenvalue lies beyond lambda_2 at
+either end.  A block that cannot be certified that way is diagonalized
+by the dense symmetric eigensolver, and the result records which path
+each block took.
+
 The module also holds the deterministic routes the Monte Carlo probes
 are checked against: adaptive quadrature for the one-step drift ratio,
 and a product rule for the stationary acceptance rate and expected
@@ -37,6 +45,7 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .chain import log_accept_ratio_closed_form, log_accept_terms
 from .diagnostics import LyapunovFunction
@@ -69,6 +78,16 @@ _BLOCK_ENTRIES = 1 << 18
 
 #: relative tolerance of the x -> -x symmetry test
 _MIRROR_RTOL = 1e-12
+
+#: shift-invert Lanczos inverts (1 + _SHIFT_GAP) I - B, just above the
+#: spectrum's bound of 1
+_SHIFT_GAP = 1e-3
+
+#: slack of the certificate that no eigenvalue exceeds lambda_2
+_TOP_SLACK = 1e-12
+
+#: Lanczos basis size; a block no larger than it is solved dense
+_LANCZOS_BASIS = 20
 
 
 def _row_blocks(n: int, start: int = 0):
@@ -128,13 +147,17 @@ class DiscretizedChain:
 def _grid_values(
     target: TargetDensity, cov_field: CovarianceField, grid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Target log-density and field variance at every grid point."""
-    lp = np.array([target.log_density(np.array([v])) for v in grid])
+    """Target log-density and field variance at every grid point, each
+    from one call of the batch form."""
+    points = grid[:, None]
+    # copies: the builder rewrites them in place, and a batch form may
+    # return a read-only view
+    lp = np.array(target.log_density_batch(points), dtype=float)
     if not np.all(np.isfinite(lp)):
         raise ParameterError(
             "target log-density must be finite across the window"
         )
-    g = np.array([float(cov_field.inv_metric(np.array([v]))[0, 0]) for v in grid])
+    g = np.array(cov_field.inv_metric_batch(points)[:, 0, 0], dtype=float)
     if not np.all(g > 0):
         raise NumericError("field must be positive across the window")
     return lp, g
@@ -246,8 +269,13 @@ def _reflects(values: np.ndarray, parity: float) -> bool:
 
 
 class SpectralResult(NamedTuple):
+    """Gap and |lambda_2| of a grid chain, with the solver ``path`` of
+    each symmetric block: ``"extremal"``, or ``"dense: <reason>"`` where
+    the block went through the dense eigensolver."""
+
     gap: float
     lambda2: float
+    path: tuple[str, ...] = ()
 
 
 def _symmetric_blocks(chain: DiscretizedChain) -> list[np.ndarray]:
@@ -286,34 +314,160 @@ def _symmetric_blocks(chain: DiscretizedChain) -> list[np.ndarray]:
     return [even, odd]
 
 
+def _deflate_stationary(chain: DiscretizedChain, block: np.ndarray) -> None:
+    """Check that the unit vector u = sqrt(pi_hat) carries eigenvalue 1 of
+    the first block and subtract u u^T from it in place, which moves that
+    eigenvalue to 0.  For a mirrored chain u is folded into the even
+    block: its upper half times sqrt(2), the odd-n centre once."""
+    u = np.sqrt(chain.pi_hat)
+    if chain.mirrored:
+        s = chain.n // 2
+        u = u[s:] * math.sqrt(2.0)
+        if chain.n % 2:
+            u[0] = math.sqrt(chain.pi_hat[s])
+    lead = float(u @ (block @ u))
+    if abs(lead - 1.0) > 1e-6:
+        raise NumericError(
+            f"stationary Rayleigh quotient {lead!r} is not 1; chain "
+            f"{chain.label} is not a proper Metropolis restriction"
+        )
+    for i0, i1 in _row_blocks(len(u)):
+        block[i0:i1] -= u[i0:i1, None] * u[None, :]
+
+
+def _factors(work: np.ndarray, block: np.ndarray, sign: float, shift: float):
+    """Cholesky factor of ``sign * block + shift * I``, or None if that
+    matrix is not positive definite.  The matrix is written into the
+    front of the flat buffer ``work`` in Fortran order and factored in
+    place; the block is symmetric, so its transpose view holds the same
+    values in that order."""
+    m = len(block)
+    a = work[: m * m].reshape((m, m), order="F")
+    np.multiply(block.T, sign, out=a)
+    a.ravel(order="K")[:: m + 1] += shift
+    potrf = scipy.linalg.get_lapack_funcs("potrf", (a,))
+    factor, info = potrf(a, lower=1, overwrite_a=1, clean=0)
+    if info < 0:
+        raise NumericError(f"LAPACK potrf rejected argument {-info}")
+    return factor if info == 0 else None
+
+
+def _lanczos_top(work: np.ndarray, block: np.ndarray) -> float | None:
+    """Largest eigenvalue of ``block`` by Lanczos on the inverse of
+    ``(1 + _SHIFT_GAP) I - block``, or None if that matrix is not
+    positive definite: then the block has an eigenvalue past the bound
+    of 1 that every stochastic matrix keeps.
+
+    One Cholesky factorisation serves every Lanczos step as a pair of
+    triangular solves.  The start vector is fixed, so the result is
+    deterministic, and it is not mirror-symmetric, so that a mirrored
+    chain solved whole still reaches its odd eigenvectors.  Lanczos stops
+    after about ``len(block)`` solves, past which the dense solver is
+    cheaper, and then raises :class:`ArpackNoConvergence`.
+    """
+    m = len(block)
+    shift = 1.0 + _SHIFT_GAP
+    factor = _factors(work, block, -1.0, shift)
+    if factor is None:
+        return None
+    potrs = scipy.linalg.get_lapack_funcs("potrs", (factor,))
+
+    def solve(x: np.ndarray) -> np.ndarray:
+        return potrs(factor, x, lower=1)[0]
+
+    inverse = LinearOperator((m, m), matvec=solve, dtype=float)
+    mu = eigsh(
+        inverse, k=1, which="LA", v0=np.linspace(1.0, 2.0, m),
+        ncv=_LANCZOS_BASIS, maxiter=max(1, m // _LANCZOS_BASIS),
+        return_eigenvectors=False,
+    )[0]
+    return shift - 1.0 / float(mu)
+
+
 def spectral_gap(chain: DiscretizedChain) -> SpectralResult:
     """Spectral gap 1 - |lambda_2| of the grid chain.
 
-    The full spectrum of the symmetrized matrix comes from a dense
-    symmetric eigensolver, run on the even and odd blocks of a mirrored
-    chain (each about n/2) or on the whole matrix otherwise; the result
-    is deterministic.  The leading eigenvalue, which belongs to the even
-    block, must come out as 1 to six decimals or the chain construction
-    itself is broken.
+    The symmetrized matrix is split into the even and odd blocks of a
+    mirrored chain (each about n/2), or kept whole otherwise.  The gap
+    needs only the extremes of each block's spectrum, so no block is
+    diagonalized in full:
+
+    1. The first block (the even one, or the whole matrix) holds
+       eigenvalue 1, with eigenvector sqrt(pi_hat).  Its Rayleigh
+       quotient must be 1 to six decimals, or the chain construction
+       itself is broken (:class:`NumericError`).  Its projector is then
+       subtracted in place, which moves that eigenvalue to 0.
+    2. The first block's top eigenvalue comes from shift-invert Lanczos
+       (:func:`_lanczos_top`).  Every other block first tries one
+       Cholesky factorisation of ``(lambda_2 + delta) I - B``, delta =
+       1e-12; only if that fails does it run Lanczos too and raise
+       lambda_2.
+    3. Each block is then certified.  Top: a Cholesky factorisation of
+       ``(lambda_2 + delta) I - B`` succeeds, so no eigenvalue lies above
+       lambda_2 + delta, which a Lanczos start vector blind to the top
+       eigenvector would break (the tried blocks already hold this).
+       Bottom: every eigenvalue lies above -lambda_2, by the Gershgorin
+       discs of P (whose spectrum the blocks share), or else by a
+       Cholesky factorisation of ``B + lambda_2 I``.
+
+    A block whose certificate fails, whose Lanczos does not converge, or
+    that is no larger than the Lanczos basis goes through the dense
+    symmetric eigensolver instead; ``path`` records which blocks did and
+    why.  Certificates hold for every larger lambda_2, so a dense block
+    that raises lambda_2 leaves earlier ones valid.  A block with an
+    eigenvalue past 1 + 1e-3 raises :class:`NumericError`.  Nothing is
+    random: reruns give bit-identical results.  Besides the blocks, one
+    matrix of the first block's size is held, in Fortran order, and
+    every factorisation runs in place in it.
     """
-    spectra = [
-        scipy.linalg.eigh(b, eigvals_only=True, overwrite_a=True)
-        for b in _symmetric_blocks(chain)
-    ]
-    lead = float(spectra[0][-1])
-    # every eigenvalue but the leading one: the rest of the first block
-    # and the whole of the second
-    rest = [spectra[0][0], spectra[0][-2]]
-    for vals in spectra[1:]:
-        rest += [vals[0], vals[-1]]
-    lambda2 = max(abs(float(v)) for v in rest)
-    if abs(lead - 1.0) > 1e-6:
-        raise NumericError(
-            f"leading eigenvalue {lead!r} is not 1; chain {chain.label} "
-            "is not a proper Metropolis restriction"
-        )
+    blocks = _symmetric_blocks(chain)
+    _deflate_stationary(chain, blocks[0])
+    work = np.empty(blocks[0].size)
+    # left end of P's Gershgorin discs: a lower bound on every eigenvalue;
+    # the first block's deflated eigenvalue 0 has to clear -lambda_2 too
+    p = chain.transition
+    floor = float((2.0 * np.diagonal(p) - p.sum(axis=1)).min())
+    lambda2 = 0.0
+    path: list[str | None] = [None] * len(blocks)
+    certify_top = set()
+
+    def dense(k: int, reason: str) -> None:
+        nonlocal lambda2
+        vals = scipy.linalg.eigh(blocks[k], eigvals_only=True, overwrite_a=True)
+        lambda2 = max(lambda2, float(vals[-1]), -float(vals[0]))
+        path[k] = f"dense: {reason}"
+
+    for k, block in enumerate(blocks):
+        if len(block) <= _LANCZOS_BASIS:
+            dense(k, "block too small")
+            continue
+        if k and _factors(work, block, -1.0, lambda2 + _TOP_SLACK) is not None:
+            continue
+        try:
+            top = _lanczos_top(work, block)
+        except ArpackNoConvergence:
+            dense(k, "no convergence")
+            continue
+        if top is None:
+            raise NumericError(
+                f"an eigenvalue exceeds {1.0 + _SHIFT_GAP}; chain "
+                f"{chain.label} is not a proper Metropolis restriction"
+            )
+        lambda2 = max(lambda2, top)
+        certify_top.add(k)
+    for k, block in enumerate(blocks):
+        if path[k] is not None:
+            continue
+        if k in certify_top and _factors(
+            work, block, -1.0, lambda2 + _TOP_SLACK
+        ) is None:
+            dense(k, "top certificate failed")
+        elif min(floor, 0.0) > -lambda2 or _factors(work, block, 1.0, lambda2) is not None:
+            path[k] = "extremal"
+        else:
+            dense(k, "bottom certificate failed")
     gap = min(1.0, max(0.0, 1.0 - lambda2))
-    return SpectralResult(gap, lambda2)
+    return SpectralResult(gap, lambda2, tuple(path))
 
 
 def tv_decay_curve(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -250,6 +251,70 @@ class TestRerunProperty:
             lambda: gaussian_proposal(RIDGE_FIELDS[name](), h),
             list(x0), [x0[1], x0[0]], seed,
         )
+
+
+def reference_chain(target, kernel, x0, n_steps, seed):
+    """The transition written out with the public per-point pieces: a
+    support test of the proposal, then :func:`log_accept_ratio`, which
+    evaluates the target at both ends of the move."""
+    rng = np.random.default_rng(seed)
+    x = np.asarray(x0, dtype=float)
+    states, accepted, alpha = [x], [], []
+    for _ in range(n_steps):
+        y = kernel.sample(x, rng)
+        u = 1.0 - rng.random()
+        la = log_accept_ratio(target, kernel, x, y) if target.support_test(y) else -math.inf
+        accepted.append(math.log(u) < la)
+        alpha.append(math.exp(la))
+        x = y if accepted[-1] else x
+        states.append(x)
+    return np.array(states), np.array(accepted), np.array(alpha)
+
+
+CARRIED_CASES = {
+    "exponential": (lambda: make_exponential_tail(1.0),
+                    lambda: gaussian_proposal(power_field(1.5), 2.0), [3.0]),
+    "ridge": (make_ridge_2d,
+              lambda: gaussian_proposal(ridge_conditional_field(), 1.0), [2.0, 0.1]),
+    "staircase": (make_rectangle, circle_proposal, [0.0, 1.5]),
+}
+
+
+class TestCarriedLogDensity:
+    """``run_chain`` carries the current state's log-density from the step
+    that accepted it: one target evaluation per step, the same chain."""
+
+    @pytest.mark.parametrize("case", sorted(CARRIED_CASES))
+    def test_one_evaluation_per_step(self, case):
+        make_target, make_kernel, x0 = CARRIED_CASES[case]
+        target = make_target()
+        calls = {"log_density": 0, "support_test": 0}
+
+        def counted(name, fn):
+            def wrapper(x):
+                calls[name] += 1
+                return fn(x)
+            return wrapper
+
+        counting = dataclasses.replace(
+            target,
+            log_density=counted("log_density", target.log_density),
+            support_test=counted("support_test", target.support_test),
+        )
+        n_steps = 400
+        traj = run_chain(counting, make_kernel(), x0, n_steps, seed=5)
+        assert calls["log_density"] <= n_steps + 1
+        assert calls["support_test"] <= 1
+        states, accepted, alpha = reference_chain(target, make_kernel(), x0, n_steps, 5)
+        assert 0 < accepted.sum() < n_steps
+        np.testing.assert_array_equal(traj.states, states)
+        np.testing.assert_array_equal(traj.accepted, accepted)
+        np.testing.assert_array_equal(traj.alpha, alpha)
+
+    def test_step_refuses_point_off_support(self):
+        with pytest.raises(SupportError):
+            mh_step(make_rectangle(), circle_proposal(), pt(0.0, 0.5),
+                    np.random.default_rng(0))
 
 
 class TestEstimateExpectation:

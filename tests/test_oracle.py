@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from pdrwm import (
     OTHER,
@@ -22,13 +23,15 @@ from pdrwm import (
     make_gaussian,
     make_polynomial_tail,
     make_subexponential_tail,
+    one_plus_square_field,
     power_field,
     spectral_gap,
     stationary_jump_quadrature,
     tuned_jump_quadrature,
     tv_decay_curve,
 )
-from pdrwm.oracle import SPACING_FRACTION
+import pdrwm.oracle
+from pdrwm.oracle import SPACING_FRACTION, _grid_values
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +143,91 @@ class TestSpectralGap:
         res = spectral_gap(chain)
         assert res.lambda2 == pytest.approx(0.9, abs=1e-14)
         assert res.gap == pytest.approx(0.1, abs=1e-14)
+        assert res.path == ("dense: block too small",) * 2
+
+    def test_negative_lambda2_fails_bottom_certificate(self):
+        # a mirrored chain that mostly jumps to the other half: its odd
+        # sign vector carries eigenvalue -0.583, below minus the top
+        # 0.536 of the rest.  The two end states keep half of their
+        # jumps across as holding, so their Gershgorin discs clear -0.536
+        # while the other rows' do not; the odd block's Cholesky
+        # certificate of B + lambda_2 I then fails, and the dense solver
+        # finds lambda_2
+        n = 100
+        side = np.arange(n) < n // 2
+        across = np.where(side[:, None] != side[None, :], 2.0 / n, 0.0)
+        walk = np.zeros((n, n))
+        i = np.arange(n - 1)
+        walk[i, i + 1] = walk[i + 1, i] = 0.5
+        walk[0, 0] = walk[-1, -1] = 0.5
+        p = 0.8 * across + 0.15 * walk + 0.05 * np.eye(n)
+        for end in (0, n - 1):
+            hold = 0.4 * across[end]
+            hold[[0, n - 1]] = 0.0
+            p[end] -= hold
+            p[:, end] -= hold
+            p[end, end] += hold.sum()
+            p[np.diag_indices(n)] += hold
+        assert np.array_equal(p, p.T) and np.array_equal(p, p[::-1, ::-1])
+        assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-15
+        chain = DiscretizedChain(
+            np.linspace(-1.0, 1.0, n), 2.0 / (n - 1), p, np.full(n, 1.0 / n),
+            "hand(across)", True,
+        )
+        res = spectral_gap(chain)
+        dense = scipy.linalg.eigh(chain.symmetrized, eigvals_only=True)
+        assert -dense[0] > dense[-2] + 0.04
+        assert res.path == ("extremal", "dense: bottom certificate failed")
+        assert abs(res.lambda2 + dense[0]) <= 1e-12
+
+    def test_whole_matrix_reaches_odd_eigenvalue(self):
+        # a mirrored chain solved whole: lambda_2 = 0.80900 lies in the
+        # odd block, and a mirror-symmetric Lanczos start vector (all
+        # ones) never sees it and returns the even block's top 0.80869;
+        # only the top certificate's dense fallback would then save it
+        h = math.exp(0.5)
+        half_width = 0.5 * SPACING_FRACTION * math.sqrt(h) * 106
+        chain = build_discretized(
+            make_exponential_tail(2.0), power_field(0.0), h, half_width, 107
+        )
+        assert chain.mirrored is True
+        split = spectral_gap(chain)
+        whole = spectral_gap(dataclasses.replace(chain, mirrored=False))
+        even, odd = pdrwm.oracle._symmetric_blocks(chain)
+        odd_top = scipy.linalg.eigh(odd, eigvals_only=True)[-1]
+        dense = scipy.linalg.eigh(chain.symmetrized, eigvals_only=True)
+        lam2 = max(-dense[0], dense[-2])
+        assert odd_top == pytest.approx(lam2, abs=1e-12)
+        assert whole.path == ("extremal",)
+        assert split.path == ("extremal", "extremal")
+        assert abs(whole.lambda2 - lam2) <= 1e-12
+        assert abs(split.lambda2 - lam2) <= 1e-12
+
+    @pytest.mark.parametrize("mirrored", [True, False])
+    def test_broken_chain_raises_naming_it(self, small_chain, mirrored):
+        # rows scaled by 1.01 put the stationary Rayleigh quotient at 1.01
+        broken = dataclasses.replace(
+            small_chain, transition=small_chain.transition * 1.01, mirrored=mirrored
+        )
+        with pytest.raises(NumericError) as err:
+            spectral_gap(broken)
+        assert small_chain.label in str(err.value)
+
+    def test_unconverged_lanczos_falls_back_to_dense(self, small_chain, monkeypatch):
+        expected = spectral_gap(small_chain)
+
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(pdrwm.oracle, "eigsh", no_convergence)
+        res = spectral_gap(small_chain)
+        assert res.path[0] == "dense: no convergence"
+        assert abs(res.lambda2 - expected.lambda2) <= 1e-12
+
+    def test_path_of_a_built_chain(self, small_chain):
+        assert spectral_gap(small_chain).path == ("extremal", "extremal")
+        whole = dataclasses.replace(small_chain, mirrored=False)
+        assert spectral_gap(whole).path == ("extremal",)
 
     def test_rerun_is_bit_identical(self):
         # nothing in the build or the solve is random: two builds of the
@@ -190,6 +278,31 @@ class TestMirroredChainProperties:
         whole = spectral_gap(dataclasses.replace(chain, mirrored=False))
         assert abs(split.gap - whole.gap) <= 1e-10
         assert abs(split.lambda2 - whole.lambda2) <= 1e-10
+        dense = scipy.linalg.eigh(chain.symmetrized, eigvals_only=True)
+        lam2 = max(-dense[0], dense[-2])
+        assert abs(split.lambda2 - lam2) <= 1e-12
+        assert abs(whole.lambda2 - lam2) <= 1e-12
+
+
+class TestGridValues:
+    @pytest.mark.parametrize("target", [
+        make_exponential_tail(1.0),
+        make_subexponential_tail(1.0, 0.5),
+        make_polynomial_tail(2.0),
+        make_gaussian(),
+    ])
+    @pytest.mark.parametrize("field", [
+        constant_field(1.0), power_field(1.5), power_field(4.0), one_plus_square_field(),
+    ])
+    def test_batch_matches_per_point(self, target, field):
+        # the batch forms round like the per-point ones to a bit or two
+        grid = np.linspace(-320.0, 320.0, 3201)
+        lp, g = _grid_values(target, field, grid)
+        lp_ref = np.array([target.log_density(np.array([v])) for v in grid])
+        g_ref = np.array([field.inv_metric(np.array([v]))[0, 0] for v in grid])
+        np.testing.assert_allclose(lp, lp_ref, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(g, g_ref, rtol=1e-15, atol=0.0)
+        lp[0] = g[0] = 0.0  # writable copies: the builder mirrors them
 
 
 class TestTvDecay:
