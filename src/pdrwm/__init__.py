@@ -52,8 +52,6 @@ from .experiments import (
     ScenarioResult,
     list_scenarios,
     load_config,
-    one_plus_square_field,
-    ridge_conditional_field,
     run_scenario,
     scenario_digest,
 )
@@ -64,12 +62,13 @@ from .fields import (
     GrowthClass,
     PastSampleSet,
     constant_field,
-    higher_dim,
     kernel_adaptive_field,
     load_sample_set,
     mixture_field,
+    one_plus_square_field,
     power_field,
     regional_field,
+    ridge_conditional_field,
     subquadratic,
     superquadratic,
     tempered_langevin_field,
@@ -120,7 +119,6 @@ from .targets import (
     RectangleDensity,
     TailClass,
     TargetDensity,
-    get_target,
     log_concave,
     make_exponential_tail,
     make_gaussian,

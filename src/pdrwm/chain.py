@@ -234,25 +234,27 @@ class ChainTrajectory:
     def acceptance_rate(self) -> float:
         return float(self.accepted.mean())
 
-    def to_csv(self, path) -> None:
-        """Write the trajectory with a reproducibility comment header.
+    def to_csv(self) -> str:
+        """The trajectory as CSV text under a reproducibility comment line.
 
         Columns: step, one coordinate column per dimension, accepted
         (0/1), alpha.
         """
         dim = self.states.shape[1]
         cols = ["step"] + [f"x{i}" for i in range(dim)] + ["accepted", "alpha"]
-        with open(path, "w") as fh:
-            fh.write(f"# config={self.digest} seed={self.seed}\n")
-            fh.write(",".join(cols) + "\n")
-            fh.write("0," + ",".join(repr(v) for v in self.states[0]) + ",,\n")
-            for i in range(self.n_steps):
-                row = (
-                    [str(i + 1)]
-                    + [repr(v) for v in self.states[i + 1]]
-                    + [str(int(self.accepted[i])), repr(float(self.alpha[i]))]
-                )
-                fh.write(",".join(row) + "\n")
+        lines = [
+            f"# config={self.digest} seed={self.seed}",
+            ",".join(cols),
+            "0," + ",".join(repr(v) for v in self.states[0]) + ",,",
+        ]
+        for i in range(self.n_steps):
+            row = (
+                [str(i + 1)]
+                + [repr(v) for v in self.states[i + 1]]
+                + [str(int(self.accepted[i])), repr(float(self.alpha[i]))]
+            )
+            lines.append(",".join(row))
+        return "\n".join(lines) + "\n"
 
 
 def run_chain(

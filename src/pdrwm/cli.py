@@ -5,8 +5,9 @@ and writes its CSV artifacts, ``verify-all`` runs the ten numbered
 acceptance checks, ``list-scenarios`` prints the registry with each
 scenario's parameters and their defaults.  Exit codes:
 0 on success, 1 when a scenario check or acceptance criterion fails,
-2 on a configuration problem.  Setting the environment variable named
-by ``PDRWM_OUTPUT_DIR`` redirects all scenario output.
+2 on a configuration problem (for ``verify-all``, a negative ``--seed``
+or an ``--only`` that names no criterion).  Setting the environment
+variable named by ``PDRWM_OUTPUT_DIR`` redirects all scenario output.
 """
 
 from __future__ import annotations
@@ -20,6 +21,12 @@ from .experiments import scenario_parameters
 from .verify import verify_all
 
 
+def _config_error(exc: PDRWMError) -> int:
+    key = f" (key: {exc.key})" if getattr(exc, "key", None) else ""
+    print(f"config error{key}: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(config_path: str) -> int:
     try:
         config = load_config(config_path)
@@ -27,9 +34,7 @@ def _cmd_run(config_path: str) -> int:
     except (ConfigError, ParameterError) as exc:
         # a ParameterError from a scenario body can only come from a
         # config value, so it is a config error too
-        key = f" (key: {exc.key})" if getattr(exc, "key", None) else ""
-        print(f"config error{key}: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(exc)
     except PDRWMError as exc:
         print(f"scenario {config.scenario} failed: {exc}", file=sys.stderr)
         return 1
@@ -44,7 +49,10 @@ def _cmd_run(config_path: str) -> int:
 
 
 def _cmd_verify_all(seed: int, only: list[int] | None) -> int:
-    results = verify_all(seed=seed, indices=only)
+    try:
+        results = verify_all(seed=seed, indices=only)
+    except ConfigError as exc:
+        return _config_error(exc)
     failed = [r.index for r in results if not r.passed]
     total = sum(r.elapsed for r in results)
     print(

@@ -35,7 +35,8 @@ class DiscretizationError(PDRWMError):
 
 
 class ConfigError(PDRWMError):
-    """An experiment configuration file is missing or malformed.
+    """An experiment configuration file, or a command's arguments, are
+    missing or malformed.
 
     Carries the offending key in ``key`` when one can be identified.
     """

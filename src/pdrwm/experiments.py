@@ -1,10 +1,14 @@
 """Named, reproducible experiment scenarios.
 
-Each scenario builds its inputs from a small declarative config, writes
-one or more CSV artifacts, and evaluates a list of named checks whose
-outcomes make up the scenario's pass/fail summary.  Scenario bodies are
-deterministic functions of (params, seed): re-running with an identical
-config reproduces every output file byte for byte.
+Each scenario builds its inputs from a small declarative config,
+computes one or more CSV artifacts, and evaluates a list of named checks
+whose outcomes make up the scenario's pass/fail summary.  A scenario
+body is a pure computation: it takes ``(seed, digest)`` and its params
+and returns ``({file name: CSV text}, checks)``, a deterministic
+function of (params, seed).  Only :func:`run_scenario` touches the
+disk, so re-running with an identical config reproduces every output
+file byte for byte, and the acceptance checks in ``verify`` can run a
+body without writing anything.
 
 A scenario body's keyword-only parameters declare the keys its
 ``params`` take, with types and defaults; target and field specs bind
@@ -43,9 +47,10 @@ from .diagnostics import (
 from .errors import ConfigError, ParameterError, PDRWMError, SupportError
 from .fields import (
     CovarianceField,
-    GrowthClass,
     constant_field,
+    one_plus_square_field,
     power_field,
+    ridge_conditional_field,
     tempered_langevin_field,
 )
 from .oracle import classify_gap_trend, drift_ratio_quadrature, gap_growth_scan
@@ -70,64 +75,15 @@ from .targets import (
 OUTPUT_DIR_ENV = "PDRWM_OUTPUT_DIR"
 
 
-def one_plus_square_field() -> CovarianceField:
-    """One-dimensional field with inverse metric 1 + x^2.
-
-    The canonical quadratic-growth proposal variance: unit sized at the
-    origin, scaling like x^2 in the tails.
-    """
-
-    def inv_metric(x: np.ndarray) -> np.ndarray:
-        return np.array([[1.0 + float(x[0]) ** 2]])
-
-    def inv_metric_batch(xs: np.ndarray) -> np.ndarray:
-        return (1.0 + xs[:, 0] ** 2)[:, None, None]
-
-    return CovarianceField(
-        dim=1,
-        inv_metric=inv_metric,
-        growth_class=GrowthClass("quadratic", 2.0),
-        label="one_plus_square",
-        inv_metric_batch=inv_metric_batch,
-    )
-
-
-def ridge_conditional_field() -> CovarianceField:
-    """Two-dimensional field matched to the ridge target's conditionals.
-
-    Under exp(-x1^2 - x2^2 - x1^2 x2^2) each coordinate given the other
-    is a centred Gaussian with variance 1 / (2 (1 + other^2)); the field
-    simply proposes with those conditional variances on the diagonal.
-    """
-
-    def inv_metric(x: np.ndarray) -> np.ndarray:
-        return np.diag(
-            [
-                1.0 / (2.0 * (1.0 + float(x[1]) ** 2)),
-                1.0 / (2.0 * (1.0 + float(x[0]) ** 2)),
-            ]
-        )
-
-    def inv_metric_batch(xs: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(xs), 2, 2))
-        out[:, 0, 0] = 1.0 / (2.0 * (1.0 + xs[:, 1] ** 2))
-        out[:, 1, 1] = 1.0 / (2.0 * (1.0 + xs[:, 0] ** 2))
-        return out
-
-    return CovarianceField(
-        dim=2,
-        inv_metric=inv_metric,
-        growth_class=GrowthClass("bounded", 0.0),
-        label="ridge_conditional",
-        inv_metric_batch=inv_metric_batch,
-    )
-
-
 @dataclass(frozen=True)
 class ScenarioCheck:
     name: str
     passed: bool
     detail: str
+
+
+#: what a scenario body returns: CSV text by file name, and its checks
+ScenarioOutput = tuple[dict[str, str], tuple[ScenarioCheck, ...]]
 
 
 @dataclass(frozen=True)
@@ -179,12 +135,12 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_rows(path: Path, digest: str, seed: int, header: Sequence[str], rows) -> None:
+def _csv(digest: str, seed: int, header: Sequence[str], rows) -> str:
+    """CSV text under a ``# config=<digest> seed=<seed>`` comment line."""
     lines = [f"# config={digest} seed={seed}", ",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +282,9 @@ def resolve_output_dir(config: ExperimentConfig) -> Path:
 # scenario bodies
 
 def _scenario_figure1(
-    out, seed, digest, /, *, x_points: tuple[float, ...] = (5.0, 10.0, 20.0, 40.0),
+    seed, digest, /, *, x_points: tuple[float, ...] = (5.0, 10.0, 20.0, 40.0),
     n_proposals: int = 2000, b: float = 4.0, h: float = 1.0, a: float = 1.0,
-) -> ScenarioResult:
+) -> ScenarioOutput:
     """Per-proposal acceptance under a fast-growing field, by start point."""
     if n_proposals < 100:
         raise ConfigError("n_proposals must be at least 100", key="n_proposals")
@@ -352,8 +308,6 @@ def _scenario_figure1(
             rows.append((x, float(y), alpha, flag))
         fractions.append(above / n_proposals)
 
-    path = out / "figure1_proposals.csv"
-    _write_rows(path, digest, seed, ("x", "y", "alpha", "above_half"), rows)
     decreasing = all(fractions[i + 1] < fractions[i] for i in range(len(fractions) - 1))
     checks = (
         ScenarioCheck(
@@ -362,13 +316,17 @@ def _scenario_figure1(
             "fractions " + ", ".join(f"{f:.4f}" for f in fractions),
         ),
     )
-    return ScenarioResult("figure1", digest, seed, (str(path),), checks)
+    files = {
+        "figure1_proposals.csv":
+            _csv(digest, seed, ("x", "y", "alpha", "above_half"), rows),
+    }
+    return files, checks
 
 
 def _scenario_figure2(
-    out, seed, digest, /, *, arm_positions: tuple[float, ...] = (0.0, 1.0, 2.0, 4.0, 8.0),
+    seed, digest, /, *, arm_positions: tuple[float, ...] = (0.0, 1.0, 2.0, 4.0, 8.0),
     n_proposals: int = 3000, h: float = 1.0, sigma2: float = 0.25,
-) -> ScenarioResult:
+) -> ScenarioOutput:
     """Ridge-target acceptance along the arm, fixed vs position-matched field."""
     if n_proposals < 100:
         raise ConfigError("n_proposals must be at least 100", key="n_proposals")
@@ -394,10 +352,6 @@ def _scenario_figure2(
             row.append(acc / n_proposals)
         rows.append(tuple(row))
 
-    path = out / "figure2_arm_acceptance.csv"
-    _write_rows(
-        path, digest, seed, ("x1", "mean_alpha_spherical", "mean_alpha_conditional"), rows
-    )
     sph, cond = means["spherical"], means["conditional"]
     checks = (
         ScenarioCheck(
@@ -416,13 +370,26 @@ def _scenario_figure2(
             f"{cond[-1]:.4f} vs {sph[-1]:.4f}",
         ),
     )
-    return ScenarioResult("figure2_data", digest, seed, (str(path),), checks)
+    files = {
+        "figure2_arm_acceptance.csv": _csv(
+            digest, seed, ("x1", "mean_alpha_spherical", "mean_alpha_conditional"), rows
+        ),
+    }
+    return files, checks
+
+
+def _sweep_csv(digest: str, seed: int, sweep) -> str:
+    """CSV text of a ``hemisphere_sweep``, one row per probe point."""
+    return _csv(
+        digest, seed, ("k", "x1", "x2", "lower_overlap", "upper_overlap", "passes"),
+        [(r.k, r.x1, r.x2, r.lower_overlap, r.upper_overlap, r.passes) for r in sweep],
+    )
 
 
 def _scenario_figure3(
-    out, seed, digest, /, *, max_level: int = 12,
+    seed, digest, /, *, max_level: int = 12,
     probe_levels: tuple[int, ...] = (2, 3, 4, 5, 6), height_frac: float = 0.5,
-) -> ScenarioResult:
+) -> ScenarioOutput:
     """Staircase geometry of the rectangle target, plus hemisphere overlaps."""
     if max_level < 2:
         raise ConfigError("max_level must be at least 2", key="max_level")
@@ -438,22 +405,6 @@ def _scenario_figure3(
         mass = 6.0 * 9.0 ** (-k)
         cum += mass
         rows.append((k, w, mass, cum / 0.75))
-    levels_path = out / "figure3_levels.csv"
-    _write_rows(
-        levels_path, digest, seed, ("level", "half_width", "mass", "cum_mass_fraction"), rows
-    )
-
-    hemi_rows = [
-        (r.k, r.x1, r.x2, r.lower_overlap, r.upper_overlap, r.passes) for r in sweep
-    ]
-    hemi_path = out / "figure3_hemispheres.csv"
-    _write_rows(
-        hemi_path,
-        digest,
-        seed,
-        ("k", "x1", "x2", "lower_overlap", "upper_overlap", "passes"),
-        hemi_rows,
-    )
 
     widths = [row[1] for row in rows]
     ratio_ok = all(
@@ -472,9 +423,21 @@ def _scenario_figure3(
             "hemisphere_overlaps_pass", all(r.passes for r in sweep), f"{len(sweep)} probes"
         ),
     )
-    return ScenarioResult(
-        "figure3_data", digest, seed, (str(levels_path), str(hemi_path)), checks
-    )
+    files = {
+        "figure3_levels.csv": _csv(
+            digest, seed, ("level", "half_width", "mass", "cum_mass_fraction"), rows
+        ),
+        "figure3_hemispheres.csv": _sweep_csv(digest, seed, sweep),
+    }
+    return files, checks
+
+
+def _gap_trend(mk_target, mk_field, h, windows, ppu) -> tuple[float, float, str]:
+    """(gap at the first window, gap at the last, trend verdict) of one
+    classification cell."""
+    pts = gap_growth_scan(mk_target(), mk_field(), h, list(windows), points_per_unit=ppu)
+    g_small, g_large = pts[0].gap, pts[-1].gap
+    return g_small, g_large, classify_gap_trend(g_small, g_large)
 
 
 # (target factory, field factory, h, windows, grid density, expected verdict)
@@ -500,7 +463,7 @@ _TABLE1_CELLS: tuple[tuple[str, str, Callable, Callable, float, tuple, int, str]
 )
 
 
-def _scenario_table1(out, seed, digest, /) -> ScenarioResult:
+def _scenario_table1(seed, digest, /) -> ScenarioOutput:
     """Tail-by-growth classification grid from windowed spectral gaps.
 
     Three tail classes crossed with three variance growth classes; each
@@ -512,9 +475,7 @@ def _scenario_table1(out, seed, digest, /) -> ScenarioResult:
     rows = []
     checks = []
     for tail, growth, mk_target, mk_field, h, windows, ppu, expected in _TABLE1_CELLS:
-        pts = gap_growth_scan(mk_target(), mk_field(), h, list(windows), points_per_unit=ppu)
-        g_small, g_large = pts[0].gap, pts[-1].gap
-        verdict = classify_gap_trend(g_small, g_large)
+        g_small, g_large, verdict = _gap_trend(mk_target, mk_field, h, windows, ppu)
         rows.append(
             (tail, growth, h, windows[0], windows[-1], g_small, g_large,
              g_large / g_small, verdict, expected, verdict == expected)
@@ -526,22 +487,15 @@ def _scenario_table1(out, seed, digest, /) -> ScenarioResult:
                 f"ratio {g_large / g_small:.4f} -> {verdict} (expected {expected})",
             )
         )
-    path = out / "table1_grid.csv"
-    _write_rows(
-        path,
-        digest,
-        seed,
-        ("tail", "growth", "h", "window_small", "window_large", "gap_small",
-         "gap_large", "ratio", "verdict", "expected", "cell_pass"),
-        rows,
-    )
-    return ScenarioResult("table1_grid", digest, seed, (str(path),), tuple(checks))
+    header = ("tail", "growth", "h", "window_small", "window_large", "gap_small",
+              "gap_large", "ratio", "verdict", "expected", "cell_pass")
+    return {"table1_grid.csv": _csv(digest, seed, header, rows)}, tuple(checks)
 
 
 def _scenario_lemma2(
-    out, seed, digest, /, *, a: float = 1.0, b: float = 1.5, h: float = 1.0,
+    seed, digest, /, *, a: float = 1.0, b: float = 1.5, h: float = 1.0,
     s: float = 0.5, xs: tuple[float, ...] = (20.0, 40.0, 80.0), n: int = 20_000,
-) -> ScenarioResult:
+) -> ScenarioOutput:
     """Drift-ratio probe in the light-tail regime with a sub-linear field."""
     target = make_exponential_tail(a)
     fld = power_field(b)
@@ -558,11 +512,6 @@ def _scenario_lemma2(
         rows.append((x, r.estimate, r.se, upper, q.estimate, rel))
         all_contract &= upper < 1.0
         all_quad &= rel <= 0.02
-    path = out / "lemma2_drift.csv"
-    _write_rows(
-        path, digest, seed,
-        ("x", "estimate", "se", "upper_3se", "quadrature", "rel_gap"), rows,
-    )
     checks = (
         ScenarioCheck(
             "contractive_at_all_probes", all_contract,
@@ -573,17 +522,18 @@ def _scenario_lemma2(
             "rel gaps " + ", ".join(f"{row[5]:.4f}" for row in rows),
         ),
     )
-    return ScenarioResult("lemma2_drift", digest, seed, (str(path),), checks)
+    header = ("x", "estimate", "se", "upper_3se", "quadrature", "rel_gap")
+    return {"lemma2_drift.csv": _csv(digest, seed, header, rows)}, checks
 
 
 def _scenario_lemma3(
-    out, seed, digest, /, *, p: float = 2.0, s: float = 0.25,
+    seed, digest, /, *, p: float = 2.0, s: float = 0.25,
     xs: tuple[float, ...] = (50.0, 100.0, 200.0), h_small: float = 0.01,
     h_large: float = 100.0,
     # the small-step contraction margin is under 1e-3, so the probe
     # needs the full sample size for est + 3 se to resolve it
     n: int = 100_000,
-) -> ScenarioResult:
+) -> ScenarioOutput:
     """Drift-ratio probe for a heavy-tail target with a quadratic field.
 
     Runs the same probe grid at a small and a large step size, each
@@ -605,11 +555,6 @@ def _scenario_lemma3(
             q = drift_ratio_quadrature(target, fld, h, V, x)
             rel = abs(r.estimate - q.estimate) / q.estimate
             rows.append((h, x, r.estimate, r.se, r.estimate + 3.0 * r.se, q.estimate, rel))
-    path = out / "lemma3_drift.csv"
-    _write_rows(
-        path, digest, seed,
-        ("h", "x", "estimate", "se", "upper_3se", "quadrature", "rel_gap"), rows,
-    )
     small, large = rows[: len(xs)], rows[len(xs):]
     checks = (
         ScenarioCheck(
@@ -625,13 +570,14 @@ def _scenario_lemma3(
             "rel gaps " + ", ".join(f"{r[6]:.4f}" for r in large),
         ),
     )
-    return ScenarioResult("lemma3_drift", digest, seed, (str(path),), checks)
+    header = ("h", "x", "estimate", "se", "upper_3se", "quadrature", "rel_gap")
+    return {"lemma3_drift.csv": _csv(digest, seed, header, rows)}, checks
 
 
 def _scenario_lemma4(
-    out, seed, digest, /, *, a: float = 1.0, b: float = 4.0, h: float = 1.0,
+    seed, digest, /, *, a: float = 1.0, b: float = 4.0, h: float = 1.0,
     eps: float = 0.1, xs: tuple[float, ...] = (10.0, 20.0, 40.0, 80.0), n: int = 20_000,
-) -> ScenarioResult:
+) -> ScenarioOutput:
     """Acceptance-set mass decay under a super-quadratic field."""
     target = make_exponential_tail(a)
     kern = gaussian_proposal(power_field(b), h)
@@ -640,8 +586,6 @@ def _scenario_lemma4(
     for x in xs:
         est = acceptance_set_mass(target, kern, x, eps=eps, n=n, seed=seed)
         rows.append((x, est.estimate, est.se))
-    path = out / "lemma4_probe.csv"
-    _write_rows(path, digest, seed, ("x", "mass", "se"), rows)
     masses = [r[1] for r in rows]
     checks = (
         ScenarioCheck(
@@ -653,13 +597,13 @@ def _scenario_lemma4(
             "mass_small_at_far_point", masses[-1] < 0.05, f"{masses[-1]:.5f} at x={xs[-1]:g}"
         ),
     )
-    return ScenarioResult("lemma4_probe", digest, seed, (str(path),), checks)
+    return {"lemma4_probe.csv": _csv(digest, seed, ("x", "mass", "se"), rows)}, checks
 
 
 def _scenario_lemma6(
-    out, seed, digest, /, *, p_values: tuple[int, ...] = (3, 4, 5, 6, 7, 8),
+    seed, digest, /, *, p_values: tuple[int, ...] = (3, 4, 5, 6, 7, 8),
     mc_draws: int = 100_000,
-) -> ScenarioResult:
+) -> ScenarioOutput:
     """Exact unit-disc rejection on the rectangle target versus its bounds.
 
     The exact overlap computation is cross-checked by Monte Carlo and
@@ -704,13 +648,6 @@ def _scenario_lemma6(
         rows.append((p, exact, pinned, area, exact >= pinned, mc_est, mc_se, z))
         mc_ok &= z <= 4.0
         meets_pinned &= exact >= pinned
-    path = out / "lemma6_exact.csv"
-    _write_rows(
-        path, digest, seed,
-        ("p", "exact", "pinned_bound", "area_bound", "meets_pinned",
-         "mc_estimate", "mc_se", "mc_z"),
-        rows,
-    )
     p6 = next((r[1] for r in rows if r[0] == 6), None)
     checks = (
         ScenarioCheck(
@@ -733,13 +670,15 @@ def _scenario_lemma6(
             f"exact at p=6 is {p6:.6f}" if p6 is not None else "p=6 not probed",
         ),
     )
-    return ScenarioResult("lemma6_exact", digest, seed, (str(path),), checks)
+    header = ("p", "exact", "pinned_bound", "area_bound", "meets_pinned",
+              "mc_estimate", "mc_se", "mc_z")
+    return {"lemma6_exact.csv": _csv(digest, seed, header, rows)}, checks
 
 
 def _scenario_lemma7(
-    out, seed, digest, /, *, levels: tuple[int, ...] = tuple(range(2, 13)),
+    seed, digest, /, *, levels: tuple[int, ...] = tuple(range(2, 13)),
     n_steps: int = 20_000, start_level: float = 10.0,
-) -> ScenarioResult:
+) -> ScenarioOutput:
     """Hemisphere sweep plus a long ellipse-proposal chain down the staircase."""
     if n_steps < 1000:
         raise ConfigError("n_steps must be at least 1000", key="n_steps")
@@ -753,20 +692,6 @@ def _scenario_lemma7(
     tail = traj.states[traj.n_steps // 2 :]
     mean_v = float(np.mean([V.evaluate(s) for s in tail]))
 
-    sweep_path = out / "lemma7_sweep.csv"
-    _write_rows(
-        sweep_path, digest, seed,
-        ("k", "x1", "x2", "lower_overlap", "upper_overlap", "passes"),
-        [(r.k, r.x1, r.x2, r.lower_overlap, r.upper_overlap, r.passes) for r in sweep],
-    )
-    summary_path = out / "lemma7_chain.csv"
-    _write_rows(
-        summary_path, digest, seed,
-        ("n_steps", "start_level", "min_level", "first_level1_step",
-         "mean_v_last_half", "acceptance_rate"),
-        [(n_steps, start_level, int(levels_visited.min()),
-          int(hits[0]) if hits.size else -1, mean_v, traj.acceptance_rate)],
-    )
     checks = (
         ScenarioCheck(
             "sweep_all_pass", all(r.passes for r in sweep), f"{len(sweep)} probe points"
@@ -777,27 +702,29 @@ def _scenario_lemma7(
         ),
         ScenarioCheck("mean_v_small", mean_v < 4.0, f"mean V = {mean_v:.3f}"),
     )
-    return ScenarioResult(
-        "lemma7_sweep", digest, seed, (str(sweep_path), str(summary_path)), checks
-    )
+    files = {
+        "lemma7_sweep.csv": _sweep_csv(digest, seed, sweep),
+        "lemma7_chain.csv": _csv(
+            digest, seed,
+            ("n_steps", "start_level", "min_level", "first_level1_step",
+             "mean_v_last_half", "acceptance_rate"),
+            [(n_steps, start_level, int(levels_visited.min()),
+              int(hits[0]) if hits.size else -1, mean_v, traj.acceptance_rate)],
+        ),
+    }
+    return files, checks
 
 
 def _scenario_esjd(
-    out, seed, digest, /, *,
+    seed, digest, /, *,
     b_values: tuple[float, ...] = tuple(round(0.4 * i, 1) for i in range(9)),
     n_steps: int = 20_000, h: float = 1.0, tune_acceptance: float | None = 0.44,
     sigma: float = 1.0,
-) -> ScenarioResult:
+) -> ScenarioOutput:
     """Jump-distance scan over field exponents at a fixed acceptance rate."""
     points = esjd_scan(
         make_gaussian(sigma), b_values, h, n_steps=n_steps, seed=seed,
         tune_acceptance=tune_acceptance,
-    )
-    path = out / "esjd_scan.csv"
-    _write_rows(
-        path, digest, seed,
-        ("b", "step_size", "esjd", "se", "acceptance_rate"),
-        [(p.b, p.step_size, p.esjd, p.se, p.acceptance_rate) for p in points],
     )
     window_ok = tune_acceptance is None or all(
         abs(p.acceptance_rate - tune_acceptance) <= 0.05 for p in points
@@ -808,7 +735,11 @@ def _scenario_esjd(
             "rates " + ", ".join(f"{p.acceptance_rate:.3f}" for p in points),
         ),
     )
-    return ScenarioResult("esjd_scan", digest, seed, (str(path),), checks)
+    text = _csv(
+        digest, seed, ("b", "step_size", "esjd", "se", "acceptance_rate"),
+        [(p.b, p.step_size, p.esjd, p.se, p.acceptance_rate) for p in points],
+    )
+    return {"esjd_scan.csv": text}, checks
 
 
 def _table1_cell(tail: str, growth: str) -> tuple:
@@ -829,21 +760,7 @@ ORACLE_CELLS: tuple[tuple[str, Callable, Callable, float, tuple, int, str], ...]
 )
 
 
-def run_oracle_cells():
-    """Gap trend verdicts for the four classification cells, each at its
-    own window pair."""
-    results = []
-    for name, mk_target, mk_field, h, windows, ppu, expected in ORACLE_CELLS:
-        pts = gap_growth_scan(
-            mk_target(), mk_field(), h, list(windows), points_per_unit=ppu
-        )
-        g_small, g_large = pts[0].gap, pts[-1].gap
-        verdict = classify_gap_trend(g_small, g_large)
-        results.append((name, h, windows, ppu, g_small, g_large, verdict, expected))
-    return results
-
-
-def _scenario_oracle(out, seed, digest, /) -> ScenarioResult:
+def _scenario_oracle(seed, digest, /) -> ScenarioOutput:
     """Windowed spectral-gap verdicts on four classification cells.
 
     Each cell runs at its own window pair (see ``ORACLE_CELLS``): a
@@ -851,34 +768,28 @@ def _scenario_oracle(out, seed, digest, /) -> ScenarioResult:
     window size, so its cell needs a span wider than 5x for the gap
     ratio to fall below the 0.2 threshold, and runs at Table 1's 10/160.
     """
-    results = run_oracle_cells()
-    rows = [
-        (name, h, windows[0], windows[1], g_s, g_l, g_l / g_s,
-         verdict, expected, verdict == expected)
-        for name, h, windows, ppu, g_s, g_l, verdict, expected in results
-    ]
-    path = out / "oracle_scan.csv"
-    _write_rows(
-        path, digest, seed,
-        ("cell", "h", "window_small", "window_large", "gap_small", "gap_large",
-         "ratio", "verdict", "expected", "cell_pass"),
-        rows,
-    )
-    checks = tuple(
-        ScenarioCheck(
-            f"cell_{name}", verdict == expected,
-            f"windows {windows[0]:g}/{windows[1]:g}: ratio {g_l / g_s:.4f} -> "
-            f"{verdict} (expected {expected})",
+    rows = []
+    checks = []
+    for name, mk_target, mk_field, h, windows, ppu, expected in ORACLE_CELLS:
+        g_s, g_l, verdict = _gap_trend(mk_target, mk_field, h, windows, ppu)
+        rows.append((name, h, windows[0], windows[1], g_s, g_l, g_l / g_s,
+                     verdict, expected, verdict == expected))
+        checks.append(
+            ScenarioCheck(
+                f"cell_{name}", verdict == expected,
+                f"windows {windows[0]:g}/{windows[1]:g}: ratio {g_l / g_s:.4f} -> "
+                f"{verdict} (expected {expected})",
+            )
         )
-        for name, h, windows, ppu, g_s, g_l, verdict, expected in results
-    )
-    return ScenarioResult("oracle_scan", digest, seed, (str(path),), checks)
+    header = ("cell", "h", "window_small", "window_large", "gap_small", "gap_large",
+              "ratio", "verdict", "expected", "cell_pass")
+    return {"oracle_scan.csv": _csv(digest, seed, header, rows)}, tuple(checks)
 
 
 def _scenario_custom(
-    out, seed, digest, /, *, target: dict, field: dict, x0: float | tuple[float, ...],
+    seed, digest, /, *, target: dict, field: dict, x0: float | tuple[float, ...],
     n_steps: int, h: float = 1.0,
-) -> ScenarioResult:
+) -> ScenarioOutput:
     """One chain with a user-specified target, field, and step size."""
     if n_steps < 1:
         raise ConfigError(
@@ -899,19 +810,16 @@ def _scenario_custom(
     except (ParameterError, SupportError) as exc:
         # the start point has the wrong dimension or is off the support
         raise ConfigError(str(exc), key="x0") from exc
-    path = out / "custom_trajectory.csv"
-    out.mkdir(parents=True, exist_ok=True)
-    traj.to_csv(path)
     checks = (
         ScenarioCheck(
             "chain_completed", True,
             f"{n_steps} steps, acceptance rate {traj.acceptance_rate:.4f}",
         ),
     )
-    return ScenarioResult("custom", digest, seed, (str(path),), checks)
+    return {"custom_trajectory.csv": traj.to_csv()}, checks
 
 
-SCENARIOS: dict[str, Callable[..., ScenarioResult]] = {
+SCENARIOS: dict[str, Callable[..., ScenarioOutput]] = {
     "figure1": _scenario_figure1,
     "figure2_data": _scenario_figure2,
     "figure3_data": _scenario_figure3,
@@ -948,14 +856,22 @@ def scenario_parameters(name: str) -> list[str]:
 
 def run_scenario(config: ExperimentConfig) -> ScenarioResult:
     """Bind the params to the scenario body's signature, run it, and
-    write its artifacts.
+    write the files it returns.
 
-    Config problems surface as ``ConfigError``.  The output directory
-    is created at the first write, after every check on the params has
-    passed, so a rejected config leaves no files behind.
+    Config problems surface as ``ConfigError``.  This is the only place
+    a scenario touches the disk: the output directory is created after
+    the body has returned, so a rejected config leaves no files behind.
     """
-    runner = SCENARIOS[config.scenario]
-    kwargs = bind_params(runner, config.params)
+    body = SCENARIOS[config.scenario]
+    kwargs = bind_params(body, config.params)
     # the digest hashes the params as written, not the bound values
     digest = scenario_digest(config.scenario, config.seed, config.params)
-    return runner(resolve_output_dir(config), config.seed, digest, **kwargs)
+    files, checks = body(config.seed, digest, **kwargs)
+    out = resolve_output_dir(config)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for name, text in files.items():
+        path = out / name
+        path.write_text(text)
+        paths.append(str(path))
+    return ScenarioResult(config.scenario, digest, config.seed, tuple(paths), checks)

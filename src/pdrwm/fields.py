@@ -33,12 +33,13 @@ __all__ = [
     "QUADRATIC",
     "subquadratic",
     "superquadratic",
-    "higher_dim",
     "CovarianceField",
     "PastSampleSet",
     "load_sample_set",
     "constant_field",
     "power_field",
+    "one_plus_square_field",
+    "ridge_conditional_field",
     "tempered_langevin_field",
     "regional_field",
     "mixture_field",
@@ -52,11 +53,9 @@ class GrowthClass:
     """Tail growth regime of a covariance field.
 
     ``kind`` is one of ``"bounded"``, ``"subquadratic"``, ``"quadratic"``,
-    ``"superquadratic"``, ``"higher_dim"``.  ``gamma`` is the polynomial
-    growth exponent where one applies: the field scale behaves like
-    ``(1+|x|)^gamma`` for large ``|x|``.  ``gamma`` is ``inf`` for
-    faster-than-polynomial growth and ``nan`` when no single exponent
-    describes the field (the higher-dimensional catch-all).
+    ``"superquadratic"``.  ``gamma`` is the polynomial growth exponent:
+    the field scale behaves like ``(1+|x|)^gamma`` for large ``|x|``.
+    ``gamma`` is ``inf`` for faster-than-polynomial growth.
     """
 
     kind: str
@@ -77,10 +76,6 @@ def superquadratic(gamma: float) -> GrowthClass:
     if not gamma > 2.0:
         raise ParameterError(f"superquadratic exponent must exceed 2, got {gamma}")
     return GrowthClass("superquadratic", float(gamma))
-
-
-def higher_dim() -> GrowthClass:
-    return GrowthClass("higher_dim", math.nan)
 
 
 @dataclass(frozen=True)
@@ -237,6 +232,47 @@ def power_field(b: float, dim: int = 1) -> CovarianceField:
     return CovarianceField(
         dim, inv_metric, growth, f"power(b={b:g},dim={dim})", inv_metric_batch
     )
+
+
+def one_plus_square_field() -> CovarianceField:
+    """One-dimensional field with inverse metric 1 + x^2.
+
+    The canonical quadratic-growth proposal variance: unit sized at the
+    origin, scaling like x^2 in the tails.
+    """
+
+    def inv_metric(x: np.ndarray) -> np.ndarray:
+        return np.array([[1.0 + float(x[0]) ** 2]])
+
+    def inv_metric_batch(xs: np.ndarray) -> np.ndarray:
+        return (1.0 + xs[:, 0] ** 2)[:, None, None]
+
+    return CovarianceField(1, inv_metric, QUADRATIC, "one_plus_square", inv_metric_batch)
+
+
+def ridge_conditional_field() -> CovarianceField:
+    """Two-dimensional field matched to the ridge target's conditionals.
+
+    Under exp(-x1^2 - x2^2 - x1^2 x2^2) each coordinate given the other
+    is a centred Gaussian with variance 1 / (2 (1 + other^2)); the field
+    simply proposes with those conditional variances on the diagonal.
+    """
+
+    def inv_metric(x: np.ndarray) -> np.ndarray:
+        return np.diag(
+            [
+                1.0 / (2.0 * (1.0 + float(x[1]) ** 2)),
+                1.0 / (2.0 * (1.0 + float(x[0]) ** 2)),
+            ]
+        )
+
+    def inv_metric_batch(xs: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(xs), 2, 2))
+        out[:, 0, 0] = 1.0 / (2.0 * (1.0 + xs[:, 1] ** 2))
+        out[:, 1, 1] = 1.0 / (2.0 * (1.0 + xs[:, 0] ** 2))
+        return out
+
+    return CovarianceField(2, inv_metric, BOUNDED, "ridge_conditional", inv_metric_batch)
 
 
 def tempered_langevin_field(

@@ -39,7 +39,6 @@ __all__ = [
     "make_gaussian",
     "make_ridge_2d",
     "make_rectangle",
-    "get_target",
     "TARGET_FACTORIES",
 ]
 
@@ -272,12 +271,3 @@ TARGET_FACTORIES = {
     "ridge": make_ridge_2d,
     "rectangle": make_rectangle,
 }
-
-
-def get_target(name: str, **params) -> TargetDensity:
-    """Look up a density family by name and build it from ``params``."""
-    if name not in TARGET_FACTORIES:
-        raise ParameterError(
-            f"unknown target family {name!r}; choose from {sorted(TARGET_FACTORIES)}"
-        )
-    return TARGET_FACTORIES[name](**params)

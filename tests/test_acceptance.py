@@ -19,6 +19,7 @@ explain four checks whose assertions rest on an analysis of the method:
 import pytest
 
 from pdrwm import verify
+from pdrwm.experiments import SCENARIOS, ScenarioCheck
 
 SEED = 0
 
@@ -71,3 +72,32 @@ def test_criterion_09_truncated_moments_and_tail_bound():
 
 def test_criterion_10_discretized_chain_consistency():
     run(verify.criterion_10)
+
+
+@pytest.mark.parametrize(
+    "criterion, scenario, params",
+    [
+        (verify.criterion_3, "lemma7_sweep", {"n_steps": 100_000}),
+        (verify.criterion_4, "lemma4_probe", {"n": 100_000}),
+        (verify.criterion_5, "lemma2_drift", {"n": 100_000}),
+        (verify.criterion_7, "oracle_scan", {}),
+    ],
+)
+@pytest.mark.parametrize("passed", [True, False])
+def test_criterion_runs_its_scenario_at_pinned_size(
+    monkeypatch, criterion, scenario, params, passed
+):
+    """Checks 3, 4, 5 and 7 run their scenario body at their own sample
+    size (not the scenario default) and pass iff all its checks pass."""
+    calls = []
+
+    def recorder(seed, digest, /, **kwargs):
+        calls.append((seed, kwargs))
+        checks = (ScenarioCheck("a", True, "one"), ScenarioCheck("b", passed, "two"))
+        return {}, checks
+
+    monkeypatch.setitem(SCENARIOS, scenario, recorder)
+    r = criterion(3)
+    assert calls == [(3, params)]
+    assert r.passed is passed
+    assert r.detail == "a: one; b: two"

@@ -148,3 +148,17 @@ class TestVerifyAll:
         second = capsys.readouterr().out
         # elapsed differs between runs; the measured numbers must not
         assert first.split("): ")[1] == second.split("): ")[1]
+
+    @pytest.mark.parametrize(
+        "args, key", [(["--only", "11"], "only"), (["--only", "1", "--only", "0"], "only"),
+                      (["--seed", "-1"], "seed")],
+    )
+    def test_bad_arguments_exit_two_before_any_check(self, capsys, monkeypatch, args, key):
+        def never(seed):
+            raise AssertionError("no check may run")
+
+        monkeypatch.setattr(verify, "CRITERIA", tuple((i, never) for i in range(1, 11)))
+        assert main(["verify-all", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error (key: {key})")
+        assert captured.out == ""

@@ -155,7 +155,7 @@ class TestSpecBuilders:
 
 class TestBindParams:
     @staticmethod
-    def body(out, seed, digest, /, *, n: int, h: float = 1.0,
+    def body(seed, digest, /, *, n: int, h: float = 1.0,
              xs: tuple[float, ...] = (), rate: float | None = 0.5):
         raise AssertionError("binding never calls the body")
 
@@ -225,6 +225,23 @@ class TestScenarioPlumbing:
         bodies = [open(f, "rb").read() for f in first.files]
         second = run_scenario(cfg)
         assert [open(f, "rb").read() for f in second.files] == bodies
+
+    @pytest.mark.parametrize(
+        "scenario, params", [("figure3_data", {}), ("lemma4_probe", {"n": 2000})]
+    )
+    def test_only_the_runner_writes(self, tmp_path, monkeypatch, scenario, params):
+        monkeypatch.chdir(tmp_path)
+        files, checks = SCENARIOS[scenario](4, "abc", **params)
+        assert list(tmp_path.iterdir()) == []
+        assert all(text.startswith("# config=abc seed=4\n") for text in files.values())
+
+        res = run_scenario(ExperimentConfig(scenario, 4, str(tmp_path / "o"), params))
+        assert sorted(res.files) == sorted(str(p) for p in (tmp_path / "o").iterdir())
+        assert [Path(f).name for f in res.files] == list(files)
+        assert res.checks == checks
+        assert [Path(f).read_text() for f in res.files] == [
+            text.replace("abc", res.digest) for text in files.values()
+        ]
 
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "redirect"))

@@ -6,7 +6,6 @@ import pytest
 from pdrwm import (
     ParameterError,
     RectangleDensity,
-    get_target,
     make_exponential_tail,
     make_gaussian,
     make_polynomial_tail,
@@ -109,11 +108,3 @@ class TestRectangle:
         partial = sum(3.0 ** (-k) * 2.0 * 3.0 ** (1 - k) for k in range(1, 60))
         assert partial == pytest.approx(0.75, abs=1e-15)
         assert make_rectangle().total_mass == 0.75
-
-
-def test_registry_dispatch():
-    t = get_target("polynomial", p=2.0)
-    assert t.tail_class.power == 2.0
-    assert get_target("rectangle").dim == 2
-    with pytest.raises(ParameterError):
-        get_target("cauchy")
