@@ -11,6 +11,15 @@ ground-truth side against which the Monte Carlo probes are reconciled.
 All areas integrate the horizontal chord of the shape clipped to the
 rectangle widths, with explicit breakpoints where the clipping switches
 on or off so the adaptive quadrature never straddles a kink.
+
+The chord integrand is the hot loop of this module: the default
+hemisphere sweep evaluates it about a hundred thousand times.  It is
+written with plain comparisons and constants bound at definition, but
+performs the same IEEE operations in the same order as the textbook
+``max(0, min(c1 + s, w) - max(c1 - s, -w))`` form, so every area is
+bit-identical to that form's.  The chord is also mirror-exact in the
+horizontal centre, which lets :func:`hemisphere_sweep` solve each
+mirrored pair of sweep points once.
 """
 
 from __future__ import annotations
@@ -85,8 +94,25 @@ def chord_overlap_integral(
     The ellipse is centered at ``(c1, c2)`` with the given semi-axes; the
     area integrates its horizontal chord over ``[y_lo, y_hi]`` after
     clipping to ``|x| <= window_half_width``.  Raises if the quadrature
-    cannot certify eight decimals.
+    cannot certify eight decimals.  Every argument must be finite except
+    the window half-width, which may be ``inf`` (no clipping).
+
+    The integrand computes ``u = (y - c2) / semi_height``, then
+    ``s = semi_width * sqrt(max(0, 1 - u*u))``, then clips ``c1 + s`` and
+    ``c1 - s`` to the window and takes their nonnegative difference.  Its
+    comparisons pick the same operand as builtin ``max``/``min`` would,
+    so each value, and hence each quadrature result, has the same bits as
+    that plain form.  Negating ``c1`` negates both clipped endpoints
+    exactly and swaps them, so the chord, the breakpoints and the area at
+    ``-c1`` equal those at ``c1`` bit for bit.
     """
+    if math.isnan(window_half_width) or not all(
+        map(math.isfinite, (c1, c2, semi_width, semi_height, y_lo, y_hi))
+    ):
+        raise ParameterError(
+            "ellipse centre, semi-axes and level bounds must be finite and "
+            "the window half-width not NaN"
+        )
     if semi_width <= 0 or semi_height <= 0:
         raise ParameterError("semi-axes must be positive")
     if window_half_width <= 0:
@@ -98,10 +124,19 @@ def chord_overlap_integral(
 
     w = window_half_width
 
-    def chord(y: float) -> float:
-        u = (y - c2) / semi_height
-        s = semi_width * math.sqrt(max(0.0, 1.0 - u * u))
-        return max(0.0, min(c1 + s, w) - max(c1 - s, -w))
+    def chord(y, c1=c1, c2=c2, a=semi_width, b=semi_height, w=w, nw=-w,
+              sqrt=math.sqrt):
+        u = (y - c2) / b
+        t = 1.0 - u * u
+        s = a * sqrt(t) if t > 0.0 else 0.0
+        right = c1 + s
+        if w < right:
+            right = w
+        left = c1 - s
+        if nw > left:
+            left = nw
+        d = right - left
+        return d if d > 0.0 else 0.0
 
     # clipping switches where the chord endpoints cross the strip edges
     points = []
@@ -137,6 +172,16 @@ def overlap_area(
     )
 
 
+def _planar_point(x: Sequence[float]) -> np.ndarray:
+    """``x`` as a finite length-2 float vector, or a ParameterError."""
+    xv = np.asarray(x, dtype=float).ravel()
+    if xv.shape != (2,):
+        raise ParameterError(f"expected a planar point, got shape {xv.shape}")
+    if not (math.isfinite(xv[0]) and math.isfinite(xv[1])):
+        raise ParameterError(f"planar point must be finite, got {xv}")
+    return xv
+
+
 def _levels_touching(c2: float, semi_height: float = 1.0) -> range:
     lo = max(1, math.floor(c2 - semi_height))
     hi = math.floor(c2 + semi_height)
@@ -151,9 +196,7 @@ def exact_rejection_disc(x: Sequence[float]) -> float:
     accepted mass is a weighted sum of per-level overlap areas over pi.
     ``x`` must lie in the staircase support.
     """
-    xv = np.asarray(x, dtype=float).ravel()
-    if xv.shape != (2,):
-        raise ParameterError(f"expected a planar point, got shape {xv.shape}")
+    xv = _planar_point(x)
     if not _RECT.support_test(xv):
         raise SupportError(f"{xv} is outside the staircase support")
     k = RectangleDensity.level(xv)
@@ -214,7 +257,7 @@ def crosses_level_boundary(x: Sequence[float]) -> bool:
     this test are exactly the ones where the lower hemisphere overlap is
     strictly larger than the upper one.
     """
-    xv = np.asarray(x, dtype=float).ravel()
+    xv = _planar_point(x)
     k = math.floor(xv[1])
     frac = float(xv[1]) - k
     if frac <= 0.0:
@@ -235,9 +278,7 @@ def hemisphere_overlap_check(x: Sequence[float]) -> HemisphereOverlap:
     (see :func:`crosses_level_boundary`).  ``passes`` records the strict
     comparison.
     """
-    xv = np.asarray(x, dtype=float).ravel()
-    if xv.shape != (2,):
-        raise ParameterError(f"expected a planar point, got shape {xv.shape}")
+    xv = _planar_point(x)
     if not _RECT.support_test(xv):
         raise SupportError(f"{xv} is outside the staircase support")
     k = RectangleDensity.level(xv)
@@ -286,8 +327,16 @@ def hemisphere_sweep(
     and five horizontal positions as fractions of the level half-width,
     275 points in all, every one of which crosses its upper level
     boundary, so ``passes`` is expected to hold at each row.
+
+    The overlaps at ``(-x1, x2)`` equal those at ``(x1, x2)`` bit for bit
+    (see :func:`chord_overlap_integral`), so each point is solved once
+    per ``|x1|`` and its mirror image reuses the result; on the default
+    grid that is 165 solves for 275 rows.  The reuse lasts one call:
+    nothing is remembered between sweeps.  Rows, their order and their
+    ``x1`` values are those of the plain point-by-point sweep.
     """
     rows = []
+    solved: dict[tuple[float, float], HemisphereOverlap] = {}
     for k in levels:
         w = 3.0 ** (1 - k)
         for frac in height_fracs:
@@ -304,7 +353,10 @@ def hemisphere_sweep(
                         f"sweep point {x} does not cross its level boundary; "
                         "widen the height fractions"
                     )
-                res = hemisphere_overlap_check(x)
+                key = (abs(x[0]), x[1])
+                res = solved.get(key)
+                if res is None:
+                    res = solved[key] = hemisphere_overlap_check(x)
                 rows.append(
                     HemisphereSweepRow(
                         int(k), x[0], x[1], res.lower, res.upper, res.passes

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pdrwm import (
     EvaluationError,
@@ -73,6 +75,28 @@ class TestPower:
         f = power_field(2.0, dim=2)
         m = f.inv_metric(pt(3.0, 4.0))
         np.testing.assert_allclose(m, 36.0 * np.eye(2))
+
+    @given(
+        b=st.sampled_from([0.0, 0.5, 1.5, 2.0, 4.0]),
+        x=st.lists(
+            st.one_of(
+                st.floats(-1e3, 1e3),
+                st.floats(-1e300, 1e300),
+                st.sampled_from([2e154, -3e200, 5e-324, -1e-310, 0.0, -0.0]),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_value_has_the_bits_of_the_norm_form(self, b, x):
+        # past |x| = 1e154 the square overflows to inf, and a subnormal
+        # square underflows to 0; both forms must do so alike
+        xv = np.array(x)
+        f = power_field(b, dim=len(x))
+        eye = np.eye(len(x))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 off-diagonal
+            expected = (1.0 + float(np.linalg.norm(xv))) ** b * eye
+            assert f.inv_metric(xv).tobytes() == expected.tobytes()
 
 
 def _growth(field):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from pdrwm import (
     LevelRectangle,
@@ -16,11 +19,38 @@ from pdrwm import (
     hemisphere_sweep,
     overlap_area,
 )
+from pdrwm import rectangle
 
 # Exact rejection at the level-3 center, frozen from the chord quadrature
 # and verified by hand: overlaps 0.654107 and 0.221744 give
 # 1 - 0.875851/pi.
 EXACT_R03 = 0.7212016926123119
+
+
+def plain_chord_overlap_integral(c1, c2, semi_width, semi_height, w, y_lo, y_hi):
+    """The chord quadrature in its plain form, builtin ``max``/``min`` in
+    the integrand; the module's integrand must reproduce its bits."""
+    lo = max(y_lo, c2 - semi_height)
+    hi = min(y_hi, c2 + semi_height)
+    if hi <= lo:
+        return 0.0
+
+    def chord(y):
+        u = (y - c2) / semi_height
+        s = semi_width * math.sqrt(max(0.0, 1.0 - u * u))
+        return max(0.0, min(c1 + s, w) - max(c1 - s, -w))
+
+    points = []
+    for t in (w - c1, w + c1):
+        if 0.0 < t < semi_width:
+            r = semi_height * math.sqrt(1.0 - (t / semi_width) ** 2)
+            for y in (c2 - r, c2 + r):
+                if lo < y < hi:
+                    points.append(y)
+    val, _ = quad(
+        chord, lo, hi, points=sorted(points), limit=200, epsabs=1e-12, epsrel=1e-10
+    )
+    return float(val)
 
 
 def mc_overlap(center, level, n=2_000_000, seed=1, semi_width=1.0):
@@ -74,6 +104,58 @@ class TestChordIntegral:
 
     def test_empty_vertical_range(self):
         assert chord_overlap_integral(0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 3.0) == 0.0
+
+    @settings(max_examples=200)
+    @given(
+        c1=st.one_of(st.floats(-2.5, 2.5), st.sampled_from([0.0, -0.0, 1.0, -1.0])),
+        c2=st.floats(-2.0, 2.0),
+        semi_width=st.one_of(st.floats(0.01, 2.0), st.just(1.0)),
+        semi_height=st.floats(0.05, 2.0),
+        window=st.one_of(
+            st.floats(0.01, 2.0), st.sampled_from([1.0 / 3.0, 50.0, math.inf])
+        ),
+        y_lo=st.floats(-3.0, 2.0),
+        span=st.floats(0.0, 4.0),
+    )
+    def test_bits_match_plain_integrand(
+        self, c1, c2, semi_width, semi_height, window, y_lo, span
+    ):
+        # windows narrower than the chord clip it on both sides, centres
+        # beyond the window leave zero-length chords
+        args = (c1, c2, semi_width, semi_height, window, y_lo, y_lo + span)
+        assert chord_overlap_integral(*args) == plain_chord_overlap_integral(*args)
+
+    def test_bits_match_on_clipping_cases(self):
+        cases = [
+            (0.0, 0.0, 1.0, 1.0, 1.0 / 3.0, -1.0, 1.0),  # clipped both sides
+            (0.9, 0.3, 1.0, 1.0, 1.0 / 3.0, -0.5, 1.5),  # right edge only
+            (-0.9, 0.3, 1.0, 1.0, 1.0 / 3.0, -0.5, 1.5),  # left edge only
+            (3.0, 0.0, 1.0, 1.0, 1.0, -1.0, 1.0),  # no chord inside
+            (0.2, 2.7, 1.0, 1.0, 1.0 / 9.0, 3.0, 4.0),  # a staircase level
+        ]
+        for args in cases:
+            assert chord_overlap_integral(*args) == plain_chord_overlap_integral(*args)
+        assert chord_overlap_integral(*cases[3]) == 0.0
+
+    def test_infinite_window_means_no_clipping(self):
+        area = chord_overlap_integral(0.3, 0.0, 1.0, 1.0, math.inf, -1.0, 1.0)
+        assert area == pytest.approx(math.pi, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (0, 0.5, math.nan, 1, 1, 0, 1),
+            (math.nan, 0.5, 1.0, 1.0, 1.0, 0.0, 1.0),
+            (0.0, math.inf, 1.0, 1.0, 1.0, 0.0, 1.0),
+            (0.0, 0.5, 1.0, math.inf, 1.0, 0.0, 1.0),
+            (0.0, 0.5, 1.0, 1.0, math.nan, 0.0, 1.0),
+            (0.0, 0.5, 1.0, 1.0, 1.0, -math.inf, 1.0),
+            (0.0, 0.5, 1.0, 1.0, 1.0, 0.0, math.nan),
+        ],
+    )
+    def test_non_finite_input_refused(self, args):
+        with pytest.raises(ParameterError):
+            chord_overlap_integral(*args)
 
 
 class TestOverlapArea:
@@ -138,6 +220,13 @@ class TestExactRejection:
             exact_rejection_disc((0.0, 0.5))
         with pytest.raises(SupportError):
             exact_rejection_disc((2.0, 3.0))
+
+    @pytest.mark.parametrize(
+        "x", [(math.nan, 3.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 3.0)]
+    )
+    def test_non_finite_point_refused(self, x):
+        with pytest.raises(ParameterError):
+            exact_rejection_disc(x)
 
 
 class TestBounds:
@@ -213,6 +302,26 @@ class TestHemispheres:
         with pytest.raises(SupportError):
             hemisphere_overlap_check((1.0, 2.5))
 
+    @pytest.mark.parametrize(
+        "x", [(math.nan, 2.5), (0.0, math.nan), (0.0, math.inf), (math.inf, 2.5)]
+    )
+    def test_non_finite_point_refused(self, x):
+        with pytest.raises(ParameterError):
+            hemisphere_overlap_check(x)
+        with pytest.raises(ParameterError):
+            crosses_level_boundary(x)
+
+    @given(
+        k=st.integers(2, 12),
+        frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        xf=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_mirror_images_agree_exactly(self, k, frac, xf):
+        x1 = xf * 3.0 ** (1 - k)
+        assert hemisphere_overlap_check((x1, k + frac)) == hemisphere_overlap_check(
+            (-x1, k + frac)
+        )
+
 
 class TestSweep:
     def test_default_sweep_all_pass(self):
@@ -231,3 +340,33 @@ class TestSweep:
     def test_non_crossing_grid_rejected(self):
         with pytest.raises(ParameterError):
             hemisphere_sweep(levels=[2], height_fracs=[0.01], x1_fracs=[0.9])
+
+    @pytest.mark.parametrize(
+        "grid",
+        [{}, {"x1_fracs": (-0.7, -0.3, 0.3, 0.55)}],
+        ids=["default", "asymmetric"],
+    )
+    def test_rows_equal_point_by_point_checks(self, grid):
+        rows = hemisphere_sweep(**grid)
+        for r in rows:
+            res = hemisphere_overlap_check((r.x1, r.x2))
+            assert (r.lower_overlap, r.upper_overlap, r.passes) == tuple(res)
+        xfs = grid.get("x1_fracs", (-0.8, -0.4, 0.0, 0.4, 0.8))
+        w = 3.0 ** (1 - 2)  # the first rows are level 2
+        assert [r.x1 for r in rows[: len(xfs)]] == [xf * w for xf in xfs]
+
+    def test_mirrored_points_solved_once_per_call(self, monkeypatch):
+        calls = []
+
+        def counting_quad(*args, **kwargs):
+            calls.append(1)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(rectangle, "quad", counting_quad)
+        hemisphere_sweep()
+        first = len(calls)
+        hemisphere_sweep()
+        # a second sweep redoes all of its work: nothing outlives a call
+        assert len(calls) == 2 * first
+        # three distinct |x1| of five per height, against 1100 point by point
+        assert first <= 660
