@@ -94,7 +94,6 @@ from .proposals import (
     TruncatedGaussianSpec,
     circle_proposal,
     ellipse_proposal,
-    ellipse_semi_width,
     gaussian_proposal,
     gaussian_tail_bound,
     truncated_mean,
@@ -103,7 +102,6 @@ from .proposals import (
 from .rectangle import (
     HemisphereOverlap,
     HemisphereSweepRow,
-    LevelRectangle,
     chord_overlap_integral,
     crosses_level_boundary,
     disc_rejection_area_bound,

@@ -63,6 +63,7 @@ from .rectangle import (
 )
 from .targets import (
     TARGET_FACTORIES,
+    RectangleDensity,
     TargetDensity,
     make_exponential_tail,
     make_gaussian,
@@ -400,18 +401,18 @@ def _scenario_figure3(
     rows = []
     cum = 0.0
     for k in range(1, max_level + 1):
-        w = 3.0 ** (1 - k)
+        w = RectangleDensity.half_width(k)
         # density 3^-k over a 2*3^(1-k) wide, unit tall slab
         mass = 6.0 * 9.0 ** (-k)
         cum += mass
-        rows.append((k, w, mass, cum / 0.75))
+        rows.append((k, w, mass, cum / RectangleDensity.total_mass))
 
     widths = [row[1] for row in rows]
     ratio_ok = all(
         abs(widths[i + 1] / widths[i] - 1.0 / 3.0) < 1e-12 for i in range(len(widths) - 1)
     )
     total = sum(row[2] for row in rows)
-    expected_total = 0.75 * (1.0 - 9.0 ** (-max_level))
+    expected_total = RectangleDensity.total_mass * (1.0 - 9.0 ** (-max_level))
     checks = (
         ScenarioCheck("half_width_ratio_one_third", ratio_ok, f"{len(widths)} levels"),
         ScenarioCheck(
@@ -617,7 +618,6 @@ def _scenario_lemma6(
     if not p_values or min(p_values) < 3:
         raise ConfigError("p_values must be nonempty and >= 3", key="p_values")
 
-    rect = make_rectangle()
     rng = np.random.default_rng(seed)
     rows = []
     mc_ok = True
@@ -632,16 +632,15 @@ def _scenario_lemma6(
         th = rng.random(mc_draws) * 2.0 * np.pi
         y1 = r * np.cos(th)
         y2 = p + r * np.sin(th)
-        # per-level half-widths and acceptances in Python float arithmetic,
-        # as the per-point support test computes them, indexed by level
+        # per-level acceptances in Python float arithmetic, indexed by
+        # level; the half-widths are the support test's own floats
         levels = np.floor(y2).astype(int)
+        half = RectangleDensity.half_widths(levels)
         low = int(levels.min())
         ks = range(low, int(levels.max()) + 1)
-        half = np.array([rect.half_width(k) for k in ks])
         accept = np.array([min(1.0, 3.0 ** (p - k)) for k in ks])
-        levels -= low
-        rej = 1.0 - accept[levels]
-        rej[(y2 < 1.0) | (np.abs(y1) > half[levels])] = 1.0  # off the support
+        rej = 1.0 - accept[levels - low]
+        rej[(y2 < 1.0) | (np.abs(y1) > half)] = 1.0  # off the support
         mc_est = float(rej.mean())
         mc_se = float(rej.std(ddof=1) / np.sqrt(mc_draws))
         z = abs(exact - mc_est) / mc_se

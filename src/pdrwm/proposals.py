@@ -4,7 +4,10 @@ The central kernel is the position-dependent Gaussian random walk built
 from a covariance field: from ``x`` it proposes ``y ~ N(x, h * S(x))``.
 Two uniform kernels over moving planar shapes (a unit disc and a
 level-dependent ellipse) support the narrowing-rectangle analysis, where
-acceptance probabilities reduce to area ratios.
+acceptance probabilities reduce to area ratios.  The ellipse's width is
+the staircase level's half-width from :class:`~pdrwm.targets.RectangleDensity`,
+in its per-point and batch forms alike; it is subnormal from level 646
+up (and 0.0 from level 680), where the ellipse raises ``NumericError``.
 
 Argument order convention: ``log_q(y, x)`` is the log density at ``y`` of
 the proposal launched from ``x``.  ``log_q_batch(ys, xs)`` is the same
@@ -15,7 +18,6 @@ points, or an ``(m, dim)`` array of start points against one end point.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,13 +27,13 @@ from scipy.special import log_ndtr
 
 from .errors import NumericError, ParameterError
 from .fields import CovarianceField
+from .targets import RectangleDensity
 
 __all__ = [
     "ProposalKernel",
     "gaussian_proposal",
     "circle_proposal",
     "ellipse_proposal",
-    "ellipse_semi_width",
     "TruncatedGaussianSpec",
     "truncated_mean",
     "truncated_mgf",
@@ -239,36 +241,28 @@ def circle_proposal() -> ProposalKernel:
     )
 
 
-def ellipse_semi_width(x2: float) -> float:
-    """Horizontal semi-axis of the level-adapted ellipse at height ``x2``.
-
-    Equal to the half-width of the rectangle level below the point:
-    ``3**(1 - floor(x2))``.  At level one this is 3; the ellipse proposal
-    clips it to 1 so the shape reduces to the unit disc there.
-    """
-    return 3.0 ** (1 - math.floor(x2))
-
-
 def ellipse_proposal() -> ProposalKernel:
     """Uniform proposal on an axis-aligned ellipse that narrows with height.
 
-    Semi-axes are ``(min(w, 1), 1)`` with ``w = ellipse_semi_width(x2)``,
-    so the shape tracks the rectangle level containing the start point and
-    degenerates to the unit disc at the lowest level.  Because ``w``
-    depends on the start, the density ratio between forward and reverse
-    moves is the area ratio of the two ellipses.  From height 646 up,
-    ``w`` falls below the smallest normal float, and sampling from or
-    evaluating the density at such a start raises ``NumericError``.
+    Semi-axes are ``(w, 1)`` with ``w`` the half-width of the staircase
+    level ``floor(x2)`` of the start, or 1 at and below level 1, so the
+    shape is the unit disc there.  Because ``w`` depends on the start,
+    the density ratio between forward and reverse moves is the area
+    ratio of the two ellipses.  From height 646 up, ``w`` falls below
+    the smallest normal float, and sampling from or evaluating the
+    density at such a start raises ``NumericError``.
     """
+    half_width, half_widths = RectangleDensity.half_width, RectangleDensity.half_widths
+    subnormal_level = RectangleDensity.subnormal_level
 
     def _w(x: np.ndarray) -> float:
-        w = min(ellipse_semi_width(float(x[1])), 1.0)
-        if w < sys.float_info.min:
+        k = math.floor(float(x[1]))
+        if k >= subnormal_level:
             raise NumericError(
                 "ellipse semi-width 3**(1 - floor(x2)) underflows at height "
                 f"{float(x[1])!r}"
             )
-        return w
+        return half_width(k if k > 1 else 1)
 
     def sample(x, rng):
         off = _disc_offsets(1, rng)[0]
@@ -291,7 +285,7 @@ def ellipse_proposal() -> ProposalKernel:
     def log_q_batch(ys, xs):
         ys, xs = np.atleast_2d(ys), np.atleast_2d(xs)
         _w(xs[np.argmax(xs[:, 1])])  # the narrowest start must not underflow
-        w = np.minimum(3.0 ** (1.0 - np.floor(xs[:, 1])), 1.0)
+        w = half_widths(np.floor(xs[:, 1]))
         du = (ys[:, 0] - xs[:, 0]) / w
         dv = ys[:, 1] - xs[:, 1]
         return np.where(du * du + dv * dv <= 1.0, -np.log(math.pi * w), -np.inf)

@@ -10,7 +10,11 @@ ground-truth side against which the Monte Carlo probes are reconciled.
 
 All areas integrate the horizontal chord of the shape clipped to the
 rectangle widths, with explicit breakpoints where the clipping switches
-on or off so the adaptive quadrature never straddles a kink.
+on or off so the adaptive quadrature never straddles a kink.  The
+widths come from :class:`~pdrwm.targets.RectangleDensity`.  They are
+subnormal from level 646, where the hemisphere comparison raises
+``NumericError`` as the ellipse proposal does, and 0.0 from level 680,
+where a strip holds no area.
 
 The chord integrand is the hot loop of this module: the default
 hemisphere sweep evaluates it about a hundred thousand times.  It is
@@ -25,7 +29,6 @@ mirrored pair of sweep points once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -35,7 +38,6 @@ from .errors import NumericError, ParameterError, SupportError
 from .targets import RectangleDensity, make_rectangle
 
 __all__ = [
-    "LevelRectangle",
     "chord_overlap_integral",
     "overlap_area",
     "exact_rejection_disc",
@@ -52,32 +54,7 @@ __all__ = [
 _AREA_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class LevelRectangle:
-    """Level ``k`` of the staircase support: ``[k, k+1) x [-w, w]``
-    with half-width ``w = 3**(1-k)`` and density weight ``3**(-k)``."""
-
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ParameterError(f"levels start at 1, got {self.k}")
-
-    @property
-    def half_width(self) -> float:
-        return 3.0 ** (1 - self.k)
-
-    @property
-    def density_weight(self) -> float:
-        return 3.0 ** (-self.k)
-
-    @property
-    def y_lo(self) -> float:
-        return float(self.k)
-
-    @property
-    def y_hi(self) -> float:
-        return float(self.k + 1)
+_half_width = RectangleDensity.half_width
 
 
 def chord_overlap_integral(
@@ -95,7 +72,8 @@ def chord_overlap_integral(
     area integrates its horizontal chord over ``[y_lo, y_hi]`` after
     clipping to ``|x| <= window_half_width``.  Raises if the quadrature
     cannot certify eight decimals.  Every argument must be finite except
-    the window half-width, which may be ``inf`` (no clipping).
+    the window half-width, which may be ``inf`` (no clipping).  A window
+    of half-width zero (a staircase level from 680 up) holds no area.
 
     The integrand computes ``u = (y - c2) / semi_height``, then
     ``s = semi_width * sqrt(max(0, 1 - u*u))``, then clips ``c1 + s`` and
@@ -115,11 +93,11 @@ def chord_overlap_integral(
         )
     if semi_width <= 0 or semi_height <= 0:
         raise ParameterError("semi-axes must be positive")
-    if window_half_width <= 0:
-        raise ParameterError("window half-width must be positive")
+    if window_half_width < 0:
+        raise ParameterError("window half-width must not be negative")
     lo = max(y_lo, c2 - semi_height)
     hi = min(y_hi, c2 + semi_height)
-    if hi <= lo:
+    if hi <= lo or window_half_width == 0:
         return 0.0
 
     w = window_half_width
@@ -164,11 +142,14 @@ def overlap_area(
     semi_height: float = 1.0,
 ) -> float:
     """Area of the ellipse (default: unit disc) at ``center`` inside the
-    level-``level`` rectangle of the staircase support."""
-    rect = LevelRectangle(level)
+    level-``level`` rectangle ``[-w, w] x [level, level + 1)`` of the
+    staircase support, ``w`` its half-width."""
+    if level < 1:
+        raise ParameterError(f"levels start at 1, got {level}")
     c1, c2 = float(center[0]), float(center[1])
     return chord_overlap_integral(
-        c1, c2, semi_width, semi_height, rect.half_width, rect.y_lo, rect.y_hi
+        c1, c2, semi_width, semi_height, _half_width(level), float(level),
+        float(level + 1),
     )
 
 
@@ -228,7 +209,7 @@ def disc_rejection_lower_bound(p: int) -> float:
     """
     if p < 3:
         raise ParameterError(f"the bound is stated for levels p >= 3, got {p}")
-    return 1.0 - (3.0 ** (2 - p) + 3.0 ** (1 - p)) / math.pi
+    return 1.0 - (_half_width(p - 1) + _half_width(p)) / math.pi
 
 
 def disc_rejection_area_bound(p: int) -> float:
@@ -237,7 +218,7 @@ def disc_rejection_area_bound(p: int) -> float:
     so rejection is at least one minus that over pi."""
     if p < 3:
         raise ParameterError(f"the bound is stated for levels p >= 3, got {p}")
-    return 1.0 - 2.0 * (3.0 ** (2 - p) + 3.0 ** (1 - p)) / math.pi
+    return 1.0 - 2.0 * (_half_width(p - 1) + _half_width(p)) / math.pi
 
 
 class HemisphereOverlap(NamedTuple):
@@ -262,7 +243,7 @@ def crosses_level_boundary(x: Sequence[float]) -> bool:
     frac = float(xv[1]) - k
     if frac <= 0.0:
         return False
-    w = 3.0 ** (1 - k)
+    w = _half_width(k)
     reach = w * math.sqrt(1.0 - (1.0 - frac) ** 2)
     return abs(float(xv[0])) < reach + w / 3.0
 
@@ -276,7 +257,8 @@ def hemisphere_overlap_check(x: Sequence[float]) -> HemisphereOverlap:
     by the narrower level ``k+1``; ``lower >= upper`` therefore always,
     and strictly when the ellipse actually crosses into level ``k+1``
     (see :func:`crosses_level_boundary`).  ``passes`` records the strict
-    comparison.
+    comparison.  From level 646 up the semi-width is subnormal and this
+    raises ``NumericError``, as the ellipse proposal does.
     """
     xv = _planar_point(x)
     if not _RECT.support_test(xv):
@@ -288,17 +270,20 @@ def hemisphere_overlap_check(x: Sequence[float]) -> HemisphereOverlap:
             "rectangle has nothing wider below it)"
         )
     c1, c2 = float(xv[0]), float(xv[1])
-    w = 3.0 ** (1 - k)
+    if k >= RectangleDensity.subnormal_level:
+        raise NumericError(
+            f"ellipse semi-width 3**(1 - floor(x2)) underflows at height {c2!r}"
+        )
+    w = _half_width(k)
 
     def hemisphere(y_lo: float, y_hi: float) -> float:
         total = 0.0
         for m in _levels_touching(c2):
-            rect = LevelRectangle(m)
-            seg_lo = max(y_lo, rect.y_lo)
-            seg_hi = min(y_hi, rect.y_hi)
+            seg_lo = max(y_lo, float(m))
+            seg_hi = min(y_hi, float(m + 1))
             if seg_hi > seg_lo:
                 total += chord_overlap_integral(
-                    c1, c2, w, 1.0, rect.half_width, seg_lo, seg_hi
+                    c1, c2, w, 1.0, _half_width(m), seg_lo, seg_hi
                 )
         return total
 
@@ -338,7 +323,7 @@ def hemisphere_sweep(
     rows = []
     solved: dict[tuple[float, float], HemisphereOverlap] = {}
     for k in levels:
-        w = 3.0 ** (1 - k)
+        w = _half_width(k)
         for frac in height_fracs:
             if not 0.0 < frac < 1.0:
                 raise ParameterError(f"height fractions must lie in (0,1), got {frac}")

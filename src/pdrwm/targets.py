@@ -9,16 +9,20 @@ Points are 1-D numpy arrays of length ``dim``; batches of points are
 ``(m, dim)`` arrays, one point per row.  Each formula is written once
 over coordinates: the per-point form hands it Python floats, the batch
 form whole columns.  The two forms therefore agree to the last bit or
-two, not exactly: numpy's vectorised ``power``/``exp``/``log1p`` may
-round differently from the C library on a few percent of inputs, and
-the chains keep the per-point arithmetic they always had.
+two, not exactly: numpy's vectorised ``exp``/``log1p`` may round
+differently from the C library on a few percent of inputs, and the
+chains keep the per-point arithmetic they always had.  The staircase's
+two forms agree exactly: :class:`RectangleDensity` alone defines its
+level rule, which every other module reads, and its array form looks up
+the scalar form's floats.  Its half-width is subnormal from level 646
+and exactly 0.0 from level 680.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -119,7 +123,11 @@ class RectangleDensity(TargetDensity):
     """
 
     #: closed form of the geometric series of level masses
-    total_mass: float = 0.75
+    total_mass: ClassVar[float] = 0.75
+    #: first level whose half-width is below the smallest normal float
+    subnormal_level: ClassVar[int] = 646
+    #: first level whose half-width is exactly 0.0, as at every level above
+    zero_level: ClassVar[int] = 680
 
     @staticmethod
     def level(y: np.ndarray) -> int:
@@ -128,8 +136,17 @@ class RectangleDensity(TargetDensity):
 
     @staticmethod
     def half_width(k: int) -> float:
-        """Horizontal half-extent of level ``k``."""
+        """Horizontal half-extent of level ``k >= 1``."""
         return 3.0 ** (1 - k)
+
+    #: ``half_width`` at levels ``1..zero_level``
+    _table: ClassVar[np.ndarray] = np.array([*map(half_width, range(1, zero_level + 1))])
+
+    @classmethod
+    def half_widths(cls, ks: np.ndarray) -> np.ndarray:
+        """:meth:`half_width`'s floats (not numpy ``power``'s) at an array
+        of levels, not NaN, each clipped to ``1..zero_level``."""
+        return cls._table[np.clip(ks, 1, cls.zero_level).astype(np.intp) - 1]
 
 
 def _always(_: np.ndarray) -> bool:
@@ -237,23 +254,25 @@ def make_rectangle() -> RectangleDensity:
     level ``k`` is ``-k*log(3)``; ``-inf`` outside the support.
     """
 
+    half_width, half_widths = RectangleDensity.half_width, RectangleDensity.half_widths
+
     def in_support(y: np.ndarray) -> bool:
         y2 = float(y[1])
-        if y2 < 1.0:
-            return False
-        k = math.floor(y2)
-        return abs(float(y[0])) <= 3.0 ** (1 - k)
+        return y2 >= 1.0 and abs(float(y[0])) <= half_width(math.floor(y2))
 
     def logp(y: np.ndarray) -> float:
-        if not in_support(y):
-            return -math.inf
-        return -math.floor(float(y[1])) * _LOG3
+        y2 = float(y[1])
+        if y2 >= 1.0:
+            k = math.floor(y2)
+            if abs(float(y[0])) <= half_width(k):
+                return -k * _LOG3
+        return -math.inf
 
     def logp_batch(ys: np.ndarray) -> np.ndarray:
         y1, y2 = ys[:, 0], ys[:, 1]
         k = np.floor(y2)
-        with np.errstate(over="ignore"):  # 3**(1-k) overflows far below the support
-            inside = (y2 >= 1.0) & (np.abs(y1) <= 3.0 ** (1.0 - k))
+        inside = y2 >= 1.0
+        inside &= np.abs(y1) <= half_widths(np.where(inside, k, 1.0))
         return np.where(inside, -k * _LOG3, -np.inf)
 
     return RectangleDensity(

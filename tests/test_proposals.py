@@ -14,11 +14,11 @@ from pdrwm import (
     NumericError,
     ParameterError,
     ProposalKernel,
+    RectangleDensity,
     TruncatedGaussianSpec,
     circle_proposal,
     constant_field,
     ellipse_proposal,
-    ellipse_semi_width,
     gaussian_proposal,
     gaussian_tail_bound,
     make_exponential_tail,
@@ -281,9 +281,31 @@ class TestCircle:
 
 class TestEllipse:
     def test_semi_width_tracks_level(self):
-        assert ellipse_semi_width(1.5) == 1.0
-        assert ellipse_semi_width(2.5) == pytest.approx(1.0 / 3.0)
-        assert ellipse_semi_width(3.0) == pytest.approx(1.0 / 9.0)
+        # the semi-width is the half-width of the start's staircase level
+        k = ellipse_proposal()
+        for x2, w in ((1.5, 1.0), (2.5, 1.0 / 3.0), (3.0, 1.0 / 9.0)):
+            x = pt(0.0, x2)
+            assert RectangleDensity.half_width(RectangleDensity.level(x)) == (
+                pytest.approx(w)
+            )
+            assert k.log_q(x, x) == pytest.approx(-math.log(math.pi * w))
+            assert k.log_q(pt(0.99 * w, x2), x) > -math.inf
+            assert k.log_q(pt(1.01 * w, x2), x) == -math.inf
+
+    def test_unit_disc_at_and_below_level_one(self):
+        # every level <= 1 takes level 1's width, so the density stays
+        # finite far below the support
+        k = ellipse_proposal()
+        for x2 in (1.5, 0.5, -3.0, -1000.0):
+            x = pt(0.0, x2)
+            y = pt(0.6, x2 - 0.6)
+            assert k.log_q(y, x) == -math.log(math.pi)
+            assert k.log_q_batch(y, np.array([x, x])) == pytest.approx(
+                [-math.log(math.pi)] * 2, rel=1e-15
+            )
+            assert k.log_q(pt(0.8, x2 - 0.8), x) == -math.inf
+        xs = np.array([[0.0, -1000.0], [0.0, 2.5]])
+        assert k.log_q_batch(pt(0.2, -1000.2), xs)[0] == pytest.approx(-math.log(math.pi))
 
     def test_log_q_inside_and_outside(self):
         k = ellipse_proposal()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from pdrwm import (
-    LevelRectangle,
+    NumericError,
     ParameterError,
     SupportError,
     chord_overlap_integral,
@@ -67,18 +67,6 @@ def mc_overlap(center, level, n=2_000_000, seed=1, semi_width=1.0):
     area = math.pi * semi_width
     se = area * math.sqrt(frac * (1 - frac) / n)
     return frac * area, se
-
-
-class TestLevelRectangle:
-    def test_geometry(self):
-        assert LevelRectangle(1).half_width == 1.0
-        assert LevelRectangle(2).half_width == pytest.approx(1.0 / 3.0)
-        assert LevelRectangle(3).density_weight == pytest.approx(1.0 / 27.0)
-        assert LevelRectangle(4).y_lo == 4.0 and LevelRectangle(4).y_hi == 5.0
-
-    def test_level_domain(self):
-        with pytest.raises(ParameterError):
-            LevelRectangle(0)
 
 
 class TestChordIntegral:
@@ -157,6 +145,13 @@ class TestChordIntegral:
         with pytest.raises(ParameterError):
             chord_overlap_integral(*args)
 
+    def test_zero_window_holds_no_area(self):
+        # staircase levels from 680 up have half-width exactly 0.0
+        assert chord_overlap_integral(0.0, 0.5, 1.0, 1.0, 0.0, 0.0, 1.0) == 0.0
+        assert chord_overlap_integral(0.0, 0.5, 1.0, 1.0, -0.0, 0.0, 1.0) == 0.0
+        with pytest.raises(ParameterError, match="negative"):
+            chord_overlap_integral(0.0, 0.5, 1.0, 1.0, -1e-300, 0.0, 1.0)
+
 
 class TestOverlapArea:
     @pytest.mark.parametrize(
@@ -178,6 +173,18 @@ class TestOverlapArea:
 
     def test_off_support_levels_empty(self):
         assert overlap_area((0.0, 6.0), 3) == 0.0
+
+    def test_level_rectangle_is_level_and_half_width(self):
+        # level 4 spans heights [4, 5): the disc at (0, 4) meets it in
+        # its upper half, and the disc at (0, 6) touches it at one point
+        w = 1.0 / 27.0
+        upper_half = chord_overlap_integral(0.0, 4.0, 1.0, 1.0, w, 4.0, 5.0)
+        assert overlap_area((0.0, 4.0), 4) == upper_half
+        assert overlap_area((0.0, 6.0), 4) == 0.0
+
+    def test_levels_start_at_one(self):
+        with pytest.raises(ParameterError, match="levels start at 1"):
+            overlap_area((0.0, 0.5), 0)
 
 
 class TestExactRejection:
@@ -214,6 +221,12 @@ class TestExactRejection:
     def test_dominates_area_bound(self):
         for p in range(3, 9):
             assert exact_rejection_disc((0.0, float(p))) >= disc_rejection_area_bound(p)
+
+    def test_certain_where_widths_vanish(self):
+        # from level 680 up the half-width is exactly 0.0: the strips the
+        # disc reaches hold no area, so every proposal is rejected
+        for x2 in (679.5, 680.0, 700.5):
+            assert exact_rejection_disc((0.0, x2)) == 1.0
 
     def test_off_support_rejected(self):
         with pytest.raises(SupportError):
@@ -297,6 +310,15 @@ class TestHemispheres:
     def test_level_one_refused(self):
         with pytest.raises(ParameterError):
             hemisphere_overlap_check((0.0, 1.5))
+
+    def test_subnormal_semi_width_raises_named_error(self):
+        # the error the ellipse proposal raises at the same starts
+        for x2 in (646.0, 660.5, 679.5, 700.5):
+            with pytest.raises(NumericError, match=repr(x2)):
+                hemisphere_overlap_check((0.0, x2))
+        # one level lower the semi-width is still a normal float
+        res = hemisphere_overlap_check((0.0, 645.5))
+        assert 0.0 < res.upper < res.lower < 1e-300
 
     def test_off_support_refused(self):
         with pytest.raises(SupportError):
