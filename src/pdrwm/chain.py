@@ -22,7 +22,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericError, ParameterError, SupportError
 from .fields import CovarianceField
-from .proposals import ProposalKernel
+from .proposals import _LOG_2PI, ProposalKernel
 from .targets import TargetDensity
 
 __all__ = [
@@ -141,8 +141,8 @@ def log_accept_ratio_closed_form(
     u = x - y
 
     if field.dim == 1:
-        s_x = float(field.inv_metric(x)[0, 0])
-        s_y = float(field.inv_metric(y)[0, 0])
+        s_x = field.variance(float(x[0]))
+        s_y = field.variance(float(y[0]))
         if not (s_x > 0 and s_y > 0):
             raise NumericError(f"field must be positive at {x} and {y}")
         d = float(u[0])
@@ -270,6 +270,15 @@ def run_chain(
     arguments reproduces the trajectory bit for bit.  The log-density of
     the current state is carried from the step that accepted it, so a
     chain evaluates the target ``n_steps + 1`` times.
+
+    A kernel that exposes a one-dimensional standard deviation
+    (``kernel.std``, as the 1-D Gaussian kernel does) is stepped on
+    Python floats, evaluating its field once per proposal on the
+    support.  That loop performs the arithmetic of :func:`mh_step` in
+    the same order and draws from the stream in the same order (one
+    normal, then one uniform per step), so it gives the same states,
+    flags and alphas to the bit.  Every other kernel takes
+    :func:`mh_step`'s route.
     """
     if n_steps < 1:
         raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
@@ -286,19 +295,78 @@ def run_chain(
         raise SupportError(f"start point {x0} is outside the target support")
 
     rng = np.random.default_rng(seed)
-    states = np.empty((n_steps + 1, target.dim))
-    accepted = np.empty(n_steps, dtype=bool)
-    alpha = np.empty(n_steps)
-    states[0] = x0
-    x, lp_x = x0, target.log_density(x0)
-    for i in range(n_steps):
-        x, lp_x, acc, a = _transition(target, kernel, x, lp_x, rng)
-        states[i + 1] = x
-        accepted[i] = acc
-        alpha[i] = a
+    if kernel.std is not None:
+        states, accepted, alpha = _float_chain(target, kernel, x0, n_steps, rng)
+    else:
+        states = np.empty((n_steps + 1, target.dim))
+        accepted = np.empty(n_steps, dtype=bool)
+        alpha = np.empty(n_steps)
+        states[0] = x0
+        x, lp_x = x0, target.log_density(x0)
+        for i in range(n_steps):
+            x, lp_x, acc, a = _transition(target, kernel, x, lp_x, rng)
+            states[i + 1] = x
+            accepted[i] = acc
+            alpha[i] = a
     return ChainTrajectory(
         states, accepted, alpha, int(seed), config_digest(target, kernel)
     )
+
+
+def _float_chain(
+    target: TargetDensity,
+    kernel: ProposalKernel,
+    x0: np.ndarray,
+    n_steps: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`run_chain`'s transitions for a one-dimensional Gaussian
+    kernel, on Python floats and its standard deviation ``kernel.std``.
+
+    Per step, as in :func:`_transition` and :func:`_log_accept`: draw
+    ``y = x + s_x z``, then ``u``; evaluate the target at ``y`` and, on
+    the support, ``s_y``; the two proposal log-densities are the
+    kernel's ``log_q``.  ``s_x`` and ``log(s_x)`` are carried with the
+    state.  ``la`` is ``min(0, ...)`` keeping NaN, as ``np.minimum``
+    does, and ``-inf`` off the support, where ``exp(la)`` is 0.
+    """
+    log_density, std = target.log_density, kernel.std
+    normal, uniform = rng.standard_normal, rng.random
+    log, exp, inf = math.log, math.exp, math.inf
+    c = -0.5 * _LOG_2PI
+    x = float(x0[0])
+    lp_x = log_density(x0)
+    s_x = std(x)
+    log_s_x = log(s_x)
+    xs, flags, alphas = [x], [], []
+    for _ in range(n_steps):
+        y = x + s_x * normal()
+        u = 1.0 - uniform()
+        lp_y = log_density(np.array([y]))
+        la = -inf  # off the support
+        if lp_y != -inf:
+            d = (y - x) / s_x
+            lq_yx = c - log_s_x - 0.5 * d * d
+            if lq_yx == -inf:
+                raise ParameterError(
+                    f"move {np.array([x])} -> {np.array([y])} is not proposable "
+                    f"by {kernel.label}"
+                )
+            s_y = std(y)
+            log_s_y = log(s_y)
+            d = (x - y) / s_y
+            lq_xy = c - log_s_y - 0.5 * d * d
+            if lq_xy != -inf:
+                la = lp_y + lq_xy - lp_x - lq_yx
+                if la > 0.0:
+                    la = 0.0
+        accepted = log(u) < la
+        if accepted:
+            x, lp_x, s_x, log_s_x = y, lp_y, s_y, log_s_y
+        xs.append(x)
+        flags.append(accepted)
+        alphas.append(exp(la))
+    return np.array(xs)[:, None], np.array(flags, dtype=bool), np.array(alphas)
 
 
 def estimate_expectation(

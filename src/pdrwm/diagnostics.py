@@ -286,7 +286,7 @@ def tail_acceptance_profile(
             f"profile probes the tail; need |x| >= {x0:g}, got {x:g}"
         )
     xv = np.array([float(x)])
-    s = math.sqrt(h * float(cov_field.inv_metric(xv)[0, 0]))
+    s = math.sqrt(h * cov_field.variance(float(x)))
     out = []
     for c in offsets:
         y = float(x) + float(c) * s

@@ -6,8 +6,10 @@ kernel proposes ``y ~ N(x, h * S(x))``.  Each field carries a
 :class:`GrowthClass` describing how ``S`` scales in the tails, which is
 what the ergodicity diagnostics condition on.
 
-Fields return dense ``(dim, dim)`` arrays even in one dimension; callers
-that want the scalar fast path read ``value[0, 0]``.  Every field also
+Fields return dense ``(dim, dim)`` arrays even in one dimension.  A
+one-dimensional field also gives its variance at a Python float point,
+with the same bits as ``inv_metric`` at that point; the one-dimensional
+chain and the closed-form acceptance step on it.  Every field also
 has a batch form that maps an ``(m, dim)`` array of points to the
 ``(m, dim, dim)`` stack of their values.  The closed-form fields compute
 it in whole-array numpy; the fields built on per-point callbacks or on a
@@ -97,6 +99,14 @@ class CovarianceField:
         Maps an ``(m, dim)`` array of points to the ``(m, dim, dim)``
         stack of their covariance shapes; agrees with ``inv_metric`` row
         by row to float rounding.
+    variance : callable or None
+        One dimension only: maps a Python float ``v`` to the float
+        variance at the point ``[v]``, bit for bit
+        ``float(inv_metric(np.array([v]))[0, 0])``, which is what it
+        defaults to.  ``None`` in higher dimensions.  The factories with
+        a closed form state it directly.  ``dataclasses.replace`` carries
+        it over as it does ``inv_metric_batch``: a replaced
+        ``inv_metric`` must agree with both.
     """
 
     dim: int
@@ -104,6 +114,19 @@ class CovarianceField:
     growth_class: GrowthClass
     label: str
     inv_metric_batch: Callable[[np.ndarray], np.ndarray]
+    variance: Callable[[float], float] | None = None
+
+    def __post_init__(self):
+        if self.dim != 1:
+            if self.variance is not None:
+                raise ParameterError("a float variance needs a one-dimensional field")
+        elif self.variance is None:
+            inv_metric = self.inv_metric
+
+            def variance(v: float) -> float:
+                return float(inv_metric(np.array([v]))[0, 0])
+
+            object.__setattr__(self, "variance", variance)
 
 
 def _rowwise(inv_metric: Callable[[np.ndarray], np.ndarray]):
@@ -190,8 +213,15 @@ def constant_field(sigma) -> CovarianceField:
     def inv_metric_batch(xs: np.ndarray) -> np.ndarray:
         return np.broadcast_to(m, (len(xs), dim, dim))
 
+    variance = None
+    if dim == 1:
+        c = float(m[0, 0])
+
+        def variance(_: float) -> float:
+            return c
+
     return CovarianceField(
-        dim, inv_metric, BOUNDED, f"constant(dim={dim})", inv_metric_batch
+        dim, inv_metric, BOUNDED, f"constant(dim={dim})", inv_metric_batch, variance
     )
 
 
@@ -231,8 +261,16 @@ def power_field(b: float, dim: int = 1) -> CovarianceField:
     def inv_metric_batch(xs: np.ndarray) -> np.ndarray:
         return scale(np.linalg.norm(xs, axis=1))[:, None, None] * eye
 
+    def variance(v: float) -> float:
+        return scale(math.sqrt(v * v))
+
     return CovarianceField(
-        dim, inv_metric, growth, f"power(b={b:g},dim={dim})", inv_metric_batch
+        dim,
+        inv_metric,
+        growth,
+        f"power(b={b:g},dim={dim})",
+        inv_metric_batch,
+        variance if dim == 1 else None,
     )
 
 
@@ -249,7 +287,12 @@ def one_plus_square_field() -> CovarianceField:
     def inv_metric_batch(xs: np.ndarray) -> np.ndarray:
         return (1.0 + xs[:, 0] ** 2)[:, None, None]
 
-    return CovarianceField(1, inv_metric, QUADRATIC, "one_plus_square", inv_metric_batch)
+    def variance(v: float) -> float:
+        return 1.0 + v**2
+
+    return CovarianceField(
+        1, inv_metric, QUADRATIC, "one_plus_square", inv_metric_batch, variance
+    )
 
 
 def ridge_conditional_field() -> CovarianceField:

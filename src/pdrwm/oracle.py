@@ -570,8 +570,7 @@ def drift_ratio_quadrature(
     shared.
     """
     xv = np.array([float(x)])
-    g = float(cov_field.inv_metric(xv)[0, 0])
-    std = math.sqrt(h * g)
+    std = math.sqrt(h * cov_field.variance(float(x)))
     log_norm = -math.log(std) - 0.5 * math.log(2.0 * math.pi)
     log_vx = lyapunov.log_evaluate(xv)
 

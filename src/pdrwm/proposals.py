@@ -68,6 +68,11 @@ class ProposalKernel:
         array: ``ys`` of shape ``(m, dim)`` against one start ``xs`` of
         shape ``(dim,)``, or one end point ``ys`` against ``m`` starts
         ``xs``.  Agrees with ``log_q`` row by row to float rounding.
+    std : callable or None
+        Set only on a one-dimensional Gaussian kernel: ``std(v)`` is the
+        proposal standard deviation at the float point ``v``, the one
+        ``sample`` and ``log_q`` use.  :func:`~pdrwm.chain.run_chain`
+        steps such a kernel on Python floats.
     """
 
     dim: int
@@ -76,6 +81,7 @@ class ProposalKernel:
     label: str
     sample_batch: Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
     log_q_batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    std: Callable[[float], float] | None = None
 
 
 def _last_two(compute: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
@@ -107,17 +113,20 @@ def _last_two(compute: Callable[[np.ndarray], object]) -> Callable[[np.ndarray],
 def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
     """Random walk with position-dependent covariance ``h * S(x)``.
 
-    The proposal scale at a point is computed once and remembered for
-    the two most recently used points (on a chain, the current state
-    and the latest proposal): the standard deviation in one dimension,
-    the lower Cholesky factor and log-determinant in higher dimensions,
-    where LAPACK ``potrf`` and ``trtrs`` are called directly with the
-    arguments ``scipy.linalg.cholesky`` and ``solve_triangular`` pass.
-    ``sample``, ``log_q`` and ``sample_batch`` read that one memo, so a
-    chain evaluates the field at most once per state it visits or
-    proposes.  ``log_q_batch`` factors all its start points in one
-    stacked call.  A field value that is not finite or fails to factor
-    raises :class:`NumericError` naming the point.
+    In one dimension the kernel exposes its standard deviation at a
+    float point, ``std(v) = sqrt(h * field.variance(v))``, which
+    ``sample``, ``log_q`` and ``sample_batch`` read afresh at each call;
+    :func:`~pdrwm.chain.run_chain` steps on it directly, evaluating the
+    field once per proposal.  In higher dimensions the lower Cholesky
+    factor and log-determinant of a point are computed once and
+    remembered for the two most recently used points (on a chain, the
+    current state and the latest proposal), with LAPACK ``potrf`` and
+    ``trtrs`` called directly with the arguments
+    ``scipy.linalg.cholesky`` and ``solve_triangular`` pass; ``sample``,
+    ``log_q`` and ``sample_batch`` read that one memo.  ``log_q_batch``
+    factors all its start points in one stacked call.  A field value
+    that is not finite, not positive or fails to factor raises
+    :class:`NumericError` naming the point.
     """
     if not h > 0:
         raise ParameterError(f"step size must be positive, got {h}")
@@ -125,27 +134,28 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
     dim = field.dim
     inv_metric = field.inv_metric
     inv_metric_batch = field.inv_metric_batch
+    std = None
 
     if dim == 1:
+        variance = field.variance
 
-        def _std(x: np.ndarray) -> float:
-            g = float(inv_metric(x)[0, 0])
+        def std(v: float) -> float:
+            g = variance(v)
             if not g > 0 or not math.isfinite(g):
-                raise NumericError(f"field value {g:g} at {x} is not usable")
+                raise NumericError(f"field value {g:g} at [{v!r}] is not usable")
             return math.sqrt(h * g)
 
-        std = _last_two(_std)
-
         def sample(x, rng):
-            return x + std(x) * rng.standard_normal(1)
+            return x + std(float(x[0])) * rng.standard_normal(1)
 
         def log_q(y, x):
-            s = std(x)
-            u = (float(y[0]) - float(x[0])) / s
+            x0 = float(x[0])
+            s = std(x0)
+            u = (float(y[0]) - x0) / s
             return -0.5 * _LOG_2PI - math.log(s) - 0.5 * u * u
 
         def sample_batch(x, n, rng):
-            return x[None, :] + std(x) * rng.standard_normal((n, 1))
+            return x[None, :] + std(float(x[0])) * rng.standard_normal((n, 1))
 
         def log_q_batch(ys, xs):
             ys, xs = np.atleast_2d(ys), np.atleast_2d(xs)
@@ -208,6 +218,7 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
         f"gaussian(h={h:g},{field.label})",
         sample_batch,
         log_q_batch,
+        std,
     )
 
 

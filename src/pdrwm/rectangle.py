@@ -236,10 +236,13 @@ def crosses_level_boundary(x: Sequence[float]) -> bool:
     ``frac > 0``, and its chord there must overlap the narrower upper
     rectangle: ``|x1| < w * sqrt(1 - (1-frac)^2) + w/3``.  Points passing
     this test are exactly the ones where the lower hemisphere overlap is
-    strictly larger than the upper one.
+    strictly larger than the upper one.  A height below level 1 is off
+    the staircase and raises :class:`SupportError`.
     """
     xv = _planar_point(x)
     k = math.floor(xv[1])
+    if k < 1:
+        raise SupportError(f"{xv} is below the staircase, whose levels start at 1")
     frac = float(xv[1]) - k
     if frac <= 0.0:
         return False

@@ -245,6 +245,7 @@ def make_ridge_2d() -> TargetDensity:
 
 
 _LOG3 = math.log(3.0)
+_INF = math.inf
 
 
 def make_rectangle() -> RectangleDensity:
@@ -256,13 +257,14 @@ def make_rectangle() -> RectangleDensity:
 
     half_width, half_widths = RectangleDensity.half_width, RectangleDensity.half_widths
 
+    # a height of +inf has no level: off the support, as in the batch form
     def in_support(y: np.ndarray) -> bool:
         y2 = float(y[1])
-        return y2 >= 1.0 and abs(float(y[0])) <= half_width(math.floor(y2))
+        return 1.0 <= y2 < _INF and abs(float(y[0])) <= half_width(math.floor(y2))
 
     def logp(y: np.ndarray) -> float:
         y2 = float(y[1])
-        if y2 >= 1.0:
+        if 1.0 <= y2 < _INF:
             k = math.floor(y2)
             if abs(float(y[0])) <= half_width(k):
                 return -k * _LOG3
@@ -273,7 +275,7 @@ def make_rectangle() -> RectangleDensity:
         k = np.floor(y2)
         inside = y2 >= 1.0
         inside &= np.abs(y1) <= half_widths(np.where(inside, k, 1.0))
-        return np.where(inside, -k * _LOG3, -np.inf)
+        return np.where(inside, -k, -np.inf) * _LOG3
 
     return RectangleDensity(
         2, logp, OTHER, in_support, "rectangle_staircase", logp_batch

@@ -7,6 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pdrwm import (
+    BOUNDED,
+    CovarianceField,
+    NumericError,
     ParameterError,
     PastSampleSet,
     SupportError,
@@ -24,9 +27,14 @@ from pdrwm import (
     make_ridge_2d,
     make_subexponential_tail,
     mh_step,
+    mixture_field,
+    one_plus_square_field,
     power_field,
+    regional_field,
     ridge_conditional_field,
     run_chain,
+    tempered_langevin_field,
+    weighted_empirical_field,
 )
 
 
@@ -266,6 +274,108 @@ def reference_chain(target, kernel, x0, n_steps, seed):
         x = y if accepted[-1] else x
         states.append(x)
     return np.array(states), np.array(accepted), np.array(alpha)
+
+
+_PAST = PastSampleSet(np.array([-1.5, 0.25, 2.0]))
+
+
+def _user_field(inv_metric):
+    """A 1-D field built from ``inv_metric`` alone, with no float form."""
+    return CovarianceField(1, inv_metric, BOUNDED, "user", None)
+
+
+def _tanh_weights(x):
+    w = math.tanh(x[0] ** 2)
+    return np.array([1.0 - w, w])
+
+
+#: every 1-D field factory, each given the chain's target
+ONE_DIM_FIELDS = {
+    "constant": lambda t: constant_field(2.5),
+    "power_0": lambda t: power_field(0.0),
+    "power_1.5": lambda t: power_field(1.5),
+    "power_4": lambda t: power_field(4.0),
+    "one_plus_square": lambda t: one_plus_square_field(),
+    "tempered_langevin": lambda t: tempered_langevin_field(t, c_max=1e4),
+    "regional": lambda t: regional_field([(lambda x: x[0] < 0.5, 0.5),
+                                          (lambda x: x[0] >= 0.5, 3.0)]),
+    "mixture": lambda t: mixture_field(_tanh_weights, [0.5, 4.0]),
+    "kernel_adaptive": lambda t: kernel_adaptive_field(_PAST, 0.8, 1.5, 1.0),
+    "weighted_empirical": lambda t: weighted_empirical_field(
+        _PAST, lambda x, z: 1.0 / 3.0, ridge=0.1
+    ),
+    "user": lambda t: _user_field(lambda x: np.array([[0.5 + abs(x[0]) ** 0.5]])),
+}
+
+
+def assert_same_bytes(traj, ref):
+    states, accepted, alpha = ref
+    assert traj.states.shape == states.shape and traj.states.dtype == np.float64
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.accepted.tobytes() == accepted.tobytes()
+    assert traj.alpha.tobytes() == alpha.tobytes()
+
+
+class TestFloatLoop:
+    """``run_chain`` steps a 1-D Gaussian kernel on Python floats.  The
+    generic per-point route, on a kernel that reads the field through
+    ``inv_metric``, must give the same chain byte for byte."""
+
+    @pytest.mark.parametrize("field_name", sorted(ONE_DIM_FIELDS))
+    @given(
+        target_name=st.sampled_from(sorted(ONE_DIM_TARGETS)),
+        h=st.floats(0.01, 50.0),
+        x0=st.floats(-20.0, 20.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_chain(self, field_name, target_name, h, x0, seed):
+        target = ONE_DIM_TARGETS[target_name]()
+        field = ONE_DIM_FIELDS[field_name](target)
+        kernel = gaussian_proposal(field, h)
+        assert kernel.std is not None
+        by_inv_metric = gaussian_proposal(dataclasses.replace(field, variance=None), h)
+        traj = run_chain(target, kernel, [x0], 150, seed)
+        assert_same_bytes(traj, reference_chain(target, by_inv_metric, pt(x0), 150, seed))
+
+    @given(st.floats(0.0, 4.0), st.floats(0.01, 50.0), st.integers(0, 2**32 - 1))
+    def test_power_field_at_any_exponent(self, b, h, seed):
+        target = make_exponential_tail(1.0)
+        field = power_field(b)
+        traj = run_chain(target, gaussian_proposal(field, h), [3.0], 150, seed)
+        ref = reference_chain(
+            target,
+            gaussian_proposal(dataclasses.replace(field, variance=None), h),
+            pt(3.0), 150, seed,
+        )
+        assert_same_bytes(traj, ref)
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_field_turning_non_positive_raises_the_same_error(self, seed):
+        # positive on (-2, 2) only: a chain from 0 proposes past it soon
+        field = _user_field(lambda x: np.array([[1.0 - x[0] ** 2 / 4.0]]))
+        target = make_exponential_tail(1.0)
+        kernel = gaussian_proposal(field, 4.0)
+        with pytest.raises(NumericError, match="is not usable") as floats:
+            run_chain(target, kernel, [0.0], 400, seed)
+        with pytest.raises(NumericError) as generic:
+            reference_chain(target, kernel, pt(0.0), 400, seed)
+        assert str(floats.value) == str(generic.value)
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_nan_log_density_refuses_the_move_as_the_generic_route(self, seed):
+        # np.minimum keeps a NaN acceptance: refused, with alpha NaN
+        base = make_exponential_tail(1.0)
+        target = dataclasses.replace(
+            base, log_density=lambda x: math.nan if x[0] > 1.0 else base.log_density(x)
+        )
+        kernel = gaussian_proposal(power_field(1.0), 2.0)
+        traj = run_chain(target, kernel, [0.0], 150, seed)
+        assert np.isnan(traj.alpha).any()
+        assert_same_bytes(traj, reference_chain(target, kernel, pt(0.0), 150, seed))
+
+    def test_only_gaussian_one_dimensional_kernels_step_on_floats(self):
+        assert gaussian_proposal(ridge_conditional_field(), 1.0).std is None
+        assert circle_proposal().std is None
 
 
 CARRIED_CASES = {

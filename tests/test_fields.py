@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from pdrwm import (
     EvaluationError,
     ParameterError,
     PartitionError,
+    BOUNDED,
+    CovarianceField,
     PastSampleSet,
     constant_field,
     kernel_adaptive_field,
@@ -17,6 +20,7 @@ from pdrwm import (
     make_polynomial_tail,
     make_rectangle,
     mixture_field,
+    one_plus_square_field,
     power_field,
     regional_field,
     tempered_langevin_field,
@@ -97,6 +101,69 @@ class TestPower:
         with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 off-diagonal
             expected = (1.0 + float(np.linalg.norm(xv))) ** b * eye
             assert f.inv_metric(xv).tobytes() == expected.tobytes()
+
+
+# 0, +-1e-160 (square underflows), +-1e160 (square overflows), and more
+FLOAT_POINTS = [
+    0.0, -0.0, 1e-160, -1e-160, 1e160, -1e160, 5e-324, -1e-310,
+    1.0, -2.5, 37.25, 1e77, -3e153, math.inf, -math.inf, math.nan,
+]
+
+
+def _outcome(fn, v):
+    """What ``fn(v)`` gives: its float's bytes, or the exception type."""
+    try:
+        return np.float64(fn(v)).tobytes()
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+class TestFloatVariance:
+    """A 1-D field's float variance is ``inv_metric``'s value, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            constant_field(2.5),
+            power_field(0.0),
+            power_field(0.5),
+            power_field(1.5),
+            power_field(2.0),
+            power_field(4.0),
+            one_plus_square_field(),
+        ],
+        ids=lambda f: f.label,
+    )
+    @pytest.mark.parametrize("v", FLOAT_POINTS)
+    def test_stated_form_has_the_bits_of_inv_metric(self, field, v):
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = _outcome(lambda u: field.inv_metric(np.array([u]))[0, 0], v)
+        assert _outcome(field.variance, v) == expected
+
+    @given(b=st.floats(0.0, 4.0), v=st.floats(allow_nan=False))
+    def test_power_field_at_any_exponent(self, b, v):
+        f = power_field(b)
+        with np.errstate(over="ignore"):
+            expected = _outcome(lambda u: f.inv_metric(np.array([u]))[0, 0], v)
+        assert _outcome(f.variance, v) == expected
+
+    def test_default_reads_inv_metric(self):
+        f = CovarianceField(1, lambda x: np.array([[1.0 + x[0] ** 4]]), BOUNDED, "user", None)
+        for v in FLOAT_POINTS[:-3]:
+            with np.errstate(over="ignore"):
+                assert _outcome(f.variance, v) == _outcome(
+                    lambda u: f.inv_metric(np.array([u]))[0, 0], v
+                )
+        # replacing the field keeps a stated form, and fills in a dropped one
+        traced = dataclasses.replace(power_field(1.5), inv_metric=lambda x: np.eye(1))
+        assert traced.variance(3.0) == 4.0**1.5
+        refilled = dataclasses.replace(traced, variance=None)
+        assert refilled.variance(3.0) == 1.0
+
+    def test_only_one_dimension_has_a_float_form(self):
+        assert power_field(1.5, dim=2).variance is None
+        with pytest.raises(ParameterError):
+            dataclasses.replace(power_field(1.5, dim=2), variance=lambda v: 1.0)
 
 
 def _growth(field):

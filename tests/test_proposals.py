@@ -131,8 +131,10 @@ class TestGaussianKernelMultiDim:
 
 
 def uncached_gaussian_proposal(field, h):
-    """The Gaussian kernel as it reads with no memo: a fresh field value,
-    standard deviation or scipy Cholesky factor at every call."""
+    """The Gaussian kernel as it reads with no memo and no float form: a
+    fresh ``inv_metric`` value, standard deviation or scipy Cholesky
+    factor at every call.  It has no ``std``, so ``run_chain`` steps it
+    on the generic route."""
     dim = field.dim
 
     if dim == 1:
@@ -166,14 +168,18 @@ def uncached_gaussian_proposal(field, h):
 
 
 def counting(field):
-    """``field`` whose ``inv_metric`` counts its calls in ``.calls``."""
+    """``field`` and the per-point form the kernel reads, which counts its
+    calls in ``.calls``: the float ``variance`` in one dimension,
+    ``inv_metric`` in more."""
+    name = "variance" if field.dim == 1 else "inv_metric"
+    form = getattr(field, name)
 
-    def inv_metric(x):
-        inv_metric.calls += 1
-        return field.inv_metric(x)
+    def counted(x):
+        counted.calls += 1
+        return form(x)
 
-    inv_metric.calls = 0
-    return dataclasses.replace(field, inv_metric=inv_metric)
+    counted.calls = 0
+    return dataclasses.replace(field, **{name: counted}), counted
 
 
 # entries of B and c in the field S(x) = B(x) B(x)^T + c I, where
@@ -192,8 +198,9 @@ def spd_field(b00, b01, b10, b11, c):
 
 
 class TestScaleMemo:
-    """The kernel remembers each point's scale; none of this may show in
-    what it returns."""
+    """In two dimensions the kernel remembers each point's Cholesky
+    factor; in one it reads the float standard deviation afresh.  None of
+    this may show in what it returns."""
 
     @given(
         st.tuples(entries, entries, entries, entries),
@@ -228,37 +235,68 @@ class TestScaleMemo:
         self, target, field, h, x0
     ):
         n_steps = 300
-        field = counting(field)
+        field, form = counting(field)
         k = gaussian_proposal(field, h)
         traj = run_chain(target, k, x0, n_steps, seed=11)
         # one call per point: the start and each proposal on the support
-        assert field.inv_metric.calls <= n_steps + 1
+        assert 0 < form.calls <= n_steps + 1
         ref = run_chain(target, uncached_gaussian_proposal(field, h), x0, n_steps, seed=11)
         np.testing.assert_array_equal(traj.states, ref.states)
         np.testing.assert_array_equal(traj.accepted, ref.accepted)
         np.testing.assert_array_equal(traj.alpha, ref.alpha)
 
     def test_points_that_compare_equal_are_kept_apart(self):
-        # -0.0 == 0.0, but the memo keys on the bytes of the point
-        def inv_metric(x):
-            return np.array([[2.0 if math.copysign(1.0, x[0]) < 0 else 1.0]])
+        # -0.0 == 0.0, but the 2-D memo keys on the bytes of the point and
+        # the 1-D float standard deviation sees the sign of its float
+        for dim in (1, 2):
 
-        field = CovarianceField(1, inv_metric, BOUNDED, "sign", None)
-        k = gaussian_proposal(field, 1.0)
-        y = pt(1.0)
-        assert k.log_q(y, pt(0.0)) != k.log_q(y, pt(-0.0))
-        assert k.log_q(y, pt(0.0)) == k.log_q(y, np.array([0]))
+            def inv_metric(x, dim=dim):
+                return np.eye(dim) * (2.0 if math.copysign(1.0, x[0]) < 0 else 1.0)
 
-    @pytest.mark.parametrize("field", [power_field(1.5), ridge_conditional_field()])
-    def test_sample_log_q_and_sample_batch_share_one_evaluation(self, field):
-        field = counting(field)
+            field = CovarianceField(dim, inv_metric, BOUNDED, "sign", None)
+            k = gaussian_proposal(field, 1.0)
+            y, zero, neg_zero = np.ones(dim), np.zeros(dim), np.zeros(dim)
+            neg_zero[0] = -0.0
+            assert k.log_q(y, zero) != k.log_q(y, neg_zero)
+            assert k.log_q(y, zero) == k.log_q(y, np.zeros(dim, dtype=int))
+            assert k.log_q(y, neg_zero) == k.log_q(y, neg_zero.copy())
+
+    def test_sample_log_q_and_sample_batch_share_one_evaluation(self):
+        field, form = counting(ridge_conditional_field())
         k = gaussian_proposal(field, 0.5)
-        x = np.full(field.dim, 0.5)
+        x = np.full(2, 0.5)
         rng = np.random.default_rng(0)
         k.sample(x, rng)
         k.log_q(x + 0.1, x)
         k.sample_batch(x, 5, rng)
-        assert field.inv_metric.calls == 1
+        assert form.calls == 1
+
+    def test_one_dimension_reads_the_float_variance_at_each_call(self):
+        field, form = counting(power_field(1.5))
+        k = gaussian_proposal(field, 0.5)
+        x = pt(0.5)
+        rng = np.random.default_rng(0)
+        k.sample(x, rng)
+        k.log_q(x + 0.1, x)
+        k.sample_batch(x, 5, rng)
+        assert form.calls == 3
+        assert k.std(0.5) == math.sqrt(0.5 * 1.5**1.5)
+
+    @given(
+        st.floats(0.0, 4.0),
+        st.floats(0.01, 10.0),
+        st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_float_std_equals_fresh_evaluation(self, b, h, points, seed):
+        field = power_field(b)
+        k = gaussian_proposal(field, h)
+        fresh = uncached_gaussian_proposal(field, h)
+        x, y, z = (pt(p) for p in points)
+        rng, rng_fresh = np.random.default_rng(seed), np.random.default_rng(seed)
+        for a, c in ((x, y), (y, z), (z, x), (x, x)):
+            assert k.log_q(c, a) == fresh.log_q(c, a)
+            np.testing.assert_array_equal(k.sample(a, rng), fresh.sample(a, rng_fresh))
 
 
 class TestCircle:

@@ -311,6 +311,11 @@ class TestHemispheres:
         with pytest.raises(ParameterError):
             hemisphere_overlap_check((0.0, 1.5))
 
+    @pytest.mark.parametrize("x", [(0.0, -1000.5), (0.0, -3.5), (0.0, 0.5)])
+    def test_crossing_below_the_staircase_refused(self, x):
+        with pytest.raises(SupportError, match="below the staircase"):
+            crosses_level_boundary(x)
+
     def test_subnormal_semi_width_raises_named_error(self):
         # the error the ellipse proposal raises at the same starts
         for x2 in (646.0, 660.5, 679.5, 700.5):

@@ -186,7 +186,7 @@ class TestStaircaseParity:
                 st.one_of(
                     st.floats(-2.0, 30.0),
                     st.floats(640.0, 720.0),
-                    st.floats(allow_infinity=False),
+                    st.floats(),
                 ),
             ),
             min_size=1,
@@ -195,3 +195,12 @@ class TestStaircaseParity:
     )
     def test_drawn_points(self, points):
         _assert_batch_is_per_point(np.array(points, dtype=float))
+
+    def test_non_finite_heights(self):
+        # no level at +-inf or NaN: off the support in both forms
+        ys = np.array([(y1, y2) for y1 in (0.0, 0.5, -3.0)
+                       for y2 in (math.inf, -math.inf, math.nan)])
+        _assert_batch_is_per_point(ys)
+        t = make_rectangle()
+        assert (t.log_density_batch(ys) == -np.inf).all()
+        assert not any(t.support_test(y) for y in ys)
