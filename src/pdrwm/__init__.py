@@ -30,7 +30,6 @@ from .diagnostics import (
     drift_ratio,
     esjd_scan,
     exp_abs,
-    exp_abs_pow,
     rectangle_v,
     rejection_probability,
     tail_acceptance_profile,

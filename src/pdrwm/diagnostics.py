@@ -35,7 +35,6 @@ from .targets import TargetDensity
 __all__ = [
     "LyapunovFunction",
     "exp_abs",
-    "exp_abs_pow",
     "abs_pow",
     "rectangle_v",
     "DriftResult",
@@ -87,20 +86,6 @@ def exp_abs(s: float) -> LyapunovFunction:
         f"exp_abs(s={s:g})",
         lambda x: s * float(np.linalg.norm(x)),
         lambda xs: s * np.linalg.norm(xs, axis=1),
-    )
-
-
-def exp_abs_pow(s: float, beta: float) -> LyapunovFunction:
-    """V(x) = exp(s |x|^beta) for subexponential tails, beta in (0, 1)."""
-    if not s > 0:
-        raise ParameterError(f"scale must be positive, got {s}")
-    if not 0.0 < beta < 1.0:
-        raise ParameterError(f"exponent must lie in (0,1), got {beta}")
-    s, beta = float(s), float(beta)
-    return LyapunovFunction(
-        f"exp_abs_pow(s={s:g},beta={beta:g})",
-        lambda x: s * float(np.linalg.norm(x)) ** beta,
-        lambda xs: s * np.linalg.norm(xs, axis=1) ** beta,
     )
 
 

@@ -250,8 +250,11 @@ def power_field(b: float, dim: int = 1) -> CovarianceField:
     else:
         growth = superquadratic(b)
 
-    def scale(r):
-        return (1.0 + r) ** b
+    def scale(r: float) -> float:
+        try:
+            return (1.0 + r) ** b
+        except OverflowError:  # past the float range, where numpy gives inf
+            return math.inf
 
     def inv_metric(x: np.ndarray) -> np.ndarray:
         # np.linalg.norm of a float vector is sqrt(x.dot(x)); calling
@@ -259,7 +262,7 @@ def power_field(b: float, dim: int = 1) -> CovarianceField:
         return scale(math.sqrt(x.dot(x))) * eye
 
     def inv_metric_batch(xs: np.ndarray) -> np.ndarray:
-        return scale(np.linalg.norm(xs, axis=1))[:, None, None] * eye
+        return ((1.0 + np.linalg.norm(xs, axis=1)) ** b)[:, None, None] * eye
 
     def variance(v: float) -> float:
         return scale(math.sqrt(v * v))
@@ -281,14 +284,17 @@ def one_plus_square_field() -> CovarianceField:
     origin, scaling like x^2 in the tails.
     """
 
+    def variance(v: float) -> float:
+        try:
+            return 1.0 + v**2
+        except OverflowError:  # past the float range, where numpy gives inf
+            return math.inf
+
     def inv_metric(x: np.ndarray) -> np.ndarray:
-        return np.array([[1.0 + float(x[0]) ** 2]])
+        return np.array([[variance(float(x[0]))]])
 
     def inv_metric_batch(xs: np.ndarray) -> np.ndarray:
         return (1.0 + xs[:, 0] ** 2)[:, None, None]
-
-    def variance(v: float) -> float:
-        return 1.0 + v**2
 
     return CovarianceField(
         1, inv_metric, QUADRATIC, "one_plus_square", inv_metric_batch, variance

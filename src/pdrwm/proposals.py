@@ -223,10 +223,14 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
 
 
 def _disc_offsets(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform points on the unit disc, shape (n, 2)."""
+    """Uniform points on the unit disc, shape (n, 2), each coordinate
+    contiguous (cheaper to write than two stacked columns)."""
     r = np.sqrt(rng.random(n))
     theta = 2.0 * math.pi * rng.random(n)
-    return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+    out = np.empty((2, n))
+    np.multiply(r, np.cos(theta), out=out[0])
+    np.multiply(r, np.sin(theta), out=out[1])
+    return out.T
 
 
 def circle_proposal() -> ProposalKernel:
@@ -241,7 +245,9 @@ def circle_proposal() -> ProposalKernel:
         return log_density if float(d @ d) <= 1.0 else -math.inf
 
     def sample_batch(x, n, rng):
-        return x[None, :] + _disc_offsets(n, rng)
+        ys = _disc_offsets(n, rng)
+        ys += x  # the sums x + offset, in place
+        return ys
 
     def log_q_batch(ys, xs):
         d = np.atleast_2d(ys) - np.atleast_2d(xs)
@@ -289,9 +295,10 @@ def ellipse_proposal() -> ProposalKernel:
         return -math.inf
 
     def sample_batch(x, n, rng):
-        off = _disc_offsets(n, rng)
-        off[:, 0] *= _w(x)
-        return x[None, :] + off
+        ys = _disc_offsets(n, rng)
+        ys[:, 0] *= _w(x)
+        ys += x  # the sums x + offset, in place
+        return ys
 
     def log_q_batch(ys, xs):
         ys, xs = np.atleast_2d(ys), np.atleast_2d(xs)

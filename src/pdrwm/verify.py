@@ -3,12 +3,12 @@
 Each check pins its own targets, fields, tolerances, and sample sizes,
 runs deterministically from a seed, and reports one PASS/FAIL line
 whose detail string carries the measured numbers and the margin the
-check passes or fails by.  Checks 3, 4, 5 and 7 run a scenario body
-(``lemma7_sweep``, ``lemma4_probe``, ``lemma2_drift``, ``oracle_scan``)
-at pinned sample sizes and pass iff every check of that body passes, so
-each of those claims is computed in one place.  The README's
-verification notes explain the checks whose assertions need a word on
-the method behind them.
+check passes or fails by.  Checks 3, 4, 5, 7 and 8 run a scenario
+body (``lemma7_sweep``, ``lemma4_probe``, ``lemma2_drift``,
+``oracle_scan``, ``esjd_scan``) at pinned sample sizes and pass iff
+every check of that body passes, so each of those claims is computed
+in one place.  The README's verification notes explain the checks
+whose assertions need a word on the method behind them.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from scipy.stats import norm, truncnorm
 
 from .chain import log_accept_ratio, log_accept_ratio_closed_form
-from .diagnostics import abs_pow, drift_ratio, esjd_scan
+from .diagnostics import abs_pow, drift_ratio
 from .errors import ConfigError
 from .experiments import SCENARIOS
 from .fields import constant_field, one_plus_square_field, power_field
@@ -29,8 +29,6 @@ from .oracle import (
     build_discretized,
     drift_ratio_quadrature,
     spectral_gap,
-    stationary_jump_quadrature,
-    tuned_jump_quadrature,
     tv_decay_curve,
 )
 from .proposals import (
@@ -51,10 +49,6 @@ from .targets import (
     make_polynomial_tail,
     make_subexponential_tail,
 )
-
-
-#: quadrature window (half-width, nodes) for the unit-Gaussian jump curve
-_ESJD_WINDOW = (8.0, 1601)
 
 
 @dataclass(frozen=True)
@@ -101,9 +95,8 @@ def criterion_1(seed: int = 0) -> CriterionResult:
         fld = _random_field(rng)
         h = float(np.exp(rng.uniform(np.log(0.05), np.log(5.0))))
         x = np.array([rng.uniform(-20.0, 20.0)])
-        std = float(np.sqrt(h * fld.inv_metric(x)[0, 0]))
-        y = x + 2.0 * std * rng.standard_normal(1)
         kern = gaussian_proposal(fld, h)
+        y = x + 2.0 * kern.std(float(x[0])) * rng.standard_normal(1)
         generic = log_accept_ratio(target, kern, x, y)
         closed = log_accept_ratio_closed_form(target, fld, h, x, y)
         worst = max(worst, abs(generic - closed))
@@ -234,7 +227,7 @@ def criterion_6(seed: int = 0) -> CriterionResult:
     cannot show a large-step pathology; the check asserts what the
     method does at h = 100.
 
-    Unlike checks 3, 4, 5 and 7 this one does not run its scenario
+    Unlike checks 3, 4, 5, 7 and 8 this one does not run its scenario
     body, ``lemma3_drift``: its large-step probes draw from seeds
     ``seed + 17 + i`` where the scenario's draw from ``seed + i``, and
     merging the two would re-seed one of them.
@@ -290,46 +283,16 @@ def criterion_7(seed: int = 0) -> CriterionResult:
 def criterion_8(seed: int = 0) -> CriterionResult:
     """Jump-distance optimum over field exponents on the unit Gaussian.
 
-    Exponent grid 0..3.2 by 0.4.  On the quadrature curve, the stationary
-    expected squared jump at the step size with acceptance exactly 0.44
-    must peak in [1.2, 2.0], ahead of the runner-up by more than the two
-    points' summed error estimates.  The chains are the independent
-    route: 1e5 steps per exponent, step sizes tuned to acceptance
-    0.44 +/- 0.05, and each chain's mean squared jump within four
-    standard errors of the quadrature value at its own step size.  The
-    curve's top is flat to about 0.001, well below a chain's standard
-    error (about 0.008), so the chains alone cannot locate the argmax.
+    Exponent grid 0..3.2 by 0.4, acceptance 0.44: the argmax of the
+    tuned quadrature curve lies in [1.2, 2.0], ahead of the runner-up by
+    more than their summed error; each tuned chain accepts within
+    0.44 +/- 0.05 and lies within four standard errors of the quadrature
+    at its own step size.  The curve's top is flat to about 0.001, below
+    a chain's standard error (about 0.008), so the chains alone cannot
+    locate the argmax: the ``esjd_scan`` scenario with 1e5-step chains.
     """
-    t0 = time.perf_counter()
-    target = make_gaussian(1.0)
-    b_values = [round(0.4 * i, 1) for i in range(9)]
-    curve = [
-        tuned_jump_quadrature(target, power_field(b), 0.44, *_ESJD_WINDOW)
-        for b in b_values
-    ]
-    runner_up, top = sorted(range(len(curve)), key=lambda i: curve[i].esjd)[-2:]
-    margin = curve[top].esjd - curve[runner_up].esjd
-    err = curve[top].esjd_err + curve[runner_up].esjd_err
-    located = 1.2 <= b_values[top] <= 2.0 and margin > err
-
-    points = esjd_scan(
-        target, b_values, 1.0, n_steps=100_000, seed=seed, tune_acceptance=0.44,
-    )
-    rates_ok = all(abs(p.acceptance_rate - 0.44) <= 0.05 for p in points)
-    zs = [
-        abs(p.esjd - stationary_jump_quadrature(
-            target, power_field(p.b), p.step_size, *_ESJD_WINDOW).esjd) / p.se
-        for p in points
-    ]
-    passed = located and rates_ok and max(zs) <= 4.0
-    return CriterionResult(
-        8, "esjd_optimum_location", passed,
-        f"quadrature argmax b = {b_values[top]:g} (esjd {curve[top].esjd:.5f}), "
-        f"margin {margin:.2e} over b = {b_values[runner_up]:g} vs error {err:.1e}; "
-        f"acceptance rates in window: {rates_ok}; worst chain-vs-quadrature "
-        f"z = {max(zs):.2f}; quadrature curve "
-        + ", ".join(f"{b:g}:{q.esjd:.5f}" for b, q in zip(b_values, curve)),
-        time.perf_counter() - t0,
+    return _run_scenario_checks(
+        8, "esjd_optimum_location", "esjd_scan", seed, n_steps=100_000
     )
 
 

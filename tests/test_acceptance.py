@@ -81,13 +81,14 @@ def test_criterion_10_discretized_chain_consistency():
         (verify.criterion_4, "lemma4_probe", {"n": 100_000}),
         (verify.criterion_5, "lemma2_drift", {"n": 100_000}),
         (verify.criterion_7, "oracle_scan", {}),
+        (verify.criterion_8, "esjd_scan", {"n_steps": 100_000}),
     ],
 )
 @pytest.mark.parametrize("passed", [True, False])
 def test_criterion_runs_its_scenario_at_pinned_size(
     monkeypatch, criterion, scenario, params, passed
 ):
-    """Checks 3, 4, 5 and 7 run their scenario body at their own sample
+    """Checks 3, 4, 5, 7 and 8 run their scenario body at their own sample
     size (not the scenario default) and pass iff all its checks pass."""
     calls = []
 

@@ -25,7 +25,6 @@ from pdrwm import (
     constant_field,
     ellipse_proposal,
     exp_abs,
-    exp_abs_pow,
     gaussian_proposal,
     kernel_adaptive_field,
     log_accept_ratio,
@@ -123,7 +122,7 @@ class TestOneDimensionalProperties:
         check_target(target, rows)
         check_field(fld, rows)
         check_kernel(kernel, xv, ys)
-        for v in (exp_abs(0.5), exp_abs_pow(1.0, 0.5), abs_pow(0.25)):
+        for v in (exp_abs(0.5), abs_pow(0.25)):
             check_lyapunov(v, rows)
 
 
@@ -190,7 +189,7 @@ class TestBuiltinBatchForms:
 
     def test_lyapunov_functions(self):
         check_lyapunov(rectangle_v(), self.stairs)
-        for v in (exp_abs(0.3), exp_abs_pow(2.0, 0.5), abs_pow(0.5)):
+        for v in (exp_abs(0.3), abs_pow(0.5)):
             check_lyapunov(v, self.plane)
             check_lyapunov(v, np.vstack([self.line, [[0.0], [0.5], [1.0]]]))
 

@@ -22,7 +22,7 @@ class TestListScenarios:
         main(["list-scenarios"])
         out = capsys.readouterr().out
         assert "n_proposals: int = 2000" in out
-        assert "tune_acceptance: float | None = 0.44" in out
+        assert "tune_acceptance: float = 0.44" in out
         assert "x0: float | tuple[float, ...]\n" in out
 
 

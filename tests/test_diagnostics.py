@@ -17,7 +17,6 @@ from pdrwm import (
     ellipse_proposal,
     esjd_scan,
     exp_abs,
-    exp_abs_pow,
     gaussian_proposal,
     log_accept_ratio,
     make_exponential_tail,
@@ -67,12 +66,6 @@ class TestLyapunovCatalogue:
         assert v.log_evaluate(pt(3.0)) == pytest.approx(1.5)
         assert v.evaluate(pt(0.0)) == 1.0
         assert v.evaluate(pt(1e6)) == math.inf  # saturates instead of raising
-
-    def test_exp_abs_pow(self):
-        v = exp_abs_pow(2.0, 0.5)
-        assert v.log_evaluate(pt(9.0)) == pytest.approx(6.0)
-        with pytest.raises(ParameterError):
-            exp_abs_pow(1.0, 1.0)
 
     def test_abs_pow(self):
         v = abs_pow(0.25)

@@ -6,6 +6,7 @@ import pytest
 from pdrwm import (
     ConfigError,
     ExperimentConfig,
+    ParameterError,
     list_scenarios,
     load_config,
     one_plus_square_field,
@@ -13,6 +14,7 @@ from pdrwm import (
     run_scenario,
     scenario_digest,
 )
+from pdrwm import experiments
 from pdrwm.experiments import (
     OUTPUT_DIR_ENV,
     SCENARIOS,
@@ -274,6 +276,31 @@ class TestScenarioBodies:
         cfg = ExperimentConfig("lemma4_probe", 1, str(tmp_path), {"n": 2000})
         res = run_scenario(cfg)
         assert res.passed
+
+    def test_esjd_scan_reports_its_quadrature_route(self):
+        files, checks = SCENARIOS["esjd_scan"](0, "", b_values=(1.2, 1.6), n_steps=2000)
+        lines = files["esjd_scan.csv"].splitlines()
+        assert lines[1] == (
+            "b,step_size,esjd,se,acceptance_rate,quad_esjd,z,"
+            "tuned_step_size,tuned_esjd,tuned_esjd_err"
+        )
+        assert [row.split(",")[0] for row in lines[2:]] == ["1.2", "1.6"]
+        assert [c.name for c in checks] == [
+            "acceptance_in_window", "chains_match_quadrature", "quadrature_argmax_located",
+        ]
+        assert all(c.passed for c in checks)
+
+    def test_esjd_scan_rejects_bad_input_before_quadrature(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(experiments, "tuned_jump_quadrature", no_quadrature)
+        monkeypatch.setattr(experiments, "stationary_jump_quadrature", no_quadrature)
+        with pytest.raises(ParameterError, match="n_steps"):
+            SCENARIOS["esjd_scan"](0, "", n_steps=50)
+        with pytest.raises(ConfigError) as err:
+            SCENARIOS["esjd_scan"](0, "", b_values=(1.2,))
+        assert err.value.key == "b_values"
 
     def test_custom_runs_a_chain(self, tmp_path):
         cfg = ExperimentConfig(

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 
 from pdrwm import (
     EvaluationError,
+    NumericError,
     ParameterError,
     PartitionError,
     BOUNDED,
     CovarianceField,
     PastSampleSet,
     constant_field,
+    gaussian_proposal,
     kernel_adaptive_field,
     load_sample_set,
     make_exponential_tail,
@@ -164,6 +167,28 @@ class TestFloatVariance:
         assert power_field(1.5, dim=2).variance is None
         with pytest.raises(ParameterError):
             dataclasses.replace(power_field(1.5, dim=2), variance=lambda v: 1.0)
+
+
+class TestPerPointOverflow:
+    """Where the value passes the float range, the per-point forms give
+    ``inf`` as the batch form does, and the kernel names the point."""
+
+    @pytest.mark.parametrize(
+        "field, v",
+        [(one_plus_square_field(), 1e160), (power_field(4.0), 1e80)],
+        ids=["one_plus_square", "power4"],
+    )
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_inf_as_in_the_batch_form(self, field, v, sign):
+        v *= sign
+        assert field.variance(v) == math.inf
+        assert field.inv_metric(pt(v))[0, 0] == math.inf
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            batch = field.inv_metric_batch(pt(v)[None, :])
+        assert batch[0, 0, 0] == math.inf
+        kern = gaussian_proposal(field, 1.0)
+        with pytest.raises(NumericError, match=re.escape(f"inf at [{v!r}]")):
+            kern.std(v)
 
 
 def _growth(field):
