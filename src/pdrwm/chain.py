@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -224,7 +224,6 @@ class ChainTrajectory:
     alpha: np.ndarray
     seed: int
     digest: str
-    label: str = field(default="")
 
     @property
     def n_steps(self) -> int:

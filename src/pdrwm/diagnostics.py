@@ -53,6 +53,11 @@ __all__ = [
 V_RATIO_CAP = 1e15
 _LOG_CAP = math.log(V_RATIO_CAP)
 
+#: steps of each probe chain in :func:`tune_step_size`
+_TUNE_PROBE_STEPS = 4000
+#: bisection steps of :func:`tune_step_size` once a bracket is found
+_TUNE_MAX_ITER = 16
+
 
 @dataclass(frozen=True)
 class LyapunovFunction:
@@ -262,7 +267,8 @@ def tail_acceptance_profile(
     ``s(x) = sqrt(h * S(x))`` the local proposal standard deviation.  One
     dimension only, and only in the tail (|x| >= x0): near the mode the
     profile says nothing about ergodicity and is refused rather than
-    silently returned.
+    silently returned.  ``h <= 0`` and a field value at ``x`` that is not
+    finite and positive raise as the kernel does.
     """
     if target.dim != 1 or cov_field.dim != 1:
         raise ParameterError("profile is defined for one-dimensional problems")
@@ -271,7 +277,7 @@ def tail_acceptance_profile(
             f"profile probes the tail; need |x| >= {x0:g}, got {x:g}"
         )
     xv = np.array([float(x)])
-    s = math.sqrt(h * cov_field.variance(float(x)))
+    s = gaussian_proposal(cov_field, h).std(float(x))
     out = []
     for c in offsets:
         y = float(x) + float(c) * s
@@ -298,8 +304,6 @@ def tune_step_size(
     h0: float,
     target_rate: float,
     seed: int,
-    probe_steps: int = 4000,
-    max_iter: int = 16,
 ) -> float:
     """Bisect on log h until short probe chains accept near ``target_rate``.
 
@@ -316,7 +320,7 @@ def tune_step_size(
 
     def acc(h: float) -> float:
         kern = gaussian_proposal(cov_field, h)
-        return run_chain(target, kern, x0, probe_steps, seed).acceptance_rate
+        return run_chain(target, kern, x0, _TUNE_PROBE_STEPS, seed).acceptance_rate
 
     lo = hi = float(h0)
     a0 = acc(h0)
@@ -335,7 +339,7 @@ def tune_step_size(
         else:
             raise NumericError("no step size small enough to reach the target rate")
 
-    for _ in range(max_iter):
+    for _ in range(_TUNE_MAX_ITER):
         mid = math.sqrt(lo * hi)
         a = acc(mid)
         if abs(a - target_rate) <= 0.01:
@@ -353,12 +357,12 @@ def esjd_scan(
     h: float,
     n_steps: int = 100_000,
     seed: int = 0,
-    tune_acceptance: float | None = 0.44,
+    tune_acceptance: float = 0.44,
 ) -> list[EsjdPoint]:
     """Expected squared jumping distance across power-field exponents.
 
     For each exponent ``b`` the scan builds the ``(1+|x|)^b`` field,
-    optionally tunes the step size to the given acceptance rate, runs one
+    tunes the step size from ``h`` to the given acceptance rate, runs one
     long chain from the origin, and reports mean squared jumps with a
     batch-means standard error.  One dimension only.
 
@@ -374,10 +378,7 @@ def esjd_scan(
         fld = power_field(float(b))
         seed_tune = seed + 7919 * i + 1
         seed_run = seed + 7919 * i + 2
-        if tune_acceptance is not None:
-            h_b = tune_step_size(target, fld, h, tune_acceptance, seed_tune)
-        else:
-            h_b = float(h)
+        h_b = tune_step_size(target, fld, h, tune_acceptance, seed_tune)
         traj = run_chain(
             target, gaussian_proposal(fld, h_b), np.zeros(1), n_steps, seed_run
         )

@@ -731,7 +731,7 @@ def _scenario_esjd(
     the step size of stationary acceptance exactly ``tune_acceptance``
     (``tuned_*``).  The curve's argmax must lie in [1.2, 2.0], ahead of
     the runner-up by more than their summed error estimates; at the
-    default config the quadrature adds about 9 s to the chains' 2 s.
+    default config the quadrature adds about 2.5 s to the chains' 2 s.
     """
     if len(b_values) < 2:
         raise ConfigError("b_values needs at least two exponents", key="b_values")

@@ -238,8 +238,7 @@ def power_field(b: float, dim: int = 1) -> CovarianceField:
     if dim < 1:
         raise ParameterError(f"dim must be >= 1, got {dim}")
     b = float(b)
-    eye = np.eye(dim)
-    eye.setflags(write=False)
+    diagonal = np.arange(dim)
 
     if b == 0.0:
         growth = BOUNDED
@@ -256,13 +255,19 @@ def power_field(b: float, dim: int = 1) -> CovarianceField:
         except OverflowError:  # past the float range, where numpy gives inf
             return math.inf
 
+    # the scale is written onto the diagonal, not multiplied into an
+    # identity: past the float range inf * 0 would put NaN off it
     def inv_metric(x: np.ndarray) -> np.ndarray:
+        out = np.zeros((dim, dim))
         # np.linalg.norm of a float vector is sqrt(x.dot(x)); calling
         # that directly gives the same bits without the wrapper's cost
-        return scale(math.sqrt(x.dot(x))) * eye
+        out.flat[:: dim + 1] = scale(math.sqrt(x.dot(x)))
+        return out
 
     def inv_metric_batch(xs: np.ndarray) -> np.ndarray:
-        return ((1.0 + np.linalg.norm(xs, axis=1)) ** b)[:, None, None] * eye
+        out = np.zeros((len(xs), dim, dim))
+        out[:, diagonal, diagonal] = ((1.0 + np.linalg.norm(xs, axis=1)) ** b)[:, None]
+        return out
 
     def variance(v: float) -> float:
         return scale(math.sqrt(v * v))

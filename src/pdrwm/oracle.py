@@ -29,8 +29,9 @@ each block took.
 
 The module also holds the deterministic routes the Monte Carlo probes
 are checked against: adaptive quadrature for the one-step drift ratio,
-and a product rule for the stationary acceptance rate and expected
-squared jump.
+and the stationary acceptance rate and expected squared jump as moments
+of the grid chain, with the difference from the chain on half the
+nodes as their error estimate.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -51,6 +52,7 @@ from .chain import log_accept_ratio_closed_form, log_accept_terms
 from .diagnostics import LyapunovFunction
 from .errors import DiscretizationError, NumericError, ParameterError
 from .fields import CovarianceField
+from .proposals import gaussian_proposal
 from .targets import TargetDensity
 
 __all__ = [
@@ -177,8 +179,8 @@ def _check_spacing(step: float, h: float, g: np.ndarray) -> None:
 
 def _log_move_rows(
     grid: np.ndarray, lp: np.ndarray, g: np.ndarray, h: float, i0: int, i1: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Squared jumps and log of q(x_j | x_i) alpha(x_i, x_j) for rows i0:i1."""
+) -> np.ndarray:
+    """Log of q(x_j | x_i) alpha(x_i, x_j) for rows i0:i1."""
     # log q(x_j | x_i) = log_norm[i] - (x_i - x_j)^2 / (2 h g[i])
     log_norm = -0.5 * math.log(2.0 * math.pi * h) - 0.5 * np.log(g)
     inv_two_hg = 1.0 / (2.0 * h * g)
@@ -186,7 +188,7 @@ def _log_move_rows(
     lq = log_norm[i0:i1, None] - d2 * inv_two_hg[i0:i1, None]
     lq_rev = log_norm[None, :] - d2 * inv_two_hg[None, :]
     la = log_accept_terms(lp[i0:i1, None], lp[None, :], lq, lq_rev)
-    return d2, lq + la
+    return lq + la
 
 
 def build_discretized(
@@ -237,7 +239,7 @@ def build_discretized(
     log_step = math.log(step)
     transition = np.empty((n, n))
     for i0, i1 in _row_blocks(n, start=s):
-        _, log_move = _log_move_rows(grid, lp, g, h, i0, i1)
+        log_move = _log_move_rows(grid, lp, g, h, i0, i1)
         log_move += log_step
         np.exp(log_move, out=transition[i0:i1])
 
@@ -566,11 +568,15 @@ def drift_ratio_quadrature(
     standard deviations around ``x`` and adds 1; the integrand is
     composed inside a single exponential per term, so the huge V ratios
     the Monte Carlo probe has to clip never appear here.  Independent of
-    the sampling code path on purpose: only the closed-form acceptance is
-    shared.
+    the sampling code path on purpose: only the closed-form acceptance
+    and the kernel's standard deviation are shared, so ``h <= 0`` and a
+    field value at ``x`` that is not finite and positive raise as the
+    kernel does.
     """
+    if target.dim != 1 or cov_field.dim != 1:
+        raise ParameterError("the drift quadrature is one-dimensional")
     xv = np.array([float(x)])
-    std = math.sqrt(h * cov_field.variance(float(x)))
+    std = gaussian_proposal(cov_field, h).std(float(x))
     log_norm = -math.log(std) - 0.5 * math.log(2.0 * math.pi)
     log_vx = lyapunov.log_evaluate(xv)
 
@@ -605,76 +611,54 @@ class JumpQuadResult(NamedTuple):
     esjd_err: float
 
 
-class _JumpGrid:
-    """Target and field on a uniform grid, for the stationary-jump rule.
+def _jump_moments(
+    target: TargetDensity, cov_field: CovarianceField, half_width: float,
+    n: int, h: float,
+) -> tuple[float, float]:
+    """Stationary acceptance rate and squared jump of the grid chain on
+    ``n`` nodes.  Its diagonal holds the stay mass, so each node's own
+    term q(x_i | x_i) step, always accepted, is added back."""
+    chain = build_discretized(target, cov_field, h, half_width, n)
+    p, pi, x = chain.transition, chain.pi_hat, chain.grid
+    g = cov_field.inv_metric_batch(x[:, None])[:, 0, 0]
+    own = chain.step / np.sqrt(2.0 * math.pi * h * g)
+    acc = float(pi @ (1.0 - np.diagonal(p) + own))
+    # sum_j P_ij (x_i - x_j)^2, expanded into two products with P
+    x2 = x * x
+    jump = float(pi @ (p @ x2 - 2.0 * x * (p @ x) + x2))
+    return acc, jump
 
-    The stationary flux pi(x) q(y|x) alpha(x, y) is integrated with the
-    product trapezoid rule on [-L, L]^2, once on all ``n`` nodes and once
-    on every other node; the difference is the error estimate.  The
-    integrand has kinks where alpha reaches one, so the rule converges
-    like the squared spacing and the halved-rule difference overstates
-    the fine-rule error.
-    """
 
-    def __init__(
-        self, target: TargetDensity, cov_field: CovarianceField,
-        half_width: float, n: int,
-    ):
-        if target.dim != 1 or cov_field.dim != 1:
-            raise ParameterError("the jump quadrature is one-dimensional")
-        if not half_width > 0:
-            raise ParameterError(f"half_width must be positive, got {half_width}")
-        if n < 101 or n % 2 == 0:
-            raise ParameterError(f"need an odd node count >= 101, got {n}")
-        self.grid = np.linspace(-half_width, half_width, n)
-        lp, self.g = _grid_values(target, cov_field, self.grid)
-        self.lp = lp - lp.max()
+def _check_nodes(n: int) -> None:
+    if n < 101 or n % 2 == 0:
+        raise ParameterError(f"need an odd node count >= 101, got {n}")
 
-    def moments(self, h: float, stride: int = 1) -> tuple[float, float]:
-        """Stationary acceptance rate and squared jump on every
-        ``stride``-th node."""
-        if not h > 0:
-            raise ParameterError(f"step size must be positive, got {h}")
-        grid, lp, g = self.grid[::stride], self.lp[::stride], self.g[::stride]
-        step = float(grid[1] - grid[0])
-        _check_spacing(step, h, g)
-        w = np.full(len(grid), step)
-        w[[0, -1]] *= 0.5
-        acc = jump = 0.0
-        block = max(1, 1_000_000 // len(grid))
-        for i0 in range(0, len(grid), block):
-            i1 = min(i0 + block, len(grid))
-            d2, log_move = _log_move_rows(grid, lp, g, h, i0, i1)
-            flux = np.exp(lp[i0:i1, None] + log_move) * w[i0:i1, None] * w[None, :]
-            acc += float(flux.sum())
-            jump += float((flux * d2).sum())
-        mass = float(np.exp(lp) @ w)
-        return acc / mass, jump / mass
 
-    def solve_step_size(
-        self, rate: float, stride: int, h0: float, first_move: float
-    ) -> float:
-        """Step size whose stationary acceptance on the strided rule is
-        exactly ``rate``, searched outward from ``h0`` in log steps that
-        start at ``first_move`` and double."""
+def _solve_step_size(
+    moments: Callable[[int, float], tuple[float, float]], n: int, rate: float,
+    h0: float, first_move: float,
+) -> float:
+    """Step size at which ``moments(n, h)`` puts the stationary
+    acceptance at exactly ``rate``, searched outward from ``h0`` in log
+    steps that start at ``first_move`` and double."""
 
-        # brentq re-evaluates the bracket ends the search already has
-        @functools.lru_cache(maxsize=None)
-        def excess(log_h: float) -> float:
-            return self.moments(math.exp(log_h), stride)[0] - rate
+    # brentq re-evaluates the bracket ends the search already has
+    @functools.lru_cache(maxsize=None)
+    def excess(log_h: float) -> float:
+        return moments(n, math.exp(log_h))[0] - rate
 
-        # acceptance falls as h grows: walk toward the root until the
-        # sign flips
-        a = math.log(h0)
-        above = excess(a) > 0.0
-        move = first_move if above else -first_move
-        for _ in range(40):
-            b = a + move
-            if (excess(b) > 0.0) != above:
-                lo, hi = sorted((a, b))
-                return math.exp(brentq(excess, lo, hi, xtol=1e-10))
-            a, move = b, 2.0 * move
-        raise NumericError(f"no step size brackets acceptance {rate}")
+    # acceptance falls as h grows: walk toward the root until the sign
+    # flips
+    a = math.log(h0)
+    above = excess(a) > 0.0
+    move = first_move if above else -first_move
+    for _ in range(40):
+        b = a + move
+        if (excess(b) > 0.0) != above:
+            lo, hi = sorted((a, b))
+            return math.exp(brentq(excess, lo, hi, xtol=1e-10))
+        a, move = b, 2.0 * move
+    raise NumericError(f"no step size brackets acceptance {rate}")
 
 
 def stationary_jump_quadrature(
@@ -686,17 +670,23 @@ def stationary_jump_quadrature(
 ) -> JumpQuadResult:
     """Stationary acceptance rate and expected squared jump, one dimension.
 
-    Integrates pi(x) q(y | x) alpha(x, y) and the same times (y - x)^2
-    over [-half_width, half_width]^2 with pi normalized on the window,
-    the deterministic counterpart of a long chain's acceptance rate and
-    mean squared jump.  Target and proposal mass outside the window is
-    not counted in the error estimates, so the window must hold the
-    target.  Independent of the sampling code path: only the oracle's
-    grid evaluation and the acceptance log terms are shared.
+    Both are moments of :func:`build_discretized`'s grid chain under
+    pi_hat, the deterministic counterpart of a long chain's acceptance
+    rate and mean squared jump.  They integrate pi(x) q(y | x)
+    alpha(x, y), and the same times (y - x)^2, over
+    [-half_width, half_width]^2 with pi normalized on the window and
+    full weight at every node.  The trapezoid rule would halve the two
+    end nodes' weights; a window that holds the target (mass outside it
+    is not counted in the error estimates) has about e^-32 of its mass
+    there.  The error estimates are the differences from the chain on
+    ``(n + 1) // 2`` nodes.  The integrand has kinks where alpha reaches
+    one, so the rule converges like the squared spacing and that
+    difference overstates the error.  ``n`` must be odd and >= 101.
     """
-    jg = _JumpGrid(target, cov_field, half_width, n)
-    acc, jump = jg.moments(h)
-    acc_c, jump_c = jg.moments(h, stride=2)
+    _check_nodes(n)
+    moments = functools.partial(_jump_moments, target, cov_field, half_width)
+    acc, jump = moments(n, h)
+    acc_c, jump_c = moments((n + 1) // 2, h)
     return JumpQuadResult(float(h), acc, abs(acc - acc_c), jump, abs(jump - jump_c))
 
 
@@ -710,17 +700,18 @@ def tuned_jump_quadrature(
     """Expected squared jump at the step size with stationary acceptance
     exactly ``rate``.
 
-    The step size is solved separately on the full and the halved rule,
-    so ``esjd_err`` carries both the quadrature error and its effect
-    through the solved step size; ``acceptance_err`` is how far the
-    halved rule puts the acceptance at the reported step size.
+    The step size is solved separately on the ``n``-node and the
+    ``(n + 1) // 2``-node chain, so ``esjd_err`` carries both the rule's
+    error and its effect through the solved step size;
+    ``acceptance_err`` is how far the halved rule puts the acceptance at
+    the reported step size.
     """
     if not 0.0 < rate < 1.0:
         raise ParameterError(f"target rate must lie in (0,1), got {rate}")
-    jg = _JumpGrid(target, cov_field, half_width, n)
-    h_c = jg.solve_step_size(rate, 2, 1.0, 0.1)
-    h = jg.solve_step_size(rate, 1, h_c, 1e-3)
-    acc, jump = jg.moments(h)
-    acc_c = jg.moments(h, stride=2)[0]
-    jump_c = jg.moments(h_c, stride=2)[1]
-    return JumpQuadResult(h, acc, abs(acc - acc_c), jump, abs(jump - jump_c))
+    _check_nodes(n)
+    moments = functools.partial(_jump_moments, target, cov_field, half_width)
+    m = (n + 1) // 2
+    h_c = _solve_step_size(moments, m, rate, 1.0, 0.1)
+    h = _solve_step_size(moments, n, rate, h_c, 1e-3)
+    res = stationary_jump_quadrature(target, cov_field, h, half_width, n)
+    return res._replace(esjd_err=abs(res.esjd - moments(m, h_c)[1]))

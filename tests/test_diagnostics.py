@@ -6,6 +6,7 @@ from scipy.special import ndtr
 
 from pdrwm import (
     DriftResult,
+    NumericError,
     ParameterError,
     ProbeEstimate,
     abs_pow,
@@ -115,6 +116,20 @@ class TestDriftRatio:
         mc = drift_ratio(t, k, v, pt(50.0), n=100_000, seed=13)
         qd = drift_ratio_quadrature(t, f, 1.0, v, 50.0)
         assert abs(mc.estimate - qd.estimate) < 4 * mc.se
+
+    def test_quadrature_refuses_an_unusable_scale(self):
+        t = make_exponential_tail(1.0)
+        f = power_field(4.0)
+        v = exp_abs(0.5)
+        # past the float range the field is inf at x: the kernel's error,
+        # not a silent ratio of 1
+        with pytest.raises(NumericError, match=r"at \[1e\+80\] is not usable"):
+            drift_ratio_quadrature(t, f, 1.0, v, 1e80)
+        for h in (0.0, -1.0):
+            with pytest.raises(ParameterError, match="step size"):
+                drift_ratio_quadrature(t, f, h, v, 30.0)
+        with pytest.raises(ParameterError, match="one-dimensional"):
+            drift_ratio_quadrature(t, power_field(1.0, dim=2), 1.0, v, 30.0)
 
     def test_contraction_in_the_classic_case(self):
         t = make_exponential_tail(1.0)
@@ -358,6 +373,15 @@ class TestTailProfile:
         rows = tail_acceptance_profile(t, f, 1.0, 30.0, [1.0])
         assert rows[0].y == pytest.approx(30.0 + 31.0)  # std = (1+30)
 
+    def test_unusable_scale_refused(self):
+        t = make_exponential_tail(1.0)
+        f = power_field(4.0)
+        with pytest.raises(NumericError, match=r"at \[1e\+80\] is not usable"):
+            tail_acceptance_profile(t, f, 1.0, 1e80, [1.0])
+        for h in (0.0, -1.0):
+            with pytest.raises(ParameterError, match="step size"):
+                tail_acceptance_profile(t, f, h, 30.0, [1.0])
+
     def test_near_mode_refused(self):
         t = make_exponential_tail(1.0)
         with pytest.raises(ParameterError):
@@ -377,11 +401,6 @@ class TestEsjdScan:
         a = esjd_scan(t, [0.5], h=1.0, n_steps=5000, seed=3)
         b = esjd_scan(t, [0.5], h=1.0, n_steps=5000, seed=3)
         assert a == b
-
-    def test_untuned_uses_given_h(self):
-        t = make_gaussian()
-        pts = esjd_scan(t, [0.0], h=0.7, n_steps=2000, seed=1, tune_acceptance=None)
-        assert pts[0].step_size == 0.7
 
 
 def test_tune_step_size_converges():

@@ -100,10 +100,17 @@ class TestPower:
         # square underflows to 0; both forms must do so alike
         xv = np.array(x)
         f = power_field(b, dim=len(x))
-        eye = np.eye(len(x))
-        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 off-diagonal
-            expected = (1.0 + float(np.linalg.norm(xv))) ** b * eye
+        with np.errstate(over="ignore"):
+            # a numpy scalar, whose power gives inf past the float range
+            # where a Python float's raises OverflowError
+            scale = (1.0 + np.linalg.norm(xv)) ** b
+            expected = np.diag(np.full(len(x), scale))
             assert f.inv_metric(xv).tobytes() == expected.tobytes()
+            scales = (1.0 + np.linalg.norm(xv[None, :], axis=1)) ** b
+            batch = f.inv_metric_batch(xv[None, :])
+        if np.isfinite(scales[0]):
+            # finite values keep the bits of the scaled identity
+            assert batch.tobytes() == (scales[:, None, None] * np.eye(len(x))).tobytes()
 
 
 # 0, +-1e-160 (square underflows), +-1e160 (square overflows), and more
@@ -189,6 +196,27 @@ class TestPerPointOverflow:
         kern = gaussian_proposal(field, 1.0)
         with pytest.raises(NumericError, match=re.escape(f"inf at [{v!r}]")):
             kern.std(v)
+
+
+class TestPowerFieldOverflowInDimensionTwo:
+    """Past the float range the scale is ``inf`` on the diagonal and the
+    off-diagonal stays 0, with no inf * 0 NaN in either form."""
+
+    def test_diagonal_inf_off_diagonal_zero(self):
+        f = power_field(4.0, dim=2)
+        x = np.array([1e80, 0.0])
+        expected = np.array([[math.inf, 0.0], [0.0, math.inf]])
+        np.testing.assert_array_equal(f.inv_metric(x), expected)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            batch = f.inv_metric_batch(np.array([x, [3.0, 4.0]]))
+        np.testing.assert_array_equal(batch[0], expected)
+        np.testing.assert_array_equal(batch[1], 6.0**4 * np.eye(2))
+
+    def test_kernel_names_the_point(self):
+        kern = gaussian_proposal(power_field(4.0, dim=2), 1.0)
+        x = np.array([1e80, 0.0])
+        with pytest.raises(NumericError, match=r"covariance at .* is not finite"):
+            kern.sample(x, np.random.default_rng(0))
 
 
 def _growth(field):

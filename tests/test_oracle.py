@@ -413,6 +413,22 @@ class TestJumpQuadrature:
         assert again.esjd == pytest.approx(tuned.esjd, rel=1e-12)
         assert 0.0 < tuned.esjd_err < 1e-4
 
+    @pytest.mark.parametrize(
+        "b, expected",
+        [
+            (1.2, (2.691284534848495, 0.44, 8.145858682973017e-06,
+                   0.7706173039238681, 6.029531904649943e-06)),
+            (1.6, (2.0791943869565643, 0.44, 9.364106918596793e-06,
+                   0.7639170562339035, 4.257013909048091e-06)),
+        ],
+    )
+    def test_tuned_curve_values(self, b, expected):
+        # the esjd_scan window at exponents either side of the optimum,
+        # held to 1e-12 where the tests above hold the rule to 1e-4
+        got = tuned_jump_quadrature(make_gaussian(), power_field(b), 0.44, 8.0, 1601)
+        for g, e in zip(got, expected):
+            assert g == pytest.approx(e, rel=0.0, abs=1e-12)
+
     def test_domain_checks(self):
         t = make_gaussian(1.0)
         f = constant_field(1.0)
