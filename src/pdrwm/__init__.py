@@ -41,7 +41,6 @@ from .errors import (
     EvaluationError,
     NumericError,
     ParameterError,
-    PartitionError,
     PDRWMError,
     SupportError,
 )
@@ -55,23 +54,12 @@ from .experiments import (
     scenario_digest,
 )
 from .fields import (
-    BOUNDED,
-    QUADRATIC,
     CovarianceField,
-    GrowthClass,
-    PastSampleSet,
     constant_field,
-    kernel_adaptive_field,
-    load_sample_set,
-    mixture_field,
     one_plus_square_field,
     power_field,
-    regional_field,
     ridge_conditional_field,
-    subquadratic,
-    superquadratic,
     tempered_langevin_field,
-    weighted_empirical_field,
 )
 from .oracle import (
     DiscretizedChain,
@@ -111,20 +99,14 @@ from .rectangle import (
     overlap_area,
 )
 from .targets import (
-    COMPACT,
-    OTHER,
     RectangleDensity,
-    TailClass,
     TargetDensity,
-    log_concave,
     make_exponential_tail,
     make_gaussian,
     make_polynomial_tail,
     make_rectangle,
     make_ridge_2d,
     make_subexponential_tail,
-    polynomial,
-    subexponential,
 )
 from .verify import CriterionResult, verify_all
 

@@ -26,7 +26,6 @@ from .proposals import _LOG_2PI, ProposalKernel
 from .targets import TargetDensity
 
 __all__ = [
-    "log_accept_terms",
     "log_accept_ratio",
     "log_accept_ratio_batch",
     "log_accept_ratio_closed_form",

@@ -13,10 +13,6 @@ class SupportError(PDRWMError):
     """A point lies outside the support required by the operation."""
 
 
-class PartitionError(PDRWMError):
-    """A regional covariance partition is not a partition at the queried point."""
-
-
 class EvaluationError(PDRWMError):
     """A field or density cannot be evaluated at the queried point."""
 

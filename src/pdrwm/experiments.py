@@ -161,7 +161,7 @@ def _coerce(value, hint, key: str):
 
     An int passes for a float and is converted with ``float()``; a bool
     or a string never passes for a number.  ``tuple[T, ...]`` takes a
-    YAML list.
+    nonempty YAML list: no scenario has anything to compute over none.
     """
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is UnionType:
@@ -172,6 +172,8 @@ def _coerce(value, hint, key: str):
                 pass
     elif origin is tuple:
         if isinstance(value, (list, tuple)):
+            if not value:
+                raise ConfigError(f"{key} must not be empty", key=key)
             return tuple(_coerce(v, args[0], f"{key}[{i}]") for i, v in enumerate(value))
     elif hint is float or hint is int:
         if isinstance(value, (int, hint)) and not isinstance(value, bool):
@@ -261,7 +263,11 @@ def load_config(path) -> ExperimentConfig:
     if not p.exists():
         raise ConfigError(f"config file not found: {p}", key="path")
     try:
-        raw = yaml.safe_load(p.read_text())
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {p}: {exc}", key="path") from exc
+    try:
+        raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}", key="path") from exc
     if not isinstance(raw, dict):
@@ -617,8 +623,8 @@ def _scenario_lemma6(
     width.  The corresponding checks document the shortfall
     deliberately; see the README's verification notes.
     """
-    if not p_values or min(p_values) < 3:
-        raise ConfigError("p_values must be nonempty and >= 3", key="p_values")
+    if min(p_values) < 3:
+        raise ConfigError("p_values must be >= 3", key="p_values")
 
     disc = circle_proposal()
     rng = np.random.default_rng(seed)
@@ -681,10 +687,15 @@ def _scenario_lemma7(
     """Hemisphere sweep plus a long ellipse-proposal chain down the staircase."""
     if n_steps < 1000:
         raise ConfigError("n_steps must be at least 1000", key="n_steps")
+    rect = make_rectangle()
+    x0 = (0.0, start_level + 0.5)
+    if not rect.support_test(x0):
+        raise ConfigError(
+            f"start point {x0} is outside the target support", key="start_level"
+        )
 
     sweep = hemisphere_sweep(levels=levels)
-    rect = make_rectangle()
-    traj = run_chain(rect, ellipse_proposal(), (0.0, start_level + 0.5), n_steps, seed)
+    traj = run_chain(rect, ellipse_proposal(), x0, n_steps, seed)
     levels_visited = np.floor(traj.states[:, 1]).astype(int)
     hits = np.nonzero(levels_visited == 1)[0]
     V = rectangle_v()

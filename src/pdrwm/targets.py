@@ -1,9 +1,8 @@
-"""Unnormalized target densities with tail metadata.
+"""Unnormalized target densities.
 
 Every factory here returns an immutable :class:`TargetDensity` carrying a
-log-density, a support test, and a :class:`TailClass` tag that the
-diagnostics and oracle modules key their expectations on.  Densities are
-unnormalized throughout; all Metropolis quantities depend only on ratios.
+log-density and a support test.  Densities are unnormalized throughout;
+all Metropolis quantities depend only on ratios.
 
 Points are 1-D numpy arrays of length ``dim``; batches of points are
 ``(m, dim)`` arrays, one point per row.  Each formula is written once
@@ -29,12 +28,6 @@ import numpy as np
 from .errors import ParameterError
 
 __all__ = [
-    "TailClass",
-    "log_concave",
-    "subexponential",
-    "polynomial",
-    "COMPACT",
-    "OTHER",
     "TargetDensity",
     "RectangleDensity",
     "make_exponential_tail",
@@ -43,41 +36,7 @@ __all__ = [
     "make_gaussian",
     "make_ridge_2d",
     "make_rectangle",
-    "TARGET_FACTORIES",
 ]
-
-
-@dataclass(frozen=True)
-class TailClass:
-    """Tail-behaviour tag for a one-dimensional density.
-
-    ``kind`` is one of ``"log_concave"`` (ratio bound e^{-a(y-x)} in the
-    tails, parameter ``rate``), ``"subexponential"`` (ratio bound
-    e^{-a(y^beta - x^beta)}, parameters ``rate`` and ``exponent``),
-    ``"polynomial"`` (decay |x|^{-p}, parameter ``power``), ``"compact"``,
-    or ``"other"``.
-    """
-
-    kind: str
-    rate: float | None = None
-    exponent: float | None = None
-    power: float | None = None
-
-
-def log_concave(a: float) -> TailClass:
-    return TailClass("log_concave", rate=float(a))
-
-
-def subexponential(a: float, beta: float) -> TailClass:
-    return TailClass("subexponential", rate=float(a), exponent=float(beta))
-
-
-def polynomial(p: float) -> TailClass:
-    return TailClass("polynomial", power=float(p))
-
-
-COMPACT = TailClass("compact")
-OTHER = TailClass("other")
 
 
 @dataclass(frozen=True)
@@ -90,8 +49,6 @@ class TargetDensity:
         Dimension of the state space.
     log_density : callable
         Maps a length-``dim`` point to a float, ``-inf`` off support.
-    tail_class : TailClass
-        Metadata describing the tail regime.
     support_test : callable
         Maps a point to ``True`` iff the density is positive there.
     label : str
@@ -105,7 +62,6 @@ class TargetDensity:
 
     dim: int
     log_density: Callable[[np.ndarray], float]
-    tail_class: TailClass
     support_test: Callable[[np.ndarray], bool]
     label: str
     log_density_batch: Callable[[np.ndarray], np.ndarray]
@@ -158,13 +114,12 @@ def _log1p(v):
     return math.log1p(v) if isinstance(v, float) else np.log1p(v)
 
 
-def _one_dim(formula, tail_class: TailClass, label: str) -> TargetDensity:
+def _one_dim(formula, label: str) -> TargetDensity:
     """Full-support 1-D target from one formula in the coordinate: the
     per-point form passes it ``float(x[0])``, the batch form ``xs[:, 0]``."""
     return TargetDensity(
         1,
         lambda x: formula(float(x[0])),
-        tail_class,
         _always,
         label,
         lambda xs: formula(xs[:, 0]),
@@ -180,7 +135,7 @@ def make_exponential_tail(a: float) -> TargetDensity:
     if not a > 0:
         raise ParameterError(f"decay rate must be positive, got {a}")
     a = float(a)
-    return _one_dim(lambda v: -a * abs(v), log_concave(a), f"exp_tail(a={a:g})")
+    return _one_dim(lambda v: -a * abs(v), f"exp_tail(a={a:g})")
 
 
 def make_subexponential_tail(a: float, beta: float) -> TargetDensity:
@@ -193,11 +148,7 @@ def make_subexponential_tail(a: float, beta: float) -> TargetDensity:
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"tail exponent must lie in (0,1), got {beta}")
     a, beta = float(a), float(beta)
-    return _one_dim(
-        lambda v: -a * abs(v) ** beta,
-        subexponential(a, beta),
-        f"subexp_tail(a={a:g},beta={beta:g})",
-    )
+    return _one_dim(lambda v: -a * abs(v) ** beta, f"subexp_tail(a={a:g},beta={beta:g})")
 
 
 def make_polynomial_tail(p: float) -> TargetDensity:
@@ -209,7 +160,7 @@ def make_polynomial_tail(p: float) -> TargetDensity:
     if not p >= 1:
         raise ParameterError(f"tail power must be >= 1, got {p}")
     p = float(p)
-    return _one_dim(lambda v: -p * _log1p(abs(v)), polynomial(p), f"poly_tail(p={p:g})")
+    return _one_dim(lambda v: -p * _log1p(abs(v)), f"poly_tail(p={p:g})")
 
 
 def make_gaussian(sigma: float = 1.0) -> TargetDensity:
@@ -221,7 +172,7 @@ def make_gaussian(sigma: float = 1.0) -> TargetDensity:
     if not sigma > 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
     s2 = float(sigma) ** 2
-    return _one_dim(lambda v: -0.5 * v * v / s2, OTHER, f"gaussian(sigma={sigma:g})")
+    return _one_dim(lambda v: -0.5 * v * v / s2, f"gaussian(sigma={sigma:g})")
 
 
 def make_ridge_2d() -> TargetDensity:
@@ -237,7 +188,6 @@ def make_ridge_2d() -> TargetDensity:
     return TargetDensity(
         2,
         lambda x: formula(float(x[0]), float(x[1])),
-        OTHER,
         _always,
         "ridge_2d",
         lambda xs: formula(xs[:, 0], xs[:, 1]),
@@ -277,9 +227,7 @@ def make_rectangle() -> RectangleDensity:
         inside &= np.abs(y1) <= half_widths(np.where(inside, k, 1.0))
         return np.where(inside, -k, -np.inf) * _LOG3
 
-    return RectangleDensity(
-        2, logp, OTHER, in_support, "rectangle_staircase", logp_batch
-    )
+    return RectangleDensity(2, logp, in_support, "rectangle_staircase", logp_batch)
 
 
 #: density families by name; experiment configs bind their target specs

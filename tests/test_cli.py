@@ -1,8 +1,11 @@
+import typing
+from types import UnionType
+
 import pytest
 
-from pdrwm import verify
+from pdrwm import experiments, verify
 from pdrwm.cli import main
-from pdrwm.experiments import OUTPUT_DIR_ENV
+from pdrwm.experiments import OUTPUT_DIR_ENV, SCENARIOS
 
 
 def write_config(tmp_path, text):
@@ -46,6 +49,22 @@ BAD_CONFIGS = [
     ("custom", CUSTOM + "  x0: [0.0]\n  n_steps: 10\n  h: true\n", "h"),
     ("custom", CUSTOM + "  x0: [0.0]\n", "n_steps"),
 ]
+
+
+def _list_keys():
+    """(scenario, key) for every scenario parameter that takes a YAML
+    list, read from the scenario bodies' signatures."""
+    keys = []
+    for name, body in SCENARIOS.items():
+        for p in experiments._config_parameters(body).values():
+            hint = p.annotation
+            alts = typing.get_args(hint) if typing.get_origin(hint) is UnionType else (hint,)
+            if any(typing.get_origin(alt) is tuple for alt in alts):
+                keys.append((name, p.name))
+    return keys
+
+
+LIST_KEYS = _list_keys()
 
 
 class TestRun:
@@ -101,6 +120,53 @@ class TestRun:
         assert err.startswith("config error")
         assert key in err
         assert not out_dir.exists()
+
+    def test_list_keys_found(self):
+        assert {
+            ("figure1", "x_points"), ("figure2_data", "arm_positions"),
+            ("figure3_data", "probe_levels"), ("lemma2_drift", "xs"),
+            ("lemma4_probe", "xs"), ("lemma6_exact", "p_values"), ("custom", "x0"),
+        } <= set(LIST_KEYS)
+
+    @pytest.mark.parametrize("scenario, key", LIST_KEYS, ids=[f"{s}-{k}" for s, k in LIST_KEYS])
+    def test_empty_list_exits_two_without_files(self, tmp_path, capsys, scenario, key):
+        out_dir = tmp_path / "out"
+        params = CUSTOM + "  n_steps: 10\n" if scenario == "custom" else ""
+        cfg = write_config(
+            tmp_path,
+            f"scenario: {scenario}\nseed: 0\noutput_dir: {out_dir}\n"
+            f"params:\n{params}  {key}: []\n",
+        )
+        assert main(["run", cfg]) == 2
+        assert capsys.readouterr().err.startswith(f"config error (key: {key})")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("start_level", ["-5.0", ".nan", ".inf", "0.4"])
+    def test_off_staircase_start_exits_two_before_the_sweep(
+        self, tmp_path, capsys, monkeypatch, start_level
+    ):
+        def never(**kwargs):
+            raise AssertionError("the sweep may not run")
+
+        monkeypatch.setattr(experiments, "hemisphere_sweep", never)
+        out_dir = tmp_path / "out"
+        cfg = write_config(
+            tmp_path,
+            f"scenario: lemma7_sweep\nseed: 0\noutput_dir: {out_dir}\n"
+            f"params:\n  start_level: {start_level}\n",
+        )
+        assert main(["run", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error (key: start_level)")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("kind", ["directory", "latin-1"])
+    def test_unreadable_config_exits_two(self, tmp_path, capsys, kind):
+        path = tmp_path
+        if kind == "latin-1":
+            path = tmp_path / "config.yaml"
+            path.write_bytes("scenario: figure3_data\nseed: 0\n# caf\u00e9\n".encode(kind))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error (key: path)")
 
     def test_failing_check_exits_one(self, tmp_path, capsys):
         # the pinned rejection bound is not met by the exact overlap

@@ -36,7 +36,6 @@ class TestFieldFactories:
     def test_one_plus_square_inverse_metric(self):
         f = one_plus_square_field()
         assert f.inv_metric(np.array([3.0]))[0, 0] == 10.0
-        assert f.growth_class.kind == "quadratic"
 
     def test_ridge_conditional_matches_conditionals(self):
         f = ridge_conditional_field()
@@ -180,6 +179,7 @@ class TestBindParams:
             ({"n": 1, "xs": 1.0}, "xs"),
             ({"n": 1, "xs": [1.0, "two"]}, "xs[1]"),
             ({"n": 1, "rate": "none"}, "rate"),
+            ({"n": 1, "xs": []}, "xs"),
         ],
     )
     def test_bad_mapping_names_key(self, params, key):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from pdrwm import (
-    OTHER,
     DiscretizationError,
     DiscretizedChain,
     NumericError,
@@ -116,7 +115,6 @@ class TestSpectralGap:
         t = TargetDensity(
             1,
             logp,
-            OTHER,
             lambda x: True,
             "skewed_laplace",
             lambda xs: np.array([logp(x) for x in xs]),

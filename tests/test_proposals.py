@@ -9,7 +9,6 @@ from scipy.linalg import cholesky, solve_triangular
 from scipy.stats import multivariate_normal, norm, truncnorm
 
 from pdrwm import (
-    BOUNDED,
     CovarianceField,
     NumericError,
     ParameterError,
@@ -98,7 +97,6 @@ class TestGaussianKernelMultiDim:
         bad = CovarianceField(
             2,
             lambda x: value,
-            BOUNDED,
             "bad",
             lambda xs: np.broadcast_to(value, (len(xs), 2, 2)),
         )
@@ -115,7 +113,7 @@ class TestGaussianKernelMultiDim:
             return np.array([[1.0, 0.0], [0.0, 1.0 if x[0] < 1.0 else bad]])
 
         field = CovarianceField(
-            2, value, BOUNDED, "bad", lambda xs: np.stack([value(x) for x in xs])
+            2, value, "bad", lambda xs: np.stack([value(x) for x in xs])
         )
         k = gaussian_proposal(field, h=1.0)
         x, far = pt(0.0, 0.0), pt(2.5, 0.0)
@@ -193,7 +191,7 @@ def spd_field(b00, b01, b10, b11, c):
         return b @ b.T + c * np.eye(2)
 
     return CovarianceField(
-        2, inv_metric, BOUNDED, "spd", lambda xs: np.stack([inv_metric(x) for x in xs])
+        2, inv_metric, "spd", lambda xs: np.stack([inv_metric(x) for x in xs])
     )
 
 
@@ -253,7 +251,7 @@ class TestScaleMemo:
             def inv_metric(x, dim=dim):
                 return np.eye(dim) * (2.0 if math.copysign(1.0, x[0]) < 0 else 1.0)
 
-            field = CovarianceField(dim, inv_metric, BOUNDED, "sign", None)
+            field = CovarianceField(dim, inv_metric, "sign", None)
             k = gaussian_proposal(field, 1.0)
             y, zero, neg_zero = np.ones(dim), np.zeros(dim), np.zeros(dim)
             neg_zero[0] = -0.0

@@ -30,11 +30,6 @@ class TestExponential:
         assert t.log_density(pt(3.0)) == -6.0
         assert t.log_density(pt(-3.0)) == -6.0
 
-    def test_tail_class(self):
-        t = make_exponential_tail(0.7)
-        assert t.tail_class.kind == "log_concave"
-        assert t.tail_class.rate == 0.7
-
     def test_bad_rate(self):
         with pytest.raises(ParameterError):
             make_exponential_tail(0.0)
