@@ -9,6 +9,8 @@ ratio carries both directions:
 For the Gaussian kernel built from a covariance field this simplifies to
 a closed form in the field's determinant and quadratic forms, provided
 here as an independent route the tests reconcile against the generic one.
+The target's log-density alone decides the support: a current point or
+start whose value is not ``> -inf`` raises, a proposal at ``-inf`` is rejected.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import NumericError, ParameterError, SupportError
+from .errors import NumericError, ParameterError
 from .fields import CovarianceField
 from .proposals import _LOG_2PI, ProposalKernel
-from .targets import TargetDensity
+from .targets import TargetDensity, _check_shape, _log_density_on_support
 
 __all__ = [
     "log_accept_ratio",
@@ -58,12 +60,12 @@ def log_accept_ratio(
     zero.  Asking about a ``y`` the forward kernel itself cannot reach is
     a caller error.
     """
-    if not target.support_test(x):
-        raise SupportError(f"current point {x} is outside the target support")
+    lp_x = _log_density_on_support(target, x)
+    _check_shape(target, np.shape(y), "proposal")
     lp_y = target.log_density(y)
     if lp_y == -math.inf:
         return -math.inf
-    return _log_accept(kernel, x, y, target.log_density(x), lp_y)
+    return _log_accept(kernel, x, y, lp_x, lp_y)
 
 
 def _log_accept(
@@ -91,8 +93,8 @@ def log_accept_ratio_batch(
     the forward kernel cannot reach an on-support row.  Agrees with the
     per-point route to float rounding.
     """
-    if not target.support_test(x):
-        raise SupportError(f"current point {x} is outside the target support")
+    lp_x = _log_density_on_support(target, x)
+    _check_shape(target, np.shape(ys)[1:], "each proposal row")
     lp_y = target.log_density_batch(ys)
     out = np.full(len(ys), -np.inf)
     on = lp_y > -np.inf
@@ -106,7 +108,7 @@ def log_accept_ratio_batch(
         raise ParameterError(f"move {x} -> {y} is not proposable by {kernel.label}")
     # where lq_xy is -inf the finite other terms carry it through to -inf
     lq_xy = kernel.log_q_batch(x, ys_on)
-    out[on] = log_accept_terms(target.log_density(x), lp_y[on], lq_yx, lq_xy)
+    out[on] = log_accept_terms(lp_x, lp_y[on], lq_yx, lq_xy)
     return out
 
 
@@ -131,12 +133,11 @@ def log_accept_ratio_closed_form(
     """
     if not h > 0:
         raise ParameterError(f"step size must be positive, got {h}")
-    if not target.support_test(x):
-        raise SupportError(f"current point {x} is outside the target support")
+    lp_x = _log_density_on_support(target, x)
+    _check_shape(target, np.shape(y), "proposal")
     lp_y = target.log_density(y)
     if lp_y == -math.inf:
         return -math.inf
-    lp_x = target.log_density(x)
     u = x - y
 
     if field.dim == 1:
@@ -176,9 +177,8 @@ def mh_step(
     (0, 1] so a certain acceptance (alpha = 1) can never be refused.
     ``x`` must be in the target support.
     """
-    if not target.support_test(x):
-        raise SupportError(f"current point {x} is outside the target support")
-    nxt, _, accepted, alpha = _transition(target, kernel, x, target.log_density(x), rng)
+    lp_x = _log_density_on_support(target, x)
+    nxt, _, accepted, alpha = _transition(target, kernel, x, lp_x, rng)
     return nxt, accepted, alpha
 
 
@@ -281,26 +281,21 @@ def run_chain(
     if n_steps < 1:
         raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
     x0 = np.asarray(x0, dtype=float).ravel()
-    if x0.shape != (target.dim,):
-        raise ParameterError(
-            f"start point has shape {x0.shape}, target dim is {target.dim}"
-        )
     if target.dim != kernel.dim:
         raise ParameterError(
             f"target dim {target.dim} != kernel dim {kernel.dim}"
         )
-    if not target.support_test(x0):
-        raise SupportError(f"start point {x0} is outside the target support")
+    lp_x = _log_density_on_support(target, x0, "start point")
 
     rng = np.random.default_rng(seed)
     if kernel.std is not None:
-        states, accepted, alpha = _float_chain(target, kernel, x0, n_steps, rng)
+        states, accepted, alpha = _float_chain(target, kernel, x0, lp_x, n_steps, rng)
     else:
         states = np.empty((n_steps + 1, target.dim))
         accepted = np.empty(n_steps, dtype=bool)
         alpha = np.empty(n_steps)
         states[0] = x0
-        x, lp_x = x0, target.log_density(x0)
+        x = x0
         for i in range(n_steps):
             x, lp_x, acc, a = _transition(target, kernel, x, lp_x, rng)
             states[i + 1] = x
@@ -315,6 +310,7 @@ def _float_chain(
     target: TargetDensity,
     kernel: ProposalKernel,
     x0: np.ndarray,
+    lp_x: float,
     n_steps: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -333,7 +329,6 @@ def _float_chain(
     log, exp, inf = math.log, math.exp, math.inf
     c = -0.5 * _LOG_2PI
     x = float(x0[0])
-    lp_x = log_density(x0)
     s_x = std(x)
     log_s_x = log(s_x)
     xs, flags, alphas = [x], [], []

@@ -30,7 +30,7 @@ from .chain import (
 from .errors import NumericError, ParameterError
 from .fields import CovarianceField, power_field
 from .proposals import ProposalKernel, gaussian_proposal
-from .targets import TargetDensity
+from .targets import TargetDensity, _log_density_on_support
 
 __all__ = [
     "LyapunovFunction",
@@ -141,19 +141,16 @@ def _probe_setup(
     target: TargetDensity, kernel: ProposalKernel, x, n: int
 ) -> np.ndarray:
     """The probe point as a length-``dim`` array, after the checks every
-    probe shares: enough proposals, and point, target and kernel of one
-    dimension."""
+    probe shares: enough proposals, target and kernel of one dimension,
+    and a point of that dimension on the target support."""
     if n < 1000:
         raise ParameterError(f"need n >= 1000 proposals, got {n}")
     x = np.asarray(x, dtype=float).ravel()
-    if x.shape != (target.dim,):
-        raise ParameterError(
-            f"probe point has shape {x.shape}, target dim is {target.dim}"
-        )
     if target.dim != kernel.dim:
         raise ParameterError(
             f"target dim {target.dim} != kernel dim {kernel.dim}"
         )
+    _log_density_on_support(target, x, "probe point")
     return x
 
 
@@ -281,11 +278,7 @@ def tail_acceptance_profile(
     out = []
     for c in offsets:
         y = float(x) + float(c) * s
-        yv = np.array([y])
-        if target.support_test(yv):
-            a = math.exp(log_accept_ratio_closed_form(target, cov_field, h, xv, yv))
-        else:
-            a = 0.0
+        a = math.exp(log_accept_ratio_closed_form(target, cov_field, h, xv, np.array([y])))
         out.append(ProfilePoint(float(c), y, a))
     return out
 

@@ -402,6 +402,8 @@ def _scenario_figure3(
     """Staircase geometry of the rectangle target, plus hemisphere overlaps."""
     if max_level < 2:
         raise ConfigError("max_level must be at least 2", key="max_level")
+    if min(probe_levels) < 2:
+        raise ConfigError("probe_levels must be >= 2", key="probe_levels")
 
     sweep = hemisphere_sweep(
         levels=probe_levels, height_fracs=(height_frac,), x1_fracs=(0.0,)
@@ -687,15 +689,15 @@ def _scenario_lemma7(
     """Hemisphere sweep plus a long ellipse-proposal chain down the staircase."""
     if n_steps < 1000:
         raise ConfigError("n_steps must be at least 1000", key="n_steps")
-    rect = make_rectangle()
+    if min(levels) < 2:
+        raise ConfigError("levels must be >= 2", key="levels")
     x0 = (0.0, start_level + 0.5)
-    if not rect.support_test(x0):
-        raise ConfigError(
-            f"start point {x0} is outside the target support", key="start_level"
-        )
+    try:
+        traj = run_chain(make_rectangle(), ellipse_proposal(), x0, n_steps, seed)
+    except SupportError as exc:
+        raise ConfigError(str(exc), key="start_level") from exc
 
     sweep = hemisphere_sweep(levels=levels)
-    traj = run_chain(rect, ellipse_proposal(), x0, n_steps, seed)
     levels_visited = np.floor(traj.states[:, 1]).astype(int)
     hits = np.nonzero(levels_visited == 1)[0]
     V = rectangle_v()

@@ -583,8 +583,6 @@ def drift_ratio_quadrature(
     def integrand(y: float) -> float:
         yv = np.array([y])
         la = log_accept_ratio_closed_form(target, cov_field, h, xv, yv)
-        if la == -math.inf:
-            return 0.0
         u = (y - float(x)) / std
         lq = log_norm - 0.5 * u * u
         dv = lyapunov.log_evaluate(yv) - log_vx

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import NumericError, ParameterError, SupportError
-from .targets import RectangleDensity, make_rectangle
+from .targets import RectangleDensity, _log_density_on_support, make_rectangle
 
 __all__ = [
     "chord_overlap_integral",
@@ -178,8 +178,7 @@ def exact_rejection_disc(x: Sequence[float]) -> float:
     ``x`` must lie in the staircase support.
     """
     xv = _planar_point(x)
-    if not _RECT.support_test(xv):
-        raise SupportError(f"{xv} is outside the staircase support")
+    _log_density_on_support(_RECT, xv, "staircase point")
     k = RectangleDensity.level(xv)
     accepted = 0.0
     for m in _levels_touching(float(xv[1])):
@@ -264,8 +263,7 @@ def hemisphere_overlap_check(x: Sequence[float]) -> HemisphereOverlap:
     raises ``NumericError``, as the ellipse proposal does.
     """
     xv = _planar_point(x)
-    if not _RECT.support_test(xv):
-        raise SupportError(f"{xv} is outside the staircase support")
+    _log_density_on_support(_RECT, xv, "staircase point")
     k = RectangleDensity.level(xv)
     if k < 2:
         raise ParameterError(

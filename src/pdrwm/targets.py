@@ -1,8 +1,9 @@
 """Unnormalized target densities.
 
 Every factory here returns an immutable :class:`TargetDensity` carrying a
-log-density and a support test.  Densities are unnormalized throughout;
-all Metropolis quantities depend only on ratios.
+log-density, which is also the one support rule: a point is on the
+support iff its log-density is ``> -inf``, so NaN is off it.  Densities
+are unnormalized throughout; all Metropolis quantities depend only on ratios.
 
 Points are 1-D numpy arrays of length ``dim``; batches of points are
 ``(m, dim)`` arrays, one point per row.  Each formula is written once
@@ -25,7 +26,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, SupportError
 
 __all__ = [
     "TargetDensity",
@@ -48,9 +49,8 @@ class TargetDensity:
     dim : int
         Dimension of the state space.
     log_density : callable
-        Maps a length-``dim`` point to a float, ``-inf`` off support.
-    support_test : callable
-        Maps a point to ``True`` iff the density is positive there.
+        Maps a length-``dim`` point to a float, ``-inf`` off support; the
+        point is on the support iff the value is ``> -inf`` (NaN is not).
     label : str
         Short human-readable identifier, used in config digests.
     log_density_batch : callable
@@ -58,13 +58,37 @@ class TargetDensity:
         their log-densities, ``-inf`` off support, so ``> -inf`` is the
         batch support test.  Agrees with ``log_density`` row by row to
         float rounding.
+    support_test : callable
+        ``log_density(x) > -inf``, its default.  ``dataclasses.replace``
+        carries it over: a replaced ``log_density`` must agree with it.
     """
 
     dim: int
     log_density: Callable[[np.ndarray], float]
-    support_test: Callable[[np.ndarray], bool]
     label: str
     log_density_batch: Callable[[np.ndarray], np.ndarray]
+    support_test: Callable[[np.ndarray], bool] | None = None
+
+    def __post_init__(self):
+        if self.support_test is None:
+            log_density = self.log_density
+            object.__setattr__(self, "support_test", lambda x: log_density(x) > -math.inf)
+
+
+def _check_shape(target: TargetDensity, shape: tuple, what: str) -> None:
+    """``ParameterError`` unless a point's ``shape`` is ``(target.dim,)``."""
+    if shape != (target.dim,):
+        raise ParameterError(f"{what} has shape {shape}, target dim is {target.dim}")
+
+
+def _log_density_on_support(target: TargetDensity, x, what: str = "current point") -> float:
+    """``log_density(x)``, evaluated once, after every current point's entry
+    check: shape ``(dim,)`` (``ParameterError``), value ``> -inf`` (``SupportError``)."""
+    _check_shape(target, np.shape(x), what)
+    lp = target.log_density(x)
+    if not lp > -math.inf:
+        raise SupportError(f"{what} {x} is outside the target support")
+    return lp
 
 
 @dataclass(frozen=True)
@@ -105,10 +129,6 @@ class RectangleDensity(TargetDensity):
         return cls._table[np.clip(ks, 1, cls.zero_level).astype(np.intp) - 1]
 
 
-def _always(_: np.ndarray) -> bool:
-    return True
-
-
 def _log1p(v):
     """``log1p`` of a Python float (C library) or of an array (numpy)."""
     return math.log1p(v) if isinstance(v, float) else np.log1p(v)
@@ -120,7 +140,6 @@ def _one_dim(formula, label: str) -> TargetDensity:
     return TargetDensity(
         1,
         lambda x: formula(float(x[0])),
-        _always,
         label,
         lambda xs: formula(xs[:, 0]),
     )
@@ -188,7 +207,6 @@ def make_ridge_2d() -> TargetDensity:
     return TargetDensity(
         2,
         lambda x: formula(float(x[0]), float(x[1])),
-        _always,
         "ridge_2d",
         lambda xs: formula(xs[:, 0], xs[:, 1]),
     )
@@ -207,13 +225,9 @@ def make_rectangle() -> RectangleDensity:
 
     half_width, half_widths = RectangleDensity.half_width, RectangleDensity.half_widths
 
-    # a height of +inf has no level: off the support, as in the batch form
-    def in_support(y: np.ndarray) -> bool:
-        y2 = float(y[1])
-        return 1.0 <= y2 < _INF and abs(float(y[0])) <= half_width(math.floor(y2))
-
     def logp(y: np.ndarray) -> float:
         y2 = float(y[1])
+        # a height of +inf has no level: off the support, as in the batch form
         if 1.0 <= y2 < _INF:
             k = math.floor(y2)
             if abs(float(y[0])) <= half_width(k):
@@ -227,7 +241,7 @@ def make_rectangle() -> RectangleDensity:
         inside &= np.abs(y1) <= half_widths(np.where(inside, k, 1.0))
         return np.where(inside, -k, -np.inf) * _LOG3
 
-    return RectangleDensity(2, logp, in_support, "rectangle_staircase", logp_batch)
+    return RectangleDensity(2, logp, "rectangle_staircase", logp_batch)
 
 
 #: density families by name; experiment configs bind their target specs

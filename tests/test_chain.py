@@ -16,6 +16,7 @@ from pdrwm import (
     estimate_expectation,
     gaussian_proposal,
     log_accept_ratio,
+    log_accept_ratio_batch,
     log_accept_ratio_closed_form,
     make_exponential_tail,
     make_gaussian,
@@ -26,6 +27,7 @@ from pdrwm import (
     mh_step,
     one_plus_square_field,
     power_field,
+    rejection_probability,
     ridge_conditional_field,
     run_chain,
     tempered_langevin_field,
@@ -406,6 +408,50 @@ class TestCarriedLogDensity:
         with pytest.raises(SupportError):
             mh_step(make_rectangle(), circle_proposal(), pt(0.0, 0.5),
                     np.random.default_rng(0))
+
+
+GAUSS, UNIT = make_gaussian(), constant_field(1.0)
+GAUSS_KERNEL = gaussian_proposal(UNIT, 1.0)
+
+#: every routine that takes a current point ``x``, with end point ``y``
+ENTRY_POINTS = {
+    "run_chain": lambda x, y: run_chain(GAUSS, GAUSS_KERNEL, x, 10, seed=0),
+    "mh_step": lambda x, y: mh_step(GAUSS, GAUSS_KERNEL, x, np.random.default_rng(0)),
+    "log_accept_ratio": lambda x, y: log_accept_ratio(GAUSS, GAUSS_KERNEL, x, y),
+    "closed_form": lambda x, y: log_accept_ratio_closed_form(GAUSS, UNIT, 1.0, x, y),
+    "batch": lambda x, y: log_accept_ratio_batch(GAUSS, GAUSS_KERNEL, x, y[None, :]),
+    "rejection_probability": lambda x, y: rejection_probability(
+        GAUSS, GAUSS_KERNEL, x, n=1000, seed=0
+    ),
+}
+
+
+class TestEntryCheck:
+    """Every entry point judges its current point by the target's
+    log-density: wrong shape is a ``ParameterError``, a value that is not
+    ``> -inf`` (``-inf`` or NaN) a ``SupportError``."""
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf, 1e200])
+    def test_point_off_the_support(self, entry, v):
+        with pytest.raises(SupportError, match="outside the target support"):
+            ENTRY_POINTS[entry](pt(v), pt(0.5))
+
+    @pytest.mark.parametrize(
+        "entry", ["mh_step", "log_accept_ratio", "closed_form", "batch"]
+    )
+    def test_current_point_of_wrong_length(self, entry):
+        with pytest.raises(ParameterError, match=r"current point has shape \(2,\)"):
+            ENTRY_POINTS[entry](pt(0.5, 0.0), pt(0.5))
+
+    @pytest.mark.parametrize("entry", ["log_accept_ratio", "closed_form", "batch"])
+    def test_end_point_of_wrong_length(self, entry):
+        with pytest.raises(ParameterError, match=r"has shape \(2,\), target dim is 1"):
+            ENTRY_POINTS[entry](pt(0.5), pt(0.7, 0.0))
+
+    def test_rows_must_be_points(self):
+        with pytest.raises(ParameterError, match="each proposal row has shape"):
+            log_accept_ratio_batch(GAUSS, GAUSS_KERNEL, pt(0.5), pt(0.7, 0.1))
 
 
 class TestEstimateExpectation:

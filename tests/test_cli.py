@@ -159,6 +159,43 @@ class TestRun:
         assert capsys.readouterr().err.startswith("config error (key: start_level)")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("levels", ["[0]", "[1]", "[2, 1]"])
+    @pytest.mark.parametrize(
+        "scenario, key", [("figure3_data", "probe_levels"), ("lemma7_sweep", "levels")]
+    )
+    def test_level_below_two_exits_two_before_the_sweep(
+        self, tmp_path, capsys, monkeypatch, scenario, key, levels
+    ):
+        def never(**kwargs):
+            raise AssertionError("the sweep may not run")
+
+        monkeypatch.setattr(experiments, "hemisphere_sweep", never)
+        out_dir = tmp_path / "out"
+        cfg = write_config(
+            tmp_path,
+            f"scenario: {scenario}\nseed: 0\noutput_dir: {out_dir}\n"
+            f"params:\n  {key}: {levels}\n",
+        )
+        assert main(["run", cfg]) == 2
+        assert capsys.readouterr().err.startswith(f"config error (key: {key})")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("x0", [".nan", "[.nan]", "[-.inf]"])
+    def test_custom_start_off_the_support_exits_two_without_files(
+        self, tmp_path, capsys, x0
+    ):
+        out_dir = tmp_path / "out"
+        cfg = write_config(
+            tmp_path,
+            f"scenario: custom\nseed: 0\noutput_dir: {out_dir}\n"
+            f"params:\n{CUSTOM}  x0: {x0}\n  n_steps: 10\n",
+        )
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error (key: x0)")
+        assert "outside the target support" in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("kind", ["directory", "latin-1"])
     def test_unreadable_config_exits_two(self, tmp_path, capsys, kind):
         path = tmp_path

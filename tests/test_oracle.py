@@ -115,7 +115,6 @@ class TestSpectralGap:
         t = TargetDensity(
             1,
             logp,
-            lambda x: True,
             "skewed_laplace",
             lambda xs: np.array([logp(x) for x in xs]),
         )

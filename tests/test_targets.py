@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import sys
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from pdrwm import (
     ParameterError,
     RectangleDensity,
+    TargetDensity,
     make_exponential_tail,
     make_gaussian,
     make_polynomial_tail,
@@ -17,6 +19,7 @@ from pdrwm import (
     make_ridge_2d,
     make_subexponential_tail,
 )
+from pdrwm.targets import TARGET_FACTORIES
 
 
 def pt(*vals):
@@ -199,3 +202,67 @@ class TestStaircaseParity:
         t = make_rectangle()
         assert (t.log_density_batch(ys) == -np.inf).all()
         assert not any(t.support_test(y) for y in ys)
+
+
+#: arguments that build each named family; a new family must be listed
+FACTORY_ARGS = {
+    "exponential": (1.5,),
+    "subexponential": (1.0, 0.5),
+    "polynomial": (2.0,),
+    "gaussian": (0.5,),
+    "ridge": (),
+    "rectangle": (),
+}
+SPECIAL = (0.0, 1.0, 1e200, -1e200, math.inf, -math.inf, math.nan)
+
+
+def _assert_one_support_rule(t, ys):
+    """Per-point ``support_test``, per-point ``log_density > -inf`` and the
+    batch ``> -inf`` name the same points."""
+    per_point = [t.log_density(y) > -math.inf for y in ys]
+    assert [t.support_test(y) for y in ys] == per_point
+    # the batch forms overflow to -inf (or inf * 0 to NaN) at 1e200, as
+    # the per-point Python floats do silently; numpy flags it
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = t.log_density_batch(ys)
+    assert (batch > -np.inf).tolist() == per_point
+
+
+class TestOneSupportRule:
+    """Every family's support is its log-density ``> -inf``, NaN off it."""
+
+    def test_special_coordinates(self):
+        assert set(FACTORY_ARGS) == set(TARGET_FACTORIES)
+        for name, args in FACTORY_ARGS.items():
+            t = TARGET_FACTORIES[name](*args)
+            _assert_one_support_rule(t, np.array([*itertools.product(SPECIAL, repeat=t.dim)]))
+
+    @given(
+        st.lists(
+            st.tuples(*[st.one_of(st.floats(-30.0, 30.0), st.sampled_from(SPECIAL),
+                                  st.floats())] * 2),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_drawn_points(self, points):
+        # a one-dimensional family reads the first coordinate of each pair
+        points = np.array(points, dtype=float)
+        for name, args in FACTORY_ARGS.items():
+            t = TARGET_FACTORIES[name](*args)
+            _assert_one_support_rule(t, points[:, : t.dim])
+
+    def test_huge_and_nan_points_are_off_the_support(self):
+        g = make_gaussian()
+        assert g.log_density(pt(1e200)) == -math.inf
+        assert not g.support_test(pt(1e200))
+        assert not g.support_test(pt(math.nan))
+        assert g.support_test(pt(1e100))
+        assert not make_ridge_2d().support_test(pt(1e200, 0.0))
+
+    def test_support_test_is_derived(self):
+        t = TargetDensity(1, lambda x: 0.0 if x[0] < 1.0 else -math.inf, "step",
+                          lambda xs: np.where(xs[:, 0] < 1.0, 0.0, -np.inf))
+        assert t.support_test(pt(0.5)) and not t.support_test(pt(2.0))
+        relabelled = dataclasses.replace(t, label="wrapped")
+        assert relabelled.support_test(pt(0.5)) and not relabelled.support_test(pt(2.0))
