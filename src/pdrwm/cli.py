@@ -3,7 +3,7 @@
 Three commands: ``run`` executes one scenario from a YAML config file
 and writes its CSV artifacts, ``verify-all`` runs the ten numbered
 acceptance checks, ``list-scenarios`` prints the registry with each
-scenario's parameters and their defaults.  Exit codes:
+scenario's description, its parameters and their defaults.  Exit codes:
 0 on success, 1 when a scenario check or acceptance criterion fails,
 2 on a configuration problem (for ``verify-all``, a negative ``--seed``
 or an ``--only`` that names no criterion).  Setting the environment
@@ -65,9 +65,12 @@ def _cmd_verify_all(seed: int, only: list[int] | None) -> int:
 
 def _cmd_list_scenarios() -> int:
     for name, desc in list_scenarios():
-        print(f"{name:<14} {desc}")
-        for param in scenario_parameters(name):
-            print(f"{'':<15}{param}")
+        first, *rest = desc.splitlines() or [""]
+        params = scenario_parameters(name)
+        print(f"{name:<14} {first}")
+        for line in rest + ([""] + params if params else []):
+            print(f"{'':<15}{line}".rstrip())
+        print()
     return 0
 
 
@@ -90,7 +93,8 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     sub.add_parser(
-        "list-scenarios", help="list registered scenarios and their parameters"
+        "list-scenarios",
+        help="list registered scenarios with what each shows and its parameters",
     )
 
     args = parser.parse_args(argv)

@@ -294,7 +294,19 @@ def _scenario_figure1(
     seed, digest, /, *, x_points: tuple[float, ...] = (5.0, 10.0, 20.0, 40.0),
     n_proposals: int = 2000, b: float = 4.0, h: float = 1.0, a: float = 1.0,
 ) -> ScenarioOutput:
-    """Per-proposal acceptance under a fast-growing field, by start point."""
+    """Per-proposal acceptance under a fast-growing field, by start point.
+
+    Exponential target, proposal variance growing like ``(1+|x|)^b``,
+    by default with ``b = 4``.  From far out in the tail almost every
+    proposal either overshoots the bulk of the density or lands so far
+    off that the reverse-move correction kills it.  So the fraction of
+    proposals accepted with probability above one half falls as the
+    start point moves out (check ``above_half_fraction_decreasing``),
+    although each proposal is an ordinary Gaussian draw.  The CSV lists
+    every proposal with its acceptance probability.  ``lemma4_probe``
+    measures the same collapse as the proposal mass of the acceptance
+    set.
+    """
     if n_proposals < 100:
         raise ConfigError("n_proposals must be at least 100", key="n_proposals")
 
@@ -336,7 +348,21 @@ def _scenario_figure2(
     seed, digest, /, *, arm_positions: tuple[float, ...] = (0.0, 1.0, 2.0, 4.0, 8.0),
     n_proposals: int = 3000, h: float = 1.0, sigma2: float = 0.25,
 ) -> ScenarioOutput:
-    """Ridge-target acceptance along the arm, fixed vs position-matched field."""
+    """Ridge-target acceptance along the arm, fixed vs position-matched field.
+
+    The density ``exp(-x^2 - y^2 - x^2 y^2)`` concentrates along two
+    narrowing arms.  A fixed spherical proposal, ``sigma2`` times the
+    identity, suits the centre but keeps rejecting out on the arm.  The
+    conditional field proposes along each axis with the conditional
+    variance ``1/(2(1 + other^2))`` and keeps accepting all the way out.
+    Every arm point reuses the same draws.  The checks: the spherical
+    mean acceptance at the far point is below half of that at the first
+    (``spherical_acceptance_collapses``); the conditional one is at least
+    0.35 there (``conditional_acceptance_holds``) and over 1.5 times the
+    spherical one (``conditional_beats_spherical_far``).  No chain runs
+    here: the acceptance and jump of a ridge chain started on the arm
+    are not asserted by any check (see the README's verification notes).
+    """
     if n_proposals < 100:
         raise ConfigError("n_proposals must be at least 100", key="n_proposals")
 
@@ -399,7 +425,17 @@ def _scenario_figure3(
     seed, digest, /, *, max_level: int = 12,
     probe_levels: tuple[int, ...] = (2, 3, 4, 5, 6), height_frac: float = 0.5,
 ) -> ScenarioOutput:
-    """Staircase geometry of the rectangle target, plus hemisphere overlaps."""
+    """Staircase geometry of the rectangle target, plus hemisphere overlaps.
+
+    One row per level up to ``max_level``: its half-width ``3^(1-k)``,
+    its mass ``6 * 9^-k`` and the cumulative share of the total mass
+    3/4.  The checks: each half-width is a third of the one below
+    (``half_width_ratio_one_third``); the level masses sum to the
+    geometric series (``level_masses_sum``); and on the axis, at
+    ``height_frac`` of each probe level, the move-down half of the
+    ellipse proposal meets more support than the move-up half
+    (``hemisphere_overlaps_pass``).
+    """
     if max_level < 2:
         raise ConfigError("max_level must be at least 2", key="max_level")
     if min(probe_levels) < 2:
@@ -481,7 +517,9 @@ def _scenario_table1(seed, digest, /) -> ScenarioOutput:
     cell gets a gap trend verdict that is compared against the expected
     classification.  Window spans are sized per cell: slow heavy-tail
     collapse needs a wide span, heavy-tailed targets need a large first
-    window before the gap means anything.
+    window before the gap means anything.  ``oracle_scan`` explains how a
+    gap trend reads.  The quadratic cells run at ``h = 0.01``; whether a
+    larger step size loses geometric ergodicity is not tested.
     """
     rows = []
     checks = []
@@ -507,7 +545,18 @@ def _scenario_lemma2(
     seed, digest, /, *, a: float = 1.0, b: float = 1.5, h: float = 1.0,
     s: float = 0.5, xs: tuple[float, ...] = (20.0, 40.0, 80.0), n: int = 20_000,
 ) -> ScenarioOutput:
-    """Drift-ratio probe in the light-tail regime with a sub-linear field."""
+    """Drift-ratio probe in the light-tail regime with a sub-linear field.
+
+    ``V(x) = exp(s|x|)`` against the ``exp(-a|x|)`` target with
+    ``(1+|x|)^b`` proposal variance, by default ``s = 1/2``, ``a = 1``
+    and ``b = 1.5``.  At every probe point the one-step expected ``V``
+    shrinks: the ratio's estimate plus three standard errors is below
+    one (``contractive_at_all_probes``).  Contraction far out in the
+    tail, not just slow escape, is what a geometric drift condition asks
+    for.  The Monte Carlo probe and the adaptive quadrature route agree
+    within 2 percent (``quadrature_within_2pct``), which is the point of
+    keeping two routes.
+    """
     target = make_exponential_tail(a)
     fld = power_field(b)
     kern = gaussian_proposal(fld, h)
@@ -589,7 +638,17 @@ def _scenario_lemma4(
     seed, digest, /, *, a: float = 1.0, b: float = 4.0, h: float = 1.0,
     eps: float = 0.1, xs: tuple[float, ...] = (10.0, 20.0, 40.0, 80.0), n: int = 20_000,
 ) -> ScenarioOutput:
-    """Acceptance-set mass decay under a super-quadratic field."""
+    """Acceptance-set mass decay under a super-quadratic field.
+
+    The proposal mass of ``{y : alpha(x, y) >= eps}`` at each probe
+    point, for the exponential target and ``(1+|x|)^b`` proposal
+    variance, by default with ``b = 4``: the ``figure1`` collapse as one
+    number per point.  Every point uses the same seed, so the masses
+    compare on common draws.  They fall strictly along the tail
+    (``mass_strictly_decreasing``) and are below 0.05 at the farthest
+    point (``mass_small_at_far_point``): the chain keeps less and less
+    chance of a genuine move.
+    """
     target = make_exponential_tail(a)
     kern = gaussian_proposal(power_field(b), h)
     rows = []
@@ -686,7 +745,21 @@ def _scenario_lemma7(
     seed, digest, /, *, levels: tuple[int, ...] = tuple(range(2, 13)),
     n_steps: int = 20_000, start_level: float = 10.0,
 ) -> ScenarioOutput:
-    """Hemisphere sweep plus a long ellipse-proposal chain down the staircase."""
+    """Hemisphere sweep plus a long ellipse-proposal chain down the staircase.
+
+    The staircase target stacks rectangles that shrink by a factor of
+    three per level.  A proposal drawn uniformly from an ellipse whose
+    horizontal semi-axis matches the local level width can always reach
+    the level below.  The exact hemisphere-overlap geometry shows the
+    move-down half of the ellipse meets more support than the move-up
+    half at every swept point (``sweep_all_pass``).  Started at
+    ``start_level``, the chain falls to level 1
+    (``chain_reaches_first_level``; the CSV gives the step of the first
+    visit) and then mixes there: the mean of ``rectangle_v`` over the
+    last half is below 4 (``mean_v_small``).  How the chain's time splits
+    across the levels, against the target's level masses ``8 * 9^-k``,
+    is not asserted by any check.
+    """
     if n_steps < 1000:
         raise ConfigError("n_steps must be at least 1000", key="n_steps")
     if min(levels) < 2:
@@ -808,10 +881,23 @@ ORACLE_CELLS: tuple[tuple[str, Callable, Callable, float, tuple, int, str], ...]
 def _scenario_oracle(seed, digest, /) -> ScenarioOutput:
     """Windowed spectral-gap verdicts on four classification cells.
 
-    Each cell runs at its own window pair (see ``ORACLE_CELLS``): a
-    super-quadratic field's gap decays like an escape rate, one over the
-    window size, so its cell needs a span wider than 5x for the gap
-    ratio to fall below the 0.2 threshold, and runs at Table 1's 10/160.
+    Restrict the sampler to a uniform grid on ``[-L, L]`` and its
+    geometric convergence rate becomes an eigenvalue: the spectral gap
+    of the grid chain.  Growing ``L`` then separates the regimes.  A
+    geometric chain's gap levels off, so the gap at the large window
+    stays above half that at the small one.  Under a super-quadratic
+    field the far tail almost never moves, and the gap decays like an
+    escape rate, one over the window size: the spectrum measures an
+    escape rate from the tail, not a mixing rate.  ``classify_gap_trend``
+    reads the ratio.
+
+    Each cell runs at its own window pair (see ``ORACLE_CELLS``): the
+    super-quadratic cell needs a span wider than 5x for the gap ratio to
+    fall below the 0.2 threshold, and runs at Table 1's 10/160.  The
+    quadratic cell runs at Table 1's ``h = 0.01``.  The bounded field is
+    a cell only on the polynomial tail; its gap levelling off on the
+    exponential tail is not asserted by any check (see the README's
+    verification notes).
     """
     rows = []
     checks = []
@@ -835,7 +921,14 @@ def _scenario_custom(
     seed, digest, /, *, target: dict, field: dict, x0: float | tuple[float, ...],
     n_steps: int, h: float = 1.0,
 ) -> ScenarioOutput:
-    """One chain with a user-specified target, field, and step size."""
+    """One chain with a user-specified target, field, and step size.
+
+    ``target`` and ``field`` are specs such as ``{name: exponential,
+    a: 1.0}``, bound to the factory they name.  The chain starts at
+    ``x0`` and runs ``n_steps`` Gaussian-proposal steps of step size
+    ``h``; the CSV holds the trajectory, and the one check reports the
+    acceptance rate.
+    """
     if n_steps < 1:
         raise ConfigError(
             f"n_steps must be a positive integer, got {n_steps!r}", key="n_steps"
@@ -881,12 +974,9 @@ SCENARIOS: dict[str, Callable[..., ScenarioOutput]] = {
 
 
 def list_scenarios() -> list[tuple[str, str]]:
-    """(name, one-line description) for every registered scenario."""
-    out = []
-    for name, fn in SCENARIOS.items():
-        doc = (fn.__doc__ or "").strip().splitlines()
-        out.append((name, doc[0] if doc else ""))
-    return out
+    """(name, description) for every registered scenario: the body's
+    docstring, a one-line summary and then what the scenario shows."""
+    return [(name, inspect.cleandoc(fn.__doc__ or "")) for name, fn in SCENARIOS.items()]
 
 
 def scenario_parameters(name: str) -> list[str]:

@@ -134,6 +134,14 @@ def _log1p(v):
     return math.log1p(v) if isinstance(v, float) else np.log1p(v)
 
 
+def _over_columns(formula, *columns) -> np.ndarray:
+    """``formula`` over whole columns, as silent as over Python floats:
+    an overflow gives ``±inf`` and ``inf * 0`` gives NaN without numpy's
+    ``RuntimeWarning``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return formula(*columns)
+
+
 def _one_dim(formula, label: str) -> TargetDensity:
     """Full-support 1-D target from one formula in the coordinate: the
     per-point form passes it ``float(x[0])``, the batch form ``xs[:, 0]``."""
@@ -141,7 +149,7 @@ def _one_dim(formula, label: str) -> TargetDensity:
         1,
         lambda x: formula(float(x[0])),
         label,
-        lambda xs: formula(xs[:, 0]),
+        lambda xs: _over_columns(formula, xs[:, 0]),
     )
 
 
@@ -199,17 +207,23 @@ def make_ridge_2d() -> TargetDensity:
 
     Mass concentrates along the coordinate axes in two narrowing arms,
     so a sensible proposal covariance varies strongly with position.
+    The formula gives NaN only at a NaN coordinate or as ``inf * 0``,
+    where one square is infinite and the other zero; the log-density
+    there is ``-inf``, and both forms return that.
     """
 
     def formula(u, v):
         return -u * u - v * v - u * u * v * v
 
-    return TargetDensity(
-        2,
-        lambda x: formula(float(x[0]), float(x[1])),
-        "ridge_2d",
-        lambda xs: formula(xs[:, 0], xs[:, 1]),
-    )
+    def logp(x: np.ndarray) -> float:
+        lp = formula(float(x[0]), float(x[1]))
+        return lp if lp == lp else -math.inf
+
+    def logp_batch(xs: np.ndarray) -> np.ndarray:
+        lp = _over_columns(formula, xs[:, 0], xs[:, 1])
+        return np.fmax(lp, -np.inf, out=lp)  # fmax takes -inf over NaN
+
+    return TargetDensity(2, logp, "ridge_2d", logp_batch)
 
 
 _LOG3 = math.log(3.0)

@@ -1,3 +1,4 @@
+import inspect
 import typing
 from types import UnionType
 
@@ -27,6 +28,15 @@ class TestListScenarios:
         assert "n_proposals: int = 2000" in out
         assert "tune_acceptance: float = 0.44" in out
         assert "x0: float | tuple[float, ...]\n" in out
+
+    def test_each_scenario_shows_its_narrative(self, capsys):
+        main(["list-scenarios"])
+        out = capsys.readouterr().out
+        for name, body in SCENARIOS.items():
+            first, *rest = inspect.cleandoc(body.__doc__).splitlines()
+            assert f"{name:<14} {first}\n" in out
+            after = next(line for line in rest if line.strip())
+            assert f"{'':<15}{after}\n" in out
 
 
 CUSTOM = "  target: {name: exponential, a: 1.0}\n  field: {name: power, b: 1.5}\n"

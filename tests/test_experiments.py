@@ -209,8 +209,10 @@ class TestScenarioPlumbing:
         assert len(names) == 12
         assert "custom" in names
         assert "table1_grid" in names
-        # every scenario carries a one-line description
-        assert all(desc for _, desc in list_scenarios())
+        # every scenario carries a one-line summary and a narrative below it
+        for name, desc in list_scenarios():
+            first, *rest = desc.splitlines()
+            assert first and any(line.strip() for line in rest), name
 
     def test_output_files_carry_digest_and_seed(self, tmp_path):
         cfg = ExperimentConfig("figure3_data", 9, str(tmp_path / "o"), {})

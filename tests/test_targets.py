@@ -83,6 +83,48 @@ def test_ridge_values():
     assert t.log_density(pt(4.0, 0.0)) > t.log_density(pt(4.0, 4.0))
 
 
+#: each overflow-prone family's formula in its coordinates: both forms
+#: must give its bits wherever it does not overflow
+OLD_FORMULAS = (
+    (make_gaussian(0.5), lambda u: -0.5 * u * u / 0.25),
+    (make_ridge_2d(), lambda u, v: -u * u - v * v - u * u * v * v),
+)
+
+
+def _bits(v) -> bytes:
+    return np.asarray(v, dtype=float).tobytes()
+
+
+class TestOverflow:
+    """Where the Gaussian and ridge formulas overflow, both forms give
+    ``-inf`` without a warning; everywhere else, the formula's bits."""
+
+    def test_overflow_points_are_minus_inf(self):
+        for t, points in (
+            (make_gaussian(0.5), [(1e200,), (-1e200,), (math.inf,), (-math.inf,), (1.7e308,)]),
+            (make_ridge_2d(), [(1e200, 0.0), (-1e200, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
+                               (0.0, math.inf), (0.0, -math.inf), (1e-200, math.inf),
+                               (1e200, 1e200)]),
+        ):
+            xs = np.array(points)
+            assert [t.log_density(x) for x in xs] == [-math.inf] * len(xs)
+            assert t.log_density_batch(xs).tolist() == [-math.inf] * len(xs)
+
+    @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=1, max_size=20))
+    def test_finite_values_keep_the_formula_bits(self, points):
+        for t, old in OLD_FORMULAS:
+            xs = np.array(points, dtype=float)[:, : t.dim]
+            # the points at which the old formula does not overflow
+            xs = xs[[math.isfinite(old(*map(float, x))) for x in xs]]
+            for x in xs:
+                assert _bits(t.log_density(x)) == _bits(old(*map(float, x)))
+            # the suite's error::RuntimeWarning filter would raise here had
+            # the old batch formula overflowed on these points
+            assert _bits(t.log_density_batch(xs)) == _bits(old(*xs.T))
+
+
 class TestRectangle:
     def test_support(self):
         t = make_rectangle()
@@ -221,11 +263,7 @@ def _assert_one_support_rule(t, ys):
     batch ``> -inf`` name the same points."""
     per_point = [t.log_density(y) > -math.inf for y in ys]
     assert [t.support_test(y) for y in ys] == per_point
-    # the batch forms overflow to -inf (or inf * 0 to NaN) at 1e200, as
-    # the per-point Python floats do silently; numpy flags it
-    with np.errstate(over="ignore", invalid="ignore"):
-        batch = t.log_density_batch(ys)
-    assert (batch > -np.inf).tolist() == per_point
+    assert (t.log_density_batch(ys) > -np.inf).tolist() == per_point
 
 
 class TestOneSupportRule:
