@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -41,6 +41,32 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_TWO_PI = 2.0 * math.pi
+
+
+@dataclass(frozen=True)
+class FloatStep:
+    """A kernel's per-point step on Python floats.
+
+    A point is a sequence of ``dim`` Python floats (a tuple or a list).
+
+    Attributes
+    ----------
+    at : callable
+        ``at(x)`` is what the proposal from ``x`` depends on (its scale),
+        computed once per point so that a chain carries it with the
+        state.  It raises :class:`NumericError` where the kernel cannot
+        propose from ``x``.
+    draw : callable
+        ``draw(x, at(x), rng)`` draws one proposal from ``x`` as a tuple.
+    log_q : callable
+        ``log_q(y, x, at(x))`` is the log proposal density at ``y`` from
+        ``x``; ``-inf`` where the proposal cannot reach.
+    """
+
+    at: Callable[[Sequence[float]], tuple]
+    draw: Callable[[Sequence[float], tuple, np.random.Generator], tuple]
+    log_q: Callable[[Sequence[float], Sequence[float], tuple], float]
 
 
 @dataclass(frozen=True)
@@ -71,8 +97,18 @@ class ProposalKernel:
     std : callable or None
         Set only on a one-dimensional Gaussian kernel: ``std(v)`` is the
         proposal standard deviation at the float point ``v``, the one
-        ``sample`` and ``log_q`` use.  :func:`~pdrwm.chain.run_chain`
-        steps such a kernel on Python floats.
+        ``sample`` and ``log_q`` use.
+    float_step : FloatStep or None
+        Set on every kernel whose per-point step is scalar arithmetic:
+        the one-dimensional Gaussian, the disc and the ellipse.  Their
+        ``sample`` and ``log_q`` are this step's arithmetic on the point's
+        Python floats, and :func:`~pdrwm.chain.run_chain` steps them on
+        it directly, so a ``sample``, ``log_q`` or ``std`` replaced with
+        ``dataclasses.replace`` does not reach ``run_chain``; replace
+        ``float_step`` too, or set it to ``None``.  Gaussian kernels in
+        two or more dimensions have none: their ``log_q`` solves with
+        LAPACK ``trtrs`` and sums ``v @ v`` in BLAS, which may fuse the
+        multiply-add, so Python floats cannot reproduce its bits.
     """
 
     dim: int
@@ -82,6 +118,30 @@ class ProposalKernel:
     sample_batch: Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
     log_q_batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
     std: Callable[[float], float] | None = None
+    float_step: FloatStep | None = None
+
+
+def _float_kernel(
+    dim: int,
+    step: FloatStep,
+    label: str,
+    sample_batch: Callable,
+    log_q_batch: Callable,
+    std: Callable[[float], float] | None = None,
+) -> ProposalKernel:
+    """The kernel whose per-point ``sample`` and ``log_q`` run ``step`` on
+    the point's Python floats, so the two forms agree to the bit."""
+    at, draw, log_q_at = step.at, step.draw, step.log_q
+
+    def sample(x, rng):
+        x = np.asarray(x, dtype=float).tolist()
+        return np.array(draw(x, at(x), rng))
+
+    def log_q(y, x):
+        x = np.asarray(x, dtype=float).tolist()
+        return log_q_at(np.asarray(y, dtype=float).tolist(), x, at(x))
+
+    return ProposalKernel(dim, sample, log_q, label, sample_batch, log_q_batch, std, step)
 
 
 def _last_two(compute: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
@@ -115,9 +175,10 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
 
     In one dimension the kernel exposes its standard deviation at a
     float point, ``std(v) = sqrt(h * field.variance(v))``, which
-    ``sample``, ``log_q`` and ``sample_batch`` read afresh at each call;
-    :func:`~pdrwm.chain.run_chain` steps on it directly, evaluating the
-    field once per proposal.  In higher dimensions the lower Cholesky
+    ``sample``, ``log_q`` and ``sample_batch`` read afresh at each call.
+    Its float step carries ``(std, log std)`` of a point, so
+    :func:`~pdrwm.chain.run_chain` evaluates the field once per
+    proposal.  In higher dimensions the lower Cholesky
     factor and log-determinant of a point are computed once and
     remembered for the two most recently used points (on a chain, the
     current state and the latest proposal), with LAPACK ``potrf`` and
@@ -134,7 +195,7 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
     dim = field.dim
     inv_metric = field.inv_metric
     inv_metric_batch = field.inv_metric_batch
-    std = None
+    label = f"gaussian(h={h:g},{field.label})"
 
     if dim == 1:
         variance = field.variance
@@ -145,14 +206,16 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
                 raise NumericError(f"field value {g:g} at [{v!r}] is not usable")
             return math.sqrt(h * g)
 
-        def sample(x, rng):
-            return x + std(float(x[0])) * rng.standard_normal(1)
+        def at(x):
+            s = std(x[0])
+            return s, math.log(s)
 
-        def log_q(y, x):
-            x0 = float(x[0])
-            s = std(x0)
-            u = (float(y[0]) - x0) / s
-            return -0.5 * _LOG_2PI - math.log(s) - 0.5 * u * u
+        def draw(x, at_x, rng):
+            return (x[0] + at_x[0] * rng.standard_normal(),)
+
+        def log_q_at(y, x, at_x):
+            u = (y[0] - x[0]) / at_x[0]
+            return -0.5 * _LOG_2PI - at_x[1] - 0.5 * u * u
 
         def sample_batch(x, n, rng):
             return x[None, :] + std(float(x[0])) * rng.standard_normal((n, 1))
@@ -167,6 +230,10 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
             s = np.sqrt(h * g)
             u = (ys[:, 0] - xs[:, 0]) / s
             return -0.5 * _LOG_2PI - np.log(s) - 0.5 * u * u
+
+        return _float_kernel(
+            1, FloatStep(at, draw, log_q_at), label, sample_batch, log_q_batch, std
+        )
 
     else:
         potrf, trtrs = get_lapack_funcs(("potrf", "trtrs"), (np.empty((dim, dim)),))
@@ -211,38 +278,53 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
             logdet = 2.0 * np.log(np.diagonal(low, axis1=1, axis2=2)).sum(axis=1)
             return -0.5 * (dim * _LOG_2PI + logdet + (v * v).sum(axis=1))
 
-    return ProposalKernel(
-        dim,
-        sample,
-        log_q,
-        f"gaussian(h={h:g},{field.label})",
-        sample_batch,
-        log_q_batch,
-        std,
-    )
+    return ProposalKernel(dim, sample, log_q, label, sample_batch, log_q_batch)
 
 
 def _disc_offsets(n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform points on the unit disc, shape (n, 2), each coordinate
     contiguous (cheaper to write than two stacked columns)."""
     r = np.sqrt(rng.random(n))
-    theta = 2.0 * math.pi * rng.random(n)
+    theta = _TWO_PI * rng.random(n)
     out = np.empty((2, n))
     np.multiply(r, np.cos(theta), out=out[0])
     np.multiply(r, np.sin(theta), out=out[1])
     return out.T
 
 
+def _ellipse_step(at: Callable[[Sequence[float]], tuple]) -> FloatStep:
+    """Uniform proposal on the axis-aligned ellipse with semi-axes
+    ``(w, 1)`` about the start, where ``at(x)`` is ``(w, -log(pi w))``.
+
+    One draw is :func:`_disc_offsets`'s for ``n = 1`` on Python floats,
+    bit for bit: ``sqrt`` is correctly rounded in both, and ``cos`` and
+    ``sin`` stay numpy's, which need not round as the C library's do.
+    """
+    inf = math.inf
+
+    def draw(x, at_x, rng):
+        r = math.sqrt(rng.random())
+        theta = _TWO_PI * rng.random()
+        return (
+            x[0] + float(r * np.cos(theta)) * at_x[0],
+            x[1] + float(r * np.sin(theta)),
+        )
+
+    def log_q(y, x, at_x):
+        w, log_density = at_x
+        du = (y[0] - x[0]) / w
+        dv = y[1] - x[1]
+        return log_density if du * du + dv * dv <= 1.0 else -inf
+
+    return FloatStep(at, draw, log_q)
+
+
 def circle_proposal() -> ProposalKernel:
-    """Uniform proposal on the unit disc centered at the current point."""
-    log_density = -math.log(math.pi)
-
-    def sample(x, rng):
-        return x + _disc_offsets(1, rng)[0]
-
-    def log_q(y, x):
-        d = y - x
-        return log_density if float(d @ d) <= 1.0 else -math.inf
+    """Uniform proposal on the unit disc centered at the current point:
+    the ellipse of :func:`ellipse_proposal` with ``w = 1`` everywhere.
+    The per-point density sums the two squares in Python floats, as the
+    ellipse's does, not with a BLAS dot product."""
+    unit = (1.0, -math.log(math.pi))
 
     def sample_batch(x, n, rng):
         ys = _disc_offsets(n, rng)
@@ -251,10 +333,10 @@ def circle_proposal() -> ProposalKernel:
 
     def log_q_batch(ys, xs):
         d = np.atleast_2d(ys) - np.atleast_2d(xs)
-        return np.where((d * d).sum(axis=1) <= 1.0, log_density, -np.inf)
+        return np.where((d * d).sum(axis=1) <= 1.0, unit[1], -np.inf)
 
-    return ProposalKernel(
-        2, sample, log_q, "uniform_disc", sample_batch, log_q_batch
+    return _float_kernel(
+        2, _ellipse_step(lambda x: unit), "uniform_disc", sample_batch, log_q_batch
     )
 
 
@@ -272,7 +354,7 @@ def ellipse_proposal() -> ProposalKernel:
     half_width, half_widths = RectangleDensity.half_width, RectangleDensity.half_widths
     subnormal_level = RectangleDensity.subnormal_level
 
-    def _w(x: np.ndarray) -> float:
+    def _w(x) -> float:
         k = math.floor(float(x[1]))
         if k >= subnormal_level:
             raise NumericError(
@@ -281,18 +363,9 @@ def ellipse_proposal() -> ProposalKernel:
             )
         return half_width(k if k > 1 else 1)
 
-    def sample(x, rng):
-        off = _disc_offsets(1, rng)[0]
-        off[0] *= _w(x)
-        return x + off
-
-    def log_q(y, x):
+    def at(x):
         w = _w(x)
-        du = (float(y[0]) - float(x[0])) / w
-        dv = float(y[1]) - float(x[1])
-        if du * du + dv * dv <= 1.0:
-            return -math.log(math.pi * w)
-        return -math.inf
+        return w, -math.log(math.pi * w)
 
     def sample_batch(x, n, rng):
         ys = _disc_offsets(n, rng)
@@ -308,8 +381,8 @@ def ellipse_proposal() -> ProposalKernel:
         dv = ys[:, 1] - xs[:, 1]
         return np.where(du * du + dv * dv <= 1.0, -np.log(math.pi * w), -np.inf)
 
-    return ProposalKernel(
-        2, sample, log_q, "uniform_ellipse", sample_batch, log_q_batch
+    return _float_kernel(
+        2, _ellipse_step(at), "uniform_ellipse", sample_batch, log_q_batch
     )
 
 

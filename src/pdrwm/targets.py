@@ -5,13 +5,15 @@ log-density, which is also the one support rule: a point is on the
 support iff its log-density is ``> -inf``, so NaN is off it.  Densities
 are unnormalized throughout; all Metropolis quantities depend only on ratios.
 
-Points are 1-D numpy arrays of length ``dim``; batches of points are
-``(m, dim)`` arrays, one point per row.  Each formula is written once
-over coordinates: the per-point form hands it Python floats, the batch
-form whole columns.  The two forms therefore agree to the last bit or
-two, not exactly: numpy's vectorised ``exp``/``log1p`` may round
-differently from the C library on a few percent of inputs, and the
-chains keep the per-point arithmetic they always had.  The staircase's
+A point is a sequence of ``dim`` floats that the per-point form indexes,
+a 1-D numpy array or, in :func:`~pdrwm.chain.run_chain`'s float loop, a
+tuple of Python floats; batches of points are ``(m, dim)`` arrays, one
+point per row.  Each formula is written once over coordinates: the
+per-point form hands it Python floats, the batch form whole columns.
+The two forms therefore agree to the last bit or two, not exactly:
+numpy's vectorised ``exp``/``log1p`` may round differently from the C
+library on a few percent of inputs, and the chains keep the per-point
+arithmetic they always had.  The staircase's
 two forms agree exactly: :class:`RectangleDensity` alone defines its
 level rule, which every other module reads, and its array form looks up
 the scalar form's floats.  Its half-width is subnormal from level 646
@@ -51,6 +53,9 @@ class TargetDensity:
     log_density : callable
         Maps a length-``dim`` point to a float, ``-inf`` off support; the
         point is on the support iff the value is ``> -inf`` (NaN is not).
+        The point is a numpy array or a tuple of Python floats, so the
+        form reads coordinates by index (``float(x[k])``), not by array
+        arithmetic.
     label : str
         Short human-readable identifier, used in config digests.
     log_density_batch : callable

@@ -10,9 +10,11 @@ from pdrwm import (
     CovarianceField,
     NumericError,
     ParameterError,
+    RectangleDensity,
     SupportError,
     circle_proposal,
     constant_field,
+    ellipse_proposal,
     estimate_expectation,
     gaussian_proposal,
     log_accept_ratio,
@@ -303,9 +305,10 @@ def assert_same_bytes(traj, ref):
 
 
 class TestFloatLoop:
-    """``run_chain`` steps a 1-D Gaussian kernel on Python floats.  The
-    generic per-point route, on a kernel that reads the field through
-    ``inv_metric``, must give the same chain byte for byte."""
+    """``run_chain`` steps the 1-D Gaussian, disc and ellipse kernels on
+    Python floats.  The generic per-point route (for the Gaussian, on a
+    kernel that reads the field through ``inv_metric``) must give the
+    same chain byte for byte."""
 
     @pytest.mark.parametrize("field_name", sorted(ONE_DIM_FIELDS))
     @given(
@@ -359,9 +362,59 @@ class TestFloatLoop:
         assert np.isnan(traj.alpha).any()
         assert_same_bytes(traj, reference_chain(target, kernel, pt(0.0), 150, seed))
 
-    def test_only_gaussian_one_dimensional_kernels_step_on_floats(self):
-        assert gaussian_proposal(ridge_conditional_field(), 1.0).std is None
-        assert circle_proposal().std is None
+    @pytest.mark.parametrize("make_kernel", [circle_proposal, ellipse_proposal])
+    @given(
+        level=st.integers(1, 12),
+        across=st.floats(-1.0, 1.0),
+        up=st.floats(0.0, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_staircase_matches_reference_chain(
+        self, make_kernel, level, across, up, seed
+    ):
+        x0 = pt(across * RectangleDensity.half_width(level), level + up)
+        traj = run_chain(make_rectangle(), make_kernel(), x0, 300, seed)
+        ref = reference_chain(make_rectangle(), make_kernel(), x0, 300, seed)
+        assert_same_bytes(traj, ref)
+
+    @given(
+        st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_disc_on_the_ridge_matches_reference_chain(self, x0, seed):
+        traj = run_chain(make_ridge_2d(), circle_proposal(), x0, 300, seed)
+        ref = reference_chain(make_ridge_2d(), circle_proposal(), pt(*x0), 300, seed)
+        assert_same_bytes(traj, ref)
+
+    @given(st.floats(645.0, 647.0), st.integers(0, 2**32 - 1))
+    def test_ellipse_underflow_raises_the_same_error(self, height, seed):
+        # from level 646 up the semi-width underflows: a start there raises
+        # at once, and about half the chains from level 645 raise when a
+        # proposal lands on the support there
+        x0 = pt(0.0, height)
+        outcomes = []
+        for run in (run_chain, reference_chain):
+            try:
+                run(make_rectangle(), ellipse_proposal(), x0, 200, seed)
+            except NumericError as exc:
+                outcomes.append(str(exc))
+            else:
+                outcomes.append(None)
+        assert outcomes[0] == outcomes[1]
+        if height >= RectangleDensity.subnormal_level:
+            assert outcomes[0] == (
+                f"ellipse semi-width 3**(1 - floor(x2)) underflows at height {height!r}"
+            )
+
+    def test_only_two_dimensional_gaussian_kernels_take_the_generic_route(self):
+        assert gaussian_proposal(ridge_conditional_field(), 1.0).float_step is None
+        assert gaussian_proposal(constant_field(np.eye(2)), 1.0).float_step is None
+        for kernel in (
+            gaussian_proposal(power_field(1.5), 1.0),
+            circle_proposal(),
+            ellipse_proposal(),
+        ):
+            assert kernel.float_step is not None
 
 
 CARRIED_CASES = {
@@ -370,6 +423,7 @@ CARRIED_CASES = {
     "ridge": (make_ridge_2d,
               lambda: gaussian_proposal(ridge_conditional_field(), 1.0), [2.0, 0.1]),
     "staircase": (make_rectangle, circle_proposal, [0.0, 1.5]),
+    "staircase_ellipse": (make_rectangle, ellipse_proposal, [0.0, 3.5]),
 }
 
 

@@ -297,6 +297,42 @@ class TestScaleMemo:
             np.testing.assert_array_equal(k.sample(a, rng), fresh.sample(a, rng_fresh))
 
 
+def array_disc_sample(x, w, rng):
+    """One uniform-ellipse draw as the array arithmetic wrote it: unit-disc
+    offsets for ``n = 1`` in numpy, the first scaled by ``w``, added to ``x``."""
+    r = np.sqrt(rng.random(1))
+    theta = 2.0 * math.pi * rng.random(1)
+    out = np.empty((2, 1))
+    np.multiply(r, np.cos(theta), out=out[0])
+    np.multiply(r, np.sin(theta), out=out[1])
+    off = out.T[0]
+    off[0] *= w
+    return x + off
+
+
+class TestUniformSampleBits:
+    """The disc and ellipse draw on Python floats; each draw keeps the
+    bits of the array arithmetic, and the stream stays in step."""
+
+    @given(
+        st.sampled_from(["disc", "ellipse"]),
+        st.tuples(st.floats(-5.0, 5.0), st.floats(-3.0, 14.0)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_per_point_sample_keeps_the_array_bits(self, name, x, seed):
+        x = pt(*x)
+        if name == "disc":
+            k, w = circle_proposal(), 1.0
+        else:
+            k = ellipse_proposal()
+            w = RectangleDensity.half_width(max(1, math.floor(x[1])))
+        rng, rng_array = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            y = k.sample(x, rng)
+            assert y.dtype == np.float64 and y.shape == (2,)
+            assert y.tobytes() == array_disc_sample(x, w, rng_array).tobytes()
+
+
 class TestCircle:
     def test_samples_inside_unit_disc(self):
         k = circle_proposal()
