@@ -43,7 +43,7 @@ __all__ = [
 def log_accept_terms(lp_x, lp_y, lq_yx, lq_xy):
     """Combine the four log terms of the Metropolis-Hastings ratio.
 
-    Vectorizes over numpy arrays; scalar floats pass straight through.
+    Vectorizes over numpy arrays.
     Callers must screen out ``lq_yx = -inf`` (an unreachable proposal)
     before calling, since the subtraction would produce NaN.
     """
@@ -79,7 +79,8 @@ def _log_accept(
     lq_xy = kernel.log_q(x, y)
     if lq_xy == -math.inf:
         return -math.inf
-    return float(log_accept_terms(lp_x, lp_y, lq_yx, lq_xy))
+    la = lp_y + lq_xy - lp_x - lq_yx
+    return 0.0 if la > 0.0 else float(la)  # NaN is kept, as np.minimum keeps it
 
 
 def log_accept_ratio_batch(
@@ -269,17 +270,17 @@ def run_chain(
     the current state is carried from the step that accepted it, so a
     chain evaluates the target ``n_steps + 1`` times.
 
-    A kernel with a float step (``kernel.float_step``: the 1-D Gaussian,
-    the disc and the ellipse) is stepped on tuples of Python floats by
-    :func:`_float_chain`, and the target is handed those tuples.  That
-    loop performs the arithmetic of :func:`mh_step` in the same order and
-    draws from the stream in the same order, so it gives the same states,
-    flags and alphas to the bit.  Every other kernel, the Gaussian in two
-    or more dimensions, takes :func:`mh_step`'s route: its ``log_q``
-    calls LAPACK and BLAS, whose fused multiply-adds Python floats cannot
-    reproduce.  A step costs about 3 µs for the 1-D Gaussian, 5 µs for
-    the disc and the ellipse, and 30 µs for the Gaussian on the ridge
-    (best of 15 runs on a 2-vCPU VM).
+    Every package kernel has a float step (``kernel.float_step``), and
+    :func:`_float_chain` steps it on tuples of Python floats, handing the
+    target those tuples.  That loop performs the arithmetic of
+    :func:`mh_step` in the same order and draws from the stream in the
+    same order, so it gives the same states, flags and alphas to the bit.
+    The Gaussian's step in two or more dimensions keeps its LAPACK and
+    BLAS calls on arrays, so those bits hold too.  A kernel without a
+    float step (one built by hand, or with ``float_step`` replaced by
+    ``None``) takes :func:`mh_step`'s route.  A step costs about 3 µs for
+    the 1-D Gaussian, 5 µs for the disc and the ellipse, and 18 µs for
+    the Gaussian on the ridge (best of 15 runs on a 2-vCPU VM).
     """
     if n_steps < 1:
         raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
@@ -309,6 +310,40 @@ def run_chain(
     )
 
 
+def _float_acceptance(target: TargetDensity, kernel: ProposalKernel):
+    """The move ``x -> y`` on Python floats through the kernel's float step:
+    ``accept(x, at_x, lp_x, y)`` is ``(la, lp_y, at_y)``.
+
+    As in :func:`_log_accept`: evaluate the target at ``y`` and, on the
+    support, the two proposal log-densities, forward first.  ``at_y`` is
+    computed only for a proposal on the support (it is ``None`` off it).
+    ``la`` is ``min(0, ...)`` keeping NaN, as ``np.minimum`` does, and
+    ``-inf`` off the support or where the reverse move cannot reach.
+    """
+    log_density = target.log_density
+    at, log_q = kernel.float_step.at, kernel.float_step.log_q
+    inf = math.inf
+
+    def accept(x, at_x, lp_x, y):
+        lp_y = log_density(y)
+        if lp_y == -inf:
+            return -inf, lp_y, None
+        lq_yx = log_q(y, x, at_x)
+        if lq_yx == -inf:
+            raise ParameterError(
+                f"move {np.array(x)} -> {np.array(y)} is not proposable "
+                f"by {kernel.label}"
+            )
+        at_y = at(y)
+        lq_xy = log_q(x, y, at_y)
+        if lq_xy == -inf:
+            return -inf, lp_y, at_y
+        la = lp_y + lq_xy - lp_x - lq_yx
+        return (0.0 if la > 0.0 else la), lp_y, at_y
+
+    return accept
+
+
 def _float_chain(
     target: TargetDensity,
     kernel: ProposalKernel,
@@ -320,40 +355,23 @@ def _float_chain(
     """:func:`run_chain`'s transitions on tuples of Python floats, through
     the kernel's float step.
 
-    Per step, as in :func:`_transition` and :func:`_log_accept`: draw
-    ``y``, then ``u``; evaluate the target at ``y`` and, on the support,
-    the two proposal log-densities, forward first.  What the proposal
-    from a point depends on, ``at(x)`` (the 1-D Gaussian's scale, the
-    ellipse's width), is computed once per proposal on the support and
-    carried with the state.  ``la`` is ``min(0, ...)`` keeping NaN, as
-    ``np.minimum`` does, and ``-inf`` off the support, where ``exp(la)``
-    is 0.
+    Per step, as in :func:`_transition`: draw ``y``, then ``u``, then
+    :func:`_float_acceptance`.  What the proposal from a point depends
+    on, ``at(x)`` (the Gaussian's scale or factor, the ellipse's width),
+    is computed once per proposal on the support and carried with the
+    state.  Off the support ``la`` is ``-inf``, where ``exp(la)`` is 0.
     """
-    log_density = target.log_density
     step = kernel.float_step
-    at, draw, log_q = step.at, step.draw, step.log_q
-    uniform, log, exp, inf = rng.random, math.log, math.exp, math.inf
+    at, draw = step.at, step.draw
+    accept = _float_acceptance(target, kernel)
+    uniform, log, exp = rng.random, math.log, math.exp
     x = tuple(x0.tolist())
     at_x = at(x)
     xs, flags, alphas = [x], [], []
     for _ in range(n_steps):
         y = draw(x, at_x, rng)
         u = 1.0 - uniform()
-        lp_y = log_density(y)
-        la = -inf  # off the support
-        if lp_y != -inf:
-            lq_yx = log_q(y, x, at_x)
-            if lq_yx == -inf:
-                raise ParameterError(
-                    f"move {np.array(x)} -> {np.array(y)} is not proposable "
-                    f"by {kernel.label}"
-                )
-            at_y = at(y)
-            lq_xy = log_q(x, y, at_y)
-            if lq_xy != -inf:
-                la = lp_y + lq_xy - lp_x - lq_yx
-                if la > 0.0:
-                    la = 0.0
+        la, lp_y, at_y = accept(x, at_x, lp_x, y)
         accepted = log(u) < la
         if accepted:
             x, lp_x, at_x = y, lp_y, at_y

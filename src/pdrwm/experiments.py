@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 import yaml
 
-from .chain import estimate_expectation, log_accept_ratio, run_chain
+from .chain import _float_acceptance, estimate_expectation, run_chain
 from .chain import log_accept_ratio_closed_form
 from .diagnostics import (
     abs_pow,
@@ -73,6 +73,7 @@ from .targets import (
     make_rectangle,
     make_ridge_2d,
     make_subexponential_tail,
+    _log_density_on_support,
 )
 
 OUTPUT_DIR_ENV = "PDRWM_OUTPUT_DIR"
@@ -371,18 +372,22 @@ def _scenario_figure2(
         "spherical": constant_field(np.eye(2) * sigma2),
         "conditional": ridge_conditional_field(),
     }
+    kernels = {name: gaussian_proposal(fld, h) for name, fld in fields.items()}
+    accepts = {name: _float_acceptance(ridge, kern) for name, kern in kernels.items()}
     means: dict[str, list[float]] = {k: [] for k in fields}
     rows = []
     for x1 in arm_positions:
-        x = np.array([x1, 0.0])
+        x = (float(x1), 0.0)
+        lp_x = _log_density_on_support(ridge, np.array(x))
         row = [x1]
-        for name, fld in fields.items():
-            kern = gaussian_proposal(fld, h)
+        for name, kern in kernels.items():
+            at_x = kern.float_step.at(x)
+            draw, accept = kern.float_step.draw, accepts[name]
             rng = np.random.default_rng(seed)  # common draws across arm points
             acc = 0.0
             for _ in range(n_proposals):
-                y = kern.sample(x, rng)
-                acc += float(np.exp(log_accept_ratio(ridge, kern, x, y)))
+                y = draw(x, at_x, rng)
+                acc += float(np.exp(accept(x, at_x, lp_x, y)[0]))
             means[name].append(acc / n_proposals)
             row.append(acc / n_proposals)
         rows.append(tuple(row))

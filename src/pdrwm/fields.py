@@ -203,10 +203,10 @@ def ridge_conditional_field() -> CovarianceField:
     """
 
     def inv_metric(x: np.ndarray) -> np.ndarray:
-        return np.diag(
+        return np.array(
             [
-                1.0 / (2.0 * (1.0 + float(x[1]) ** 2)),
-                1.0 / (2.0 * (1.0 + float(x[0]) ** 2)),
+                [1.0 / (2.0 * (1.0 + float(x[1]) ** 2)), 0.0],
+                [0.0, 1.0 / (2.0 * (1.0 + float(x[0]) ** 2))],
             ]
         )
 

@@ -99,16 +99,17 @@ class ProposalKernel:
         proposal standard deviation at the float point ``v``, the one
         ``sample`` and ``log_q`` use.
     float_step : FloatStep or None
-        Set on every kernel whose per-point step is scalar arithmetic:
-        the one-dimensional Gaussian, the disc and the ellipse.  Their
-        ``sample`` and ``log_q`` are this step's arithmetic on the point's
-        Python floats, and :func:`~pdrwm.chain.run_chain` steps them on
-        it directly, so a ``sample``, ``log_q`` or ``std`` replaced with
+        Set on every package kernel: the Gaussian in any dimension, the
+        disc and the ellipse.  Their ``sample`` and ``log_q`` are this
+        step run on the point's Python floats, and
+        :func:`~pdrwm.chain.run_chain` steps them on it directly, so a
+        ``sample``, ``log_q`` or ``std`` replaced with
         ``dataclasses.replace`` does not reach ``run_chain``; replace
-        ``float_step`` too, or set it to ``None``.  Gaussian kernels in
-        two or more dimensions have none: their ``log_q`` solves with
-        LAPACK ``trtrs`` and sums ``v @ v`` in BLAS, which may fuse the
-        multiply-add, so Python floats cannot reproduce its bits.
+        ``float_step`` too, or set it to ``None``.  The Gaussian's step in
+        two or more dimensions keeps its arithmetic in LAPACK and BLAS,
+        on the point as an array: floats go in and come out, but Python
+        floats could not reproduce its ``trtrs`` solve and ``v @ v`` sum,
+        which may fuse the multiply-add.
     """
 
     dim: int
@@ -128,10 +129,13 @@ def _float_kernel(
     sample_batch: Callable,
     log_q_batch: Callable,
     std: Callable[[float], float] | None = None,
+    at: Callable[[Sequence[float]], tuple] | None = None,
 ) -> ProposalKernel:
     """The kernel whose per-point ``sample`` and ``log_q`` run ``step`` on
-    the point's Python floats, so the two forms agree to the bit."""
-    at, draw, log_q_at = step.at, step.draw, step.log_q
+    the point's Python floats, so the two forms agree to the bit.  They
+    read ``at`` (a memo of ``step.at``, say) where it is given."""
+    draw, log_q_at = step.draw, step.log_q
+    at = at or step.at
 
     def sample(x, rng):
         x = np.asarray(x, dtype=float).tolist()
@@ -178,16 +182,18 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
     ``sample``, ``log_q`` and ``sample_batch`` read afresh at each call.
     Its float step carries ``(std, log std)`` of a point, so
     :func:`~pdrwm.chain.run_chain` evaluates the field once per
-    proposal.  In higher dimensions the lower Cholesky
-    factor and log-determinant of a point are computed once and
-    remembered for the two most recently used points (on a chain, the
-    current state and the latest proposal), with LAPACK ``potrf`` and
-    ``trtrs`` called directly with the arguments
-    ``scipy.linalg.cholesky`` and ``solve_triangular`` pass; ``sample``,
-    ``log_q`` and ``sample_batch`` read that one memo.  ``log_q_batch``
-    factors all its start points in one stacked call.  A field value
-    that is not finite, not positive or fails to factor raises
-    :class:`NumericError` naming the point.
+    proposal.  In higher dimensions the float step carries the point as
+    an array, its lower Cholesky factor and its log-determinant, from
+    LAPACK ``potrf`` called directly with the arguments
+    ``scipy.linalg.cholesky`` passes.  It draws ``x + low @ z`` and
+    solves with ``trtrs`` as ``solve_triangular`` does, so the chain's
+    bits are those of the array arithmetic.  ``sample``, ``log_q`` and
+    ``sample_batch`` read one memo of that step's ``at``, which keeps
+    the two most recently used points (on a chain, the current state and
+    the latest proposal).  ``log_q_batch`` factors all its start points in
+    one stacked call.  A field value that is not finite, not positive or
+    fails to factor, or a 1-D variance ``h * g`` that underflows to 0,
+    raises :class:`NumericError` naming the point.
     """
     if not h > 0:
         raise ParameterError(f"step size must be positive, got {h}")
@@ -204,7 +210,12 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
             g = variance(v)
             if not g > 0 or not math.isfinite(g):
                 raise NumericError(f"field value {g:g} at [{v!r}] is not usable")
-            return math.sqrt(h * g)
+            s = math.sqrt(h * g)
+            if s == 0.0:
+                raise NumericError(
+                    f"proposal variance {h:g} * {g:g} at [{v!r}] underflows"
+                )
+            return s
 
         def at(x):
             s = std(x[0])
@@ -228,6 +239,11 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
                 i = int(np.argmax(bad))
                 raise NumericError(f"field value {g[i]:g} at {xs[i]} is not usable")
             s = np.sqrt(h * g)
+            if not s.all():
+                i = int(np.argmin(s))
+                raise NumericError(
+                    f"proposal variance {h:g} * {g[i]:g} at {xs[i]} underflows"
+                )
             u = (ys[:, 0] - xs[:, 0]) / s
             return -0.5 * _LOG_2PI - np.log(s) - 0.5 * u * u
 
@@ -235,50 +251,53 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
             1, FloatStep(at, draw, log_q_at), label, sample_batch, log_q_batch, std
         )
 
-    else:
-        potrf, trtrs = get_lapack_funcs(("potrf", "trtrs"), (np.empty((dim, dim)),))
+    potrf, trtrs = get_lapack_funcs(("potrf", "trtrs"), (np.empty((dim, dim)),))
+    isfinite = math.isfinite
 
-        def _factor(x: np.ndarray) -> tuple[np.ndarray, float]:
-            cov = h * inv_metric(x)
-            if not np.isfinite(cov).all():
-                raise NumericError(f"covariance at {x} is not finite")
-            low, info = potrf(cov, lower=True, overwrite_a=False, clean=True)
-            if info != 0:
-                raise NumericError(f"covariance at {x} failed to factor")
-            low.setflags(write=False)
-            return low, 2.0 * float(np.sum(np.log(np.diag(low))))
+    def at(x):
+        xa = np.array(x, dtype=float)
+        cov = h * inv_metric(xa)
+        if not all(map(isfinite, cov.ravel().tolist())):
+            raise NumericError(f"covariance at {xa} is not finite")
+        low, info = potrf(cov, lower=True, overwrite_a=False, clean=True)
+        if info != 0:
+            raise NumericError(f"covariance at {xa} failed to factor")
+        return xa, low, 2.0 * float(np.log(low.diagonal()).sum())
 
-        factor = _last_two(_factor)
+    def draw(x, at_x, rng):
+        return tuple((at_x[0] + at_x[1] @ rng.standard_normal(dim)).tolist())
 
-        def sample(x, rng):
-            return x + factor(x)[0] @ rng.standard_normal(dim)
+    def log_q_at(y, x, at_x):
+        xa, low, logdet = at_x
+        # potrf returns a Fortran-ordered factor, which trtrs solves as is
+        v, _ = trtrs(low, np.array(y) - xa, lower=True)
+        return -0.5 * (dim * _LOG_2PI + logdet + float(v @ v))
 
-        def log_q(y, x):
-            low, logdet = factor(x)
-            # potrf returns a Fortran-ordered factor, which trtrs solves as is
-            v, _ = trtrs(low, y - x, lower=True)
-            return -0.5 * (dim * _LOG_2PI + logdet + float(v @ v))
+    remembered = _last_two(at)
 
-        def sample_batch(x, n, rng):
-            return x[None, :] + rng.standard_normal((n, dim)) @ factor(x)[0].T
+    def sample_batch(x, n, rng):
+        return x[None, :] + rng.standard_normal((n, dim)) @ remembered(x)[1].T
 
-        def log_q_batch(ys, xs):
-            ys, xs = np.atleast_2d(ys), np.atleast_2d(xs)
-            cov = h * inv_metric_batch(xs)
-            bad = ~np.isfinite(cov).all(axis=(1, 2))
-            if bad.any():
-                raise NumericError(f"covariance at {xs[np.argmax(bad)]} is not finite")
-            try:
-                low = np.linalg.cholesky(cov)
-            except np.linalg.LinAlgError:
-                for x in xs:
-                    _factor(x)  # names the first point whose value fails
-                raise
-            v = np.linalg.solve(low, (ys - xs)[..., None])[..., 0]
-            logdet = 2.0 * np.log(np.diagonal(low, axis1=1, axis2=2)).sum(axis=1)
-            return -0.5 * (dim * _LOG_2PI + logdet + (v * v).sum(axis=1))
+    def log_q_batch(ys, xs):
+        ys, xs = np.atleast_2d(ys), np.atleast_2d(xs)
+        cov = h * inv_metric_batch(xs)
+        bad = ~np.isfinite(cov).all(axis=(1, 2))
+        if bad.any():
+            raise NumericError(f"covariance at {xs[np.argmax(bad)]} is not finite")
+        try:
+            low = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            for x in xs:
+                at(x)  # names the first point whose value fails
+            raise
+        v = np.linalg.solve(low, (ys - xs)[..., None])[..., 0]
+        logdet = 2.0 * np.log(np.diagonal(low, axis1=1, axis2=2)).sum(axis=1)
+        return -0.5 * (dim * _LOG_2PI + logdet + (v * v).sum(axis=1))
 
-    return ProposalKernel(dim, sample, log_q, label, sample_batch, log_q_batch)
+    return _float_kernel(
+        dim, FloatStep(at, draw, log_q_at), label, sample_batch, log_q_batch,
+        at=remembered,
+    )
 
 
 def _disc_offsets(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from pdrwm import (
@@ -34,6 +34,9 @@ from pdrwm import (
     run_chain,
     tempered_langevin_field,
 )
+# the uncached Gaussian kernel factors with scipy at every call: the
+# array arithmetic the float step must reproduce
+from test_proposals import entries, spd_field, uncached_gaussian_proposal
 
 
 def pt(*vals):
@@ -305,10 +308,10 @@ def assert_same_bytes(traj, ref):
 
 
 class TestFloatLoop:
-    """``run_chain`` steps the 1-D Gaussian, disc and ellipse kernels on
-    Python floats.  The generic per-point route (for the Gaussian, on a
-    kernel that reads the field through ``inv_metric``) must give the
-    same chain byte for byte."""
+    """``run_chain`` steps every package kernel on Python floats.  The
+    generic per-point route (for the Gaussian, on a kernel that reads the
+    field through ``inv_metric`` or factors with scipy at every call) must
+    give the same chain byte for byte."""
 
     @pytest.mark.parametrize("field_name", sorted(ONE_DIM_FIELDS))
     @given(
@@ -406,15 +409,70 @@ class TestFloatLoop:
                 f"ellipse semi-width 3**(1 - floor(x2)) underflows at height {height!r}"
             )
 
-    def test_only_two_dimensional_gaussian_kernels_take_the_generic_route(self):
-        assert gaussian_proposal(ridge_conditional_field(), 1.0).float_step is None
-        assert gaussian_proposal(constant_field(np.eye(2)), 1.0).float_step is None
+    def test_every_package_kernel_has_a_float_step(self):
         for kernel in (
             gaussian_proposal(power_field(1.5), 1.0),
+            gaussian_proposal(ridge_conditional_field(), 1.0),
+            gaussian_proposal(constant_field(np.eye(2)), 1.0),
+            gaussian_proposal(power_field(1.5, dim=3), 1.0),
             circle_proposal(),
             ellipse_proposal(),
         ):
             assert kernel.float_step is not None
+
+    @pytest.mark.parametrize("x0", [(4.0, 0.0), (0.0, 4.0), (2.0, 0.1)])
+    @pytest.mark.parametrize("field_name", sorted(RIDGE_FIELDS))
+    @given(h=st.floats(0.05, 4.0), seed=st.integers(0, 2**32 - 1))
+    def test_ridge_matches_reference_chain(self, field_name, x0, h, seed):
+        field = RIDGE_FIELDS[field_name]()
+        traj = run_chain(make_ridge_2d(), gaussian_proposal(field, h), x0, 200, seed)
+        ref = reference_chain(
+            make_ridge_2d(), uncached_gaussian_proposal(field, h), pt(*x0), 200, seed
+        )
+        assert_same_bytes(traj, ref)
+
+    @given(
+        st.tuples(entries, entries, entries, entries),
+        st.floats(0.01, 1.0),
+        st.floats(0.05, 4.0),
+        st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_non_diagonal_field_matches_reference_chain(self, bs, c, h, x0, seed):
+        field = spd_field(*bs, c)
+        kernel = gaussian_proposal(field, h)
+        assume(kernel.float_step.at(x0)[1][1, 0] != 0.0)  # the factor is not diagonal
+        traj = run_chain(make_ridge_2d(), kernel, x0, 200, seed)
+        ref = reference_chain(
+            make_ridge_2d(), uncached_gaussian_proposal(field, h), pt(*x0), 200, seed
+        )
+        assert_same_bytes(traj, ref)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(math.nan, "is not finite"), (math.inf, "is not finite"), (-1.0, "failed to factor")],
+    )
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_unusable_covariance_raises_the_same_error(self, bad, message, seed):
+        # usable for |x1| < 1 only: a chain from the origin proposes past it soon
+        def value(x):
+            return np.array([[1.0, 0.0], [0.0, 1.0 if abs(x[0]) < 1.0 else bad]])
+
+        field = CovarianceField(
+            2, value, "bad", lambda xs: np.stack([value(x) for x in xs])
+        )
+        kernel = gaussian_proposal(field, 4.0)
+        with pytest.raises(NumericError, match=message) as floats:
+            run_chain(make_ridge_2d(), kernel, [0.0, 0.0], 400, seed)
+        with pytest.raises(NumericError) as per_point:
+            reference_chain(make_ridge_2d(), kernel, pt(0.0, 0.0), 400, seed)
+        assert str(floats.value) == str(per_point.value)
+
+    def test_variance_underflow_raises_naming_the_point(self):
+        # 0.1 * 5e-324 is 0.0, whose square root no Gaussian proposes with
+        kernel = gaussian_proposal(constant_field(5e-324), 0.1)
+        with pytest.raises(NumericError, match=r"at \[0\.5\] underflows"):
+            run_chain(make_gaussian(), kernel, [0.5], 10, seed=0)
 
 
 CARRIED_CASES = {

@@ -7,8 +7,12 @@ from pdrwm import (
     ConfigError,
     ExperimentConfig,
     ParameterError,
+    constant_field,
+    gaussian_proposal,
     list_scenarios,
     load_config,
+    log_accept_ratio,
+    make_ridge_2d,
     one_plus_square_field,
     ridge_conditional_field,
     run_scenario,
@@ -264,6 +268,29 @@ class TestScenarioBodies:
         res = run_scenario(cfg)
         assert res.checks[0].name == "above_half_fraction_decreasing"
         assert res.checks[0].passed
+
+    def test_figure2_arm_means_equal_the_per_point_loop(self):
+        arm_positions, n, h, sigma2, seed = (1.5, 6.0), 200, 0.7, 0.3, 123
+        files, _ = SCENARIOS["figure2_data"](
+            seed, "", arm_positions=arm_positions, n_proposals=n, h=h, sigma2=sigma2
+        )
+        ridge = make_ridge_2d()
+        expected = []
+        for x1 in arm_positions:
+            x = np.array([x1, 0.0])
+            row = [x1]
+            for fld in (constant_field(np.eye(2) * sigma2), ridge_conditional_field()):
+                kern = gaussian_proposal(fld, h)
+                rng = np.random.default_rng(seed)
+                acc = 0.0
+                for _ in range(n):
+                    y = kern.sample(x, rng)
+                    acc += float(np.exp(log_accept_ratio(ridge, kern, x, y)))
+                row.append(acc / n)
+            expected.append(row)
+        lines = files["figure2_arm_acceptance.csv"].splitlines()
+        got = [[float(v) for v in line.split(",")] for line in lines[2:]]
+        assert got == expected
 
     def test_figure3_geometry_checks(self, tmp_path):
         cfg = ExperimentConfig("figure3_data", 0, str(tmp_path), {})

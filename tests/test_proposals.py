@@ -75,6 +75,20 @@ class TestGaussianKernel1D:
         with pytest.raises(ParameterError):
             gaussian_proposal(power_field(1.0), h=0.0)
 
+    def test_variance_underflow_raises_naming_the_point(self):
+        # the field value is positive, but 0.1 * 5e-324 is 0.0
+        k = gaussian_proposal(constant_field(5e-324), h=0.1)
+        x, rng = pt(0.5), np.random.default_rng(0)
+        for call in (
+            lambda: k.sample(x, rng),
+            lambda: k.log_q(pt(1.0), x),
+            lambda: k.sample_batch(x, 3, rng),
+            lambda: k.log_q_batch(np.ones((3, 1)), x),
+            lambda: k.log_q_batch(x, np.array([[0.5], [1.0]])),
+        ):
+            with pytest.raises(NumericError, match=r"4.94066e-324 at \[0\.5\] underflows"):
+                call()
+
 
 class TestGaussianKernelMultiDim:
     def test_log_q_matches_mvn_logpdf(self):
