@@ -172,37 +172,24 @@ def mh_step(
 ) -> tuple[np.ndarray, bool, float]:
     """One Metropolis-Hastings transition from ``x``.
 
-    Returns ``(next_point, accepted, alpha)``.  Exactly one proposal and
-    one uniform are drawn per call whatever the outcome, so trajectories
-    are reproducible functions of the seed.  The uniform is taken in
-    (0, 1] so a certain acceptance (alpha = 1) can never be refused.
-    ``x`` must be in the target support.
+    Returns ``(next_point, accepted, alpha)`` with the next point as an
+    array.  Exactly one proposal and one uniform are drawn per call
+    whatever the outcome, so trajectories are reproducible functions of
+    the seed.  The uniform is taken in (0, 1] so a certain acceptance
+    (alpha = 1) can never be refused.  ``x`` must be in the target
+    support.  This is :func:`run_chain`'s step on the kernel's float
+    step, in the same order: ``n`` calls on one stream give the states,
+    flags and alphas of ``run_chain`` on that stream, to the bit.
     """
     lp_x = _log_density_on_support(target, x)
-    nxt, _, accepted, alpha = _transition(target, kernel, x, lp_x, rng)
-    return nxt, accepted, alpha
-
-
-def _transition(
-    target: TargetDensity,
-    kernel: ProposalKernel,
-    x: np.ndarray,
-    lp_x: float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, float, bool, float]:
-    """:func:`mh_step` from a support point ``x`` whose log-density
-    ``lp_x`` the caller carries; also returns the next point's
-    log-density.  A proposal's log-density is its support test: ``-inf``
-    off the support."""
-    y = kernel.sample(x, rng)
+    step = kernel.float_step
+    x = tuple(np.asarray(x, dtype=float).tolist())
+    at_x = step.at(x)
+    y = step.draw(x, at_x, rng)
     u = 1.0 - rng.random()
-    lp_y = target.log_density(y)
-    if lp_y == -math.inf:
-        return x, lp_x, False, 0.0
-    la = _log_accept(kernel, x, y, lp_x, lp_y)
-    if math.log(u) < la:
-        return y, lp_y, True, math.exp(la)
-    return x, lp_x, False, math.exp(la)
+    la = _float_acceptance(target, kernel)(x, at_x, lp_x, y)[0]
+    accepted = math.log(u) < la
+    return np.array(y if accepted else x), accepted, math.exp(la)
 
 
 def config_digest(target: TargetDensity, kernel: ProposalKernel) -> str:
@@ -270,17 +257,14 @@ def run_chain(
     the current state is carried from the step that accepted it, so a
     chain evaluates the target ``n_steps + 1`` times.
 
-    Every package kernel has a float step (``kernel.float_step``), and
-    :func:`_float_chain` steps it on tuples of Python floats, handing the
-    target those tuples.  That loop performs the arithmetic of
-    :func:`mh_step` in the same order and draws from the stream in the
-    same order, so it gives the same states, flags and alphas to the bit.
+    :func:`_float_chain` steps the kernel's float step
+    (``kernel.float_step``) on tuples of Python floats, handing the
+    target those tuples: the arithmetic and the stream order of
+    :func:`mh_step`, so the same states, flags and alphas to the bit.
     The Gaussian's step in two or more dimensions keeps its LAPACK and
-    BLAS calls on arrays, so those bits hold too.  A kernel without a
-    float step (one built by hand, or with ``float_step`` replaced by
-    ``None``) takes :func:`mh_step`'s route.  A step costs about 3 µs for
-    the 1-D Gaussian, 5 µs for the disc and the ellipse, and 18 µs for
-    the Gaussian on the ridge (best of 15 runs on a 2-vCPU VM).
+    BLAS calls on arrays, so those bits hold too.  A step costs about
+    3 µs for the 1-D Gaussian, 5 µs for the disc and the ellipse, and
+    18 µs for the Gaussian on the ridge (best of 15 runs on a 2-vCPU VM).
     """
     if n_steps < 1:
         raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
@@ -292,19 +276,7 @@ def run_chain(
     lp_x = _log_density_on_support(target, x0, "start point")
 
     rng = np.random.default_rng(seed)
-    if kernel.float_step is not None:
-        states, accepted, alpha = _float_chain(target, kernel, x0, lp_x, n_steps, rng)
-    else:
-        states = np.empty((n_steps + 1, target.dim))
-        accepted = np.empty(n_steps, dtype=bool)
-        alpha = np.empty(n_steps)
-        states[0] = x0
-        x = x0
-        for i in range(n_steps):
-            x, lp_x, acc, a = _transition(target, kernel, x, lp_x, rng)
-            states[i + 1] = x
-            accepted[i] = acc
-            alpha[i] = a
+    states, accepted, alpha = _float_chain(target, kernel, x0, lp_x, n_steps, rng)
     return ChainTrajectory(
         states, accepted, alpha, int(seed), config_digest(target, kernel)
     )
@@ -355,7 +327,7 @@ def _float_chain(
     """:func:`run_chain`'s transitions on tuples of Python floats, through
     the kernel's float step.
 
-    Per step, as in :func:`_transition`: draw ``y``, then ``u``, then
+    Per step, as in :func:`mh_step`: draw ``y``, then ``u``, then
     :func:`_float_acceptance`.  What the proposal from a point depends
     on, ``at(x)`` (the Gaussian's scale or factor, the ellipse's width),
     is computed once per proposal on the support and carried with the

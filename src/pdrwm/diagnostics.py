@@ -274,7 +274,7 @@ def tail_acceptance_profile(
             f"profile probes the tail; need |x| >= {x0:g}, got {x:g}"
         )
     xv = np.array([float(x)])
-    s = gaussian_proposal(cov_field, h).std(float(x))
+    s = gaussian_proposal(cov_field, h).float_step.at((float(x),))[0]
     out = []
     for c in offsets:
         y = float(x) + float(c) * s

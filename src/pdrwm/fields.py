@@ -200,20 +200,29 @@ def ridge_conditional_field() -> CovarianceField:
     Under exp(-x1^2 - x2^2 - x1^2 x2^2) each coordinate given the other
     is a centred Gaussian with variance 1 / (2 (1 + other^2)); the field
     simply proposes with those conditional variances on the diagonal.
+    Where the other coordinate's square overflows, both forms give that
+    entry 0.0, a covariance no Gaussian kernel factors.
     """
+
+    def conditional(other: float) -> float:
+        try:
+            return 1.0 / (2.0 * (1.0 + other**2))
+        except OverflowError:  # float ** raises where numpy's square is inf
+            return 0.0
 
     def inv_metric(x: np.ndarray) -> np.ndarray:
         return np.array(
             [
-                [1.0 / (2.0 * (1.0 + float(x[1]) ** 2)), 0.0],
-                [0.0, 1.0 / (2.0 * (1.0 + float(x[0]) ** 2))],
+                [conditional(float(x[1])), 0.0],
+                [0.0, conditional(float(x[0]))],
             ]
         )
 
     def inv_metric_batch(xs: np.ndarray) -> np.ndarray:
         out = np.zeros((len(xs), 2, 2))
-        out[:, 0, 0] = 1.0 / (2.0 * (1.0 + xs[:, 1] ** 2))
-        out[:, 1, 1] = 1.0 / (2.0 * (1.0 + xs[:, 0] ** 2))
+        with np.errstate(over="ignore"):  # an inf square gives the entry 0.0
+            out[:, 0, 0] = 1.0 / (2.0 * (1.0 + xs[:, 1] ** 2))
+            out[:, 1, 1] = 1.0 / (2.0 * (1.0 + xs[:, 0] ** 2))
         return out
 
     return CovarianceField(2, inv_metric, "ridge_conditional", inv_metric_batch)

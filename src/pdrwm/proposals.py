@@ -46,7 +46,9 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class FloatStep:
-    """A kernel's per-point step on Python floats.
+    """A kernel's step on Python floats, the one route by which
+    :func:`~pdrwm.chain.mh_step` and :func:`~pdrwm.chain.run_chain` move a
+    chain, and which the kernel's per-point ``sample`` and ``log_q`` run.
 
     A point is a sequence of ``dim`` Python floats (a tuple or a list).
 
@@ -94,22 +96,18 @@ class ProposalKernel:
         array: ``ys`` of shape ``(m, dim)`` against one start ``xs`` of
         shape ``(dim,)``, or one end point ``ys`` against ``m`` starts
         ``xs``.  Agrees with ``log_q`` row by row to float rounding.
-    std : callable or None
-        Set only on a one-dimensional Gaussian kernel: ``std(v)`` is the
-        proposal standard deviation at the float point ``v``, the one
-        ``sample`` and ``log_q`` use.
-    float_step : FloatStep or None
-        Set on every package kernel: the Gaussian in any dimension, the
-        disc and the ellipse.  Their ``sample`` and ``log_q`` are this
-        step run on the point's Python floats, and
-        :func:`~pdrwm.chain.run_chain` steps them on it directly, so a
-        ``sample``, ``log_q`` or ``std`` replaced with
-        ``dataclasses.replace`` does not reach ``run_chain``; replace
-        ``float_step`` too, or set it to ``None``.  The Gaussian's step in
-        two or more dimensions keeps its arithmetic in LAPACK and BLAS,
-        on the point as an array: floats go in and come out, but Python
-        floats could not reproduce its ``trtrs`` solve and ``v @ v`` sum,
-        which may fuse the multiply-add.
+    float_step : FloatStep
+        The kernel's step on Python floats, the one route by which
+        :func:`~pdrwm.chain.mh_step` and :func:`~pdrwm.chain.run_chain`
+        move a chain.  Every package kernel carries one: the Gaussian in
+        any dimension, the disc and the ellipse.  Their ``sample`` and
+        ``log_q`` are this step run on the point's Python floats, so a
+        ``sample`` or ``log_q`` replaced with ``dataclasses.replace``
+        does not reach a chain; replace ``float_step``.  The Gaussian's
+        step in two or more dimensions keeps its arithmetic in LAPACK and
+        BLAS, on the point as an array: floats go in and come out, but
+        Python floats could not reproduce its ``trtrs`` solve and
+        ``v @ v`` sum, which may fuse the multiply-add.
     """
 
     dim: int
@@ -118,8 +116,7 @@ class ProposalKernel:
     label: str
     sample_batch: Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
     log_q_batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    std: Callable[[float], float] | None = None
-    float_step: FloatStep | None = None
+    float_step: FloatStep
 
 
 def _float_kernel(
@@ -128,14 +125,12 @@ def _float_kernel(
     label: str,
     sample_batch: Callable,
     log_q_batch: Callable,
-    std: Callable[[float], float] | None = None,
-    at: Callable[[Sequence[float]], tuple] | None = None,
 ) -> ProposalKernel:
     """The kernel whose per-point ``sample`` and ``log_q`` run ``step`` on
-    the point's Python floats, so the two forms agree to the bit.  They
-    read ``at`` (a memo of ``step.at``, say) where it is given."""
-    draw, log_q_at = step.draw, step.log_q
-    at = at or step.at
+    the point's Python floats, so the two forms agree to the bit.  Each
+    call computes ``step.at`` of its start afresh; a chain carries it
+    with the state instead."""
+    at, draw, log_q_at = step.at, step.draw, step.log_q
 
     def sample(x, rng):
         x = np.asarray(x, dtype=float).tolist()
@@ -145,52 +140,24 @@ def _float_kernel(
         x = np.asarray(x, dtype=float).tolist()
         return log_q_at(np.asarray(y, dtype=float).tolist(), x, at(x))
 
-    return ProposalKernel(dim, sample, log_q, label, sample_batch, log_q_batch, std, step)
-
-
-def _last_two(compute: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
-    """``compute`` remembered at the two most recently used points.
-
-    On a chain these are the current state and the latest proposal, so
-    each point's value is computed once.  The key is the point's float64
-    bytes: ``-0.0`` and ``0.0`` stay apart, and a point given as ints
-    shares its entry with the same point given as floats.
-    """
-    slots = ((None, None), (None, None))  # (key, value), most recent first
-
-    def lookup(x: np.ndarray):
-        nonlocal slots
-        key = np.asarray(x, dtype=np.float64).tobytes()
-        newest, older = slots
-        if key == newest[0]:
-            return newest[1]
-        if key == older[0]:
-            slots = (older, newest)
-            return older[1]
-        entry = (key, compute(x))
-        slots = (entry, newest)
-        return entry[1]
-
-    return lookup
+    return ProposalKernel(dim, sample, log_q, label, sample_batch, log_q_batch, step)
 
 
 def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
     """Random walk with position-dependent covariance ``h * S(x)``.
 
-    In one dimension the kernel exposes its standard deviation at a
-    float point, ``std(v) = sqrt(h * field.variance(v))``, which
-    ``sample``, ``log_q`` and ``sample_batch`` read afresh at each call.
-    Its float step carries ``(std, log std)`` of a point, so
-    :func:`~pdrwm.chain.run_chain` evaluates the field once per
-    proposal.  In higher dimensions the float step carries the point as
-    an array, its lower Cholesky factor and its log-determinant, from
-    LAPACK ``potrf`` called directly with the arguments
-    ``scipy.linalg.cholesky`` passes.  It draws ``x + low @ z`` and
-    solves with ``trtrs`` as ``solve_triangular`` does, so the chain's
-    bits are those of the array arithmetic.  ``sample``, ``log_q`` and
-    ``sample_batch`` read one memo of that step's ``at``, which keeps
-    the two most recently used points (on a chain, the current state and
-    the latest proposal).  ``log_q_batch`` factors all its start points in
+    The float step's ``at(x)`` is what the proposal from ``x`` needs.  In
+    one dimension that is ``(s, log s)`` with the standard deviation
+    ``s = sqrt(h * field.variance(v))`` at the float ``v = x[0]``; read
+    the scale at a float as ``kernel.float_step.at((v,))[0]``.  In higher
+    dimensions it is the point as an array, its lower Cholesky factor and
+    its log-determinant, from LAPACK ``potrf`` called directly with the
+    arguments ``scipy.linalg.cholesky`` passes; the step draws
+    ``x + low @ z`` and solves with ``trtrs`` as ``solve_triangular``
+    does, so a chain's bits are those of the array arithmetic.  A chain
+    carries ``at(x)`` with its state, so it evaluates the field once per
+    point; ``sample``, ``log_q`` and ``sample_batch`` compute it afresh
+    at each call, and ``log_q_batch`` factors all its start points in
     one stacked call.  A field value that is not finite, not positive or
     fails to factor, or a 1-D variance ``h * g`` that underflows to 0,
     raises :class:`NumericError` naming the point.
@@ -206,7 +173,8 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
     if dim == 1:
         variance = field.variance
 
-        def std(v: float) -> float:
+        def at(x):
+            v = x[0]
             g = variance(v)
             if not g > 0 or not math.isfinite(g):
                 raise NumericError(f"field value {g:g} at [{v!r}] is not usable")
@@ -215,10 +183,6 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
                 raise NumericError(
                     f"proposal variance {h:g} * {g:g} at [{v!r}] underflows"
                 )
-            return s
-
-        def at(x):
-            s = std(x[0])
             return s, math.log(s)
 
         def draw(x, at_x, rng):
@@ -229,7 +193,7 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
             return -0.5 * _LOG_2PI - at_x[1] - 0.5 * u * u
 
         def sample_batch(x, n, rng):
-            return x[None, :] + std(float(x[0])) * rng.standard_normal((n, 1))
+            return x[None, :] + at((float(x[0]),))[0] * rng.standard_normal((n, 1))
 
         def log_q_batch(ys, xs):
             ys, xs = np.atleast_2d(ys), np.atleast_2d(xs)
@@ -248,7 +212,7 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
             return -0.5 * _LOG_2PI - np.log(s) - 0.5 * u * u
 
         return _float_kernel(
-            1, FloatStep(at, draw, log_q_at), label, sample_batch, log_q_batch, std
+            1, FloatStep(at, draw, log_q_at), label, sample_batch, log_q_batch
         )
 
     potrf, trtrs = get_lapack_funcs(("potrf", "trtrs"), (np.empty((dim, dim)),))
@@ -273,10 +237,8 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
         v, _ = trtrs(low, np.array(y) - xa, lower=True)
         return -0.5 * (dim * _LOG_2PI + logdet + float(v @ v))
 
-    remembered = _last_two(at)
-
     def sample_batch(x, n, rng):
-        return x[None, :] + rng.standard_normal((n, dim)) @ remembered(x)[1].T
+        return x[None, :] + rng.standard_normal((n, dim)) @ at(x)[1].T
 
     def log_q_batch(ys, xs):
         ys, xs = np.atleast_2d(ys), np.atleast_2d(xs)
@@ -295,8 +257,7 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
         return -0.5 * (dim * _LOG_2PI + logdet + (v * v).sum(axis=1))
 
     return _float_kernel(
-        dim, FloatStep(at, draw, log_q_at), label, sample_batch, log_q_batch,
-        at=remembered,
+        dim, FloatStep(at, draw, log_q_at), label, sample_batch, log_q_batch
     )
 
 

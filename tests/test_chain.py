@@ -36,7 +36,12 @@ from pdrwm import (
 )
 # the uncached Gaussian kernel factors with scipy at every call: the
 # array arithmetic the float step must reproduce
-from test_proposals import entries, spd_field, uncached_gaussian_proposal
+from test_proposals import (
+    entries,
+    reference_chain,
+    spd_field,
+    uncached_gaussian_proposal,
+)
 
 
 def pt(*vals):
@@ -264,21 +269,17 @@ class TestRerunProperty:
         )
 
 
-def reference_chain(target, kernel, x0, n_steps, seed):
-    """The transition written out with the public per-point pieces: a
-    support test of the proposal, then :func:`log_accept_ratio`, which
-    evaluates the target at both ends of the move."""
+def mh_step_chain(target, kernel, x0, n_steps, seed):
+    """``n_steps`` calls of :func:`mh_step` on one seeded stream, each from
+    the point the last one returned."""
     rng = np.random.default_rng(seed)
     x = np.asarray(x0, dtype=float)
     states, accepted, alpha = [x], [], []
     for _ in range(n_steps):
-        y = kernel.sample(x, rng)
-        u = 1.0 - rng.random()
-        la = log_accept_ratio(target, kernel, x, y) if target.support_test(y) else -math.inf
-        accepted.append(math.log(u) < la)
-        alpha.append(math.exp(la))
-        x = y if accepted[-1] else x
+        x, acc, a = mh_step(target, kernel, x, rng)
         states.append(x)
+        accepted.append(acc)
+        alpha.append(a)
     return np.array(states), np.array(accepted), np.array(alpha)
 
 
@@ -311,7 +312,8 @@ class TestFloatLoop:
     """``run_chain`` steps every package kernel on Python floats.  The
     generic per-point route (for the Gaussian, on a kernel that reads the
     field through ``inv_metric`` or factors with scipy at every call) must
-    give the same chain byte for byte."""
+    give the same chain byte for byte, and so must ``n`` calls of
+    ``mh_step`` on one stream."""
 
     @pytest.mark.parametrize("field_name", sorted(ONE_DIM_FIELDS))
     @given(
@@ -324,10 +326,10 @@ class TestFloatLoop:
         target = ONE_DIM_TARGETS[target_name]()
         field = ONE_DIM_FIELDS[field_name](target)
         kernel = gaussian_proposal(field, h)
-        assert kernel.std is not None
         by_inv_metric = gaussian_proposal(dataclasses.replace(field, variance=None), h)
         traj = run_chain(target, kernel, [x0], 150, seed)
         assert_same_bytes(traj, reference_chain(target, by_inv_metric, pt(x0), 150, seed))
+        assert_same_bytes(traj, mh_step_chain(target, kernel, pt(x0), 150, seed))
 
     @given(st.floats(0.0, 4.0), st.floats(0.01, 50.0), st.integers(0, 2**32 - 1))
     def test_power_field_at_any_exponent(self, b, h, seed):
@@ -379,6 +381,8 @@ class TestFloatLoop:
         traj = run_chain(make_rectangle(), make_kernel(), x0, 300, seed)
         ref = reference_chain(make_rectangle(), make_kernel(), x0, 300, seed)
         assert_same_bytes(traj, ref)
+        steps = mh_step_chain(make_rectangle(), make_kernel(), x0, 300, seed)
+        assert_same_bytes(traj, steps)
 
     @given(
         st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
@@ -425,11 +429,14 @@ class TestFloatLoop:
     @given(h=st.floats(0.05, 4.0), seed=st.integers(0, 2**32 - 1))
     def test_ridge_matches_reference_chain(self, field_name, x0, h, seed):
         field = RIDGE_FIELDS[field_name]()
-        traj = run_chain(make_ridge_2d(), gaussian_proposal(field, h), x0, 200, seed)
+        kernel = gaussian_proposal(field, h)
+        traj = run_chain(make_ridge_2d(), kernel, x0, 200, seed)
         ref = reference_chain(
             make_ridge_2d(), uncached_gaussian_proposal(field, h), pt(*x0), 200, seed
         )
         assert_same_bytes(traj, ref)
+        steps = mh_step_chain(make_ridge_2d(), kernel, pt(*x0), 200, seed)
+        assert_same_bytes(traj, steps)
 
     @given(
         st.tuples(entries, entries, entries, entries),

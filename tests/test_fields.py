@@ -18,6 +18,7 @@ from pdrwm import (
     make_rectangle,
     one_plus_square_field,
     power_field,
+    ridge_conditional_field,
     tempered_langevin_field,
 )
 
@@ -172,7 +173,7 @@ class TestPerPointOverflow:
         assert batch[0, 0, 0] == math.inf
         kern = gaussian_proposal(field, 1.0)
         with pytest.raises(NumericError, match=re.escape(f"inf at [{v!r}]")):
-            kern.std(v)
+            kern.float_step.at((v,))
 
 
 class TestPowerFieldOverflowInDimensionTwo:
@@ -194,6 +195,40 @@ class TestPowerFieldOverflowInDimensionTwo:
         x = np.array([1e80, 0.0])
         with pytest.raises(NumericError, match=r"covariance at .* is not finite"):
             kern.sample(x, np.random.default_rng(0))
+
+
+class TestRidgeConditionalOverflow:
+    """Where the other coordinate's square passes the float range, both
+    forms give that entry 0.0, the batch form with no overflow warning,
+    and the kernel names the point in every form."""
+
+    @pytest.mark.parametrize(
+        "x, expected",
+        [
+            ((0.0, 1e200), [[0.0, 0.0], [0.0, 0.5]]),
+            ((-1e200, 0.0), [[0.5, 0.0], [0.0, 0.0]]),
+        ],
+    )
+    def test_zero_entry_in_both_forms(self, x, expected):
+        f = ridge_conditional_field()
+        x = pt(*x)
+        np.testing.assert_array_equal(f.inv_metric(x), expected)
+        batch = f.inv_metric_batch(np.array([x, [1.0, 2.0]]))
+        np.testing.assert_array_equal(batch[0], expected)
+
+    def test_kernel_names_the_point(self):
+        kern = gaussian_proposal(ridge_conditional_field(), 1.0)
+        x, rng = pt(0.0, 1e200), np.random.default_rng(0)
+        message = re.escape(f"covariance at {x} failed to factor")
+        for call in (
+            lambda: kern.log_q(x, x),
+            lambda: kern.sample(x, rng),
+            lambda: kern.sample_batch(x, 3, rng),
+            lambda: kern.log_q_batch(np.zeros((3, 2)), x),
+            lambda: kern.log_q_batch(pt(0.0, 0.0), np.array([[0.0, 1.0], x])),
+        ):
+            with pytest.raises(NumericError, match=message):
+                call()
 
 
 class TestTemperedLangevin:

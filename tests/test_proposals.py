@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from pdrwm import (
     CovarianceField,
     NumericError,
     ParameterError,
-    ProposalKernel,
     RectangleDensity,
     TruncatedGaussianSpec,
     circle_proposal,
@@ -20,6 +20,7 @@ from pdrwm import (
     ellipse_proposal,
     gaussian_proposal,
     gaussian_tail_bound,
+    log_accept_ratio,
     make_exponential_tail,
     make_rectangle,
     make_ridge_2d,
@@ -143,10 +144,10 @@ class TestGaussianKernelMultiDim:
 
 
 def uncached_gaussian_proposal(field, h):
-    """The Gaussian kernel as it reads with no memo and no float form: a
-    fresh ``inv_metric`` value, standard deviation or scipy Cholesky
-    factor at every call.  It has no ``std``, so ``run_chain`` steps it
-    on the generic route."""
+    """The Gaussian kernel as it reads with no float step: a fresh
+    ``inv_metric`` value, standard deviation or scipy Cholesky factor at
+    every call.  A plain object with ``dim``, ``sample``, ``log_q`` and
+    ``label``, not a ``ProposalKernel``: :func:`reference_chain` steps it."""
     dim = field.dim
 
     if dim == 1:
@@ -176,7 +177,25 @@ def uncached_gaussian_proposal(field, h):
             logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
             return -0.5 * (dim * math.log(2.0 * math.pi) + logdet + float(v @ v))
 
-    return ProposalKernel(dim, sample, log_q, "uncached", None, None)
+    return SimpleNamespace(dim=dim, sample=sample, log_q=log_q, label="uncached")
+
+
+def reference_chain(target, kernel, x0, n_steps, seed):
+    """The transition written out with the public per-point pieces: a
+    support test of the proposal, then :func:`log_accept_ratio`, which
+    evaluates the target at both ends of the move."""
+    rng = np.random.default_rng(seed)
+    x = np.asarray(x0, dtype=float)
+    states, accepted, alpha = [x], [], []
+    for _ in range(n_steps):
+        y = kernel.sample(x, rng)
+        u = 1.0 - rng.random()
+        la = log_accept_ratio(target, kernel, x, y) if target.support_test(y) else -math.inf
+        accepted.append(math.log(u) < la)
+        alpha.append(math.exp(la))
+        x = y if accepted[-1] else x
+        states.append(x)
+    return np.array(states), np.array(accepted), np.array(alpha)
 
 
 def counting(field):
@@ -210,9 +229,10 @@ def spd_field(b00, b01, b10, b11, c):
 
 
 class TestScaleMemo:
-    """In two dimensions the kernel remembers each point's Cholesky
-    factor; in one it reads the float standard deviation afresh.  None of
-    this may show in what it returns."""
+    """A chain carries each point's scale (the float standard deviation in
+    one dimension, the Cholesky factor in more) with its state; the
+    per-point forms compute it afresh at each call.  None of this may
+    show in what they return."""
 
     @given(
         st.tuples(entries, entries, entries, entries),
@@ -252,14 +272,16 @@ class TestScaleMemo:
         traj = run_chain(target, k, x0, n_steps, seed=11)
         # one call per point: the start and each proposal on the support
         assert 0 < form.calls <= n_steps + 1
-        ref = run_chain(target, uncached_gaussian_proposal(field, h), x0, n_steps, seed=11)
-        np.testing.assert_array_equal(traj.states, ref.states)
-        np.testing.assert_array_equal(traj.accepted, ref.accepted)
-        np.testing.assert_array_equal(traj.alpha, ref.alpha)
+        states, accepted, alpha = reference_chain(
+            target, uncached_gaussian_proposal(field, h), x0, n_steps, seed=11
+        )
+        np.testing.assert_array_equal(traj.states, states)
+        np.testing.assert_array_equal(traj.accepted, accepted)
+        np.testing.assert_array_equal(traj.alpha, alpha)
 
     def test_points_that_compare_equal_are_kept_apart(self):
-        # -0.0 == 0.0, but the 2-D memo keys on the bytes of the point and
-        # the 1-D float standard deviation sees the sign of its float
+        # -0.0 == 0.0, but the scale is computed at the point given, so
+        # it sees the sign of its float
         for dim in (1, 2):
 
             def inv_metric(x, dim=dim):
@@ -273,16 +295,6 @@ class TestScaleMemo:
             assert k.log_q(y, zero) == k.log_q(y, np.zeros(dim, dtype=int))
             assert k.log_q(y, neg_zero) == k.log_q(y, neg_zero.copy())
 
-    def test_sample_log_q_and_sample_batch_share_one_evaluation(self):
-        field, form = counting(ridge_conditional_field())
-        k = gaussian_proposal(field, 0.5)
-        x = np.full(2, 0.5)
-        rng = np.random.default_rng(0)
-        k.sample(x, rng)
-        k.log_q(x + 0.1, x)
-        k.sample_batch(x, 5, rng)
-        assert form.calls == 1
-
     def test_one_dimension_reads_the_float_variance_at_each_call(self):
         field, form = counting(power_field(1.5))
         k = gaussian_proposal(field, 0.5)
@@ -292,7 +304,7 @@ class TestScaleMemo:
         k.log_q(x + 0.1, x)
         k.sample_batch(x, 5, rng)
         assert form.calls == 3
-        assert k.std(0.5) == math.sqrt(0.5 * 1.5**1.5)
+        assert k.float_step.at((0.5,))[0] == math.sqrt(0.5 * 1.5**1.5)
 
     @given(
         st.floats(0.0, 4.0),
