@@ -50,37 +50,31 @@ def log_accept_terms(lp_x, lp_y, lq_yx, lq_xy):
     return np.minimum(0.0, lp_y + lq_xy - lp_x - lq_yx)
 
 
+def _check_dim(target: TargetDensity, dim: int, what: str = "kernel") -> None:
+    """``ParameterError`` unless the kernel's (or field's) ``dim`` is the
+    target's."""
+    if target.dim != dim:
+        raise ParameterError(f"target dim {target.dim} != {what} dim {dim}")
+
+
 def log_accept_ratio(
     target: TargetDensity, kernel: ProposalKernel, x: np.ndarray, y: np.ndarray
 ) -> float:
     """Log acceptance probability of the move ``x -> y``.
 
-    ``x`` must be in the target support.  A proposal outside the support,
-    or one the reverse kernel cannot produce, is accepted with probability
-    zero.  Asking about a ``y`` the forward kernel itself cannot reach is
-    a caller error.
+    ``x`` must be in the target support, and the kernel must be able to
+    propose from it.  A proposal outside the support, or one the reverse
+    kernel cannot produce, is accepted with probability zero.  Asking
+    about a ``y`` the forward kernel itself cannot reach is a caller
+    error.  This is the chain's own rule, :func:`_float_acceptance`, on
+    the points' Python floats.
     """
+    _check_dim(target, kernel.dim)
     lp_x = _log_density_on_support(target, x)
     _check_shape(target, np.shape(y), "proposal")
-    lp_y = target.log_density(y)
-    if lp_y == -math.inf:
-        return -math.inf
-    return _log_accept(kernel, x, y, lp_x, lp_y)
-
-
-def _log_accept(
-    kernel: ProposalKernel, x: np.ndarray, y: np.ndarray, lp_x: float, lp_y: float
-) -> float:
-    """:func:`log_accept_ratio` once both log-densities are known and
-    ``lp_y`` is finite."""
-    lq_yx = kernel.log_q(y, x)
-    if lq_yx == -math.inf:
-        raise ParameterError(f"move {x} -> {y} is not proposable by {kernel.label}")
-    lq_xy = kernel.log_q(x, y)
-    if lq_xy == -math.inf:
-        return -math.inf
-    la = lp_y + lq_xy - lp_x - lq_yx
-    return 0.0 if la > 0.0 else float(la)  # NaN is kept, as np.minimum keeps it
+    x = tuple(np.asarray(x, dtype=float).tolist())
+    y = tuple(np.asarray(y, dtype=float).tolist())
+    return float(_float_acceptance(target, kernel)(x, kernel.at(x), lp_x, y)[0])
 
 
 def log_accept_ratio_batch(
@@ -94,6 +88,7 @@ def log_accept_ratio_batch(
     the forward kernel cannot reach an on-support row.  Agrees with the
     per-point route to float rounding.
     """
+    _check_dim(target, kernel.dim)
     lp_x = _log_density_on_support(target, x)
     _check_shape(target, np.shape(ys)[1:], "each proposal row")
     lp_y = target.log_density_batch(ys)
@@ -134,6 +129,7 @@ def log_accept_ratio_closed_form(
     """
     if not h > 0:
         raise ParameterError(f"step size must be positive, got {h}")
+    _check_dim(target, field.dim, "field")
     lp_x = _log_density_on_support(target, x)
     _check_shape(target, np.shape(y), "proposal")
     lp_y = target.log_density(y)
@@ -177,19 +173,15 @@ def mh_step(
     whatever the outcome, so trajectories are reproducible functions of
     the seed.  The uniform is taken in (0, 1] so a certain acceptance
     (alpha = 1) can never be refused.  ``x`` must be in the target
-    support.  This is :func:`run_chain`'s step on the kernel's float
-    step, in the same order: ``n`` calls on one stream give the states,
-    flags and alphas of ``run_chain`` on that stream, to the bit.
+    support.  This is one step of :func:`run_chain`'s loop: ``n`` calls
+    on one stream give the states, flags and alphas of ``run_chain`` on
+    that stream, to the bit.
     """
+    _check_dim(target, kernel.dim)
     lp_x = _log_density_on_support(target, x)
-    step = kernel.float_step
-    x = tuple(np.asarray(x, dtype=float).tolist())
-    at_x = step.at(x)
-    y = step.draw(x, at_x, rng)
-    u = 1.0 - rng.random()
-    la = _float_acceptance(target, kernel)(x, at_x, lp_x, y)[0]
-    accepted = math.log(u) < la
-    return np.array(y if accepted else x), accepted, math.exp(la)
+    x = np.asarray(x, dtype=float)
+    states, accepted, alpha = _float_chain(target, kernel, x, lp_x, 1, rng)
+    return states[1], bool(accepted[0]), float(alpha[0])
 
 
 def config_digest(target: TargetDensity, kernel: ProposalKernel) -> str:
@@ -257,22 +249,18 @@ def run_chain(
     the current state is carried from the step that accepted it, so a
     chain evaluates the target ``n_steps + 1`` times.
 
-    :func:`_float_chain` steps the kernel's float step
-    (``kernel.float_step``) on tuples of Python floats, handing the
-    target those tuples: the arithmetic and the stream order of
-    :func:`mh_step`, so the same states, flags and alphas to the bit.
-    The Gaussian's step in two or more dimensions keeps its LAPACK and
-    BLAS calls on arrays, so those bits hold too.  A step costs about
+    :func:`_float_chain` steps the kernel's per-point callables
+    (``kernel.at``, ``kernel.sample``, ``kernel.log_q``) on tuples of
+    Python floats, handing the target those tuples; :func:`mh_step` is
+    one step of the same loop.  The Gaussian in two or more dimensions
+    keeps its LAPACK and BLAS calls on arrays.  A step costs about
     3 µs for the 1-D Gaussian, 5 µs for the disc and the ellipse, and
     18 µs for the Gaussian on the ridge (best of 15 runs on a 2-vCPU VM).
     """
     if n_steps < 1:
         raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
     x0 = np.asarray(x0, dtype=float).ravel()
-    if target.dim != kernel.dim:
-        raise ParameterError(
-            f"target dim {target.dim} != kernel dim {kernel.dim}"
-        )
+    _check_dim(target, kernel.dim)
     lp_x = _log_density_on_support(target, x0, "start point")
 
     rng = np.random.default_rng(seed)
@@ -283,17 +271,18 @@ def run_chain(
 
 
 def _float_acceptance(target: TargetDensity, kernel: ProposalKernel):
-    """The move ``x -> y`` on Python floats through the kernel's float step:
-    ``accept(x, at_x, lp_x, y)`` is ``(la, lp_y, at_y)``.
+    """The move ``x -> y`` on Python floats through the kernel's per-point
+    callables: ``accept(x, at_x, lp_x, y)`` is ``(la, lp_y, at_y)``.
 
-    As in :func:`_log_accept`: evaluate the target at ``y`` and, on the
-    support, the two proposal log-densities, forward first.  ``at_y`` is
-    computed only for a proposal on the support (it is ``None`` off it).
-    ``la`` is ``min(0, ...)`` keeping NaN, as ``np.minimum`` does, and
-    ``-inf`` off the support or where the reverse move cannot reach.
+    Evaluate the target at ``y`` and, on the support, the two proposal
+    log-densities, forward first; a forward density of ``-inf`` raises
+    :class:`ParameterError`.  ``at_y`` is computed only for a proposal on
+    the support (it is ``None`` off it).  ``la`` is ``min(0, ...)``
+    keeping NaN, as ``np.minimum`` does, and ``-inf`` off the support or
+    where the reverse move cannot reach.
     """
     log_density = target.log_density
-    at, log_q = kernel.float_step.at, kernel.float_step.log_q
+    at, log_q = kernel.at, kernel.log_q
     inf = math.inf
 
     def accept(x, at_x, lp_x, y):
@@ -325,16 +314,14 @@ def _float_chain(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`run_chain`'s transitions on tuples of Python floats, through
-    the kernel's float step.
+    the kernel's per-point callables.
 
-    Per step, as in :func:`mh_step`: draw ``y``, then ``u``, then
-    :func:`_float_acceptance`.  What the proposal from a point depends
+    Per step: draw ``y``, then ``u``, then :func:`_float_acceptance`.  What the proposal from a point depends
     on, ``at(x)`` (the Gaussian's scale or factor, the ellipse's width),
     is computed once per proposal on the support and carried with the
     state.  Off the support ``la`` is ``-inf``, where ``exp(la)`` is 0.
     """
-    step = kernel.float_step
-    at, draw = step.at, step.draw
+    at, draw = kernel.at, kernel.sample
     accept = _float_acceptance(target, kernel)
     uniform, log, exp = rng.random, math.log, math.exp
     x = tuple(x0.tolist())

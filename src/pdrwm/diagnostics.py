@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .chain import (
+    _check_dim,
     batch_means_se,
     log_accept_ratio_batch,
     log_accept_ratio_closed_form,
@@ -146,10 +147,7 @@ def _probe_setup(
     if n < 1000:
         raise ParameterError(f"need n >= 1000 proposals, got {n}")
     x = np.asarray(x, dtype=float).ravel()
-    if target.dim != kernel.dim:
-        raise ParameterError(
-            f"target dim {target.dim} != kernel dim {kernel.dim}"
-        )
+    _check_dim(target, kernel.dim)
     _log_density_on_support(target, x, "probe point")
     return x
 
@@ -274,7 +272,7 @@ def tail_acceptance_profile(
             f"profile probes the tail; need |x| >= {x0:g}, got {x:g}"
         )
     xv = np.array([float(x)])
-    s = gaussian_proposal(cov_field, h).float_step.at((float(x),))[0]
+    s = gaussian_proposal(cov_field, h).at((float(x),))[0]
     out = []
     for c in offsets:
         y = float(x) + float(c) * s

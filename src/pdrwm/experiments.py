@@ -381,8 +381,8 @@ def _scenario_figure2(
         lp_x = _log_density_on_support(ridge, np.array(x))
         row = [x1]
         for name, kern in kernels.items():
-            at_x = kern.float_step.at(x)
-            draw, accept = kern.float_step.draw, accepts[name]
+            at_x = kern.at(x)
+            draw, accept = kern.sample, accepts[name]
             rng = np.random.default_rng(seed)  # common draws across arm points
             acc = 0.0
             for _ in range(n_proposals):

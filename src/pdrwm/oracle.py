@@ -576,7 +576,7 @@ def drift_ratio_quadrature(
     if target.dim != 1 or cov_field.dim != 1:
         raise ParameterError("the drift quadrature is one-dimensional")
     xv = np.array([float(x)])
-    std = gaussian_proposal(cov_field, h).float_step.at((float(x),))[0]
+    std = gaussian_proposal(cov_field, h).at((float(x),))[0]
     log_norm = -math.log(std) - 0.5 * math.log(2.0 * math.pi)
     log_vx = lyapunov.log_evaluate(xv)
 

@@ -9,10 +9,11 @@ the staircase level's half-width from :class:`~pdrwm.targets.RectangleDensity`,
 in its per-point and batch forms alike; it is subnormal from level 646
 up (and 0.0 from level 680), where the ellipse raises ``NumericError``.
 
-Argument order convention: ``log_q(y, x)`` is the log density at ``y`` of
-the proposal launched from ``x``.  ``log_q_batch(ys, xs)`` is the same
-density over rows: one start point against an ``(m, dim)`` array of end
-points, or an ``(m, dim)`` array of start points against one end point.
+Argument order convention: ``log_q(y, x, at(x))`` is the log density at
+``y`` of the proposal launched from ``x``, where ``at(x)`` is what that
+proposal depends on.  ``log_q_batch(ys, xs)`` is the same density over
+rows: one start point against an ``(m, dim)`` array of end points, or an
+``(m, dim)`` array of start points against one end point.
 """
 
 from __future__ import annotations
@@ -45,50 +46,35 @@ _TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
-class FloatStep:
-    """A kernel's step on Python floats, the one route by which
-    :func:`~pdrwm.chain.mh_step` and :func:`~pdrwm.chain.run_chain` move a
-    chain, and which the kernel's per-point ``sample`` and ``log_q`` run.
-
-    A point is a sequence of ``dim`` Python floats (a tuple or a list).
-
-    Attributes
-    ----------
-    at : callable
-        ``at(x)`` is what the proposal from ``x`` depends on (its scale),
-        computed once per point so that a chain carries it with the
-        state.  It raises :class:`NumericError` where the kernel cannot
-        propose from ``x``.
-    draw : callable
-        ``draw(x, at(x), rng)`` draws one proposal from ``x`` as a tuple.
-    log_q : callable
-        ``log_q(y, x, at(x))`` is the log proposal density at ``y`` from
-        ``x``; ``-inf`` where the proposal cannot reach.
-    """
-
-    at: Callable[[Sequence[float]], tuple]
-    draw: Callable[[Sequence[float], tuple, np.random.Generator], tuple]
-    log_q: Callable[[Sequence[float], Sequence[float], tuple], float]
-
-
-@dataclass(frozen=True)
 class ProposalKernel:
     """A Markov proposal mechanism with evaluable density.
+
+    The per-point callables take a point as a sequence of ``dim`` Python
+    floats (a tuple or a list) and carry ``at(x)``, what the proposal from
+    ``x`` depends on, so that a chain computes it once per point and
+    carries it with the state.  :func:`~pdrwm.chain.run_chain`,
+    :func:`~pdrwm.chain.mh_step` and :func:`~pdrwm.chain.log_accept_ratio`
+    all move through them, so a kernel built with ``dataclasses.replace``
+    reaches every chain.
 
     Attributes
     ----------
     dim : int
         State dimension.
+    at : callable
+        ``at(x)`` is what the proposal from ``x`` depends on (its scale).
+        It raises :class:`NumericError` where the kernel cannot propose
+        from ``x``.
     sample : callable
-        ``sample(x, rng)`` draws one proposal from ``x``.
+        ``sample(x, at(x), rng)`` draws one proposal from ``x`` as a tuple.
     log_q : callable
-        ``log_q(y, x)`` is the log proposal density at ``y`` given start
-        ``x``; ``-inf`` where the proposal cannot reach.
+        ``log_q(y, x, at(x))`` is the log proposal density at ``y`` given
+        start ``x``; ``-inf`` where the proposal cannot reach.
     label : str
         Identifier used in config digests.
     sample_batch : callable
-        ``sample_batch(x, n, rng)`` draws ``n`` proposals from the same
-        start as an ``(n, dim)`` array.  The draws follow the same
+        ``sample_batch(x, n, rng)`` draws ``n`` proposals from the array
+        start ``x`` as an ``(n, dim)`` array.  The draws follow the same
         distribution as ``n`` calls of ``sample``, but not draw for draw:
         the stream is consumed in a different order.
     log_q_batch : callable
@@ -96,71 +82,37 @@ class ProposalKernel:
         array: ``ys`` of shape ``(m, dim)`` against one start ``xs`` of
         shape ``(dim,)``, or one end point ``ys`` against ``m`` starts
         ``xs``.  Agrees with ``log_q`` row by row to float rounding.
-    float_step : FloatStep
-        The kernel's step on Python floats, the one route by which
-        :func:`~pdrwm.chain.mh_step` and :func:`~pdrwm.chain.run_chain`
-        move a chain.  Every package kernel carries one: the Gaussian in
-        any dimension, the disc and the ellipse.  Their ``sample`` and
-        ``log_q`` are this step run on the point's Python floats, so a
-        ``sample`` or ``log_q`` replaced with ``dataclasses.replace``
-        does not reach a chain; replace ``float_step``.  The Gaussian's
-        step in two or more dimensions keeps its arithmetic in LAPACK and
-        BLAS, on the point as an array: floats go in and come out, but
-        Python floats could not reproduce its ``trtrs`` solve and
-        ``v @ v`` sum, which may fuse the multiply-add.
     """
 
     dim: int
-    sample: Callable[[np.ndarray, np.random.Generator], np.ndarray]
-    log_q: Callable[[np.ndarray, np.ndarray], float]
+    at: Callable[[Sequence[float]], tuple]
+    sample: Callable[[Sequence[float], tuple, np.random.Generator], tuple]
+    log_q: Callable[[Sequence[float], Sequence[float], tuple], float]
     label: str
     sample_batch: Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
     log_q_batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    float_step: FloatStep
-
-
-def _float_kernel(
-    dim: int,
-    step: FloatStep,
-    label: str,
-    sample_batch: Callable,
-    log_q_batch: Callable,
-) -> ProposalKernel:
-    """The kernel whose per-point ``sample`` and ``log_q`` run ``step`` on
-    the point's Python floats, so the two forms agree to the bit.  Each
-    call computes ``step.at`` of its start afresh; a chain carries it
-    with the state instead."""
-    at, draw, log_q_at = step.at, step.draw, step.log_q
-
-    def sample(x, rng):
-        x = np.asarray(x, dtype=float).tolist()
-        return np.array(draw(x, at(x), rng))
-
-    def log_q(y, x):
-        x = np.asarray(x, dtype=float).tolist()
-        return log_q_at(np.asarray(y, dtype=float).tolist(), x, at(x))
-
-    return ProposalKernel(dim, sample, log_q, label, sample_batch, log_q_batch, step)
 
 
 def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
     """Random walk with position-dependent covariance ``h * S(x)``.
 
-    The float step's ``at(x)`` is what the proposal from ``x`` needs.  In
-    one dimension that is ``(s, log s)`` with the standard deviation
+    ``kernel.at(x)`` is what the proposal from ``x`` needs.  In one
+    dimension that is ``(s, log s)`` with the standard deviation
     ``s = sqrt(h * field.variance(v))`` at the float ``v = x[0]``; read
-    the scale at a float as ``kernel.float_step.at((v,))[0]``.  In higher
-    dimensions it is the point as an array, its lower Cholesky factor and
-    its log-determinant, from LAPACK ``potrf`` called directly with the
-    arguments ``scipy.linalg.cholesky`` passes; the step draws
-    ``x + low @ z`` and solves with ``trtrs`` as ``solve_triangular``
-    does, so a chain's bits are those of the array arithmetic.  A chain
-    carries ``at(x)`` with its state, so it evaluates the field once per
-    point; ``sample``, ``log_q`` and ``sample_batch`` compute it afresh
-    at each call, and ``log_q_batch`` factors all its start points in
-    one stacked call.  A field value that is not finite, not positive or
-    fails to factor, or a 1-D variance ``h * g`` that underflows to 0,
-    raises :class:`NumericError` naming the point.
+    the scale at a float as ``kernel.at((v,))[0]``.  In higher dimensions
+    it is the point as an array, its lower Cholesky factor and its
+    log-determinant, from LAPACK ``potrf`` called directly with the
+    arguments ``scipy.linalg.cholesky`` passes; ``sample`` draws
+    ``x + low @ z`` and ``log_q`` solves with ``trtrs`` as
+    ``solve_triangular`` does, then sums ``v @ v``.  Floats go in and
+    come out, but the arithmetic stays LAPACK's and BLAS's on arrays,
+    which Python floats could not reproduce (the dot product may fuse
+    the multiply-add).  A chain carries ``at(x)`` with its state, so it
+    evaluates the field once per point; ``sample_batch`` computes it
+    afresh at each call, and ``log_q_batch`` factors all its start
+    points in one stacked call.  A field value that is not finite, not
+    positive or fails to factor, or a 1-D variance ``h * g`` that
+    underflows to 0, raises :class:`NumericError` naming the point.
     """
     if not h > 0:
         raise ParameterError(f"step size must be positive, got {h}")
@@ -185,10 +137,10 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
                 )
             return s, math.log(s)
 
-        def draw(x, at_x, rng):
+        def sample(x, at_x, rng):
             return (x[0] + at_x[0] * rng.standard_normal(),)
 
-        def log_q_at(y, x, at_x):
+        def log_q(y, x, at_x):
             u = (y[0] - x[0]) / at_x[0]
             return -0.5 * _LOG_2PI - at_x[1] - 0.5 * u * u
 
@@ -211,9 +163,7 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
             u = (ys[:, 0] - xs[:, 0]) / s
             return -0.5 * _LOG_2PI - np.log(s) - 0.5 * u * u
 
-        return _float_kernel(
-            1, FloatStep(at, draw, log_q_at), label, sample_batch, log_q_batch
-        )
+        return ProposalKernel(1, at, sample, log_q, label, sample_batch, log_q_batch)
 
     potrf, trtrs = get_lapack_funcs(("potrf", "trtrs"), (np.empty((dim, dim)),))
     isfinite = math.isfinite
@@ -228,10 +178,10 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
             raise NumericError(f"covariance at {xa} failed to factor")
         return xa, low, 2.0 * float(np.log(low.diagonal()).sum())
 
-    def draw(x, at_x, rng):
+    def sample(x, at_x, rng):
         return tuple((at_x[0] + at_x[1] @ rng.standard_normal(dim)).tolist())
 
-    def log_q_at(y, x, at_x):
+    def log_q(y, x, at_x):
         xa, low, logdet = at_x
         # potrf returns a Fortran-ordered factor, which trtrs solves as is
         v, _ = trtrs(low, np.array(y) - xa, lower=True)
@@ -256,9 +206,7 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
         logdet = 2.0 * np.log(np.diagonal(low, axis1=1, axis2=2)).sum(axis=1)
         return -0.5 * (dim * _LOG_2PI + logdet + (v * v).sum(axis=1))
 
-    return _float_kernel(
-        dim, FloatStep(at, draw, log_q_at), label, sample_batch, log_q_batch
-    )
+    return ProposalKernel(dim, at, sample, log_q, label, sample_batch, log_q_batch)
 
 
 def _disc_offsets(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -272,7 +220,12 @@ def _disc_offsets(n: int, rng: np.random.Generator) -> np.ndarray:
     return out.T
 
 
-def _ellipse_step(at: Callable[[Sequence[float]], tuple]) -> FloatStep:
+def _ellipse_kernel(
+    at: Callable[[Sequence[float]], tuple],
+    label: str,
+    sample_batch: Callable,
+    log_q_batch: Callable,
+) -> ProposalKernel:
     """Uniform proposal on the axis-aligned ellipse with semi-axes
     ``(w, 1)`` about the start, where ``at(x)`` is ``(w, -log(pi w))``.
 
@@ -282,7 +235,7 @@ def _ellipse_step(at: Callable[[Sequence[float]], tuple]) -> FloatStep:
     """
     inf = math.inf
 
-    def draw(x, at_x, rng):
+    def sample(x, at_x, rng):
         r = math.sqrt(rng.random())
         theta = _TWO_PI * rng.random()
         return (
@@ -296,7 +249,7 @@ def _ellipse_step(at: Callable[[Sequence[float]], tuple]) -> FloatStep:
         dv = y[1] - x[1]
         return log_density if du * du + dv * dv <= 1.0 else -inf
 
-    return FloatStep(at, draw, log_q)
+    return ProposalKernel(2, at, sample, log_q, label, sample_batch, log_q_batch)
 
 
 def circle_proposal() -> ProposalKernel:
@@ -315,9 +268,7 @@ def circle_proposal() -> ProposalKernel:
         d = np.atleast_2d(ys) - np.atleast_2d(xs)
         return np.where((d * d).sum(axis=1) <= 1.0, unit[1], -np.inf)
 
-    return _float_kernel(
-        2, _ellipse_step(lambda x: unit), "uniform_disc", sample_batch, log_q_batch
-    )
+    return _ellipse_kernel(lambda x: unit, "uniform_disc", sample_batch, log_q_batch)
 
 
 def ellipse_proposal() -> ProposalKernel:
@@ -361,9 +312,7 @@ def ellipse_proposal() -> ProposalKernel:
         dv = ys[:, 1] - xs[:, 1]
         return np.where(du * du + dv * dv <= 1.0, -np.log(math.pi * w), -np.inf)
 
-    return _float_kernel(
-        2, _ellipse_step(at), "uniform_ellipse", sample_batch, log_q_batch
-    )
+    return _ellipse_kernel(at, "uniform_ellipse", sample_batch, log_q_batch)
 
 
 # --- truncated Gaussian helpers -------------------------------------------

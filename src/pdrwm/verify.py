@@ -96,7 +96,7 @@ def criterion_1(seed: int = 0) -> CriterionResult:
         h = float(np.exp(rng.uniform(np.log(0.05), np.log(5.0))))
         x = np.array([rng.uniform(-20.0, 20.0)])
         kern = gaussian_proposal(fld, h)
-        s = kern.float_step.at((float(x[0]),))[0]
+        s = kern.at((float(x[0]),))[0]
         y = x + 2.0 * s * rng.standard_normal(1)
         generic = log_accept_ratio(target, kern, x, y)
         closed = log_accept_ratio_closed_form(target, fld, h, x, y)

@@ -39,6 +39,7 @@ from pdrwm import (
 from test_proposals import (
     entries,
     reference_chain,
+    sample,
     spd_field,
     uncached_gaussian_proposal,
 )
@@ -118,6 +119,57 @@ class TestAcceptanceRoutes:
         k = circle_proposal()
         with pytest.raises(ParameterError):
             log_accept_ratio(t, k, pt(0.0, 1.5), pt(0.0, 4.5))
+
+
+def redrawn_proposals(kernel, traj):
+    """Each step's proposal of ``traj``, redrawn from its seed: a chain
+    draws one proposal and then one uniform per step."""
+    rng = np.random.default_rng(traj.seed)
+    ys = []
+    for x in traj.states[:-1]:
+        ys.append(sample(kernel, x, rng))
+        rng.random()
+    return ys
+
+
+def assert_alphas_match_closed_form(field, h, x0, seed):
+    """Every alpha a ridge chain records is the closed-form acceptance of
+    its move, to 1e-11 in log (relative where the log-ratio is large)."""
+    target, kernel = make_ridge_2d(), gaussian_proposal(field, h)
+    traj = run_chain(target, kernel, x0, 100, seed)
+    ys = redrawn_proposals(kernel, traj)
+    for i, (x, y, a) in enumerate(zip(traj.states[:-1], ys, traj.alpha)):
+        if traj.accepted[i]:
+            np.testing.assert_array_equal(y, traj.states[i + 1])
+        c = log_accept_ratio_closed_form(target, field, h, x, y)
+        if a > 0.0:
+            assert math.log(a) == pytest.approx(c, abs=1e-11, rel=1e-11)
+        else:
+            assert math.exp(c) == 0.0
+
+
+class TestChainAlphasMatchClosedForm:
+    """The chain's acceptance (two proposal densities on its float points)
+    against the closed form (determinants and quadratic forms of the
+    field), on every step of ridge chains."""
+
+    @given(
+        st.tuples(entries, entries, entries, entries),
+        st.floats(0.01, 1.0),
+        st.floats(0.05, 4.0),
+        st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_non_diagonal_field(self, bs, c, h, x0, seed):
+        assert_alphas_match_closed_form(spd_field(*bs, c), h, x0, seed)
+
+    @given(
+        st.floats(0.05, 4.0),
+        st.tuples(st.floats(-8.0, 8.0), st.floats(-0.5, 0.5)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_conditional_field(self, h, x0, seed):
+        assert_alphas_match_closed_form(ridge_conditional_field(), h, x0, seed)
 
 
 class TestStep:
@@ -413,17 +465,6 @@ class TestFloatLoop:
                 f"ellipse semi-width 3**(1 - floor(x2)) underflows at height {height!r}"
             )
 
-    def test_every_package_kernel_has_a_float_step(self):
-        for kernel in (
-            gaussian_proposal(power_field(1.5), 1.0),
-            gaussian_proposal(ridge_conditional_field(), 1.0),
-            gaussian_proposal(constant_field(np.eye(2)), 1.0),
-            gaussian_proposal(power_field(1.5, dim=3), 1.0),
-            circle_proposal(),
-            ellipse_proposal(),
-        ):
-            assert kernel.float_step is not None
-
     @pytest.mark.parametrize("x0", [(4.0, 0.0), (0.0, 4.0), (2.0, 0.1)])
     @pytest.mark.parametrize("field_name", sorted(RIDGE_FIELDS))
     @given(h=st.floats(0.05, 4.0), seed=st.integers(0, 2**32 - 1))
@@ -448,7 +489,7 @@ class TestFloatLoop:
     def test_non_diagonal_field_matches_reference_chain(self, bs, c, h, x0, seed):
         field = spd_field(*bs, c)
         kernel = gaussian_proposal(field, h)
-        assume(kernel.float_step.at(x0)[1][1, 0] != 0.0)  # the factor is not diagonal
+        assume(kernel.at(x0)[1][1, 0] != 0.0)  # the factor is not diagonal
         traj = run_chain(make_ridge_2d(), kernel, x0, 200, seed)
         ref = reference_chain(
             make_ridge_2d(), uncached_gaussian_proposal(field, h), pt(*x0), 200, seed
@@ -534,13 +575,13 @@ GAUSS_KERNEL = gaussian_proposal(UNIT, 1.0)
 
 #: every routine that takes a current point ``x``, with end point ``y``
 ENTRY_POINTS = {
-    "run_chain": lambda x, y: run_chain(GAUSS, GAUSS_KERNEL, x, 10, seed=0),
-    "mh_step": lambda x, y: mh_step(GAUSS, GAUSS_KERNEL, x, np.random.default_rng(0)),
-    "log_accept_ratio": lambda x, y: log_accept_ratio(GAUSS, GAUSS_KERNEL, x, y),
-    "closed_form": lambda x, y: log_accept_ratio_closed_form(GAUSS, UNIT, 1.0, x, y),
-    "batch": lambda x, y: log_accept_ratio_batch(GAUSS, GAUSS_KERNEL, x, y[None, :]),
-    "rejection_probability": lambda x, y: rejection_probability(
-        GAUSS, GAUSS_KERNEL, x, n=1000, seed=0
+    "run_chain": lambda x, y, t=GAUSS: run_chain(t, GAUSS_KERNEL, x, 10, seed=0),
+    "mh_step": lambda x, y, t=GAUSS: mh_step(t, GAUSS_KERNEL, x, np.random.default_rng(0)),
+    "log_accept_ratio": lambda x, y, t=GAUSS: log_accept_ratio(t, GAUSS_KERNEL, x, y),
+    "closed_form": lambda x, y, t=GAUSS: log_accept_ratio_closed_form(t, UNIT, 1.0, x, y),
+    "batch": lambda x, y, t=GAUSS: log_accept_ratio_batch(t, GAUSS_KERNEL, x, y[None, :]),
+    "rejection_probability": lambda x, y, t=GAUSS: rejection_probability(
+        t, GAUSS_KERNEL, x, n=1000, seed=0
     ),
 }
 
@@ -548,7 +589,8 @@ ENTRY_POINTS = {
 class TestEntryCheck:
     """Every entry point judges its current point by the target's
     log-density: wrong shape is a ``ParameterError``, a value that is not
-    ``> -inf`` (``-inf`` or NaN) a ``SupportError``."""
+    ``> -inf`` (``-inf`` or NaN) a ``SupportError``.  A kernel or field
+    of another dimension than the target's is a ``ParameterError``."""
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf, 1e200])
@@ -567,6 +609,14 @@ class TestEntryCheck:
     def test_end_point_of_wrong_length(self, entry):
         with pytest.raises(ParameterError, match=r"has shape \(2,\), target dim is 1"):
             ENTRY_POINTS[entry](pt(0.5), pt(0.7, 0.0))
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_kernel_or_field_of_another_dimension(self, entry):
+        # the 1-D kernel and field on the 2-D ridge, between two support points
+        with pytest.raises(
+            ParameterError, match=r"^target dim 2 != (kernel|field) dim 1$"
+        ):
+            ENTRY_POINTS[entry](np.zeros(2), np.ones(2), make_ridge_2d())
 
     def test_rows_must_be_points(self):
         with pytest.raises(ParameterError, match="each proposal row has shape"):

@@ -26,6 +26,7 @@ from pdrwm.experiments import (
     build_field,
     build_target,
 )
+from test_proposals import sample
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
@@ -284,7 +285,7 @@ class TestScenarioBodies:
                 rng = np.random.default_rng(seed)
                 acc = 0.0
                 for _ in range(n):
-                    y = kern.sample(x, rng)
+                    y = sample(kern, x, rng)
                     acc += float(np.exp(log_accept_ratio(ridge, kern, x, y)))
                 row.append(acc / n)
             expected.append(row)

@@ -46,6 +46,26 @@ def pt(*vals):
     return np.array(vals, dtype=float)
 
 
+def floats(x):
+    """A point as a tuple of Python floats, as a kernel's per-point
+    callables take it."""
+    return tuple(np.asarray(x, dtype=float).tolist())
+
+
+def log_q(kernel, y, x):
+    """``kernel``'s log proposal density at ``y`` from ``x``, with
+    ``at(x)`` computed afresh."""
+    x = floats(x)
+    return kernel.log_q(floats(y), x, kernel.at(x))
+
+
+def sample(kernel, x, rng):
+    """One proposal of ``kernel`` from ``x`` as an array, with ``at(x)``
+    computed afresh."""
+    x = floats(x)
+    return np.array(kernel.sample(x, kernel.at(x), rng))
+
+
 class TestGaussianKernel1D:
     def test_log_q_matches_norm_logpdf(self):
         f = power_field(1.0)
@@ -53,7 +73,7 @@ class TestGaussianKernel1D:
         x = pt(3.0)
         std = math.sqrt(0.7 * 4.0)  # (1+|3|)^1 = 4
         for y in (2.0, 3.0, 5.5):
-            assert k.log_q(pt(y), x) == pytest.approx(
+            assert log_q(k, pt(y), x) == pytest.approx(
                 norm.logpdf(y, loc=3.0, scale=std), abs=1e-12
             )
 
@@ -70,7 +90,7 @@ class TestGaussianKernel1D:
         # the density of x->y and y->x differ because the scale moves
         f = power_field(2.0)
         k = gaussian_proposal(f, h=1.0)
-        assert k.log_q(pt(10.0), pt(0.0)) != k.log_q(pt(0.0), pt(10.0))
+        assert log_q(k, pt(10.0), pt(0.0)) != log_q(k, pt(0.0), pt(10.0))
 
     def test_bad_step_size(self):
         with pytest.raises(ParameterError):
@@ -81,8 +101,8 @@ class TestGaussianKernel1D:
         k = gaussian_proposal(constant_field(5e-324), h=0.1)
         x, rng = pt(0.5), np.random.default_rng(0)
         for call in (
-            lambda: k.sample(x, rng),
-            lambda: k.log_q(pt(1.0), x),
+            lambda: sample(k, x, rng),
+            lambda: log_q(k, pt(1.0), x),
             lambda: k.sample_batch(x, 3, rng),
             lambda: k.log_q_batch(np.ones((3, 1)), x),
             lambda: k.log_q_batch(x, np.array([[0.5], [1.0]])),
@@ -98,7 +118,7 @@ class TestGaussianKernelMultiDim:
         x = pt(1.0, -2.0)
         y = pt(0.3, -1.1)
         expected = multivariate_normal.logpdf(y, mean=x, cov=0.5 * sigma)
-        assert k.log_q(y, x) == pytest.approx(expected, abs=1e-12)
+        assert log_q(k, y, x) == pytest.approx(expected, abs=1e-12)
 
     def test_batch_covariance(self):
         sigma = np.array([[2.0, 0.6], [0.6, 1.0]])
@@ -117,7 +137,7 @@ class TestGaussianKernelMultiDim:
         )
         k = gaussian_proposal(bad, h=1.0)
         with pytest.raises(NumericError):
-            k.sample(pt(0.0, 0.0), np.random.default_rng(0))
+            sample(k, pt(0.0, 0.0), np.random.default_rng(0))
         with pytest.raises(NumericError, match="failed to factor"):
             k.log_q_batch(np.zeros((3, 2)), pt(0.0, 0.0))
 
@@ -133,33 +153,37 @@ class TestGaussianKernelMultiDim:
         k = gaussian_proposal(field, h=1.0)
         x, far = pt(0.0, 0.0), pt(2.5, 0.0)
         with pytest.raises(NumericError, match=r"\[2\.5 0\. *\] is not finite"):
-            k.sample(far, np.random.default_rng(0))
+            sample(k, far, np.random.default_rng(0))
         with pytest.raises(NumericError, match=r"\[2\.5 0\. *\] is not finite"):
-            k.log_q(x, far)
+            log_q(k, x, far)
         with pytest.raises(NumericError, match=r"\[2\.5 0\. *\] is not finite"):
             k.log_q_batch(x, np.array([[0.5, 0.0], [2.5, 0.0], [3.0, 0.0]]))
         # the finite side still evaluates
-        assert np.isfinite(k.log_q(far, x))
+        assert np.isfinite(log_q(k, far, x))
         assert np.isfinite(k.log_q_batch(np.zeros((2, 2)), x)).all()
 
 
 def uncached_gaussian_proposal(field, h):
-    """The Gaussian kernel as it reads with no float step: a fresh
+    """The Gaussian kernel as it reads with nothing carried: ``at`` keeps
+    only the point, and ``sample`` and ``log_q`` take a fresh
     ``inv_metric`` value, standard deviation or scipy Cholesky factor at
-    every call.  A plain object with ``dim``, ``sample``, ``log_q`` and
-    ``label``, not a ``ProposalKernel``: :func:`reference_chain` steps it."""
+    every call.  A plain object with the per-point callables of a
+    ``ProposalKernel``, ``dim`` and ``label``."""
     dim = field.dim
+
+    def at(x):
+        return np.array(x, dtype=float)
 
     if dim == 1:
 
         def std(x):
             return math.sqrt(h * float(field.inv_metric(x)[0, 0]))
 
-        def sample(x, rng):
-            return x + std(x) * rng.standard_normal(1)
+        def sample(x, xa, rng):
+            return tuple(xa + std(xa) * rng.standard_normal(1))
 
-        def log_q(y, x):
-            s = std(x)
+        def log_q(y, x, xa):
+            s = std(xa)
             u = (float(y[0]) - float(x[0])) / s
             return -0.5 * math.log(2.0 * math.pi) - math.log(s) - 0.5 * u * u
 
@@ -168,29 +192,47 @@ def uncached_gaussian_proposal(field, h):
         def chol(x):
             return cholesky(h * field.inv_metric(x), lower=True)
 
-        def sample(x, rng):
-            return x + chol(x) @ rng.standard_normal(dim)
+        def sample(x, xa, rng):
+            return tuple(xa + chol(xa) @ rng.standard_normal(dim))
 
-        def log_q(y, x):
-            low = chol(x)
-            v = solve_triangular(low, y - x, lower=True)
+        def log_q(y, x, xa):
+            low = chol(xa)
+            v = solve_triangular(low, np.array(y) - xa, lower=True)
             logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
             return -0.5 * (dim * math.log(2.0 * math.pi) + logdet + float(v @ v))
 
-    return SimpleNamespace(dim=dim, sample=sample, log_q=log_q, label="uncached")
+    return SimpleNamespace(dim=dim, at=at, sample=sample, log_q=log_q, label="uncached")
+
+
+def reference_log_accept(target, kernel, x, y):
+    """The Metropolis-Hastings log acceptance of ``x -> y`` written out on
+    arrays, apart from the package's acceptance code: the target at both
+    ends; off the support, ``-inf``; a forward density of ``-inf`` is a
+    ``ParameterError``; a reverse density of ``-inf`` rejects; and
+    ``np.minimum`` keeps a NaN ratio."""
+    lp_x, lp_y = target.log_density(x), target.log_density(y)
+    if lp_y == -math.inf:
+        return -math.inf
+    lq_yx = log_q(kernel, y, x)
+    if lq_yx == -math.inf:
+        raise ParameterError(f"move {x} -> {y} is not proposable by {kernel.label}")
+    lq_xy = log_q(kernel, x, y)
+    if lq_xy == -math.inf:
+        return -math.inf
+    return float(np.minimum(0.0, lp_y + lq_xy - lp_x - lq_yx))
 
 
 def reference_chain(target, kernel, x0, n_steps, seed):
-    """The transition written out with the public per-point pieces: a
-    support test of the proposal, then :func:`log_accept_ratio`, which
-    evaluates the target at both ends of the move."""
+    """The transition written out on arrays with the kernel's per-point
+    callables and :func:`reference_log_accept`: a draw, a uniform in
+    (0, 1], then the acceptance."""
     rng = np.random.default_rng(seed)
     x = np.asarray(x0, dtype=float)
     states, accepted, alpha = [x], [], []
     for _ in range(n_steps):
-        y = kernel.sample(x, rng)
+        y = sample(kernel, x, rng)
         u = 1.0 - rng.random()
-        la = log_accept_ratio(target, kernel, x, y) if target.support_test(y) else -math.inf
+        la = reference_log_accept(target, kernel, x, y)
         accepted.append(math.log(u) < la)
         alpha.append(math.exp(la))
         x = y if accepted[-1] else x
@@ -230,9 +272,9 @@ def spd_field(b00, b01, b10, b11, c):
 
 class TestScaleMemo:
     """A chain carries each point's scale (the float standard deviation in
-    one dimension, the Cholesky factor in more) with its state; the
-    per-point forms compute it afresh at each call.  None of this may
-    show in what they return."""
+    one dimension, the Cholesky factor in more) with its state;
+    :func:`log_q` and :func:`sample` here compute it afresh at each call.
+    None of this may show in what the kernel returns."""
 
     @given(
         st.tuples(entries, entries, entries, entries),
@@ -250,9 +292,9 @@ class TestScaleMemo:
         order = (x, y, x, z, y, x, x, z, z, y, y, x, z, x)
         rng, rng_fresh = np.random.default_rng(seed), np.random.default_rng(seed)
         for a, b in zip(order, order[1:]):
-            assert k.log_q(b, a) == fresh.log_q(b, a)
-            assert k.log_q(a, b) == fresh.log_q(a, b)
-            np.testing.assert_array_equal(k.sample(a, rng), fresh.sample(a, rng_fresh))
+            assert log_q(k, b, a) == log_q(fresh, b, a)
+            assert log_q(k, a, b) == log_q(fresh, a, b)
+            np.testing.assert_array_equal(sample(k, a, rng), sample(fresh, a, rng_fresh))
 
     @pytest.mark.parametrize(
         "target, field, h, x0",
@@ -291,20 +333,20 @@ class TestScaleMemo:
             k = gaussian_proposal(field, 1.0)
             y, zero, neg_zero = np.ones(dim), np.zeros(dim), np.zeros(dim)
             neg_zero[0] = -0.0
-            assert k.log_q(y, zero) != k.log_q(y, neg_zero)
-            assert k.log_q(y, zero) == k.log_q(y, np.zeros(dim, dtype=int))
-            assert k.log_q(y, neg_zero) == k.log_q(y, neg_zero.copy())
+            assert log_q(k, y, zero) != log_q(k, y, neg_zero)
+            assert log_q(k, y, zero) == log_q(k, y, np.zeros(dim, dtype=int))
+            assert log_q(k, y, neg_zero) == log_q(k, y, neg_zero.copy())
 
     def test_one_dimension_reads_the_float_variance_at_each_call(self):
         field, form = counting(power_field(1.5))
         k = gaussian_proposal(field, 0.5)
         x = pt(0.5)
         rng = np.random.default_rng(0)
-        k.sample(x, rng)
-        k.log_q(x + 0.1, x)
+        sample(k, x, rng)
+        log_q(k, x + 0.1, x)
         k.sample_batch(x, 5, rng)
         assert form.calls == 3
-        assert k.float_step.at((0.5,))[0] == math.sqrt(0.5 * 1.5**1.5)
+        assert k.at((0.5,))[0] == math.sqrt(0.5 * 1.5**1.5)
 
     @given(
         st.floats(0.0, 4.0),
@@ -319,8 +361,8 @@ class TestScaleMemo:
         x, y, z = (pt(p) for p in points)
         rng, rng_fresh = np.random.default_rng(seed), np.random.default_rng(seed)
         for a, c in ((x, y), (y, z), (z, x), (x, x)):
-            assert k.log_q(c, a) == fresh.log_q(c, a)
-            np.testing.assert_array_equal(k.sample(a, rng), fresh.sample(a, rng_fresh))
+            assert log_q(k, c, a) == log_q(fresh, c, a)
+            np.testing.assert_array_equal(sample(k, a, rng), sample(fresh, a, rng_fresh))
 
 
 def array_disc_sample(x, w, rng):
@@ -354,7 +396,7 @@ class TestUniformSampleBits:
             w = RectangleDensity.half_width(max(1, math.floor(x[1])))
         rng, rng_array = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(5):
-            y = k.sample(x, rng)
+            y = sample(k, x, rng)
             assert y.dtype == np.float64 and y.shape == (2,)
             assert y.tobytes() == array_disc_sample(x, w, rng_array).tobytes()
 
@@ -373,8 +415,8 @@ class TestCircle:
     def test_log_q(self):
         k = circle_proposal()
         x = pt(0.0, 0.0)
-        assert k.log_q(pt(0.5, 0.5), x) == pytest.approx(-math.log(math.pi))
-        assert k.log_q(pt(1.5, 0.0), x) == -math.inf
+        assert log_q(k, pt(0.5, 0.5), x) == pytest.approx(-math.log(math.pi))
+        assert log_q(k, pt(1.5, 0.0), x) == -math.inf
 
 
 class TestEllipse:
@@ -386,9 +428,9 @@ class TestEllipse:
             assert RectangleDensity.half_width(RectangleDensity.level(x)) == (
                 pytest.approx(w)
             )
-            assert k.log_q(x, x) == pytest.approx(-math.log(math.pi * w))
-            assert k.log_q(pt(0.99 * w, x2), x) > -math.inf
-            assert k.log_q(pt(1.01 * w, x2), x) == -math.inf
+            assert log_q(k, x, x) == pytest.approx(-math.log(math.pi * w))
+            assert log_q(k, pt(0.99 * w, x2), x) > -math.inf
+            assert log_q(k, pt(1.01 * w, x2), x) == -math.inf
 
     def test_unit_disc_at_and_below_level_one(self):
         # every level <= 1 takes level 1's width, so the density stays
@@ -397,11 +439,11 @@ class TestEllipse:
         for x2 in (1.5, 0.5, -3.0, -1000.0):
             x = pt(0.0, x2)
             y = pt(0.6, x2 - 0.6)
-            assert k.log_q(y, x) == -math.log(math.pi)
+            assert log_q(k, y, x) == -math.log(math.pi)
             assert k.log_q_batch(y, np.array([x, x])) == pytest.approx(
                 [-math.log(math.pi)] * 2, rel=1e-15
             )
-            assert k.log_q(pt(0.8, x2 - 0.8), x) == -math.inf
+            assert log_q(k, pt(0.8, x2 - 0.8), x) == -math.inf
         xs = np.array([[0.0, -1000.0], [0.0, 2.5]])
         assert k.log_q_batch(pt(0.2, -1000.2), xs)[0] == pytest.approx(-math.log(math.pi))
 
@@ -409,11 +451,11 @@ class TestEllipse:
         k = ellipse_proposal()
         x = pt(0.0, 2.5)  # level 2, semi-width 1/3
         w = 1.0 / 3.0
-        assert k.log_q(pt(0.2, 2.6), x) == pytest.approx(-math.log(math.pi * w))
+        assert log_q(k, pt(0.2, 2.6), x) == pytest.approx(-math.log(math.pi * w))
         # horizontally past the semi-width
-        assert k.log_q(pt(0.4, 2.5), x) == -math.inf
+        assert log_q(k, pt(0.4, 2.5), x) == -math.inf
         # vertically past the semi-height
-        assert k.log_q(pt(0.0, 3.6), x) == -math.inf
+        assert log_q(k, pt(0.0, 3.6), x) == -math.inf
 
     def test_samples_respect_shape(self):
         k = ellipse_proposal()
@@ -430,7 +472,7 @@ class TestEllipse:
         k = ellipse_proposal()
         x = pt(0.0, 2.9)
         y = pt(0.0, 3.05)
-        assert k.log_q(y, x) - k.log_q(x, y) == pytest.approx(-math.log(3.0))
+        assert log_q(k, y, x) - log_q(k, x, y) == pytest.approx(-math.log(3.0))
 
     def test_underflowing_semi_width_raises_named_error(self):
         # 3**(1 - 700) is 0.0 in floating point; from height 646 up the
@@ -438,14 +480,14 @@ class TestEllipse:
         k = ellipse_proposal()
         x = pt(0.0, 700.5)
         with pytest.raises(NumericError, match="700.5"):
-            k.log_q(x, x)
+            log_q(k, x, x)
         with pytest.raises(NumericError, match="646.0"):
             k.log_q_batch(x, np.array([[0.0, 2.5], [0.0, 646.0]]))
         with pytest.raises(NumericError, match="700.5"):
             run_chain(make_rectangle(), k, (0.0, 700.5), 10, seed=0)
         # one level lower the width is still a normal float
         y = pt(0.0, 645.5)
-        assert k.log_q(y, y) == k.log_q_batch(y, y)[0] == -math.log(math.pi * 3.0**-644)
+        assert log_q(k, y, y) == k.log_q_batch(y, y)[0] == -math.log(math.pi * 3.0**-644)
 
 
 class TestTruncatedGaussian:
