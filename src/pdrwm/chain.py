@@ -20,7 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+
+# scipy is imported inside the functions that use it, so that `import pdrwm`
+# loads only numpy and PyYAML (tests/test_exports.py::TestStartUp)
 
 from .errors import NumericError, ParameterError
 from .fields import CovarianceField
@@ -147,6 +149,8 @@ def log_accept_ratio_closed_form(
         half_logdet = 0.5 * (math.log(s_x) - math.log(s_y))
         quad = 0.5 * d * d * (1.0 / s_y - 1.0 / s_x) / h
     else:
+        from scipy.linalg import cho_factor, cho_solve
+
         try:
             c_x = cho_factor(field.inv_metric(x), lower=True)
             c_y = cho_factor(field.inv_metric(y), lower=True)

@@ -43,10 +43,9 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+# scipy is imported inside the functions that use it, so that `import pdrwm`
+# loads only numpy and PyYAML (tests/test_exports.py::TestStartUp)
 
 from .chain import log_accept_ratio_closed_form, log_accept_terms
 from .diagnostics import LyapunovFunction
@@ -343,11 +342,13 @@ def _factors(work: np.ndarray, block: np.ndarray, sign: float, shift: float):
     front of the flat buffer ``work`` in Fortran order and factored in
     place; the block is symmetric, so its transpose view holds the same
     values in that order."""
+    from scipy.linalg import get_lapack_funcs
+
     m = len(block)
     a = work[: m * m].reshape((m, m), order="F")
     np.multiply(block.T, sign, out=a)
     a.ravel(order="K")[:: m + 1] += shift
-    potrf = scipy.linalg.get_lapack_funcs("potrf", (a,))
+    potrf = get_lapack_funcs("potrf", (a,))
     factor, info = potrf(a, lower=1, overwrite_a=1, clean=0)
     if info < 0:
         raise NumericError(f"LAPACK potrf rejected argument {-info}")
@@ -367,12 +368,15 @@ def _lanczos_top(work: np.ndarray, block: np.ndarray) -> float | None:
     after about ``len(block)`` solves, past which the dense solver is
     cheaper, and then raises :class:`ArpackNoConvergence`.
     """
+    from scipy.linalg import get_lapack_funcs
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     m = len(block)
     shift = 1.0 + _SHIFT_GAP
     factor = _factors(work, block, -1.0, shift)
     if factor is None:
         return None
-    potrs = scipy.linalg.get_lapack_funcs("potrs", (factor,))
+    potrs = get_lapack_funcs("potrs", (factor,))
 
     def solve(x: np.ndarray) -> np.ndarray:
         return potrs(factor, x, lower=1)[0]
@@ -422,6 +426,9 @@ def spectral_gap(chain: DiscretizedChain) -> SpectralResult:
     matrix of the first block's size is held, in Fortran order, and
     every factorisation runs in place in it.
     """
+    from scipy.linalg import eigh
+    from scipy.sparse.linalg import ArpackNoConvergence
+
     blocks = _symmetric_blocks(chain)
     _deflate_stationary(chain, blocks[0])
     work = np.empty(blocks[0].size)
@@ -435,7 +442,7 @@ def spectral_gap(chain: DiscretizedChain) -> SpectralResult:
 
     def dense(k: int, reason: str) -> None:
         nonlocal lambda2
-        vals = scipy.linalg.eigh(blocks[k], eigvals_only=True, overwrite_a=True)
+        vals = eigh(blocks[k], eigvals_only=True, overwrite_a=True)
         lambda2 = max(lambda2, float(vals[-1]), -float(vals[0]))
         path[k] = f"dense: {reason}"
 
@@ -573,6 +580,8 @@ def drift_ratio_quadrature(
     field value at ``x`` that is not finite and positive raise as the
     kernel does.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     if target.dim != 1 or cov_field.dim != 1:
         raise ParameterError("the drift quadrature is one-dimensional")
     xv = np.array([float(x)])
@@ -639,6 +648,7 @@ def _solve_step_size(
     """Step size at which ``moments(n, h)`` puts the stationary
     acceptance at exactly ``rate``, searched outward from ``h0`` in log
     steps that start at ``first_move`` and double."""
+    from scipy.optimize import brentq
 
     # brentq re-evaluates the bracket ends the search already has
     @functools.lru_cache(maxsize=None)

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
-from scipy.special import log_ndtr
+
+# scipy is imported inside the functions that use it, so that `import pdrwm`
+# loads only numpy and PyYAML (tests/test_exports.py::TestStartUp)
 
 from .errors import NumericError, ParameterError
 from .fields import CovarianceField
@@ -164,6 +165,8 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
             return -0.5 * _LOG_2PI - np.log(s) - 0.5 * u * u
 
         return ProposalKernel(1, at, sample, log_q, label, sample_batch, log_q_batch)
+
+    from scipy.linalg import get_lapack_funcs
 
     potrf, trtrs = get_lapack_funcs(("potrf", "trtrs"), (np.empty((dim, dim)),))
     isfinite = math.isfinite
@@ -322,6 +325,8 @@ def _log_gauss_mass(alpha: float, beta: float) -> float:
     """log(Phi(beta) - Phi(alpha)) without cancellation, alpha < beta."""
     if beta < 0.0:
         return _log_gauss_mass(-beta, -alpha)
+    from scipy.special import log_ndtr, ndtr
+
     if alpha > 0.0:
         # both standardized limits positive: work with upper tails
         la = log_ndtr(-alpha)
@@ -333,8 +338,6 @@ def _log_gauss_mass(alpha: float, beta: float) -> float:
             )
         return la + math.log(diff)
     # limits straddle zero: the mass is order one, direct difference is fine
-    from scipy.special import ndtr
-
     mass = float(ndtr(beta) - ndtr(alpha))
     if mass <= 0.0:
         raise NumericError(

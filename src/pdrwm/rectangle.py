@@ -32,7 +32,9 @@ import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import quad
+
+# scipy is imported inside the functions that use it, so that `import pdrwm`
+# loads only numpy and PyYAML (tests/test_exports.py::TestStartUp)
 
 from .errors import NumericError, ParameterError, SupportError
 from .targets import RectangleDensity, _log_density_on_support, make_rectangle
@@ -124,6 +126,8 @@ def chord_overlap_integral(
             for y in (c2 - r, c2 + r):
                 if lo < y < hi:
                     points.append(y)
+
+    from scipy.integrate import quad
 
     val, abserr = quad(
         chord, lo, hi, points=sorted(points), limit=200, epsabs=1e-12, epsrel=1e-10

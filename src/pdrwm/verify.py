@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.stats import norm, truncnorm
+
+# scipy is imported inside the functions that use it, so that `import pdrwm`
+# loads only numpy and PyYAML (tests/test_exports.py::TestStartUp)
 
 from .chain import log_accept_ratio, log_accept_ratio_closed_form
 from .diagnostics import abs_pow, drift_ratio
@@ -306,6 +308,8 @@ def criterion_9(seed: int = 0) -> CriterionResult:
     bound must strictly dominate the high-accuracy complementary CDF on
     x in [0.1, 10].
     """
+    from scipy.stats import norm, truncnorm
+
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst_mean = 0.0

@@ -1,12 +1,20 @@
 """The package has one export surface: what a module lists in
-``__all__`` is importable from ``pdrwm`` itself."""
+``__all__`` is importable from ``pdrwm`` itself.  Importing it loads no
+scipy: each scipy subpackage is imported by the functions that use it."""
 
+import contextlib
 import importlib
+import io
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import pdrwm
+from pdrwm.experiments import OUTPUT_DIR_ENV
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(pdrwm.__path__) if m.name[0] != "_")
 
@@ -15,3 +23,89 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(pdrwm.__path__) if m.name[
 def test_listed_names_are_package_attributes(module):
     listed = getattr(importlib.import_module(f"pdrwm.{module}"), "__all__", ())
     assert [name for name in listed if not hasattr(pdrwm, name)] == []
+
+
+# Calls every function that imports scipy inside its body, each once on a
+# small input, in a process that has not loaded scipy yet.  Criterion 9
+# (scipy.stats) is left out: it takes about 9 s, and its own test runs it.
+FIRST_CALLS = """
+import numpy as np
+import pdrwm
+from pdrwm.proposals import _log_gauss_mass
+
+ridge, field2 = pdrwm.make_ridge_2d(), pdrwm.power_field(1.0, 2)
+print(pdrwm.log_accept_ratio_closed_form(ridge, field2, 1.0, np.zeros(2), np.ones(2)))
+kernel = pdrwm.gaussian_proposal(field2, 1.0)
+at = kernel.at((0.0, 0.0))
+print(kernel.log_q(kernel.sample((0.0, 0.0), at, np.random.default_rng(0)), (0.0, 0.0), at))
+print(_log_gauss_mass(0.5, 1.0), _log_gauss_mass(-0.5, 0.5))
+tail, field1 = pdrwm.make_exponential_tail(1.0), pdrwm.power_field(1.0)
+chain = pdrwm.build_discretized(tail, field1, h=1.0, half_width=8.0, n=101)
+print(pdrwm.spectral_gap(chain))
+print(pdrwm.drift_ratio_quadrature(tail, field1, 1.0, pdrwm.exp_abs(0.5), 5.0))
+print(pdrwm.tuned_jump_quadrature(pdrwm.make_gaussian(), pdrwm.constant_field(1.0), 0.44, 8.0, 201))
+print(pdrwm.exact_rejection_disc((0.0, 3.5)))
+"""
+
+CUSTOM_CONFIG = """
+scenario: custom
+seed: 42
+params:
+  target: {name: exponential, a: 1.0}
+  field: {name: power, b: 1.5}
+  h: 1.0
+  x0: [0.0]
+  n_steps: 200
+"""
+
+
+def fresh_python(*args, env=None):
+    """Run ``python -X importtime *args`` in a new process that finds this
+    pdrwm; return it and the top-level names of the modules it imported."""
+    src = str(Path(pdrwm.__file__).resolve().parents[1])
+    env = {**os.environ, **(env or {})}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    # importtime writes "import time: self | cumulative | module" per import
+    imported = {
+        line.rsplit("|", 1)[1].strip().split(".")[0]
+        for line in proc.stderr.splitlines() if line.startswith("import time:")
+    }
+    return proc, imported
+
+
+class TestStartUp:
+    """``import pdrwm`` loads numpy and PyYAML only; scipy is imported by
+    the functions that use it.  Each check needs a fresh process, since
+    the test process has scipy loaded already."""
+
+    def test_import_loads_no_scipy(self):
+        _, imported = fresh_python("-c", "import pdrwm")
+        assert "pdrwm" in imported and "numpy" in imported
+        assert "scipy" not in imported
+
+    def test_list_scenarios_loads_no_scipy(self):
+        proc, imported = fresh_python("-m", "pdrwm", "list-scenarios")
+        assert "table1_grid" in proc.stdout
+        assert "scipy" not in imported
+
+    def test_first_calls_in_a_fresh_process(self, tmp_path):
+        proc, imported = fresh_python("-c", FIRST_CALLS)
+        assert "scipy" in imported
+        # the same values as in this process, where scipy was loaded first
+        here = io.StringIO()
+        with contextlib.redirect_stdout(here):
+            exec(FIRST_CALLS, {})
+        assert proc.stdout == here.getvalue()
+
+        config = tmp_path / "custom.yaml"
+        config.write_text(CUSTOM_CONFIG)
+        out = tmp_path / "out"
+        proc, _ = fresh_python("-m", "pdrwm", "run", str(config),
+                               env={OUTPUT_DIR_ENV: str(out)})
+        assert "check chain_completed: PASS" in proc.stdout
+        assert (out / "custom" / "custom_trajectory.csv").is_file()

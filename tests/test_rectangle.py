@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -19,7 +20,6 @@ from pdrwm import (
     hemisphere_sweep,
     overlap_area,
 )
-from pdrwm import rectangle
 
 # Exact rejection at the level-3 center, frozen from the chord quadrature
 # and verified by hand: overlaps 0.654107 and 0.221744 give
@@ -389,7 +389,8 @@ class TestSweep:
             calls.append(1)
             return quad(*args, **kwargs)
 
-        monkeypatch.setattr(rectangle, "quad", counting_quad)
+        # chord_overlap_integral imports quad from scipy when it runs
+        monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
         hemisphere_sweep()
         first = len(calls)
         hemisphere_sweep()
