@@ -140,8 +140,8 @@ def log_accept_ratio_closed_form(
     u = x - y
 
     if field.dim == 1:
-        s_x = field.variance(float(x[0]))
-        s_y = field.variance(float(y[0]))
+        s_x = field.inv_metric(x)
+        s_y = field.inv_metric(y)
         if not (s_x > 0 and s_y > 0):
             raise NumericError(f"field must be positive at {x} and {y}")
         d = float(u[0])

@@ -8,11 +8,14 @@ scenario's description, its parameters and their defaults.  Exit codes:
 2 on a configuration problem (for ``verify-all``, a negative ``--seed``
 or an ``--only`` that names no criterion).  Setting the environment
 variable named by ``PDRWM_OUTPUT_DIR`` redirects all scenario output.
+A reader that closes stdout early ends the command there, with exit
+code 0 and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import ConfigError, ParameterError, PDRWMError
@@ -98,11 +101,20 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args.config)
-    if args.command == "verify-all":
-        return _cmd_verify_all(args.seed, args.only)
-    return _cmd_list_scenarios()
+    try:
+        if args.command == "run":
+            code = _cmd_run(args.config)
+        elif args.command == "verify-all":
+            code = _cmd_verify_all(args.seed, args.only)
+        else:
+            code = _cmd_list_scenarios()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`pdrwm list-scenarios | head`): point
+        # stdout at devnull, so that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -225,6 +225,8 @@ def _build_from_spec(spec, what: str, factories: dict[str, Callable]):
     )
     try:
         return factory(**kwargs)
+    except ConfigError:
+        raise  # the factory named the key itself
     except PDRWMError as exc:
         raise ConfigError(str(exc), key=what) from exc
 
@@ -236,6 +238,8 @@ def build_target(spec: dict) -> TargetDensity:
 
 def _constant_field(sigma2: float = 1.0, dim: int = 1) -> CovarianceField:
     """Config adapter: ``sigma2`` times the ``dim``-dimensional identity."""
+    if dim < 1:
+        raise ConfigError(f"field.dim must be >= 1, got {dim}", key="field.dim")
     return constant_field(np.eye(dim) * sigma2 if dim > 1 else sigma2)
 
 

@@ -4,13 +4,14 @@ A :class:`CovarianceField` maps a point ``x`` to the proposal covariance
 shape ``S(x)`` (a symmetric positive definite matrix); the random-walk
 kernel proposes ``y ~ N(x, h * S(x))``.
 
-Fields return dense ``(dim, dim)`` arrays even in one dimension.  A
-one-dimensional field also gives its variance at a Python float point,
-with the same bits as ``inv_metric`` at that point; the one-dimensional
-chain and the closed-form acceptance step on it.  Every field also
-has a batch form that maps an ``(m, dim)`` array of points to the
-``(m, dim, dim)`` stack of their values, computed in whole-array numpy.
-A field built by hand may instead stack its per-point values.
+In one dimension ``S(x)`` is one number, and a field returns it as a
+Python float, the variance at ``x``; it reads the point as
+``float(x[0])``, as targets do, so a tuple and an array give the same
+bits.  In higher dimensions a field returns a dense ``(dim, dim)``
+array.  Every field also has a batch form that maps an ``(m, dim)``
+array of points to their values, an ``(m,)`` array in one dimension and
+an ``(m, dim, dim)`` stack above, computed in whole-array numpy.  A
+field built by hand may instead stack its per-point values.
 """
 
 from __future__ import annotations
@@ -43,41 +44,21 @@ class CovarianceField:
     dim : int
         Dimension of the state space.
     inv_metric : callable
-        Maps a length-``dim`` point to the ``(dim, dim)`` SPD covariance
-        shape used by the proposal at that point.
+        Maps a length-``dim`` point to the SPD covariance shape used by
+        the proposal at that point: the variance as a Python float in
+        one dimension, a ``(dim, dim)`` array above.
     label : str
         Short identifier used in config digests.
     inv_metric_batch : callable
-        Maps an ``(m, dim)`` array of points to the ``(m, dim, dim)``
-        stack of their covariance shapes; agrees with ``inv_metric`` row
-        by row to float rounding.
-    variance : callable or None
-        One dimension only: maps a Python float ``v`` to the float
-        variance at the point ``[v]``, bit for bit
-        ``float(inv_metric(np.array([v]))[0, 0])``, which is what it
-        defaults to.  ``None`` in higher dimensions.  The factories with
-        a closed form state it directly.  ``dataclasses.replace`` carries
-        it over as it does ``inv_metric_batch``: a replaced
-        ``inv_metric`` must agree with both.
+        Maps an ``(m, dim)`` array of points to their covariance shapes,
+        an ``(m,)`` array in one dimension and an ``(m, dim, dim)`` stack
+        above; agrees with ``inv_metric`` row by row to float rounding.
     """
 
     dim: int
-    inv_metric: Callable[[np.ndarray], np.ndarray]
+    inv_metric: Callable[[np.ndarray], float | np.ndarray]
     label: str
     inv_metric_batch: Callable[[np.ndarray], np.ndarray]
-    variance: Callable[[float], float] | None = None
-
-    def __post_init__(self):
-        if self.dim != 1:
-            if self.variance is not None:
-                raise ParameterError("a float variance needs a one-dimensional field")
-        elif self.variance is None:
-            inv_metric = self.inv_metric
-
-            def variance(v: float) -> float:
-                return float(inv_metric(np.array([v]))[0, 0])
-
-            object.__setattr__(self, "variance", variance)
 
 
 def _as_spd(sigma, what: str) -> np.ndarray:
@@ -103,9 +84,14 @@ def constant_field(sigma) -> CovarianceField:
     ``sigma`` may be a positive scalar (one dimension) or an SPD matrix.
     """
     m = _as_spd(sigma, "covariance")
+    dim = m.shape[0]
+    if dim == 1:
+        c = m.item()
+        return CovarianceField(
+            1, lambda _: c, "constant(dim=1)", lambda xs: np.full(len(xs), c)
+        )
     m = m.copy()
     m.setflags(write=False)
-    dim = m.shape[0]
 
     def inv_metric(_: np.ndarray) -> np.ndarray:
         return m
@@ -113,16 +99,7 @@ def constant_field(sigma) -> CovarianceField:
     def inv_metric_batch(xs: np.ndarray) -> np.ndarray:
         return np.broadcast_to(m, (len(xs), dim, dim))
 
-    variance = None
-    if dim == 1:
-        c = float(m[0, 0])
-
-        def variance(_: float) -> float:
-            return c
-
-    return CovarianceField(
-        dim, inv_metric, f"constant(dim={dim})", inv_metric_batch, variance
-    )
+    return CovarianceField(dim, inv_metric, f"constant(dim={dim})", inv_metric_batch)
 
 
 def power_field(b: float, dim: int = 1) -> CovarianceField:
@@ -138,13 +115,27 @@ def power_field(b: float, dim: int = 1) -> CovarianceField:
     if dim < 1:
         raise ParameterError(f"dim must be >= 1, got {dim}")
     b = float(b)
-    diagonal = np.arange(dim)
+    label = f"power(b={b:g},dim={dim})"
 
     def scale(r: float) -> float:
         try:
             return (1.0 + r) ** b
         except OverflowError:  # past the float range, where numpy gives inf
             return math.inf
+
+    if dim == 1:
+
+        def inv_metric(x) -> float:
+            v = float(x[0])
+            # sqrt(v * v), not abs(v): the bits of the batch form's norm
+            return scale(math.sqrt(v * v))
+
+        def inv_metric_batch(xs: np.ndarray) -> np.ndarray:
+            return (1.0 + np.linalg.norm(xs, axis=1)) ** b
+
+        return CovarianceField(1, inv_metric, label, inv_metric_batch)
+
+    diagonal = np.arange(dim)
 
     # the scale is written onto the diagonal, not multiplied into an
     # identity: past the float range inf * 0 would put NaN off it
@@ -160,16 +151,7 @@ def power_field(b: float, dim: int = 1) -> CovarianceField:
         out[:, diagonal, diagonal] = ((1.0 + np.linalg.norm(xs, axis=1)) ** b)[:, None]
         return out
 
-    def variance(v: float) -> float:
-        return scale(math.sqrt(v * v))
-
-    return CovarianceField(
-        dim,
-        inv_metric,
-        f"power(b={b:g},dim={dim})",
-        inv_metric_batch,
-        variance if dim == 1 else None,
-    )
+    return CovarianceField(dim, inv_metric, label, inv_metric_batch)
 
 
 def one_plus_square_field() -> CovarianceField:
@@ -179,19 +161,17 @@ def one_plus_square_field() -> CovarianceField:
     origin, scaling like x^2 in the tails.
     """
 
-    def variance(v: float) -> float:
+    def inv_metric(x) -> float:
+        v = float(x[0])
         try:
             return 1.0 + v**2
         except OverflowError:  # past the float range, where numpy gives inf
             return math.inf
 
-    def inv_metric(x: np.ndarray) -> np.ndarray:
-        return np.array([[variance(float(x[0]))]])
-
     def inv_metric_batch(xs: np.ndarray) -> np.ndarray:
-        return (1.0 + xs[:, 0] ** 2)[:, None, None]
+        return 1.0 + xs[:, 0] ** 2
 
-    return CovarianceField(1, inv_metric, "one_plus_square", inv_metric_batch, variance)
+    return CovarianceField(1, inv_metric, "one_plus_square", inv_metric_batch)
 
 
 def ridge_conditional_field() -> CovarianceField:
@@ -241,19 +221,18 @@ def tempered_langevin_field(
         raise ParameterError(f"cap must be positive, got {c_max}")
     c_max = float(c_max)
     log_cap = math.log(c_max)
-    eye = np.eye(target.dim)
-    eye.setflags(write=False)
+    label = f"tempered_langevin({target.label},cap={c_max:g})"
 
-    def inv_metric(x: np.ndarray) -> np.ndarray:
+    def scale(x) -> float:
         lp = target.log_density(x)
         if lp == -math.inf:
+            x = np.asarray(x, dtype=float)  # a tuple prints as an array would
             raise EvaluationError(
                 f"reciprocal-density field undefined off support at {x}"
             )
-        scale = c_max if -lp >= log_cap else math.exp(-lp)
-        return scale * eye
+        return c_max if -lp >= log_cap else math.exp(-lp)
 
-    def inv_metric_batch(xs: np.ndarray) -> np.ndarray:
+    def scale_batch(xs: np.ndarray) -> np.ndarray:
         lp = target.log_density_batch(xs)
         off = lp == -np.inf
         if off.any():
@@ -261,13 +240,15 @@ def tempered_langevin_field(
             raise EvaluationError(
                 f"reciprocal-density field undefined off support at {x}"
             )
-        scale = np.where(-lp >= log_cap, c_max, np.exp(np.minimum(-lp, log_cap)))
-        return scale[:, None, None] * eye
+        return np.where(-lp >= log_cap, c_max, np.exp(np.minimum(-lp, log_cap)))
 
+    if target.dim == 1:
+        return CovarianceField(1, scale, label, scale_batch)
+    eye = np.eye(target.dim)
+    eye.setflags(write=False)
     return CovarianceField(
         target.dim,
-        inv_metric,
-        f"tempered_langevin({target.label},cap={c_max:g})",
-        inv_metric_batch,
+        lambda x: scale(x) * eye,
+        label,
+        lambda xs: scale_batch(xs)[:, None, None] * eye,
     )
-

@@ -158,7 +158,7 @@ def _grid_values(
         raise ParameterError(
             "target log-density must be finite across the window"
         )
-    g = np.array(cov_field.inv_metric_batch(points)[:, 0, 0], dtype=float)
+    g = np.array(cov_field.inv_metric_batch(points), dtype=float)
     if not np.all(g > 0):
         raise NumericError("field must be positive across the window")
     return lp, g
@@ -627,7 +627,7 @@ def _jump_moments(
     term q(x_i | x_i) step, always accepted, is added back."""
     chain = build_discretized(target, cov_field, h, half_width, n)
     p, pi, x = chain.transition, chain.pi_hat, chain.grid
-    g = cov_field.inv_metric_batch(x[:, None])[:, 0, 0]
+    g = cov_field.inv_metric_batch(x[:, None])
     own = chain.step / np.sqrt(2.0 * math.pi * h * g)
     acc = float(pi @ (1.0 - np.diagonal(p) + own))
     # sum_j P_ij (x_i - x_j)^2, expanded into two products with P

@@ -99,14 +99,14 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
 
     ``kernel.at(x)`` is what the proposal from ``x`` needs.  In one
     dimension that is ``(s, log s)`` with the standard deviation
-    ``s = sqrt(h * field.variance(v))`` at the float ``v = x[0]``; read
-    the scale at a float as ``kernel.at((v,))[0]``.  In higher dimensions
-    it is the point as an array, its lower Cholesky factor and its
-    log-determinant, from LAPACK ``potrf`` called directly with the
-    arguments ``scipy.linalg.cholesky`` passes; ``sample`` draws
-    ``x + low @ z`` and ``log_q`` solves with ``trtrs`` as
-    ``solve_triangular`` does, then sums ``v @ v``.  Floats go in and
-    come out, but the arithmetic stays LAPACK's and BLAS's on arrays,
+    ``s = sqrt(h * g)``, where ``g = field.inv_metric(x)`` is the field's
+    float variance at ``x``; read the scale at a float ``v`` as
+    ``kernel.at((v,))[0]``.  In higher dimensions it is the point as an
+    array, its lower Cholesky factor and its log-determinant, from LAPACK
+    ``potrf`` called directly with the arguments ``scipy.linalg.cholesky``
+    passes; ``sample`` draws ``x + low @ z`` and ``log_q`` solves with
+    ``trtrs`` as ``solve_triangular`` does, then sums ``v @ v``.  Floats
+    go in and come out, but the arithmetic stays LAPACK's and BLAS's on arrays,
     which Python floats could not reproduce (the dot product may fuse
     the multiply-add).  A chain carries ``at(x)`` with its state, so it
     evaluates the field once per point; ``sample_batch`` computes it
@@ -124,17 +124,17 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
     label = f"gaussian(h={h:g},{field.label})"
 
     if dim == 1:
-        variance = field.variance
 
         def at(x):
-            v = x[0]
-            g = variance(v)
+            g = inv_metric(x)
             if not g > 0 or not math.isfinite(g):
-                raise NumericError(f"field value {g:g} at [{v!r}] is not usable")
+                raise NumericError(
+                    f"field value {g:g} at [{float(x[0])!r}] is not usable"
+                )
             s = math.sqrt(h * g)
             if s == 0.0:
                 raise NumericError(
-                    f"proposal variance {h:g} * {g:g} at [{v!r}] underflows"
+                    f"proposal variance {h:g} * {g:g} at [{float(x[0])!r}] underflows"
                 )
             return s, math.log(s)
 
@@ -150,7 +150,7 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
 
         def log_q_batch(ys, xs):
             ys, xs = np.atleast_2d(ys), np.atleast_2d(xs)
-            g = inv_metric_batch(xs)[:, 0, 0]
+            g = inv_metric_batch(xs)
             bad = ~((g > 0) & np.isfinite(g))
             if bad.any():
                 i = int(np.argmax(bad))

@@ -66,7 +66,7 @@ def check_target(t, xs):
 
 def check_field(f, xs):
     out = f.inv_metric_batch(xs)
-    assert out.shape == (len(xs), f.dim, f.dim)
+    assert out.shape == ((len(xs),) if f.dim == 1 else (len(xs), f.dim, f.dim))
     assert_rows(out, [f.inv_metric(x) for x in xs])
 
 

@@ -14,8 +14,10 @@ from pdrwm import (
     SupportError,
     circle_proposal,
     constant_field,
+    drift_ratio_quadrature,
     ellipse_proposal,
     estimate_expectation,
+    exp_abs,
     gaussian_proposal,
     log_accept_ratio,
     log_accept_ratio_batch,
@@ -37,6 +39,7 @@ from pdrwm import (
 # the uncached Gaussian kernel factors with scipy at every call: the
 # array arithmetic the float step must reproduce
 from test_proposals import (
+    counting,
     entries,
     reference_chain,
     sample,
@@ -336,7 +339,7 @@ def mh_step_chain(target, kernel, x0, n_steps, seed):
 
 
 def _user_field(inv_metric):
-    """A 1-D field built from ``inv_metric`` alone, with no float form."""
+    """A 1-D field built from ``inv_metric`` alone, with no batch form."""
     return CovarianceField(1, inv_metric, "user", None)
 
 
@@ -348,7 +351,7 @@ ONE_DIM_FIELDS = {
     "power_4": lambda t: power_field(4.0),
     "one_plus_square": lambda t: one_plus_square_field(),
     "tempered_langevin": lambda t: tempered_langevin_field(t, c_max=1e4),
-    "user": lambda t: _user_field(lambda x: np.array([[0.5 + abs(x[0]) ** 0.5]])),
+    "user": lambda t: _user_field(lambda x: 0.5 + abs(float(x[0])) ** 0.5),
 }
 
 
@@ -363,9 +366,9 @@ def assert_same_bytes(traj, ref):
 class TestFloatLoop:
     """``run_chain`` steps every package kernel on Python floats.  The
     generic per-point route (for the Gaussian, on a kernel that reads the
-    field through ``inv_metric`` or factors with scipy at every call) must
-    give the same chain byte for byte, and so must ``n`` calls of
-    ``mh_step`` on one stream."""
+    field's value on arrays at every call, and factors it with scipy above
+    one dimension) must give the same chain byte for byte, and so must
+    ``n`` calls of ``mh_step`` on one stream."""
 
     @pytest.mark.parametrize("field_name", sorted(ONE_DIM_FIELDS))
     @given(
@@ -378,9 +381,9 @@ class TestFloatLoop:
         target = ONE_DIM_TARGETS[target_name]()
         field = ONE_DIM_FIELDS[field_name](target)
         kernel = gaussian_proposal(field, h)
-        by_inv_metric = gaussian_proposal(dataclasses.replace(field, variance=None), h)
+        fresh = uncached_gaussian_proposal(field, h)
         traj = run_chain(target, kernel, [x0], 150, seed)
-        assert_same_bytes(traj, reference_chain(target, by_inv_metric, pt(x0), 150, seed))
+        assert_same_bytes(traj, reference_chain(target, fresh, pt(x0), 150, seed))
         assert_same_bytes(traj, mh_step_chain(target, kernel, pt(x0), 150, seed))
 
     @given(st.floats(0.0, 4.0), st.floats(0.01, 50.0), st.integers(0, 2**32 - 1))
@@ -389,16 +392,14 @@ class TestFloatLoop:
         field = power_field(b)
         traj = run_chain(target, gaussian_proposal(field, h), [3.0], 150, seed)
         ref = reference_chain(
-            target,
-            gaussian_proposal(dataclasses.replace(field, variance=None), h),
-            pt(3.0), 150, seed,
+            target, uncached_gaussian_proposal(field, h), pt(3.0), 150, seed
         )
         assert_same_bytes(traj, ref)
 
     @given(st.integers(0, 2**32 - 1))
     def test_field_turning_non_positive_raises_the_same_error(self, seed):
         # positive on (-2, 2) only: a chain from 0 proposes past it soon
-        field = _user_field(lambda x: np.array([[1.0 - x[0] ** 2 / 4.0]]))
+        field = _user_field(lambda x: 1.0 - float(x[0]) ** 2 / 4.0)
         target = make_exponential_tail(1.0)
         kernel = gaussian_proposal(field, 4.0)
         with pytest.raises(NumericError, match="is not usable") as floats:
@@ -521,6 +522,36 @@ class TestFloatLoop:
         kernel = gaussian_proposal(constant_field(5e-324), 0.1)
         with pytest.raises(NumericError, match=r"at \[0\.5\] underflows"):
             run_chain(make_gaussian(), kernel, [0.5], 10, seed=0)
+
+
+#: every route that reads a 1-D field, called on (target, field, kernel)
+FIELD_ROUTES = {
+    "run_chain": lambda t, f, k: run_chain(t, k, [0.5], 100, seed=0),
+    "mh_step": lambda t, f, k: mh_step(t, k, pt(0.5), np.random.default_rng(0)),
+    "log_accept_ratio": lambda t, f, k: log_accept_ratio(t, k, pt(0.5), pt(1.5)),
+    "log_accept_ratio_closed_form": (
+        lambda t, f, k: log_accept_ratio_closed_form(t, f, 1.0, pt(0.5), pt(1.5))
+    ),
+    "sample_batch": (
+        lambda t, f, k: k.sample_batch(pt(0.5), 10, np.random.default_rng(0))
+    ),
+    "drift_ratio_quadrature": (
+        lambda t, f, k: drift_ratio_quadrature(t, f, 1.0, exp_abs(0.5), 0.5)
+    ),
+}
+
+
+class TestReplacedField:
+    """A 1-D field built with ``dataclasses.replace(field, inv_metric=...)``
+    is read through the replacement on every route: the field keeps no
+    second per-point form that would bypass it."""
+
+    @pytest.mark.parametrize("route", sorted(FIELD_ROUTES))
+    def test_route_calls_the_replaced_inv_metric(self, route):
+        field, form = counting(power_field(1.5))
+        kernel = gaussian_proposal(field, 1.0)
+        FIELD_ROUTES[route](make_exponential_tail(1.0), field, kernel)
+        assert form.calls > 0
 
 
 CARRIED_CASES = {

@@ -1,9 +1,14 @@
 import inspect
+import os
+import subprocess
+import sys
 import typing
+from pathlib import Path
 from types import UnionType
 
 import pytest
 
+import pdrwm
 from pdrwm import experiments, verify
 from pdrwm.cli import main
 from pdrwm.experiments import OUTPUT_DIR_ENV, SCENARIOS
@@ -38,6 +43,25 @@ class TestListScenarios:
             after = next(line for line in rest if line.strip())
             assert f"{'':<15}{after}\n" in out
 
+    def test_closed_stdout_ends_quietly(self):
+        # the reader is gone before the first write, as when a reader such
+        # as `head` exits: exit code 0 and no traceback
+        src = str(Path(pdrwm.__file__).resolve().parents[1])
+        env = {**os.environ}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pdrwm", "list-scenarios"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
 
 CUSTOM = "  target: {name: exponential, a: 1.0}\n  field: {name: power, b: 1.5}\n"
 
@@ -56,6 +80,8 @@ BAD_CONFIGS = [
      "  x0: [0.0, 0.0]\n  n_steps: 10\n", "field.b"),
     ("custom", "  target: {name: ridge}\n  field: {name: constant}\n"
      "  x0: [0.0, 0.0]\n  n_steps: 10\n", "field"),
+    ("custom", "  target: {name: exponential, a: 1.0}\n"
+     "  field: {name: constant, dim: 0}\n  x0: [0.0]\n  n_steps: 10\n", "field.dim"),
     ("custom", CUSTOM + "  x0: [0.0]\n  n_steps: 10\n  h: true\n", "h"),
     ("custom", CUSTOM + "  x0: [0.0]\n", "n_steps"),
 ]

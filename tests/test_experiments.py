@@ -40,7 +40,7 @@ def write_config(tmp_path, text):
 class TestFieldFactories:
     def test_one_plus_square_inverse_metric(self):
         f = one_plus_square_field()
-        assert f.inv_metric(np.array([3.0]))[0, 0] == 10.0
+        assert f.inv_metric(np.array([3.0])) == 10.0
 
     def test_ridge_conditional_matches_conditionals(self):
         f = ridge_conditional_field()
@@ -142,6 +142,8 @@ class TestSpecBuilders:
             ({"name": "ridge_conditional", "b": 2}, "field.b"),
             ({"name": "constant", "dim": 2.5}, "field.dim"),
             ({"name": "power"}, "field.b"),
+            ({"name": "constant", "dim": 0}, "field.dim"),
+            ({"name": "constant", "dim": -3}, "field.dim"),
         ],
     )
     def test_field_spec_bound_to_factory(self, spec, key):

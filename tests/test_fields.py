@@ -11,7 +11,6 @@ from pdrwm import (
     EvaluationError,
     NumericError,
     ParameterError,
-    CovarianceField,
     constant_field,
     gaussian_proposal,
     make_exponential_tail,
@@ -31,7 +30,8 @@ class TestConstant:
     def test_scalar_shorthand(self):
         f = constant_field(2.5)
         assert f.dim == 1
-        np.testing.assert_allclose(f.inv_metric(pt(7.0)), [[2.5]])
+        assert f.inv_metric(pt(7.0)) == 2.5
+        np.testing.assert_array_equal(f.inv_metric_batch(pt(7.0, -1.0)[:, None]), 2.5)
 
     def test_matrix(self):
         sigma = [[2.0, 0.3], [0.3, 1.0]]
@@ -50,8 +50,8 @@ class TestConstant:
 class TestPower:
     def test_values(self):
         f = power_field(1.5)
-        assert f.inv_metric(pt(3.0))[0, 0] == pytest.approx(4.0**1.5)
-        assert f.inv_metric(pt(-3.0))[0, 0] == pytest.approx(4.0**1.5)
+        assert f.inv_metric(pt(3.0)) == pytest.approx(4.0**1.5)
+        assert f.inv_metric(pt(-3.0)) == pytest.approx(4.0**1.5)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ParameterError):
@@ -83,13 +83,17 @@ class TestPower:
             # a numpy scalar, whose power gives inf past the float range
             # where a Python float's raises OverflowError
             scale = (1.0 + np.linalg.norm(xv)) ** b
-            expected = np.diag(np.full(len(x), scale))
-            assert f.inv_metric(xv).tobytes() == expected.tobytes()
+            if len(x) == 1:
+                assert np.float64(f.inv_metric(xv)).tobytes() == scale.tobytes()
+            else:
+                expected = np.diag(np.full(len(x), scale))
+                assert f.inv_metric(xv).tobytes() == expected.tobytes()
             scales = (1.0 + np.linalg.norm(xv[None, :], axis=1)) ** b
             batch = f.inv_metric_batch(xv[None, :])
         if np.isfinite(scales[0]):
             # finite values keep the bits of the scaled identity
-            assert batch.tobytes() == (scales[:, None, None] * np.eye(len(x))).tobytes()
+            rows = scales if len(x) == 1 else scales[:, None, None] * np.eye(len(x))
+            assert batch.tobytes() == rows.tobytes()
 
 
 # 0, +-1e-160 (square underflows), +-1e160 (square overflows), and more
@@ -108,7 +112,9 @@ def _outcome(fn, v):
 
 
 class TestFloatVariance:
-    """A 1-D field's float variance is ``inv_metric``'s value, bit for bit."""
+    """A 1-D field's value is its variance as a Python float.  It reads
+    the point as ``float(x[0])``, so a tuple of floats and an array give
+    the same bits."""
 
     @pytest.mark.parametrize(
         "field",
@@ -125,34 +131,30 @@ class TestFloatVariance:
     )
     @pytest.mark.parametrize("v", FLOAT_POINTS)
     def test_stated_form_has_the_bits_of_inv_metric(self, field, v):
-        with np.errstate(over="ignore", invalid="ignore"):
-            expected = _outcome(lambda u: field.inv_metric(np.array([u]))[0, 0], v)
-        assert _outcome(field.variance, v) == expected
+        assert _outcome(lambda u: field.inv_metric((u,)), v) == _outcome(
+            lambda u: field.inv_metric(np.array([u])), v
+        )
 
     @given(b=st.floats(0.0, 4.0), v=st.floats(allow_nan=False))
     def test_power_field_at_any_exponent(self, b, v):
         f = power_field(b)
-        with np.errstate(over="ignore"):
-            expected = _outcome(lambda u: f.inv_metric(np.array([u]))[0, 0], v)
-        assert _outcome(f.variance, v) == expected
+        assert _outcome(lambda u: f.inv_metric((u,)), v) == _outcome(
+            lambda u: f.inv_metric(np.array([u])), v
+        )
 
     def test_default_reads_inv_metric(self):
-        f = CovarianceField(1, lambda x: np.array([[1.0 + x[0] ** 4]]), "user", None)
-        for v in FLOAT_POINTS[:-3]:
-            with np.errstate(over="ignore"):
-                assert _outcome(f.variance, v) == _outcome(
-                    lambda u: f.inv_metric(np.array([u]))[0, 0], v
-                )
-        # replacing the field keeps a stated form, and fills in a dropped one
-        traced = dataclasses.replace(power_field(1.5), inv_metric=lambda x: np.eye(1))
-        assert traced.variance(3.0) == 4.0**1.5
-        refilled = dataclasses.replace(traced, variance=None)
-        assert refilled.variance(3.0) == 1.0
+        # a replaced inv_metric is the field's value, for the kernel too
+        replaced = dataclasses.replace(power_field(1.5), inv_metric=lambda x: 4.0)
+        assert replaced.inv_metric((3.0,)) == 4.0
+        assert gaussian_proposal(replaced, 1.0).at((3.0,))[0] == 2.0
 
     def test_only_one_dimension_has_a_float_form(self):
-        assert power_field(1.5, dim=2).variance is None
-        with pytest.raises(ParameterError):
-            dataclasses.replace(power_field(1.5, dim=2), variance=lambda v: 1.0)
+        for field in (constant_field(2.5), power_field(1.5), one_plus_square_field()):
+            assert type(field.inv_metric((3.0,))) is float
+            assert field.inv_metric_batch(pt(3.0, 4.0)[:, None]).shape == (2,)
+        two = power_field(1.5, dim=2)
+        assert two.inv_metric(pt(3.0, 4.0)).shape == (2, 2)
+        assert two.inv_metric_batch(np.zeros((3, 2))).shape == (3, 2, 2)
 
 
 class TestPerPointOverflow:
@@ -167,11 +169,11 @@ class TestPerPointOverflow:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_inf_as_in_the_batch_form(self, field, v, sign):
         v *= sign
-        assert field.variance(v) == math.inf
-        assert field.inv_metric(pt(v))[0, 0] == math.inf
+        assert field.inv_metric((v,)) == math.inf
+        assert field.inv_metric(pt(v)) == math.inf
         with pytest.warns(RuntimeWarning, match="overflow"):
             batch = field.inv_metric_batch(pt(v)[None, :])
-        assert batch[0, 0, 0] == math.inf
+        assert batch[0] == math.inf
         kern = gaussian_proposal(field, 1.0)
         with pytest.raises(NumericError, match=re.escape(f"inf at [{v!r}]")):
             kern.at((v,))
@@ -236,12 +238,12 @@ class TestTemperedLangevin:
     def test_reciprocal_of_density(self):
         t = make_exponential_tail(1.0)
         f = tempered_langevin_field(t)
-        assert f.inv_metric(pt(3.0))[0, 0] == pytest.approx(math.exp(3.0))
+        assert f.inv_metric(pt(3.0)) == pytest.approx(math.exp(3.0))
 
     def test_cap(self):
         t = make_exponential_tail(1.0)
         f = tempered_langevin_field(t, c_max=100.0)
-        assert f.inv_metric(pt(10.0))[0, 0] == 100.0
+        assert f.inv_metric(pt(10.0)) == 100.0
 
     def test_off_support_raises(self):
         f = tempered_langevin_field(make_rectangle())

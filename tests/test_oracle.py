@@ -298,7 +298,7 @@ class TestGridValues:
         grid = np.linspace(-320.0, 320.0, 3201)
         lp, g = _grid_values(target, field, grid)
         lp_ref = np.array([target.log_density(np.array([v])) for v in grid])
-        g_ref = np.array([field.inv_metric(np.array([v]))[0, 0] for v in grid])
+        g_ref = np.array([field.inv_metric(np.array([v])) for v in grid])
         np.testing.assert_allclose(lp, lp_ref, rtol=1e-15, atol=0.0)
         np.testing.assert_allclose(g, g_ref, rtol=1e-15, atol=0.0)
         lp[0] = g[0] = 0.0  # writable copies: the builder mirrors them

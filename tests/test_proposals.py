@@ -177,7 +177,7 @@ def uncached_gaussian_proposal(field, h):
     if dim == 1:
 
         def std(x):
-            return math.sqrt(h * float(field.inv_metric(x)[0, 0]))
+            return math.sqrt(h * field.inv_metric(x))
 
         def sample(x, xa, rng):
             return tuple(xa + std(xa) * rng.standard_normal(1))
@@ -241,18 +241,16 @@ def reference_chain(target, kernel, x0, n_steps, seed):
 
 
 def counting(field):
-    """``field`` and the per-point form the kernel reads, which counts its
-    calls in ``.calls``: the float ``variance`` in one dimension,
-    ``inv_metric`` in more."""
-    name = "variance" if field.dim == 1 else "inv_metric"
-    form = getattr(field, name)
+    """``field`` with an ``inv_metric`` that counts its calls in
+    ``.calls``, and that counting form."""
+    form = field.inv_metric
 
     def counted(x):
         counted.calls += 1
         return form(x)
 
     counted.calls = 0
-    return dataclasses.replace(field, **{name: counted}), counted
+    return dataclasses.replace(field, inv_metric=counted), counted
 
 
 # entries of B and c in the field S(x) = B(x) B(x)^T + c I, where
@@ -327,7 +325,8 @@ class TestScaleMemo:
         for dim in (1, 2):
 
             def inv_metric(x, dim=dim):
-                return np.eye(dim) * (2.0 if math.copysign(1.0, x[0]) < 0 else 1.0)
+                value = 2.0 if math.copysign(1.0, float(x[0])) < 0 else 1.0
+                return value if dim == 1 else np.eye(dim) * value
 
             field = CovarianceField(dim, inv_metric, "sign", None)
             k = gaussian_proposal(field, 1.0)
