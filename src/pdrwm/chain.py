@@ -129,8 +129,8 @@ def log_accept_ratio_closed_form(
     Must agree with the generic route to float accuracy; the tests hold
     the two within 1e-12 on mixed-scale inputs.
     """
-    if not h > 0:
-        raise ParameterError(f"step size must be positive, got {h}")
+    if not 0 < h < math.inf:
+        raise ParameterError(f"step size must be positive and finite, got {h}")
     _check_dim(target, field.dim, "field")
     lp_x = _log_density_on_support(target, x)
     _check_shape(target, np.shape(y), "proposal")

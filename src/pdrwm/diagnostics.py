@@ -262,8 +262,9 @@ def tail_acceptance_profile(
     ``s(x) = sqrt(h * S(x))`` the local proposal standard deviation.  One
     dimension only, and only in the tail (|x| >= x0): near the mode the
     profile says nothing about ergodicity and is refused rather than
-    silently returned.  ``h <= 0`` and a field value at ``x`` that is not
-    finite and positive raise as the kernel does.
+    silently returned.  A step size that is not positive and finite, and
+    a field value at ``x`` that is not finite and positive, raise as the
+    kernel does.
     """
     if target.dim != 1 or cov_field.dim != 1:
         raise ParameterError("profile is defined for one-dimensional problems")
@@ -304,8 +305,10 @@ def tune_step_size(
     """
     if not 0.0 < target_rate < 1.0:
         raise ParameterError(f"target rate must lie in (0,1), got {target_rate}")
-    if not h0 > 0:
-        raise ParameterError(f"initial step size must be positive, got {h0}")
+    if not 0 < h0 < math.inf:
+        raise ParameterError(
+            f"initial step size must be positive and finite, got {h0}"
+        )
 
     x0 = np.zeros(target.dim)
 

@@ -139,7 +139,8 @@ def power_field(b: float, dim: int = 1) -> CovarianceField:
 
     # the scale is written onto the diagonal, not multiplied into an
     # identity: past the float range inf * 0 would put NaN off it
-    def inv_metric(x: np.ndarray) -> np.ndarray:
+    def inv_metric(x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
         out = np.zeros((dim, dim))
         # np.linalg.norm of a float vector is sqrt(x.dot(x)); calling
         # that directly gives the same bits without the wrapper's cost

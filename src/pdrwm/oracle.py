@@ -214,8 +214,8 @@ def build_discretized(
         raise ParameterError(f"need at least 50 grid points, got {n}")
     if not half_width > 0:
         raise ParameterError(f"half_width must be positive, got {half_width}")
-    if not h > 0:
-        raise ParameterError(f"step size must be positive, got {h}")
+    if not 0 < h < math.inf:
+        raise ParameterError(f"step size must be positive and finite, got {h}")
 
     grid = np.linspace(-half_width, half_width, n)
     step = float(grid[1] - grid[0])
@@ -576,9 +576,9 @@ def drift_ratio_quadrature(
     composed inside a single exponential per term, so the huge V ratios
     the Monte Carlo probe has to clip never appear here.  Independent of
     the sampling code path on purpose: only the closed-form acceptance
-    and the kernel's standard deviation are shared, so ``h <= 0`` and a
-    field value at ``x`` that is not finite and positive raise as the
-    kernel does.
+    and the kernel's standard deviation are shared, so a step size that
+    is not positive and finite, and a field value at ``x`` that is not
+    finite and positive, raise as the kernel does.
     """
     from scipy.integrate import IntegrationWarning, quad
 

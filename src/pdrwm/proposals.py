@@ -115,8 +115,8 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
     positive or fails to factor, or a 1-D variance ``h * g`` that
     underflows to 0, raises :class:`NumericError` naming the point.
     """
-    if not h > 0:
-        raise ParameterError(f"step size must be positive, got {h}")
+    if not 0 < h < math.inf:
+        raise ParameterError(f"step size must be positive and finite, got {h}")
     h = float(h)
     dim = field.dim
     inv_metric = field.inv_metric

@@ -6,9 +6,12 @@ whose detail string carries the measured numbers and the margin the
 check passes or fails by.  Checks 3, 4, 5, 7 and 8 run a scenario
 body (``lemma7_sweep``, ``lemma4_probe``, ``lemma2_drift``,
 ``oracle_scan``, ``esjd_scan``) at pinned sample sizes and pass iff
-every check of that body passes, so each of those claims is computed
-in one place.  The README's verification notes explain the checks
-whose assertions need a word on the method behind them.
+every check of that body passes.  Check 6 runs the function behind
+``lemma3_drift`` at its own seeds and passes iff its three checks
+pass, and check 2 reads the exact and bound values ``lemma6_exact``
+reads.  So each of those claims is computed in one place.  The
+README's verification notes explain the checks whose assertions need
+a word on the method behind them.
 """
 
 from __future__ import annotations
@@ -22,28 +25,18 @@ import numpy as np
 # scipy is imported inside the functions that use it, so that `import pdrwm`
 # loads only numpy and PyYAML (tests/test_exports.py::TestStartUp)
 
+from . import experiments
 from .chain import log_accept_ratio, log_accept_ratio_closed_form
-from .diagnostics import abs_pow, drift_ratio
 from .errors import ConfigError
 from .experiments import SCENARIOS
 from .fields import constant_field, one_plus_square_field, power_field
-from .oracle import (
-    build_discretized,
-    drift_ratio_quadrature,
-    spectral_gap,
-    tv_decay_curve,
-)
+from .oracle import build_discretized, spectral_gap, tv_decay_curve
 from .proposals import (
     TruncatedGaussianSpec,
     gaussian_proposal,
     gaussian_tail_bound,
     truncated_mean,
     truncated_mgf,
-)
-from .rectangle import (
-    disc_rejection_area_bound,
-    disc_rejection_lower_bound,
-    exact_rejection_disc,
 )
 from .targets import (
     make_exponential_tail,
@@ -133,29 +126,23 @@ def criterion_2(seed: int = 0) -> CriterionResult:
     scenario.  Wherever that bound itself exceeds 0.99 the exact value
     must too.  The published constant 1 - (3^(2-p) + 3^(1-p)) / pi is
     reported alongside: it counts half of each level's area, so on this
-    geometry it is not a lower bound (see
-    :func:`~pdrwm.rectangle.disc_rejection_lower_bound`).
+    geometry it is not a lower bound (see the README's verification
+    notes).  The three values are those the scenario's rows hold.
     """
     t0 = time.perf_counter()
-    rows = []
-    for p in range(3, 9):
-        rows.append((
-            p,
-            exact_rejection_disc((0.0, float(p))),
-            disc_rejection_area_bound(p),
-            disc_rejection_lower_bound(p),
-        ))
-    dominates = all(e >= a - 1e-12 for _, e, a, _ in rows)
-    high = [(p, e) for p, e, a, _ in rows if a > 0.99]
+    # (p, exact, published constant, area bound), as lemma6_exact's rows
+    rows = [(p, *experiments._disc_bounds(p)) for p in range(3, 9)]
+    dominates = all(e >= a - 1e-12 for _, e, _, a in rows)
+    high = [(p, e) for p, e, _, a in rows if a > 0.99]
     high_ok = all(e > 0.99 for _, e in high)
     passed = dominates and high_ok
-    margin = min(e - a for _, e, a, _ in rows)
+    margin = min(e - a for _, e, _, a in rows)
     detail = (
         f"min(exact - area bound) = {margin:.3e}; exact > 0.99 where the bound is: "
         f"{high_ok} (p = {', '.join(str(p) for p, _ in high)}); "
         + "; ".join(
             f"p={p}: exact {e:.7f}, area bound {a:.7f}, published {c:.7f}"
-            for p, e, a, c in rows
+            for p, e, c, a in rows
         )
     )
     return CriterionResult(
@@ -163,18 +150,23 @@ def criterion_2(seed: int = 0) -> CriterionResult:
     )
 
 
-def _run_scenario_checks(
-    index: int, name: str, scenario: str, seed: int, **params
-) -> CriterionResult:
-    """Criterion ``index`` as the checks of scenario body ``scenario``
-    run at ``params``: it passes iff every check passes."""
-    t0 = time.perf_counter()
-    _, checks = SCENARIOS[scenario](seed, "", **params)
+def _from_checks(index: int, name: str, checks, t0: float) -> CriterionResult:
+    """Criterion ``index`` as ``checks``: it passes iff every check passes."""
     return CriterionResult(
         index, name, all(c.passed for c in checks),
         "; ".join(f"{c.name}: {c.detail}" for c in checks),
         time.perf_counter() - t0,
     )
+
+
+def _run_scenario_checks(
+    index: int, name: str, scenario: str, seed: int, **params
+) -> CriterionResult:
+    """Criterion ``index`` as the checks of scenario body ``scenario``
+    run at ``params``."""
+    t0 = time.perf_counter()
+    _, checks = SCENARIOS[scenario](seed, "", **params)
+    return _from_checks(index, name, checks, t0)
 
 
 def criterion_3(seed: int = 0) -> CriterionResult:
@@ -230,43 +222,17 @@ def criterion_6(seed: int = 0) -> CriterionResult:
     cannot show a large-step pathology; the check asserts what the
     method does at h = 100.
 
-    Unlike checks 3, 4, 5, 7 and 8 this one does not run its scenario
-    body, ``lemma3_drift``: its large-step probes draw from seeds
-    ``seed + 17 + i`` where the scenario's draw from ``seed + i``, and
-    merging the two would re-seed one of them.
+    The probes are those of ``lemma3_drift``, and the checks its three,
+    at 1e5 draws per point.  The h = 100 probes draw from seeds
+    ``seed + 17 + i`` where the scenario's draw from ``seed + i``, so
+    the check runs the scenario's computation, not its body.
     """
     t0 = time.perf_counter()
-    target = make_polynomial_tail(2.0)
-    fld = one_plus_square_field()
-    V = abs_pow(0.25)
-    xs = (50.0, 100.0, 200.0)
-
-    kern_small = gaussian_proposal(fld, 0.01)
-    uppers = []
-    for i, x in enumerate(xs):
-        r = drift_ratio(target, kern_small, V, x, n=100_000, seed=seed + i)
-        uppers.append(r.estimate + 3.0 * r.se)
-    small_ok = all(u < 1.0 for u in uppers)
-
-    kern_large = gaussian_proposal(fld, 100.0)
-    uppers_large = []
-    rels = []
-    for i, x in enumerate(xs):
-        r = drift_ratio(target, kern_large, V, x, n=100_000, seed=seed + 17 + i)
-        q = drift_ratio_quadrature(target, fld, 100.0, V, x)
-        uppers_large.append(r.estimate + 3.0 * r.se)
-        rels.append(abs(r.estimate - q.estimate) / q.estimate)
-    large_ok = all(u < 1.0 for u in uppers_large) and all(r <= 0.02 for r in rels)
-
-    passed = small_ok and large_ok
-    return CriterionResult(
-        6, "heavy_tail_drift_step_size", passed,
-        "h=0.01 upper bounds " + ", ".join(f"{u:.5f}" for u in uppers)
-        + f"; h=100 worst upper bound {max(uppers_large):.5f}"
-        + f", worst quadrature rel gap {max(rels):.4f}; upper bounds "
-        + ", ".join(f"{u:.5f}" for u in uppers_large),
-        time.perf_counter() - t0,
+    _, checks = experiments._heavy_tail_drift(
+        seed, seed + 17, p=2.0, s=0.25, xs=(50.0, 100.0, 200.0),
+        h_small=0.01, h_large=100.0, n=100_000,
     )
+    return _from_checks(6, "heavy_tail_drift_step_size", checks, t0)
 
 
 def criterion_7(seed: int = 0) -> CriterionResult:

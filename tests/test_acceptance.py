@@ -8,7 +8,8 @@ explain four checks whose assertions rest on an analysis of the method:
 * criterion 2: exact staircase disc rejection against the provable
   full-area bound, with the published constant reported alongside.
 * criterion 6: at h = 100 the heavy-tail drift probe agrees with
-  quadrature and contracts, as scale invariance in log|x| predicts.
+  quadrature and contracts, as scale invariance in log|x| predicts;
+  the check runs the computation of the ``lemma3_drift`` scenario.
 * criterion 7: each classification cell runs at its own window pair;
   the super-quadratic cell's 1/L gap decay needs a span wider than 5x.
 * criterion 8: the jump-distance argmax is located on a quadrature
@@ -18,7 +19,7 @@ explain four checks whose assertions rest on an analysis of the method:
 
 import pytest
 
-from pdrwm import verify
+from pdrwm import experiments, verify
 from pdrwm.experiments import SCENARIOS, ScenarioCheck
 
 SEED = 0
@@ -102,3 +103,28 @@ def test_criterion_runs_its_scenario_at_pinned_size(
     assert calls == [(3, params)]
     assert r.passed is passed
     assert r.detail == "a: one; b: two"
+
+
+@pytest.mark.parametrize("passed", [True, False])
+def test_criterion_6_runs_the_lemma3_computation(monkeypatch, passed):
+    """Check 6 and the lemma3_drift scenario run one function: check 6
+    with its large-step probes at seed + 17 and 1e5 draws, the scenario
+    with both step sizes at its seed.  Check 6 passes iff all the
+    function's checks pass."""
+    calls = []
+
+    def recorder(seed_small, seed_large, **kwargs):
+        calls.append(((seed_small, seed_large), kwargs["n"]))
+        checks = (ScenarioCheck("a", True, "one"), ScenarioCheck("b", passed, "two"))
+        return [], checks
+
+    monkeypatch.setattr(experiments, "_heavy_tail_drift", recorder)
+    r = verify.criterion_6(3)
+    assert calls == [((3, 20), 100_000)]
+    assert r.passed is passed
+    assert r.detail == "a: one; b: two"
+
+    calls.clear()
+    _, checks = SCENARIOS["lemma3_drift"](3, "")
+    assert calls == [((3, 3), 100_000)]
+    assert [c.passed for c in checks] == [True, passed]

@@ -142,6 +142,18 @@ class TestRun:
         assert "n_steps" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("h", [".inf", ".nan", "0.0"])
+    def test_custom_step_size_must_be_finite(self, tmp_path, capsys, h):
+        out_dir = tmp_path / "out"
+        cfg = write_config(
+            tmp_path,
+            f"scenario: custom\nseed: 0\noutput_dir: {out_dir}\nparams:\n"
+            + CUSTOM + f"  x0: [0.0]\n  n_steps: 10\n  h: {h}\n",
+        )
+        assert main(["run", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error (key: h)")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "scenario, params, key", BAD_CONFIGS, ids=[f"{s}-{k}" for s, _, k in BAD_CONFIGS]
     )

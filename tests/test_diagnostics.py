@@ -11,6 +11,7 @@ from pdrwm import (
     ProbeEstimate,
     abs_pow,
     acceptance_set_mass,
+    build_discretized,
     circle_proposal,
     constant_field,
     drift_ratio,
@@ -20,6 +21,7 @@ from pdrwm import (
     exp_abs,
     gaussian_proposal,
     log_accept_ratio,
+    log_accept_ratio_closed_form,
     make_exponential_tail,
     make_gaussian,
     make_polynomial_tail,
@@ -414,3 +416,25 @@ def test_tune_step_size_converges():
     rate = run_chain(t, k, [0.0], 20_000, seed=99).acceptance_rate
     assert abs(rate - 0.44) < 0.04
 
+
+# the entry points that check the step size themselves, called at h
+STEP_SIZE_TAKERS = {
+    "gaussian_proposal": lambda h: gaussian_proposal(constant_field(1.0), h),
+    "log_accept_ratio_closed_form": lambda h: log_accept_ratio_closed_form(
+        make_gaussian(), constant_field(1.0), h, pt(0.0), pt(1.0)
+    ),
+    "build_discretized": lambda h: build_discretized(
+        make_gaussian(), constant_field(1.0), h, 5.0, 101
+    ),
+    "tune_step_size": lambda h: tune_step_size(
+        make_gaussian(), constant_field(1.0), h, 0.44, seed=0
+    ),
+}
+
+
+@pytest.mark.parametrize("h", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("name", sorted(STEP_SIZE_TAKERS))
+def test_step_size_must_be_positive_and_finite(name, h):
+    # an infinite step size would freeze a chain that reports acceptance 0
+    with pytest.raises(ParameterError, match="positive and finite"):
+        STEP_SIZE_TAKERS[name](h)

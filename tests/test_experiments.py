@@ -334,6 +334,16 @@ class TestScenarioBodies:
             SCENARIOS["esjd_scan"](0, "", b_values=(1.2,))
         assert err.value.key == "b_values"
 
+    def test_lemma6_probe_past_every_draw_fails_its_monte_carlo_check(self):
+        # at p = 13 all 1e5 draws miss the support, so mc_se is 0; at
+        # p = 700 the strips hold no area and the exact rejection is 1 too
+        files, checks = SCENARIOS["lemma6_exact"](0, "", p_values=(13, 700))
+        rows = [row.split(",") for row in files["lemma6_exact.csv"].splitlines()[2:]]
+        assert [row[5:] for row in rows] == [["1.0", "0.0", "inf"], ["1.0", "0.0", "0.0"]]
+        check = {c.name: c for c in checks}["exact_matches_monte_carlo"]
+        assert not check.passed
+        assert check.detail == "z p=13: inf, p=700: 0.00"
+
     def test_custom_runs_a_chain(self, tmp_path):
         cfg = ExperimentConfig(
             "custom",

@@ -53,6 +53,13 @@ class TestPower:
         assert f.inv_metric(pt(3.0)) == pytest.approx(4.0**1.5)
         assert f.inv_metric(pt(-3.0)) == pytest.approx(4.0**1.5)
 
+    @pytest.mark.parametrize("x", [(3.0, 4.0), (3.0, 4.0, 12.0), (3, 4)])
+    def test_tuple_and_array_give_the_same_bytes(self, x):
+        f = power_field(1.5, dim=len(x))
+        from_tuple = f.inv_metric(x)
+        assert from_tuple.tobytes() == f.inv_metric(np.array(x, dtype=float)).tobytes()
+        assert from_tuple[0, 0] == pytest.approx((1.0 + math.hypot(*x)) ** 1.5)
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(ParameterError):
             power_field(-0.5)
