@@ -24,9 +24,9 @@ import numpy as np
 # scipy is imported inside the functions that use it, so that `import pdrwm`
 # loads only numpy and PyYAML (tests/test_exports.py::TestStartUp)
 
-from .errors import NumericError, ParameterError
+from .errors import ParameterError
 from .fields import CovarianceField
-from .proposals import ProposalKernel
+from .proposals import ProposalKernel, _cholesky, _field_value, _step_size
 from .targets import TargetDensity, _check_shape, _log_density_on_support
 
 __all__ = [
@@ -127,10 +127,12 @@ def log_accept_ratio_closed_form(
                - (x-y)^T (G(y) - G(x)) (x-y) / (2h)).
 
     Must agree with the generic route to float accuracy; the tests hold
-    the two within 1e-12 on mixed-scale inputs.
+    the two within 1e-12 on mixed-scale inputs.  The arithmetic is this
+    route's own, but the kernel's rules refuse a step size, or a field
+    value at ``x`` or an on-support ``y``; the covariance rule's factor
+    is ``scipy.linalg.cho_factor``'s bit for bit.
     """
-    if not 0 < h < math.inf:
-        raise ParameterError(f"step size must be positive and finite, got {h}")
+    _step_size(h)
     _check_dim(target, field.dim, "field")
     lp_x = _log_density_on_support(target, x)
     _check_shape(target, np.shape(y), "proposal")
@@ -142,20 +144,17 @@ def log_accept_ratio_closed_form(
     if field.dim == 1:
         s_x = field.inv_metric(x)
         s_y = field.inv_metric(y)
-        if not (s_x > 0 and s_y > 0):
-            raise NumericError(f"field must be positive at {x} and {y}")
+        _field_value(h, s_x, x)
+        _field_value(h, s_y, y)
         d = float(u[0])
         # log det G = -log S and u^T G u = u^2 / S in one dimension
         half_logdet = 0.5 * (math.log(s_x) - math.log(s_y))
         quad = 0.5 * d * d * (1.0 / s_y - 1.0 / s_x) / h
     else:
-        from scipy.linalg import cho_factor, cho_solve
+        from scipy.linalg import cho_solve
 
-        try:
-            c_x = cho_factor(field.inv_metric(x), lower=True)
-            c_y = cho_factor(field.inv_metric(y), lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"field failed to factor at {x} or {y}") from exc
+        c_x = (_cholesky(field.inv_metric(x), x), True)
+        c_y = (_cholesky(field.inv_metric(y), y), True)
         logdet_sx = 2.0 * float(np.sum(np.log(np.diag(c_x[0]))))
         logdet_sy = 2.0 * float(np.sum(np.log(np.diag(c_y[0]))))
         half_logdet = 0.5 * (logdet_sx - logdet_sy)

@@ -30,7 +30,7 @@ from .chain import (
 )
 from .errors import NumericError, ParameterError
 from .fields import CovarianceField, power_field
-from .proposals import ProposalKernel, gaussian_proposal
+from .proposals import ProposalKernel, _step_size, gaussian_proposal
 from .targets import TargetDensity, _log_density_on_support
 
 __all__ = [
@@ -138,14 +138,17 @@ class ProbeEstimate(NamedTuple):
     se: float
 
 
+_MIN_DRAWS = 1000  # the fewest proposals a Monte Carlo probe draws
+
+
 def _probe_setup(
     target: TargetDensity, kernel: ProposalKernel, x, n: int
 ) -> np.ndarray:
     """The probe point as a length-``dim`` array, after the checks every
     probe shares: enough proposals, target and kernel of one dimension,
     and a point of that dimension on the target support."""
-    if n < 1000:
-        raise ParameterError(f"need n >= 1000 proposals, got {n}")
+    if n < _MIN_DRAWS:
+        raise ParameterError(f"need n >= {_MIN_DRAWS} proposals, got {n}")
     x = np.asarray(x, dtype=float).ravel()
     _check_dim(target, kernel.dim)
     _log_density_on_support(target, x, "probe point")
@@ -262,9 +265,8 @@ def tail_acceptance_profile(
     ``s(x) = sqrt(h * S(x))`` the local proposal standard deviation.  One
     dimension only, and only in the tail (|x| >= x0): near the mode the
     profile says nothing about ergodicity and is refused rather than
-    silently returned.  A step size that is not positive and finite, and
-    a field value at ``x`` that is not finite and positive, raise as the
-    kernel does.
+    silently returned.  A step size or field value the kernel refuses
+    raises its error.
     """
     if target.dim != 1 or cov_field.dim != 1:
         raise ParameterError("profile is defined for one-dimensional problems")
@@ -301,14 +303,12 @@ def tune_step_size(
 
     Every probe reuses the same seed, so the acceptance-versus-h map is a
     fixed noisy decreasing function and plain bisection converges.  Fails
-    loudly if no bracket exists within twenty decades.
+    loudly if no bracket exists within twenty decades.  An ``h0`` the
+    kernel refuses raises its error before any probe chain runs.
     """
     if not 0.0 < target_rate < 1.0:
         raise ParameterError(f"target rate must lie in (0,1), got {target_rate}")
-    if not 0 < h0 < math.inf:
-        raise ParameterError(
-            f"initial step size must be positive and finite, got {h0}"
-        )
+    lo = hi = _step_size(h0)
 
     x0 = np.zeros(target.dim)
 
@@ -316,7 +316,6 @@ def tune_step_size(
         kern = gaussian_proposal(cov_field, h)
         return run_chain(target, kern, x0, _TUNE_PROBE_STEPS, seed).acceptance_rate
 
-    lo = hi = float(h0)
     a0 = acc(h0)
     if a0 > target_rate:
         for _ in range(20):

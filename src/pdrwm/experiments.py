@@ -39,6 +39,7 @@ import yaml
 from .chain import _float_acceptance, estimate_expectation, run_chain
 from .chain import log_accept_ratio_closed_form
 from .diagnostics import (
+    _MIN_DRAWS,
     abs_pow,
     acceptance_set_mass,
     drift_ratio,
@@ -46,7 +47,8 @@ from .diagnostics import (
     exp_abs,
     rectangle_v,
 )
-from .errors import ConfigError, ParameterError, PDRWMError, SupportError
+from .errors import ConfigError, DiscretizationError, NumericError, ParameterError
+from .errors import PDRWMError, SupportError
 from .fields import (
     CovarianceField,
     constant_field,
@@ -431,6 +433,13 @@ def _sweep_csv(digest: str, seed: int, sweep) -> str:
     )
 
 
+def _check_levels(levels: tuple[int, ...], key: str) -> None:
+    """``ConfigError`` naming ``key`` unless each level lies in [2, subnormal_level)."""
+    top = RectangleDensity.subnormal_level
+    if not 2 <= min(levels) <= max(levels) < top:
+        raise ConfigError(f"{key} must lie in [2, {top}), got {list(levels)}", key=key)
+
+
 def _scenario_figure3(
     seed, digest, /, *, max_level: int = 12,
     probe_levels: tuple[int, ...] = (2, 3, 4, 5, 6), height_frac: float = 0.5,
@@ -448,8 +457,7 @@ def _scenario_figure3(
     """
     if max_level < 2:
         raise ConfigError("max_level must be at least 2", key="max_level")
-    if min(probe_levels) < 2:
-        raise ConfigError("probe_levels must be >= 2", key="probe_levels")
+    _check_levels(probe_levels, "probe_levels")
 
     sweep = hemisphere_sweep(
         levels=probe_levels, height_fracs=(height_frac,), x1_fracs=(0.0,)
@@ -725,6 +733,8 @@ def _scenario_lemma6(
     """
     if min(p_values) < 3:
         raise ConfigError("p_values must be >= 3", key="p_values")
+    if mc_draws < _MIN_DRAWS:
+        raise ConfigError(f"mc_draws must be >= {_MIN_DRAWS}", key="mc_draws")
 
     disc = circle_proposal()
     rng = np.random.default_rng(seed)
@@ -801,12 +811,12 @@ def _scenario_lemma7(
     """
     if n_steps < 1000:
         raise ConfigError("n_steps must be at least 1000", key="n_steps")
-    if min(levels) < 2:
-        raise ConfigError("levels must be >= 2", key="levels")
+    _check_levels(levels, "levels")
     x0 = (0.0, start_level + 0.5)
     try:
         traj = run_chain(make_rectangle(), ellipse_proposal(), x0, n_steps, seed)
-    except SupportError as exc:
+    except (SupportError, NumericError) as exc:
+        # off the staircase, or where the ellipse's width rule refuses it
         raise ConfigError(str(exc), key="start_level") from exc
 
     sweep = hemisphere_sweep(levels=levels)
@@ -869,8 +879,11 @@ def _scenario_esjd(
     curve, zs, rows = [], [], []
     for p in points:
         fld = power_field(p.b)
-        c = tuned_jump_quadrature(target, fld, tune_acceptance, *_ESJD_WINDOW)
-        quad = stationary_jump_quadrature(target, fld, p.step_size, *_ESJD_WINDOW).esjd
+        try:
+            c = tuned_jump_quadrature(target, fld, tune_acceptance, *_ESJD_WINDOW)
+            quad = stationary_jump_quadrature(target, fld, p.step_size, *_ESJD_WINDOW).esjd
+        except DiscretizationError as exc:
+            raise ConfigError(f"b = {p.b:g}: {exc}", key="b_values") from exc
         curve.append(c)
         zs.append(abs(p.esjd - quad) / p.se)
         rows.append((*p, quad, zs[-1], c.step_size, c.esjd, c.esjd_err))
@@ -957,8 +970,6 @@ def _scenario_custom(
         raise ConfigError(
             f"n_steps must be a positive integer, got {n_steps!r}", key="n_steps"
         )
-    if not 0 < h < math.inf:
-        raise ConfigError(f"h must be positive and finite, got {h}", key="h")
 
     density = build_target(target)
     fld = build_field(field, density)
@@ -966,7 +977,10 @@ def _scenario_custom(
         raise ConfigError(
             f"field dim {fld.dim} != target dim {density.dim}", key="field"
         )
-    kern = gaussian_proposal(fld, h)
+    try:
+        kern = gaussian_proposal(fld, h)
+    except ParameterError as exc:  # the kernel's step-size rule
+        raise ConfigError(str(exc), key="h") from exc
     try:
         traj = run_chain(density, kern, x0, n_steps, seed)
     except (ParameterError, SupportError) as exc:

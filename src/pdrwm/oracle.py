@@ -51,7 +51,7 @@ from .chain import log_accept_ratio_closed_form, log_accept_terms
 from .diagnostics import LyapunovFunction
 from .errors import DiscretizationError, NumericError, ParameterError
 from .fields import CovarianceField
-from .proposals import gaussian_proposal
+from .proposals import _stds, _step_size, gaussian_proposal
 from .targets import TargetDensity
 
 __all__ = [
@@ -159,13 +159,11 @@ def _grid_values(
             "target log-density must be finite across the window"
         )
     g = np.array(cov_field.inv_metric_batch(points), dtype=float)
-    if not np.all(g > 0):
-        raise NumericError("field must be positive across the window")
     return lp, g
 
 
-def _check_spacing(step: float, h: float, g: np.ndarray) -> None:
-    finest = float(np.sqrt(h * g).min())
+def _check_spacing(step: float, std: np.ndarray) -> None:
+    finest = float(std.min())
     max_step = SPACING_FRACTION * finest
     # grids built by linspace land on the limit up to rounding; only a
     # genuinely coarser spacing is an error
@@ -206,7 +204,9 @@ def build_discretized(
     than a fifth of the finest proposal standard deviation on the grid
     is refused: the Riemann sums degrade silently past that.
 
-    One-dimensional targets with full support only.
+    One-dimensional targets with full support only.  A step size or
+    field value the kernel refuses raises its error, naming the first
+    such node.
     """
     if target.dim != 1 or cov_field.dim != 1:
         raise ParameterError("the oracle discretizes one-dimensional problems")
@@ -214,13 +214,12 @@ def build_discretized(
         raise ParameterError(f"need at least 50 grid points, got {n}")
     if not half_width > 0:
         raise ParameterError(f"half_width must be positive, got {half_width}")
-    if not 0 < h < math.inf:
-        raise ParameterError(f"step size must be positive and finite, got {h}")
+    _step_size(h)
 
     grid = np.linspace(-half_width, half_width, n)
     step = float(grid[1] - grid[0])
     lp, g = _grid_values(target, cov_field, grid)
-    _check_spacing(step, h, g)
+    _check_spacing(step, _stds(h, g, grid[:, None]))
 
     # a mirrored chain has P[i, j] == P[n-1-i, n-1-j]: compute the rows
     # from n//2 up and reflect them into the lower ones
@@ -576,9 +575,8 @@ def drift_ratio_quadrature(
     composed inside a single exponential per term, so the huge V ratios
     the Monte Carlo probe has to clip never appear here.  Independent of
     the sampling code path on purpose: only the closed-form acceptance
-    and the kernel's standard deviation are shared, so a step size that
-    is not positive and finite, and a field value at ``x`` that is not
-    finite and positive, raise as the kernel does.
+    and the kernel's standard deviation are shared, so a step size or
+    field value the kernel refuses raises its error.
     """
     from scipy.integrate import IntegrationWarning, quad
 

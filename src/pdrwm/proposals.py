@@ -2,12 +2,18 @@
 
 The central kernel is the position-dependent Gaussian random walk built
 from a covariance field: from ``x`` it proposes ``y ~ N(x, h * S(x))``.
-Two uniform kernels over moving planar shapes (a unit disc and a
-level-dependent ellipse) support the narrowing-rectangle analysis, where
-acceptance probabilities reduce to area ratios.  The ellipse's width is
-the staircase level's half-width from :class:`~pdrwm.targets.RectangleDensity`,
-in its per-point and batch forms alike; it is subnormal from level 646
-up (and 0.0 from level 680), where the ellipse raises ``NumericError``.
+Two uniform kernels over moving planar shapes (a level-dependent ellipse,
+and the unit disc, the same kernel at unit width) support the
+narrowing-rectangle analysis, where acceptance probabilities reduce to
+area ratios.  The ellipse's width is the staircase level's half-width
+from :class:`~pdrwm.targets.RectangleDensity`, in its per-point and batch
+forms alike; it is subnormal from level 646 up (and 0.0 from level 680),
+where the ellipse raises ``NumericError``.
+
+Three rules here decide where the Gaussian kernel exists: ``_step_size``,
+``_field_value`` (1-D) and ``_cholesky`` (a covariance above 1-D).  Every
+route that reads a step size or a field value raises through them; a
+per-step or batch path tests a cheap mask and calls a rule where it fails.
 
 Argument order convention: ``log_q(y, x, at(x))`` is the log density at
 ``y`` of the proposal launched from ``x``, where ``at(x)`` is what that
@@ -18,6 +24,7 @@ rows: one start point against an ``(m, dim)`` array of end points, or an
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -94,6 +101,55 @@ class ProposalKernel:
     log_q_batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
+def _step_size(h: float) -> float:
+    """The step-size rule: ``h`` as a float, if ``0 < h < inf``."""
+    if not 0 < h < math.inf:
+        raise ParameterError(f"step size must be positive and finite, got {h}")
+    return float(h)
+
+
+def _field_value(h: float, g: float, x: Sequence[float]) -> None:
+    """The 1-D rule: the field value ``g`` at the point ``x`` must be
+    finite and positive, and ``h * g`` must not underflow to 0."""
+    if not 0.0 < g < math.inf:
+        raise NumericError(f"field value {g:g} at [{float(x[0])!r}] is not usable")
+    if not h * g > 0.0:
+        raise NumericError(
+            f"proposal variance {h:g} * {g:g} at [{float(x[0])!r}] underflows"
+        )
+
+
+def _stds(h: float, g: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The standard deviations ``sqrt(h * g)`` at the ``(m, 1)`` points
+    ``xs``: a row that fails the 1-D rule has ``0``, and it raises at the
+    first."""
+    s = np.sqrt(h * np.where((g > 0.0) & (g < math.inf), g, 0.0))
+    if not s.all():
+        i = int(np.argmin(s))
+        _field_value(h, float(g[i]), xs[i])  # raises
+    return s
+
+
+@functools.cache
+def _lapack() -> tuple:
+    """LAPACK's float64 ``potrf`` and ``trtrs``, looked up once."""
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(("potrf", "trtrs"), (np.empty((2, 2)),))
+
+
+def _cholesky(cov: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The covariance rule: the lower factor of ``cov`` at the point ``x``
+    from ``potrf`` with ``scipy.linalg.cholesky``'s arguments, if ``cov``
+    is finite and factors."""
+    if not all(map(math.isfinite, cov.ravel().tolist())):
+        raise NumericError(f"covariance at {x} is not finite")
+    low, info = _lapack()[0](cov, lower=True, overwrite_a=False, clean=True)
+    if info != 0:
+        raise NumericError(f"covariance at {x} failed to factor")
+    return low
+
+
 def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
     """Random walk with position-dependent covariance ``h * S(x)``.
 
@@ -111,32 +167,24 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
     the multiply-add).  A chain carries ``at(x)`` with its state, so it
     evaluates the field once per point; ``sample_batch`` computes it
     afresh at each call, and ``log_q_batch`` factors all its start
-    points in one stacked call.  A field value that is not finite, not
-    positive or fails to factor, or a 1-D variance ``h * g`` that
-    underflows to 0, raises :class:`NumericError` naming the point.
+    points in one stacked call.  A step size, field value or covariance
+    that the module's rules refuse raises their error, naming the point.
     """
-    if not 0 < h < math.inf:
-        raise ParameterError(f"step size must be positive and finite, got {h}")
-    h = float(h)
+    h = _step_size(h)
     dim = field.dim
     inv_metric = field.inv_metric
     inv_metric_batch = field.inv_metric_batch
     label = f"gaussian(h={h:g},{field.label})"
 
     if dim == 1:
+        sqrt, log, inf = math.sqrt, math.log, math.inf
 
         def at(x):
             g = inv_metric(x)
-            if not g > 0 or not math.isfinite(g):
-                raise NumericError(
-                    f"field value {g:g} at [{float(x[0])!r}] is not usable"
-                )
-            s = math.sqrt(h * g)
+            s = sqrt(h * g) if 0.0 < g < inf else 0.0
             if s == 0.0:
-                raise NumericError(
-                    f"proposal variance {h:g} * {g:g} at [{float(x[0])!r}] underflows"
-                )
-            return s, math.log(s)
+                _field_value(h, g, x)  # raises
+            return s, log(s)
 
         def sample(x, at_x, rng):
             return (x[0] + at_x[0] * rng.standard_normal(),)
@@ -150,35 +198,17 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
 
         def log_q_batch(ys, xs):
             ys, xs = np.atleast_2d(ys), np.atleast_2d(xs)
-            g = inv_metric_batch(xs)
-            bad = ~((g > 0) & np.isfinite(g))
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise NumericError(f"field value {g[i]:g} at {xs[i]} is not usable")
-            s = np.sqrt(h * g)
-            if not s.all():
-                i = int(np.argmin(s))
-                raise NumericError(
-                    f"proposal variance {h:g} * {g[i]:g} at {xs[i]} underflows"
-                )
+            s = _stds(h, inv_metric_batch(xs), xs)
             u = (ys[:, 0] - xs[:, 0]) / s
             return -0.5 * _LOG_2PI - np.log(s) - 0.5 * u * u
 
         return ProposalKernel(1, at, sample, log_q, label, sample_batch, log_q_batch)
 
-    from scipy.linalg import get_lapack_funcs
-
-    potrf, trtrs = get_lapack_funcs(("potrf", "trtrs"), (np.empty((dim, dim)),))
-    isfinite = math.isfinite
+    trtrs = _lapack()[1]
 
     def at(x):
         xa = np.array(x, dtype=float)
-        cov = h * inv_metric(xa)
-        if not all(map(isfinite, cov.ravel().tolist())):
-            raise NumericError(f"covariance at {xa} is not finite")
-        low, info = potrf(cov, lower=True, overwrite_a=False, clean=True)
-        if info != 0:
-            raise NumericError(f"covariance at {xa} failed to factor")
+        low = _cholesky(h * inv_metric(xa), xa)
         return xa, low, 2.0 * float(np.log(low.diagonal()).sum())
 
     def sample(x, at_x, rng):
@@ -196,14 +226,13 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
     def log_q_batch(ys, xs):
         ys, xs = np.atleast_2d(ys), np.atleast_2d(xs)
         cov = h * inv_metric_batch(xs)
-        bad = ~np.isfinite(cov).all(axis=(1, 2))
-        if bad.any():
-            raise NumericError(f"covariance at {xs[np.argmax(bad)]} is not finite")
         try:
+            if not np.isfinite(cov).all():  # numpy factors them without raising
+                raise np.linalg.LinAlgError("covariance is not finite")
             low = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
-            for x in xs:
-                at(x)  # names the first point whose value fails
+            for c, x in zip(cov, xs):
+                _cholesky(c, x)  # raises at the first row that fails
             raise
         v = np.linalg.solve(low, (ys - xs)[..., None])[..., 0]
         logdet = 2.0 * np.log(np.diagonal(low, axis1=1, axis2=2)).sum(axis=1)
@@ -223,20 +252,19 @@ def _disc_offsets(n: int, rng: np.random.Generator) -> np.ndarray:
     return out.T
 
 
-def _ellipse_kernel(
-    at: Callable[[Sequence[float]], tuple],
-    label: str,
-    sample_batch: Callable,
-    log_q_batch: Callable,
-) -> ProposalKernel:
+def _uniform_ellipse(width: Callable, widths: Callable, label: str) -> ProposalKernel:
     """Uniform proposal on the axis-aligned ellipse with semi-axes
-    ``(w, 1)`` about the start, where ``at(x)`` is ``(w, -log(pi w))``.
-
-    One draw is :func:`_disc_offsets`'s for ``n = 1`` on Python floats,
-    bit for bit: ``sqrt`` is correctly rounded in both, and ``cos`` and
-    ``sin`` stay numpy's, which need not round as the C library's do.
+    ``(w, 1)`` about the start, ``w = width(x)`` (``widths(xs)`` over
+    rows), and ``at(x) = (w, -log(pi w))``.  One draw is
+    :func:`_disc_offsets`'s for ``n = 1`` on Python floats, bit for bit:
+    ``sqrt`` is correctly rounded in both, and ``cos`` and ``sin`` stay
+    numpy's.  At ``w = 1`` every product and quotient by ``w`` is exact.
     """
     inf = math.inf
+
+    def at(x):
+        w = width(x)
+        return w, -math.log(math.pi * w)
 
     def sample(x, at_x, rng):
         r = math.sqrt(rng.random())
@@ -252,26 +280,38 @@ def _ellipse_kernel(
         dv = y[1] - x[1]
         return log_density if du * du + dv * dv <= 1.0 else -inf
 
+    def sample_batch(x, n, rng):
+        ys = _disc_offsets(n, rng)
+        ys[:, 0] *= width(x)
+        ys += x  # the sums x + offset, in place
+        return ys
+
+    def log_q_batch(ys, xs):
+        ys, xs = np.atleast_2d(ys), np.atleast_2d(xs)
+        w = widths(xs)
+        du = (ys[:, 0] - xs[:, 0]) / w
+        dv = ys[:, 1] - xs[:, 1]
+        return np.where(du * du + dv * dv <= 1.0, -np.log(math.pi * w), -np.inf)
+
     return ProposalKernel(2, at, sample, log_q, label, sample_batch, log_q_batch)
 
 
 def circle_proposal() -> ProposalKernel:
     """Uniform proposal on the unit disc centered at the current point:
-    the ellipse of :func:`ellipse_proposal` with ``w = 1`` everywhere.
-    The per-point density sums the two squares in Python floats, as the
-    ellipse's does, not with a BLAS dot product."""
-    unit = (1.0, -math.log(math.pi))
+    the ellipse of :func:`ellipse_proposal` with ``w = 1`` everywhere."""
+    return _uniform_ellipse(lambda x: 1.0, lambda xs: 1.0, "uniform_disc")
 
-    def sample_batch(x, n, rng):
-        ys = _disc_offsets(n, rng)
-        ys += x  # the sums x + offset, in place
-        return ys
 
-    def log_q_batch(ys, xs):
-        d = np.atleast_2d(ys) - np.atleast_2d(xs)
-        return np.where((d * d).sum(axis=1) <= 1.0, unit[1], -np.inf)
-
-    return _ellipse_kernel(lambda x: unit, "uniform_disc", sample_batch, log_q_batch)
+def _ellipse_width(x: Sequence[float]) -> float:
+    """The staircase ellipse's semi-width at the start ``x``: the
+    half-width of level ``floor(x2)``, or 1 at and below level 1."""
+    k = math.floor(float(x[1]))
+    if k >= RectangleDensity.subnormal_level:
+        raise NumericError(
+            "ellipse semi-width 3**(1 - floor(x2)) underflows at height "
+            f"{float(x[1])!r}"
+        )
+    return RectangleDensity.half_width(k if k > 1 else 1)
 
 
 def ellipse_proposal() -> ProposalKernel:
@@ -285,37 +325,13 @@ def ellipse_proposal() -> ProposalKernel:
     the smallest normal float, and sampling from or evaluating the
     density at such a start raises ``NumericError``.
     """
-    half_width, half_widths = RectangleDensity.half_width, RectangleDensity.half_widths
-    subnormal_level = RectangleDensity.subnormal_level
+    half_widths = RectangleDensity.half_widths
 
-    def _w(x) -> float:
-        k = math.floor(float(x[1]))
-        if k >= subnormal_level:
-            raise NumericError(
-                "ellipse semi-width 3**(1 - floor(x2)) underflows at height "
-                f"{float(x[1])!r}"
-            )
-        return half_width(k if k > 1 else 1)
+    def widths(xs):
+        _ellipse_width(xs[np.argmax(xs[:, 1])])  # the narrowest must not underflow
+        return half_widths(np.floor(xs[:, 1]))
 
-    def at(x):
-        w = _w(x)
-        return w, -math.log(math.pi * w)
-
-    def sample_batch(x, n, rng):
-        ys = _disc_offsets(n, rng)
-        ys[:, 0] *= _w(x)
-        ys += x  # the sums x + offset, in place
-        return ys
-
-    def log_q_batch(ys, xs):
-        ys, xs = np.atleast_2d(ys), np.atleast_2d(xs)
-        _w(xs[np.argmax(xs[:, 1])])  # the narrowest start must not underflow
-        w = half_widths(np.floor(xs[:, 1]))
-        du = (ys[:, 0] - xs[:, 0]) / w
-        dv = ys[:, 1] - xs[:, 1]
-        return np.where(du * du + dv * dv <= 1.0, -np.log(math.pi * w), -np.inf)
-
-    return _ellipse_kernel(at, "uniform_ellipse", sample_batch, log_q_batch)
+    return _uniform_ellipse(_ellipse_width, widths, "uniform_ellipse")
 
 
 # --- truncated Gaussian helpers -------------------------------------------

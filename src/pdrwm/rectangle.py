@@ -37,6 +37,7 @@ import numpy as np
 # loads only numpy and PyYAML (tests/test_exports.py::TestStartUp)
 
 from .errors import NumericError, ParameterError, SupportError
+from .proposals import _ellipse_width
 from .targets import RectangleDensity, _log_density_on_support, make_rectangle
 
 __all__ = [
@@ -264,7 +265,7 @@ def hemisphere_overlap_check(x: Sequence[float]) -> HemisphereOverlap:
     and strictly when the ellipse actually crosses into level ``k+1``
     (see :func:`crosses_level_boundary`).  ``passes`` records the strict
     comparison.  From level 646 up the semi-width is subnormal and this
-    raises ``NumericError``, as the ellipse proposal does.
+    raises the ellipse proposal's ``NumericError``.
     """
     xv = _planar_point(x)
     _log_density_on_support(_RECT, xv, "staircase point")
@@ -275,11 +276,7 @@ def hemisphere_overlap_check(x: Sequence[float]) -> HemisphereOverlap:
             "rectangle has nothing wider below it)"
         )
     c1, c2 = float(xv[0]), float(xv[1])
-    if k >= RectangleDensity.subnormal_level:
-        raise NumericError(
-            f"ellipse semi-width 3**(1 - floor(x2)) underflows at height {c2!r}"
-        )
-    w = _half_width(k)
+    w = _ellipse_width(xv)
 
     def hemisphere(y_lo: float, y_hi: float) -> float:
         total = 0.0

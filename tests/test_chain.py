@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pdrwm import (
     CovarianceField,
+    build_discretized,
     NumericError,
     ParameterError,
     RectangleDensity,
@@ -34,7 +35,9 @@ from pdrwm import (
     rejection_probability,
     ridge_conditional_field,
     run_chain,
+    tail_acceptance_profile,
     tempered_langevin_field,
+    tune_step_size,
 )
 # the uncached Gaussian kernel factors with scipy at every call: the
 # array arithmetic the float step must reproduce
@@ -552,6 +555,124 @@ class TestReplacedField:
         kernel = gaussian_proposal(field, 1.0)
         FIELD_ROUTES[route](make_exponential_tail(1.0), field, kernel)
         assert form.calls > 0
+
+
+def _everywhere_field(dim, value):
+    """A field whose value is ``value`` at every point, in both forms."""
+    return CovarianceField(
+        dim, lambda x: value, "everywhere",
+        lambda xs: np.broadcast_to(value, (len(xs), *np.shape(value))),
+    )
+
+
+#: every route that reads a 1-D field, called on (target, field, h, kernel),
+#: with the point whose field value it reads first
+ONE_DIM_RULE_ROUTES = {
+    "run_chain": (lambda t, f, h, k: run_chain(t, k, [0.5], 100, seed=0), 0.5),
+    "mh_step": (lambda t, f, h, k: mh_step(t, k, pt(0.5), np.random.default_rng(0)), 0.5),
+    "log_accept_ratio": (lambda t, f, h, k: log_accept_ratio(t, k, pt(0.5), pt(1.5)), 0.5),
+    "log_accept_ratio_batch": (
+        lambda t, f, h, k: log_accept_ratio_batch(t, k, pt(0.5), np.array([[1.5], [-1.0]])),
+        0.5,
+    ),
+    "log_accept_ratio_closed_form": (
+        lambda t, f, h, k: log_accept_ratio_closed_form(t, f, h, pt(0.5), pt(1.5)), 0.5
+    ),
+    "sample_batch": (
+        lambda t, f, h, k: k.sample_batch(pt(0.5), 10, np.random.default_rng(0)), 0.5
+    ),
+    "log_q_batch": (lambda t, f, h, k: k.log_q_batch(np.ones((3, 1)), pt(0.5)), 0.5),
+    "drift_ratio_quadrature": (
+        lambda t, f, h, k: drift_ratio_quadrature(t, f, h, exp_abs(0.5), 0.5), 0.5
+    ),
+    "build_discretized": (lambda t, f, h, k: build_discretized(t, f, h, 5.0, 51), -5.0),
+    "tail_acceptance_profile": (
+        lambda t, f, h, k: tail_acceptance_profile(t, f, h, 20.0, [1.0]), 20.0
+    ),
+}
+
+#: every route that reads a 2-D field, called on (target, field, h, kernel),
+#: each reading it first at (0.5, 0)
+TWO_DIM_RULE_ROUTES = {
+    "run_chain": lambda t, f, h, k: run_chain(t, k, [0.5, 0.0], 10, seed=0),
+    "mh_step": lambda t, f, h, k: mh_step(t, k, pt(0.5, 0.0), np.random.default_rng(0)),
+    "log_accept_ratio": lambda t, f, h, k: log_accept_ratio(t, k, pt(0.5, 0.0), pt(1.0, 0.5)),
+    "log_accept_ratio_batch": lambda t, f, h, k: log_accept_ratio_batch(
+        t, k, pt(0.5, 0.0), np.array([[1.0, 0.5], [0.0, 0.0]])
+    ),
+    "log_accept_ratio_closed_form": lambda t, f, h, k: log_accept_ratio_closed_form(
+        t, f, h, pt(0.5, 0.0), pt(1.0, 0.5)
+    ),
+    "sample_batch": lambda t, f, h, k: k.sample_batch(
+        pt(0.5, 0.0), 10, np.random.default_rng(0)
+    ),
+    "log_q_batch": lambda t, f, h, k: k.log_q_batch(np.ones((3, 2)), pt(0.5, 0.0)),
+}
+
+
+class TestOneExistenceRule:
+    """Every route that reads a step size or a field value refuses what
+    the Gaussian kernel refuses, with the kernel's own error text."""
+
+    @pytest.mark.parametrize(
+        "value, h",
+        [(math.inf, 1.0), (math.nan, 1.0), (5e-324, 0.5)],
+        ids=["inf", "nan", "underflow"],
+    )
+    @pytest.mark.parametrize("route", sorted(ONE_DIM_RULE_ROUTES))
+    def test_one_dim_field_value(self, route, value, h):
+        call, v = ONE_DIM_RULE_ROUTES[route]
+        field = _everywhere_field(1, value)
+        kernel = gaussian_proposal(field, h)
+        with pytest.raises(NumericError) as at_v:
+            kernel.at((v,))
+        with pytest.raises(NumericError) as routed:
+            call(make_exponential_tail(1.0), field, h, kernel)
+        assert str(routed.value) == str(at_v.value)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(math.nan, "is not finite"), (math.inf, "is not finite"),
+         (-1.0, "failed to factor")],
+        ids=["nan", "inf", "indefinite"],
+    )
+    @pytest.mark.parametrize("route", sorted(TWO_DIM_RULE_ROUTES))
+    def test_two_dim_covariance(self, route, bad, message):
+        field = _everywhere_field(2, np.array([[1.0, 0.0], [0.0, bad]]))
+        kernel = gaussian_proposal(field, 1.0)
+        with pytest.raises(NumericError, match=message) as at_x:
+            kernel.at((0.5, 0.0))
+        with pytest.raises(NumericError) as routed:
+            TWO_DIM_RULE_ROUTES[route](make_ridge_2d(), field, 1.0, kernel)
+        assert str(routed.value) == str(at_x.value)
+
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda f, h: log_accept_ratio_closed_form(
+                make_gaussian(), f, h, pt(0.5), pt(1.5)
+            ),
+            lambda f, h: build_discretized(make_gaussian(), f, h, 5.0, 51),
+            lambda f, h: tune_step_size(make_gaussian(), f, h, 0.44, 0),
+        ],
+        ids=["closed_form", "build_discretized", "tune_step_size"],
+    )
+    def test_step_size(self, route, h):
+        with pytest.raises(ParameterError) as kernel:
+            gaussian_proposal(UNIT, h)
+        with pytest.raises(ParameterError) as routed:
+            route(UNIT, h)
+        assert str(routed.value) == str(kernel.value)
+
+    def test_closed_form_refuses_an_infinite_field_value(self):
+        # 1 + x^2 is inf at 1e160, where the generic route raises; a
+        # number here would read as an acceptance probability
+        field = one_plus_square_field()
+        with pytest.raises(NumericError, match=r"inf at \[1e\+160\] is not usable"):
+            log_accept_ratio_closed_form(
+                make_exponential_tail(1.0), field, 1.0, pt(1e160), pt(5e159)
+            )
 
 
 CARRIED_CASES = {

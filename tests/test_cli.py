@@ -84,6 +84,16 @@ BAD_CONFIGS = [
      "  field: {name: constant, dim: 0}\n  x0: [0.0]\n  n_steps: 10\n", "field.dim"),
     ("custom", CUSTOM + "  x0: [0.0]\n  n_steps: 10\n  h: true\n", "h"),
     ("custom", CUSTOM + "  x0: [0.0]\n", "n_steps"),
+    # staircase levels where the ellipse semi-width underflows (646 up)
+    # or is 0.0 (680 up)
+    ("lemma7_sweep", "  start_level: 700.0\n", "start_level"),
+    ("lemma7_sweep", "  levels: [650]\n", "levels"),
+    ("lemma7_sweep", "  levels: [700]\n", "levels"),
+    ("figure3_data", "  probe_levels: [650]\n", "probe_levels"),
+    ("figure3_data", "  probe_levels: [700]\n", "probe_levels"),
+    ("lemma6_exact", "  mc_draws: 1\n", "mc_draws"),
+    # b = 50 needs a step size the quadrature grid cannot resolve
+    ("esjd_scan", "  b_values: [0.0, 50.0]\n  n_steps: 1000\n", "b_values"),
 ]
 
 

@@ -334,6 +334,13 @@ class TestScenarioBodies:
             SCENARIOS["esjd_scan"](0, "", b_values=(1.2,))
         assert err.value.key == "b_values"
 
+    def test_esjd_scan_names_the_exponent_its_grid_cannot_resolve(self):
+        # b = 50 tunes to a step size whose proposal std is finer than the
+        # quadrature grid can resolve; the chains have run by then
+        with pytest.raises(ConfigError, match=r"^b = 50: grid spacing") as err:
+            SCENARIOS["esjd_scan"](0, "", b_values=(0.0, 50.0), n_steps=1000)
+        assert err.value.key == "b_values"
+
     def test_lemma6_probe_past_every_draw_fails_its_monte_carlo_check(self):
         # at p = 13 all 1e5 draws miss the support, so mc_se is 0; at
         # p = 700 the strips hold no area and the exact rejection is 1 too

@@ -489,6 +489,36 @@ class TestEllipse:
         assert log_q(k, y, y) == k.log_q_batch(y, y)[0] == -math.log(math.pi * 3.0**-644)
 
 
+class TestDiscIsTheUnitEllipse:
+    """The disc is the ellipse kernel at unit width: from a start at or
+    below level 1, where the staircase ellipse's width is 1, the two give
+    the same bits in every form, and the disc's batch density is the one
+    it summed as ``(d * d).sum(axis=1)``."""
+
+    @given(
+        # every start and end point stays below level 2
+        st.tuples(st.floats(-5.0, 5.0), st.floats(-50.0, -0.001)),
+        st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 1.999)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_same_bits_in_every_form(self, x, offset, seed):
+        disc, ellipse = circle_proposal(), ellipse_proposal()
+        x = floats(x)
+        y = (x[0] + offset[0], x[1] + offset[1])
+        assert disc.at(x) == ellipse.at(x) == (1.0, -math.log(math.pi))
+        assert log_q(disc, y, x) == log_q(ellipse, y, x)
+        draws = [sample(k, x, np.random.default_rng(seed)) for k in (disc, ellipse)]
+        assert draws[0].tobytes() == draws[1].tobytes()
+        xa, ys = pt(*x), pt(*x) + np.array([offset, (0.3, 0.4), (0.9, 0.5)])
+        rows = [k.sample_batch(xa, 7, np.random.default_rng(seed)) for k in (disc, ellipse)]
+        assert rows[0].tobytes() == rows[1].tobytes()
+        for a, b in ((ys, xa), (xa, ys)):
+            d = np.atleast_2d(a) - np.atleast_2d(b)
+            unit = np.where((d * d).sum(axis=1) <= 1.0, -math.log(math.pi), -np.inf)
+            assert disc.log_q_batch(a, b).tobytes() == unit.tobytes()
+            assert ellipse.log_q_batch(a, b).tobytes() == unit.tobytes()
+
+
 class TestTruncatedGaussian:
     def test_untruncated_reduces_to_plain_gaussian(self):
         spec = TruncatedGaussianSpec(mu=1.2, sigma=0.8)
