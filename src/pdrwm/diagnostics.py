@@ -344,6 +344,12 @@ def tune_step_size(
     return math.sqrt(lo * hi)
 
 
+def _check_scan_steps(n_steps: int) -> None:
+    """The chain length :func:`esjd_scan` needs for its standard errors."""
+    if n_steps < 100:
+        raise ParameterError(f"need n_steps >= 100, got {n_steps}")
+
+
 def esjd_scan(
     target: TargetDensity,
     b_values: Sequence[float],
@@ -364,8 +370,7 @@ def esjd_scan(
     """
     if target.dim != 1:
         raise ParameterError("the scan is defined for one-dimensional targets")
-    if n_steps < 100:
-        raise ParameterError(f"need n_steps >= 100, got {n_steps}")
+    _check_scan_steps(n_steps)
     out = []
     for i, b in enumerate(b_values):
         fld = power_field(float(b))

@@ -40,6 +40,7 @@ from .chain import _float_acceptance, estimate_expectation, run_chain
 from .chain import log_accept_ratio_closed_form
 from .diagnostics import (
     _MIN_DRAWS,
+    _check_scan_steps,
     abs_pow,
     acceptance_set_mass,
     drift_ratio,
@@ -867,24 +868,29 @@ def _scenario_esjd(
     (``tuned_*``).  The curve's argmax must lie in [1.2, 2.0], ahead of
     the runner-up by more than their summed error estimates; at the
     default config the quadrature adds about 2.5 s to the chains' 2 s.
+    The tuned curve needs no chain, so it is solved first: an exponent
+    whose step size the quadrature grid cannot resolve fails before any
+    chain runs.
     """
     if len(b_values) < 2:
         raise ConfigError("b_values needs at least two exponents", key="b_values")
+    _check_scan_steps(n_steps)
 
     target = make_gaussian(1.0)
-    # the chains run first, so a bad n_steps fails before any quadrature
+
+    def quadrature(route, b: float, arg: float):
+        try:
+            return route(target, power_field(b), arg, *_ESJD_WINDOW)
+        except DiscretizationError as exc:
+            raise ConfigError(f"b = {b:g}: {exc}", key="b_values") from exc
+
+    curve = [quadrature(tuned_jump_quadrature, float(b), tune_acceptance) for b in b_values]
     points = esjd_scan(
         target, b_values, h, n_steps=n_steps, seed=seed, tune_acceptance=tune_acceptance,
     )
-    curve, zs, rows = [], [], []
-    for p in points:
-        fld = power_field(p.b)
-        try:
-            c = tuned_jump_quadrature(target, fld, tune_acceptance, *_ESJD_WINDOW)
-            quad = stationary_jump_quadrature(target, fld, p.step_size, *_ESJD_WINDOW).esjd
-        except DiscretizationError as exc:
-            raise ConfigError(f"b = {p.b:g}: {exc}", key="b_values") from exc
-        curve.append(c)
+    zs, rows = [], []
+    for p, c in zip(points, curve):
+        quad = quadrature(stationary_jump_quadrature, p.b, p.step_size).esjd
         zs.append(abs(p.esjd - quad) / p.se)
         rows.append((*p, quad, zs[-1], c.step_size, c.esjd, c.esjd_err))
     runner_up, top = sorted(range(len(curve)), key=lambda i: curve[i].esjd)[-2:]

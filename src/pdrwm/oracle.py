@@ -17,15 +17,18 @@ stored, and the symmetric matrix is formed from it when the spectrum is
 wanted.  When target, field and grid are symmetric under x -> -x, so is
 the chain: half of its rows are mirror images of the other half, and the
 symmetric matrix splits into an even and an odd block of about n/2 that
-are solved separately.
+are solved separately.  The blocks are formed one at a time, each as its
+lower triangle only, and a block is dropped before the next is formed:
+besides the transition matrix, the solve holds one block.
 
 The gap needs only the extremes of the spectrum.  The known eigenvector
 sqrt(pi) of eigenvalue 1 is projected out, shift-invert Lanczos finds
 the top of what is left, and Cholesky factorisations (or, at the bottom,
 Gershgorin discs) certify that no eigenvalue lies beyond lambda_2 at
-either end.  A block that cannot be certified that way is diagonalized
-by the dense symmetric eigensolver, and the result records which path
-each block took.
+either end.  Each factorisation runs in the block's own strict upper
+triangle.  A block that cannot be certified that way is diagonalized by
+the dense symmetric eigensolver, and the result records which path each
+block took.
 
 The module also holds the deterministic routes the Monte Carlo probes
 are checked against: adaptive quadrature for the one-step drift ratio,
@@ -73,9 +76,10 @@ __all__ = [
 #: grid spacing must be at most this fraction of the finest proposal std
 SPACING_FRACTION = 0.2
 
-#: entries per row block of the n x n passes: each temporary is 2 MB,
-#: small enough that a block's several elementwise passes stay in cache
-_BLOCK_ENTRIES = 1 << 18
+#: entries per row block of the n x n passes: each temporary of the build
+#: and of the block former is 0.5 MB, small enough that a block's several
+#: elementwise passes stay in cache and small beside the one block held
+_BLOCK_ENTRIES = 1 << 16
 
 #: relative tolerance of the x -> -x symmetry test
 _MIRROR_RTOL = 1e-12
@@ -278,75 +282,111 @@ class SpectralResult(NamedTuple):
     path: tuple[str, ...] = ()
 
 
-def _symmetric_blocks(chain: DiscretizedChain) -> list[np.ndarray]:
-    """The symmetrized matrix S = sqrt(P o P^T), whole, or for a mirrored
-    chain split into its even and odd blocks.
+def _symmetric_block(chain: DiscretizedChain, k: int) -> np.ndarray:
+    """Block ``k`` of the symmetrized matrix S = sqrt(P o P^T): the whole
+    matrix, or for a mirrored chain its even (k = 0) or odd (k = 1)
+    block.  Only the lower triangle and the diagonal are formed; the
+    strict upper triangle is left unset, as scratch space for
+    :func:`_mirrored`.
 
     S commutes with the reversal i -> n-1-i of a mirrored chain, so in the
-    basis (e_i +- e_{n-1-i}) / sqrt(2) it splits in two.  Over the rows
-    i >= n//2, the even block is S[i, j] + S[i, n-1-j] and the odd block
-    S[i, j] - S[i, n-1-j], for columns j >= n//2.  For odd n the centre
-    basis vector is e_c alone: the even block's centre row and column
-    carry 1/sqrt(2) of that sum, and the odd block drops them.  Both
-    blocks are written one row block at a time, with no n x n/2
-    temporary.
+    basis (e_i +- e_{n-1-i}) / sqrt(2) it splits in two.  With o = n//2
+    for the even block and o = n - n//2 for the odd one, entry (k, l) is
+    S[o+k, o+l] +- S[o+k, n-1-o-l].  For odd n the centre basis vector is
+    e_c alone: the even block's centre row and column carry 1/sqrt(2) of
+    that sum, and the odd block drops them.  Rows are written one row
+    block at a time, from the one stretch of S's columns they read.
+
+    Formed in full, each block would be symmetric to the bit: P's lower
+    rows are exact mirror copies of its upper ones, and each entry of S
+    is a product of the same two factors in either order.  So the lower
+    triangle alone carries the block.
     """
-    if not chain.mirrored:
-        return [chain.symmetrized]
     p, n = chain.transition, chain.n
-    s = n // 2
-    m = n - s  # rows s..n-1: the centre row (odd n) and the upper half
-    odd_from = m - s  # 1 for odd n, whose odd block has no centre
-    even = np.empty((m, m))
-    odd = np.empty((s, s))
-    for i0, i1 in _row_blocks(n, start=s):
-        rows = p[i0:i1] * p[:, i0:i1].T
+    if not chain.mirrored:
+        block = np.empty((n, n))
+        for i0, i1 in _row_blocks(n):
+            rows = block[i0:i1, :i1]
+            np.multiply(p[i0:i1, :i1], p[:i1, i0:i1].T, out=rows)
+            np.sqrt(rows, out=rows)
+        return block
+    o = n // 2 if k == 0 else n - n // 2
+    m = n - o
+    block = np.empty((m, m))
+    combine = np.add if k == 0 else np.subtract
+    for i0, i1 in _row_blocks(n, start=o):
+        k0, k1 = i0 - o, i1 - o
+        # rows k0:k1 up to column k1 read S[i, o:o+k1] and, reversed,
+        # S[i, m-k1:m]
+        c0 = m - k1
+        rows = p[i0:i1, c0:o + k1] * p[c0:o + k1, i0:i1].T
         np.sqrt(rows, out=rows)
-        upper, reflected = rows[:, s:], rows[:, m - 1::-1]
-        k0, k1 = i0 - s, i1 - s
-        np.add(upper, reflected, out=even[k0:k1])
-        lo = max(k0, odd_from) - k0
-        np.subtract(upper[lo:, odd_from:], reflected[lo:, odd_from:],
-                    out=odd[k0 + lo - odd_from:k1 - odd_from])
-    if odd_from:
-        even[0] *= math.sqrt(0.5)
-        even[:, 0] *= math.sqrt(0.5)
-    return [even, odd]
+        combine(rows[:, o - c0:o - c0 + k1], rows[:, k1 - 1::-1], out=block[k0:k1, :k1])
+    if k == 0 and n % 2:
+        block[:, 0] *= math.sqrt(0.5)
+        block[0, 0] *= math.sqrt(0.5)
+    return block
 
 
 def _deflate_stationary(chain: DiscretizedChain, block: np.ndarray) -> None:
     """Check that the unit vector u = sqrt(pi_hat) carries eigenvalue 1 of
-    the first block and subtract u u^T from it in place, which moves that
-    eigenvalue to 0.  For a mirrored chain u is folded into the even
-    block: its upper half times sqrt(2), the odd-n centre once."""
+    the first block and subtract u u^T from its lower triangle in place,
+    which moves that eigenvalue to 0.  For a mirrored chain u is folded
+    into the even block: its upper half times sqrt(2), the odd-n centre
+    once."""
+    from scipy.linalg import get_blas_funcs
+
     u = np.sqrt(chain.pi_hat)
     if chain.mirrored:
         s = chain.n // 2
         u = u[s:] * math.sqrt(2.0)
         if chain.n % 2:
             u[0] = math.sqrt(chain.pi_hat[s])
-    lead = float(u @ (block @ u))
+    # the Fortran view's upper triangle is the block's lower one
+    symv = get_blas_funcs("symv", (block,))
+    lead = float(u @ symv(1.0, block.T, u, lower=0))
     if abs(lead - 1.0) > 1e-6:
         raise NumericError(
             f"stationary Rayleigh quotient {lead!r} is not 1; chain "
             f"{chain.label} is not a proper Metropolis restriction"
         )
     for i0, i1 in _row_blocks(len(u)):
-        block[i0:i1] -= u[i0:i1, None] * u[None, :]
+        block[i0:i1, :i1] -= u[i0:i1, None] * u[None, :i1]
 
 
-def _factors(work: np.ndarray, block: np.ndarray, sign: float, shift: float):
-    """Cholesky factor of ``sign * block + shift * I``, or None if that
-    matrix is not positive definite.  The matrix is written into the
-    front of the flat buffer ``work`` in Fortran order and factored in
-    place; the block is symmetric, so its transpose view holds the same
-    values in that order."""
+def _mirrored(block: np.ndarray, d: np.ndarray, sign: float, shift: float) -> np.ndarray:
+    """``sign * B + shift * I`` written into the strict upper triangle and
+    the diagonal of ``block``, from B's lower triangle and its saved
+    diagonal ``d``, and returned as the Fortran view ``block.T``, whose
+    lower triangle that is.  B's lower triangle is left as it was."""
+    m = len(block)
+    # square tiles of _BLOCK_ENTRIES entries: a transposed copy of a whole
+    # row block reads too many rows of the block to stay in cache
+    tile = min(m, math.isqrt(_BLOCK_ENTRIES))
+    upper = np.triu(np.ones((tile, tile), dtype=bool), 1)
+    for i0 in range(0, m, tile):
+        i1 = min(i0 + tile, m)
+        square = block[i0:i1, i0:i1]
+        np.copyto(square, square.T * sign, where=upper[: i1 - i0, : i1 - i0])
+        for j0 in range(i1, m, tile):
+            j1 = min(j0 + tile, m)
+            np.multiply(block[j0:j1, i0:i1].T, sign, out=block[i0:i1, j0:j1])
+    diagonal = block.reshape(-1)[:: m + 1]
+    np.multiply(d, sign, out=diagonal)
+    diagonal += shift
+    return block.T
+
+
+def _factors(block: np.ndarray, d: np.ndarray, sign: float, shift: float):
+    """Cholesky factor of ``sign * B + shift * I``, where ``block`` holds
+    B's lower triangle and ``d`` its diagonal, or None if that matrix is
+    not positive definite.  The matrix is written into the block's strict
+    upper triangle and diagonal (:func:`_mirrored`) and factored there in
+    place, so B's lower triangle survives and the factor is the lower
+    triangle of the Fortran view ``block.T``."""
     from scipy.linalg import get_lapack_funcs
 
-    m = len(block)
-    a = work[: m * m].reshape((m, m), order="F")
-    np.multiply(block.T, sign, out=a)
-    a.ravel(order="K")[:: m + 1] += shift
+    a = _mirrored(block, d, sign, shift)
     potrf = get_lapack_funcs("potrf", (a,))
     factor, info = potrf(a, lower=1, overwrite_a=1, clean=0)
     if info < 0:
@@ -354,11 +394,12 @@ def _factors(work: np.ndarray, block: np.ndarray, sign: float, shift: float):
     return factor if info == 0 else None
 
 
-def _lanczos_top(work: np.ndarray, block: np.ndarray) -> float | None:
-    """Largest eigenvalue of ``block`` by Lanczos on the inverse of
-    ``(1 + _SHIFT_GAP) I - block``, or None if that matrix is not
-    positive definite: then the block has an eigenvalue past the bound
-    of 1 that every stochastic matrix keeps.
+def _lanczos_top(block: np.ndarray, d: np.ndarray) -> float | None:
+    """Largest eigenvalue of the block B (lower triangle ``block``,
+    diagonal ``d``) by Lanczos on the inverse of ``(1 + _SHIFT_GAP) I -
+    B``, or None if that matrix is not positive definite: then the block
+    has an eigenvalue past the bound of 1 that every stochastic matrix
+    keeps.
 
     One Cholesky factorisation serves every Lanczos step as a pair of
     triangular solves.  The start vector is fixed, so the result is
@@ -372,7 +413,7 @@ def _lanczos_top(work: np.ndarray, block: np.ndarray) -> float | None:
 
     m = len(block)
     shift = 1.0 + _SHIFT_GAP
-    factor = _factors(work, block, -1.0, shift)
+    factor = _factors(block, d, -1.0, shift)
     if factor is None:
         return None
     potrs = get_lapack_funcs("potrs", (factor,))
@@ -389,13 +430,53 @@ def _lanczos_top(work: np.ndarray, block: np.ndarray) -> float | None:
     return shift - 1.0 / float(mu)
 
 
+def _solve_block(
+    chain: DiscretizedChain, k: int, lambda2: float, floor: float
+) -> tuple[float, str]:
+    """Form block ``k`` of the symmetrized chain, raise ``lambda2`` to its
+    largest |eigenvalue| other than the stationary 1, and return it with
+    the block's path.  Steps 1-3 of :func:`spectral_gap`; the block is
+    dropped on return."""
+    from scipy.linalg import eigh
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    block = _symmetric_block(chain, k)
+    if k == 0:
+        _deflate_stationary(chain, block)
+    d = block.diagonal().copy()
+
+    def dense(reason: str) -> tuple[float, str]:
+        vals = eigh(_mirrored(block, d, 1.0, 0.0), eigvals_only=True, overwrite_a=True)
+        return max(lambda2, float(vals[-1]), -float(vals[0])), f"dense: {reason}"
+
+    if len(block) <= _LANCZOS_BASIS:
+        return dense("block too small")
+    if k == 0 or _factors(block, d, -1.0, lambda2 + _TOP_SLACK) is None:
+        try:
+            top = _lanczos_top(block, d)
+        except ArpackNoConvergence:
+            return dense("no convergence")
+        if top is None:
+            raise NumericError(
+                f"an eigenvalue exceeds {1.0 + _SHIFT_GAP}; chain "
+                f"{chain.label} is not a proper Metropolis restriction"
+            )
+        lambda2 = max(lambda2, top)
+        if _factors(block, d, -1.0, lambda2 + _TOP_SLACK) is None:
+            return dense("top certificate failed")
+    if min(floor, 0.0) > -lambda2 or _factors(block, d, 1.0, lambda2) is not None:
+        return lambda2, "extremal"
+    return dense("bottom certificate failed")
+
+
 def spectral_gap(chain: DiscretizedChain) -> SpectralResult:
     """Spectral gap 1 - |lambda_2| of the grid chain.
 
     The symmetrized matrix is split into the even and odd blocks of a
     mirrored chain (each about n/2), or kept whole otherwise.  The gap
     needs only the extremes of each block's spectrum, so no block is
-    diagonalized in full:
+    diagonalized in full.  The blocks are solved in turn, each formed
+    only when its turn comes (:func:`_symmetric_block`):
 
     1. The first block (the even one, or the whole matrix) holds
        eigenvalue 1, with eigenvector sqrt(pi_hat).  Its Rayleigh
@@ -403,77 +484,38 @@ def spectral_gap(chain: DiscretizedChain) -> SpectralResult:
        itself is broken (:class:`NumericError`).  Its projector is then
        subtracted in place, which moves that eigenvalue to 0.
     2. The first block's top eigenvalue comes from shift-invert Lanczos
-       (:func:`_lanczos_top`).  Every other block first tries one
-       Cholesky factorisation of ``(lambda_2 + delta) I - B``, delta =
-       1e-12; only if that fails does it run Lanczos too and raise
-       lambda_2.
-    3. Each block is then certified.  Top: a Cholesky factorisation of
-       ``(lambda_2 + delta) I - B`` succeeds, so no eigenvalue lies above
-       lambda_2 + delta, which a Lanczos start vector blind to the top
-       eigenvector would break (the tried blocks already hold this).
-       Bottom: every eigenvalue lies above -lambda_2, by the Gershgorin
-       discs of P (whose spectrum the blocks share), or else by a
-       Cholesky factorisation of ``B + lambda_2 I``.
+       (:func:`_lanczos_top`).  The odd block first tries one Cholesky
+       factorisation of ``(lambda_2 + delta) I - B``, delta = 1e-12, at
+       the lambda_2 of the first block; only if that fails does it run
+       Lanczos too and raise lambda_2.
+    3. The block is then certified at the lambda_2 reached so far.  Top:
+       a Cholesky factorisation of ``(lambda_2 + delta) I - B`` succeeds,
+       so no eigenvalue lies above lambda_2 + delta, which a Lanczos
+       start vector blind to the top eigenvector would break (a tried
+       block already holds this).  Bottom: every eigenvalue lies above
+       -lambda_2, by the Gershgorin discs of P (whose spectrum the blocks
+       share), or else by a Cholesky factorisation of ``B + lambda_2 I``.
 
     A block whose certificate fails, whose Lanczos does not converge, or
     that is no larger than the Lanczos basis goes through the dense
     symmetric eigensolver instead; ``path`` records which blocks did and
-    why.  Certificates hold for every larger lambda_2, so a dense block
+    why.  Certificates hold for every larger lambda_2, so a later block
     that raises lambda_2 leaves earlier ones valid.  A block with an
     eigenvalue past 1 + 1e-3 raises :class:`NumericError`.  Nothing is
-    random: reruns give bit-identical results.  Besides the blocks, one
-    matrix of the first block's size is held, in Fortran order, and
-    every factorisation runs in place in it.
+    random: reruns give bit-identical results.  Besides the transition
+    matrix, one block is held at a time: its lower triangle keeps B, and
+    every factorisation and the dense solver run in place in its strict
+    upper triangle and diagonal, with B's diagonal saved as a vector.
     """
-    from scipy.linalg import eigh
-    from scipy.sparse.linalg import ArpackNoConvergence
-
-    blocks = _symmetric_blocks(chain)
-    _deflate_stationary(chain, blocks[0])
-    work = np.empty(blocks[0].size)
     # left end of P's Gershgorin discs: a lower bound on every eigenvalue;
     # the first block's deflated eigenvalue 0 has to clear -lambda_2 too
     p = chain.transition
     floor = float((2.0 * np.diagonal(p) - p.sum(axis=1)).min())
     lambda2 = 0.0
-    path: list[str | None] = [None] * len(blocks)
-    certify_top = set()
-
-    def dense(k: int, reason: str) -> None:
-        nonlocal lambda2
-        vals = eigh(blocks[k], eigvals_only=True, overwrite_a=True)
-        lambda2 = max(lambda2, float(vals[-1]), -float(vals[0]))
-        path[k] = f"dense: {reason}"
-
-    for k, block in enumerate(blocks):
-        if len(block) <= _LANCZOS_BASIS:
-            dense(k, "block too small")
-            continue
-        if k and _factors(work, block, -1.0, lambda2 + _TOP_SLACK) is not None:
-            continue
-        try:
-            top = _lanczos_top(work, block)
-        except ArpackNoConvergence:
-            dense(k, "no convergence")
-            continue
-        if top is None:
-            raise NumericError(
-                f"an eigenvalue exceeds {1.0 + _SHIFT_GAP}; chain "
-                f"{chain.label} is not a proper Metropolis restriction"
-            )
-        lambda2 = max(lambda2, top)
-        certify_top.add(k)
-    for k, block in enumerate(blocks):
-        if path[k] is not None:
-            continue
-        if k in certify_top and _factors(
-            work, block, -1.0, lambda2 + _TOP_SLACK
-        ) is None:
-            dense(k, "top certificate failed")
-        elif min(floor, 0.0) > -lambda2 or _factors(work, block, 1.0, lambda2) is not None:
-            path[k] = "extremal"
-        else:
-            dense(k, "bottom certificate failed")
+    path = []
+    for k in range(2 if chain.mirrored else 1):
+        lambda2, how = _solve_block(chain, k, lambda2, floor)
+        path.append(how)
     gap = min(1.0, max(0.0, 1.0 - lambda2))
     return SpectralResult(gap, lambda2, tuple(path))
 

@@ -110,24 +110,32 @@ def _step_size(h: float) -> float:
 
 def _field_value(h: float, g: float, x: Sequence[float]) -> None:
     """The 1-D rule: the field value ``g`` at the point ``x`` must be
-    finite and positive, and ``h * g`` must not underflow to 0."""
+    finite and positive, and ``h * g`` must neither underflow to 0 nor
+    overflow to inf."""
     if not 0.0 < g < math.inf:
         raise NumericError(f"field value {g:g} at [{float(x[0])!r}] is not usable")
-    if not h * g > 0.0:
+    variance = h * g
+    if not 0.0 < variance < math.inf:
+        fails = "underflows" if variance == 0.0 else "overflows"
         raise NumericError(
-            f"proposal variance {h:g} * {g:g} at [{float(x[0])!r}] underflows"
+            f"proposal variance {h:g} * {g:g} at [{float(x[0])!r}] {fails}"
         )
 
 
 def _stds(h: float, g: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """The standard deviations ``sqrt(h * g)`` at the ``(m, 1)`` points
-    ``xs``: a row that fails the 1-D rule has ``0``, and it raises at the
-    first."""
-    s = np.sqrt(h * np.where((g > 0.0) & (g < math.inf), g, 0.0))
-    if not s.all():
-        i = int(np.argmin(s))
-        _field_value(h, float(g[i]), xs[i])  # raises
-    return s
+    ``xs``, if every row passes the 1-D rule; else it raises at the first
+    row that fails."""
+    usable = np.where((g > 0.0) & (g < math.inf), g, 0.0)
+    # h * g overflows in some row iff it does at the largest g; a Python
+    # float product overflows to inf without numpy's warning
+    if h * float(usable.max(initial=0.0)) < math.inf:
+        s = np.sqrt(np.multiply(h, usable, out=usable), out=usable)
+        if s.all():
+            return s
+    for gi, x in zip(g.tolist(), xs):
+        _field_value(h, gi, x)  # raises at the first row that fails
+    raise AssertionError("a row fails the 1-D rule")
 
 
 @functools.cache
@@ -182,7 +190,7 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
         def at(x):
             g = inv_metric(x)
             s = sqrt(h * g) if 0.0 < g < inf else 0.0
-            if s == 0.0:
+            if not 0.0 < s < inf:
                 _field_value(h, g, x)  # raises
             return s, log(s)
 

@@ -320,7 +320,9 @@ def hemisphere_sweep(
     per ``|x1|`` and its mirror image reuses the result; on the default
     grid that is 165 solves for 275 rows.  The reuse lasts one call:
     nothing is remembered between sweeps.  Rows, their order and their
-    ``x1`` values are those of the plain point-by-point sweep.
+    ``x1`` values are those of the plain point-by-point sweep.  A level
+    from 646 up, where the ellipse's semi-width underflows, raises the
+    ellipse's :class:`NumericError`.
     """
     rows = []
     solved: dict[tuple[float, float], HemisphereOverlap] = {}
@@ -335,6 +337,7 @@ def hemisphere_sweep(
                         f"x1 fractions must lie in (-1,1), got {xf}"
                     )
                 x = (xf * w, k + frac)
+                _ellipse_width(x)  # an underflowing ellipse raises its own error
                 if not crosses_level_boundary(x):
                     raise ParameterError(
                         f"sweep point {x} does not cross its level boundary; "

@@ -526,6 +526,12 @@ class TestFloatLoop:
         with pytest.raises(NumericError, match=r"at \[0\.5\] underflows"):
             run_chain(make_gaussian(), kernel, [0.5], 10, seed=0)
 
+    def test_variance_overflow_raises_naming_the_point(self):
+        # 1e10 * 1e300 is inf, whose square root no Gaussian proposes with
+        kernel = gaussian_proposal(constant_field(1e300), 1e10)
+        with pytest.raises(NumericError, match=r"at \[0\.5\] overflows"):
+            run_chain(make_gaussian(), kernel, [0.5], 10, seed=0)
+
 
 #: every route that reads a 1-D field, called on (target, field, kernel)
 FIELD_ROUTES = {
@@ -616,8 +622,8 @@ class TestOneExistenceRule:
 
     @pytest.mark.parametrize(
         "value, h",
-        [(math.inf, 1.0), (math.nan, 1.0), (5e-324, 0.5)],
-        ids=["inf", "nan", "underflow"],
+        [(math.inf, 1.0), (math.nan, 1.0), (5e-324, 0.5), (1e300, 1e10)],
+        ids=["inf", "nan", "underflow", "overflow"],
     )
     @pytest.mark.parametrize("route", sorted(ONE_DIM_RULE_ROUTES))
     def test_one_dim_field_value(self, route, value, h):

@@ -336,9 +336,19 @@ class TestScenarioBodies:
 
     def test_esjd_scan_names_the_exponent_its_grid_cannot_resolve(self):
         # b = 50 tunes to a step size whose proposal std is finer than the
-        # quadrature grid can resolve; the chains have run by then
+        # quadrature grid can resolve
         with pytest.raises(ConfigError, match=r"^b = 50: grid spacing") as err:
             SCENARIOS["esjd_scan"](0, "", b_values=(0.0, 50.0), n_steps=1000)
+        assert err.value.key == "b_values"
+
+    def test_esjd_scan_refuses_an_unresolved_exponent_before_any_chain(self, monkeypatch):
+        def no_chains(*args, **kwargs):
+            raise AssertionError("chains ran")
+
+        # at the default n_steps the chains would cost the whole budget
+        monkeypatch.setattr(experiments, "esjd_scan", no_chains)
+        with pytest.raises(ConfigError, match=r"^b = 50: grid spacing") as err:
+            SCENARIOS["esjd_scan"](0, "", b_values=(0.0, 50.0))
         assert err.value.key == "b_values"
 
     def test_lemma6_probe_past_every_draw_fails_its_monte_carlo_check(self):

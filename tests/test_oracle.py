@@ -1,5 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,8 +196,9 @@ class TestSpectralGap:
         assert chain.mirrored is True
         split = spectral_gap(chain)
         whole = spectral_gap(dataclasses.replace(chain, mirrored=False))
-        even, odd = pdrwm.oracle._symmetric_blocks(chain)
-        odd_top = scipy.linalg.eigh(odd, eigvals_only=True)[-1]
+        # the block former writes the lower triangle only
+        odd = np.tril(pdrwm.oracle._symmetric_block(chain, 1))
+        odd_top = scipy.linalg.eigh(odd, eigvals_only=True, lower=True)[-1]
         dense = scipy.linalg.eigh(chain.symmetrized, eigvals_only=True)
         lam2 = max(-dense[0], dense[-2])
         assert odd_top == pytest.approx(lam2, abs=1e-12)
@@ -281,6 +287,94 @@ class TestMirroredChainProperties:
         lam2 = max(-dense[0], dense[-2])
         assert abs(split.lambda2 - lam2) <= 1e-12
         assert abs(whole.lambda2 - lam2) <= 1e-12
+
+
+def _full_blocks(chain):
+    """The even and odd blocks formed in full from the whole rows of the
+    symmetrized matrix, as the solver formed them before it kept only
+    the lower triangle."""
+    full, n = chain.symmetrized, chain.n
+    s = n // 2
+    m = n - s
+    upper, reflected = full[s:, s:], full[s:, m - 1::-1]
+    even = upper + reflected
+    odd = (upper - reflected)[m - s:, m - s:]
+    if n % 2:
+        even[0] *= math.sqrt(0.5)
+        even[:, 0] *= math.sqrt(0.5)
+    return [even, odd]
+
+
+#: lambda_2 and the paths of three chains, recorded before the solver
+#: formed its blocks one at a time, with one BLAS thread
+PINNED_SOLVES = """
+import dataclasses
+from pdrwm import build_discretized, make_exponential_tail, power_field, spectral_gap
+for n, whole in ((1201, False), (1200, False), (1201, True)):
+    chain = build_discretized(make_exponential_tail(1.0), power_field(1.0), 1.0, 15.0, n)
+    if whole:
+        chain = dataclasses.replace(chain, mirrored=False)
+    res = spectral_gap(chain)
+    print(n, whole, res.lambda2.hex(), *res.path)
+"""
+PINNED_LINES = [
+    "1201 False 0x1.98f11ba8ea3dap-1 extremal extremal",
+    "1200 False 0x1.98f0c57819dafp-1 extremal extremal",
+    "1201 True 0x1.98f11ba8ea3d9p-1 extremal",
+]
+
+
+class TestOneBlockSolve:
+    @pytest.mark.parametrize("n", [1201, 1200])
+    def test_each_block_is_symmetric_to_the_bit(self, n):
+        # the lower triangle carries the block: formed in full, it is
+        # symmetric to the bit, and the factorisations see that full
+        # matrix while the lower triangle survives them
+        chain = build_discretized(
+            make_exponential_tail(1.0), power_field(1.0), 1.0, 15.0, n
+        )
+        for k, full in enumerate(_full_blocks(chain)):
+            assert np.array_equal(full, full.T)
+            block = pdrwm.oracle._symmetric_block(chain, k)
+            assert np.array_equal(np.tril(block), np.tril(full))
+            d = block.diagonal().copy()
+            shifted = full * -1.0
+            shifted[np.diag_indices(len(full))] += 0.5
+            factored = pdrwm.oracle._mirrored(block, d, -1.0, 0.5)
+            # potrf reads the lower triangle of the Fortran view
+            assert factored.flags.f_contiguous
+            assert np.array_equal(np.tril(factored), np.tril(shifted))
+            assert np.array_equal(np.tril(block, -1), np.tril(full, -1))
+
+    def test_solve_holds_one_block(self):
+        # the transition matrix aside, the solve allocates one block of
+        # about n/2 squared and small row-block temporaries
+        chain = build_discretized(make_gaussian(), constant_field(1.0), 1.0, 12.0, 2401)
+        block_bytes = (chain.n - chain.n // 2) ** 2 * 8
+        # a first solve loads what scipy imports lazily, outside the trace
+        spectral_gap(build_discretized(make_gaussian(), constant_field(1.0), 1.0, 5.0, 101))
+        tracemalloc.start()
+        try:
+            res = spectral_gap(chain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.path == ("extremal", "extremal")
+        assert peak < 1.25 * block_bytes
+
+    def test_pinned_lambda2_and_path(self):
+        # BLAS threads change the last bits, so the solves run in a fresh
+        # process with one thread, as the benchmark harness runs them
+        src = str(Path(pdrwm.oracle.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", PINNED_SOLVES],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.splitlines() == PINNED_LINES
 
 
 class TestGridValues:

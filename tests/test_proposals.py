@@ -110,6 +110,36 @@ class TestGaussianKernel1D:
             with pytest.raises(NumericError, match=r"4.94066e-324 at \[0\.5\] underflows"):
                 call()
 
+    def test_variance_overflow_raises_naming_the_point(self):
+        # the field value is finite, but 1e10 * 1e300 is inf
+        k = gaussian_proposal(constant_field(1e300), h=1e10)
+        x, rng = pt(0.5), np.random.default_rng(0)
+        for call in (
+            lambda: k.at((0.5,)),
+            lambda: sample(k, x, rng),
+            lambda: log_q(k, pt(1.0), x),
+            lambda: k.sample_batch(x, 3, rng),
+            lambda: k.log_q_batch(np.ones((3, 1)), x),
+            lambda: k.log_q_batch(x, np.array([[0.5], [1.0]])),
+        ):
+            with pytest.raises(NumericError, match=r"1e\+10 \* 1e\+300 at \[0\.5\] overflows"):
+                call()
+
+    def test_batch_raises_at_the_first_unusable_row(self):
+        # the rows overflow, underflow and pass in turn: the batch names
+        # the first failing row, whichever way it fails
+        field = CovarianceField(
+            1, lambda x: 1e300 if x[0] < 0 else 1e-320 if x[0] < 1 else 1.0,
+            "three_way",
+            lambda xs: np.where(xs[:, 0] < 0, 1e300, np.where(xs[:, 0] < 1, 1e-320, 1.0)),
+        )
+        k = gaussian_proposal(field, h=1e-10)
+        with pytest.raises(NumericError, match=r"at \[0\.5\] underflows"):
+            k.log_q_batch(pt(2.0), np.array([[2.0], [0.5], [-1.0]]))
+        k = gaussian_proposal(field, h=1e10)
+        with pytest.raises(NumericError, match=r"at \[-1\.0\] overflows"):
+            k.log_q_batch(pt(2.0), np.array([[2.0], [-1.0], [0.5]]))
+
 
 class TestGaussianKernelMultiDim:
     def test_log_q_matches_mvn_logpdf(self):

@@ -368,6 +368,17 @@ class TestSweep:
         with pytest.raises(ParameterError):
             hemisphere_sweep(levels=[2], height_fracs=[0.01], x1_fracs=[0.9])
 
+    @pytest.mark.parametrize("level", [650, 700])
+    def test_underflowing_level_raises_the_ellipse_error(self, level):
+        # the semi-width is subnormal at level 650 and 0.0 at level 700;
+        # both levels raise the ellipse's own error, not "does not cross"
+        with pytest.raises(NumericError) as err:
+            hemisphere_sweep(levels=[level])
+        assert str(err.value) == (
+            "ellipse semi-width 3**(1 - floor(x2)) underflows at height "
+            f"{level + 0.2!r}"
+        )
+
     @pytest.mark.parametrize(
         "grid",
         [{}, {"x1_fracs": (-0.7, -0.3, 0.3, 0.55)}],
