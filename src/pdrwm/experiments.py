@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 import yaml
 
-from .chain import _float_acceptance, estimate_expectation, run_chain
+from .chain import estimate_expectation, log_accept_ratio_batch, run_chain
 from .chain import log_accept_ratio_closed_form
 from .diagnostics import (
     _MIN_DRAWS,
@@ -186,8 +186,28 @@ def _coerce(value, hint, key: str):
     elif isinstance(value, hint):
         return value
     raise ConfigError(
-        f"{key} must be {inspect.formatannotation(hint)}, got {value!r}", key=key
+        f"{key} must be {inspect.formatannotation(hint)}, got {value!r}"
+        + _number_spelling(value, hint), key=key,
     )
+
+
+def _number_spelling(value, hint) -> str:
+    """``"; write 1.0e+300"`` where ``value`` is a string that Python reads
+    as a number ``hint`` takes, else ``""``.  PyYAML reads YAML 1.1, where
+    a float needs a dot and a signed exponent: it leaves ``1.0e300`` and
+    ``1e-3`` as strings.  The spelling is the one PyYAML writes."""
+    if not isinstance(value, str):
+        return ""
+    try:
+        number = float(value)
+    except ValueError:
+        return ""
+    alts = typing.get_args(hint) if typing.get_origin(hint) is UnionType else (hint,)
+    if float in alts:
+        return "; write " + yaml.safe_dump(number).split("\n", 1)[0]
+    if int in alts and number.is_integer():
+        return f"; write {int(number)}"
+    return ""
 
 
 def bind_params(fn: Callable, mapping: dict, prefix: str = "") -> dict:
@@ -299,6 +319,19 @@ def resolve_output_dir(config: ExperimentConfig) -> Path:
 # ---------------------------------------------------------------------------
 # scenario bodies
 
+def _check_points(key: str, points, target: TargetDensity, kernels) -> None:
+    """``ConfigError`` naming ``key[i]`` at the first of ``points`` (each a
+    tuple of floats) that is off the target's support or where one of
+    ``kernels`` cannot propose from it; run before a scenario's work."""
+    for i, x in enumerate(points):
+        try:
+            _log_density_on_support(target, np.array(x), "point")
+            for kern in kernels:
+                kern.at(x)
+        except (SupportError, NumericError) as exc:
+            raise ConfigError(str(exc), key=f"{key}[{i}]") from exc
+
+
 def _scenario_figure1(
     seed, digest, /, *, x_points: tuple[float, ...] = (5.0, 10.0, 20.0, 40.0),
     n_proposals: int = 2000, b: float = 4.0, h: float = 1.0, a: float = 1.0,
@@ -322,6 +355,7 @@ def _scenario_figure1(
     target = make_exponential_tail(a)
     fld = power_field(b)
     kern = gaussian_proposal(fld, h)
+    _check_points("x_points", [(x,) for x in x_points], target, [kern])
     rng = np.random.default_rng(seed)
     rows = []
     fractions = []
@@ -353,6 +387,11 @@ def _scenario_figure1(
     return files, checks
 
 
+#: proposals per batch in ``figure2_data``, so that its memory stays
+#: bounded at any ``n_proposals``
+_FIGURE2_CHUNK = 2**15
+
+
 def _scenario_figure2(
     seed, digest, /, *, arm_positions: tuple[float, ...] = (0.0, 1.0, 2.0, 4.0, 8.0),
     n_proposals: int = 3000, h: float = 1.0, sigma2: float = 0.25,
@@ -381,21 +420,22 @@ def _scenario_figure2(
         "conditional": ridge_conditional_field(),
     }
     kernels = {name: gaussian_proposal(fld, h) for name, fld in fields.items()}
-    accepts = {name: _float_acceptance(ridge, kern) for name, kern in kernels.items()}
+    points = [(float(x1), 0.0) for x1 in arm_positions]
+    _check_points("arm_positions", points, ridge, kernels.values())
     means: dict[str, list[float]] = {k: [] for k in fields}
     rows = []
-    for x1 in arm_positions:
-        x = (float(x1), 0.0)
-        lp_x = _log_density_on_support(ridge, np.array(x))
+    for x1, x in zip(arm_positions, map(np.array, points)):
         row = [x1]
         for name, kern in kernels.items():
-            at_x = kern.at(x)
-            draw, accept = kern.sample, accepts[name]
             rng = np.random.default_rng(seed)  # common draws across arm points
             acc = 0.0
-            for _ in range(n_proposals):
-                y = draw(x, at_x, rng)
-                acc += float(np.exp(accept(x, at_x, lp_x, y)[0]))
+            # chunk by chunk, each summed in order from the running total:
+            # the bits of a per-proposal loop of acc += alpha
+            for start in range(0, n_proposals, _FIGURE2_CHUNK):
+                ys = kern.sample_batch(x, min(_FIGURE2_CHUNK, n_proposals - start), rng)
+                alpha = np.exp(log_accept_ratio_batch(ridge, kern, x, ys))
+                alpha[0] += acc
+                acc = float(np.add.accumulate(alpha)[-1])
             means[name].append(acc / n_proposals)
             row.append(acc / n_proposals)
         rows.append(tuple(row))
@@ -593,6 +633,8 @@ def _heavy_tail_drift(
     target = make_polynomial_tail(p)
     fld = one_plus_square_field()
     V = abs_pow(s)
+    kernels = [gaussian_proposal(fld, h) for h in (h_small, h_large)]
+    _check_points("xs", [(x,) for x in xs], target, kernels)
     small = [(h_small, *r) for r in _drift_rows(target, fld, h_small, V, xs, n, seed_small)]
     large = [(h_large, *r) for r in _drift_rows(target, fld, h_large, V, xs, n, seed_large)]
     checks = (
@@ -628,7 +670,9 @@ def _scenario_lemma2(
     within 2 percent (``quadrature_within_2pct``), which is the point of
     keeping two routes.
     """
-    rows = _drift_rows(make_exponential_tail(a), power_field(b), h, exp_abs(s), xs, n, seed)
+    target, fld = make_exponential_tail(a), power_field(b)
+    _check_points("xs", [(x,) for x in xs], target, [gaussian_proposal(fld, h)])
+    rows = _drift_rows(target, fld, h, exp_abs(s), xs, n, seed)
     checks = (
         ScenarioCheck(
             "contractive_at_all_probes", all(row[3] < 1.0 for row in rows),
@@ -685,6 +729,7 @@ def _scenario_lemma4(
     """
     target = make_exponential_tail(a)
     kern = gaussian_proposal(power_field(b), h)
+    _check_points("xs", [(x,) for x in xs], target, [kern])
     rows = []
     # same seed at every x: common random numbers make the comparison exact
     for x in xs:

@@ -502,8 +502,9 @@ def spectral_gap(chain: DiscretizedChain) -> SpectralResult:
     why.  Certificates hold for every larger lambda_2, so a later block
     that raises lambda_2 leaves earlier ones valid.  A block with an
     eigenvalue past 1 + 1e-3 raises :class:`NumericError`.  Nothing is
-    random: reruns give bit-identical results.  Besides the transition
-    matrix, one block is held at a time: its lower triangle keeps B, and
+    random: reruns at a fixed BLAS thread count give bit-identical
+    results (the last bit can move with the thread count).  Besides the
+    transition matrix, one block is held at a time: its lower triangle keeps B, and
     every factorisation and the dense solver run in place in its strict
     upper triangle and diagonal, with B's diagonal saved as a vector.
     """

@@ -82,14 +82,17 @@ class ProposalKernel:
         Identifier used in config digests.
     sample_batch : callable
         ``sample_batch(x, n, rng)`` draws ``n`` proposals from the array
-        start ``x`` as an ``(n, dim)`` array.  The draws follow the same
-        distribution as ``n`` calls of ``sample``, but not draw for draw:
-        the stream is consumed in a different order.
+        start ``x`` as an ``(n, dim)`` array, following the distribution
+        of ``n`` calls of ``sample``.  The Gaussian's draws are those
+        calls' draws, bit for bit and in order; the ellipse's are not
+        draw for draw, as it consumes the stream in another order.
     log_q_batch : callable
         ``log_q_batch(ys, xs)`` is ``log_q`` over rows as an ``(m,)``
         array: ``ys`` of shape ``(m, dim)`` against one start ``xs`` of
         shape ``(dim,)``, or one end point ``ys`` against ``m`` starts
-        ``xs``.  Agrees with ``log_q`` row by row to float rounding.
+        ``xs``.  Agrees with ``log_q`` row by row to float rounding
+        (see :func:`~pdrwm.chain.log_accept_ratio_batch` for where the
+        Gaussian's rows are bit for bit).
     """
 
     dim: int
@@ -175,7 +178,8 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
     the multiply-add).  A chain carries ``at(x)`` with its state, so it
     evaluates the field once per point; ``sample_batch`` computes it
     afresh at each call, and ``log_q_batch`` factors all its start
-    points in one stacked call.  A step size, field value or covariance
+    points in one stacked call and sums each ``v @ v`` with BLAS
+    ``ddot``, as ``log_q`` does.  A step size, field value or covariance
     that the module's rules refuse raises their error, naming the point.
     """
     h = _step_size(h)
@@ -242,9 +246,11 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
             for c, x in zip(cov, xs):
                 _cholesky(c, x)  # raises at the first row that fails
             raise
-        v = np.linalg.solve(low, (ys - xs)[..., None])[..., 0]
+        v = np.linalg.solve(low, (ys - xs)[..., None])
         logdet = 2.0 * np.log(np.diagonal(low, axis1=1, axis2=2)).sum(axis=1)
-        return -0.5 * (dim * _LOG_2PI + logdet + (v * v).sum(axis=1))
+        # matmul's vector-vector case is BLAS ddot, the sum log_q's v @ v takes
+        vv = np.matmul(v.transpose(0, 2, 1), v)[:, 0, 0]
+        return -0.5 * (dim * _LOG_2PI + logdet + vv)
 
     return ProposalKernel(dim, at, sample, log_q, label, sample_batch, log_q_batch)
 

@@ -5,7 +5,9 @@ the per-point generic and closed-form routes.
 The two forms share their formulas but not their arithmetic: numpy's
 vectorised ``power``/``exp``/``log`` may round differently from the C
 library in the last bit, so row-by-row agreement is checked to 1e-13
-relative, not for equality.
+relative, not for equality.  The exception is the Gaussian above 1-D
+with a diagonal covariance, whose batch draws and acceptances are the
+per-point ones bit for bit (``TestGaussianBatchBits``).
 """
 
 import math
@@ -216,3 +218,78 @@ class TestBatchAcceptanceRules:
         x, y = pt(0.5, 1.9), pt(-0.3, 2.1)
         assert log_q(k, x, y) == -math.inf
         assert log_accept_ratio_batch(t, k, x, y[None, :]).tolist() == [-math.inf]
+
+
+# --- the Gaussian's batch routes against its per-point routes, to the bit
+
+variances = st.floats(0.05, 4.0)
+one_dim_fields = st.one_of(
+    st.builds(power_field, st.floats(0.0, 4.0)),
+    st.just(one_plus_square_field()),
+    st.builds(constant_field, variances),
+)
+diagonal_fields = st.one_of(
+    st.just(ridge_conditional_field()),
+    st.builds(lambda a, b: constant_field(np.diag([a, b])), variances, variances),
+)
+
+
+@st.composite
+def correlated_fields(draw):
+    """A constant 2-D field with a nonzero off-diagonal entry."""
+    a, b = draw(variances), draw(variances)
+    rho = draw(st.floats(-0.9, 0.9).filter(lambda r: abs(r) > 0.01))
+    c = rho * math.sqrt(a * b)
+    return constant_field(np.array([[a, c], [c, b]]))
+
+
+log10_steps = st.floats(-2.0, 1.0)
+plane_points = st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0))
+seeds = st.integers(0, 2**32 - 1)
+
+
+def per_point_acceptances(target, kernel, x, ys):
+    return np.array([log_accept_ratio(target, kernel, x, y) for y in ys])
+
+
+class TestGaussianBatchBits:
+    """Where the batch routes repeat the per-point ones bit for bit, and
+    where they agree only to rounding."""
+
+    @given(
+        field=st.one_of(one_dim_fields, diagonal_fields, correlated_fields(),
+                        st.builds(power_field, st.floats(0.0, 3.0), st.just(2))),
+        log10_h=log10_steps,
+        x=plane_points,
+        n=st.integers(1, 60),
+        seed=seeds,
+    )
+    def test_sample_batch_is_n_samples(self, field, log10_h, x, n, seed):
+        kernel = gaussian_proposal(field, 10.0**log10_h)
+        x = x[: field.dim]
+        ys = kernel.sample_batch(pt(*x), n, np.random.default_rng(seed))
+        rng, at_x = np.random.default_rng(seed), kernel.at(x)
+        assert np.array_equal(ys, [kernel.sample(x, at_x, rng) for _ in range(n)])
+
+    def test_ridge_field_batch_is_per_point_to_the_bit(self):
+        # numpy's ** 2 is x * x, which differs from the per-point form's
+        # libm pow in about 8 in 10 000 values
+        xs = np.random.default_rng(7).standard_normal((20_000, 2)) * 3.0
+        f = ridge_conditional_field()
+        assert np.array_equal(f.inv_metric_batch(xs), [f.inv_metric(x) for x in xs])
+
+    @given(field=diagonal_fields, log10_h=log10_steps, x=plane_points, seed=seeds)
+    def test_diagonal_acceptance_is_bit_exact(self, field, log10_h, x, seed):
+        ridge, kernel, x = make_ridge_2d(), gaussian_proposal(field, 10.0**log10_h), pt(*x)
+        ys = kernel.sample_batch(x, 200, np.random.default_rng(seed))
+        batch = log_accept_ratio_batch(ridge, kernel, x, ys)
+        assert np.array_equal(batch, per_point_acceptances(ridge, kernel, x, ys))
+
+    @given(field=correlated_fields(), log10_h=log10_steps, x=plane_points, seed=seeds)
+    def test_correlated_acceptance_agrees_to_rounding(self, field, log10_h, x, seed):
+        ridge, kernel, x = make_ridge_2d(), gaussian_proposal(field, 10.0**log10_h), pt(*x)
+        ys = kernel.sample_batch(x, 200, np.random.default_rng(seed))
+        batch = log_accept_ratio_batch(ridge, kernel, x, ys)
+        np.testing.assert_allclose(
+            batch, per_point_acceptances(ridge, kernel, x, ys), rtol=1e-12, atol=1e-12
+        )

@@ -97,6 +97,41 @@ BAD_CONFIGS = [
 ]
 
 
+# (scenario, point list key, YAML list, index of the bad point): off the
+# target's support, or where the field value is inf
+BAD_POINTS = [
+    ("figure2_data", "arm_positions", "[.inf]", 0),
+    ("figure2_data", "arm_positions", "[.nan]", 0),
+    ("figure2_data", "arm_positions", "[0.0, 1.0e+200]", 1),
+    ("figure1", "x_points", "[.inf]", 0),
+    ("figure1", "x_points", "[5.0, 1.0e+300]", 1),
+    ("lemma2_drift", "xs", "[.inf]", 0),
+    ("lemma3_drift", "xs", "[50.0, .inf]", 1),
+    ("lemma4_probe", "xs", "[.inf]", 0),
+]
+
+# the function in `experiments` that does each scenario's work per point
+POINT_WORK = {
+    "figure2_data": "log_accept_ratio_batch",
+    "figure1": "log_accept_ratio_closed_form",
+    "lemma2_drift": "drift_ratio",
+    "lemma3_drift": "drift_ratio",
+    "lemma4_probe": "acceptance_set_mass",
+}
+
+# (scenario, key, YAML 1.1 string, key named, message end): a number PyYAML
+# reads as a string is refused, with the spelling that reads as the number;
+# a word gets no spelling
+EXPONENT_STRINGS = [
+    ("figure1", "h", "abc", "h", "got 'abc'"),
+    ("figure1", "h", "1.0e300", "h", "write 1.0e+300"),
+    ("figure1", "h", "1e-3", "h", "write 0.001"),
+    ("lemma4_probe", "n", "1e4", "n", "write 10000"),
+    ("figure2_data", "arm_positions", "[0.0, 1e3]", "arm_positions[1]", "write 1000.0"),
+    ("custom", "x0", "2e-5", "x0", "write 2.0e-05"),
+]
+
+
 def _list_keys():
     """(scenario, key) for every scenario parameter that takes a YAML
     list, read from the scenario bodies' signatures."""
@@ -198,6 +233,41 @@ class TestRun:
         assert main(["run", cfg]) == 2
         assert capsys.readouterr().err.startswith(f"config error (key: {key})")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "scenario, key, points, index", BAD_POINTS,
+        ids=[f"{s}-{k}-{p}" for s, k, p, _ in BAD_POINTS],
+    )
+    def test_bad_point_exits_two_naming_it_before_any_work(
+        self, tmp_path, capsys, monkeypatch, scenario, key, points, index
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the scenario's work may not run")
+
+        monkeypatch.setattr(experiments, POINT_WORK[scenario], never)
+        out_dir = tmp_path / "out"
+        cfg = write_config(
+            tmp_path,
+            f"scenario: {scenario}\nseed: 0\noutput_dir: {out_dir}\n"
+            f"params:\n  {key}: {points}\n",
+        )
+        assert main(["run", cfg]) == 2
+        assert capsys.readouterr().err.startswith(f"config error (key: {key}[{index}])")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("scenario, key, value, named, spelling", EXPONENT_STRINGS)
+    def test_exponent_string_names_its_yaml_spelling(
+        self, tmp_path, capsys, scenario, key, value, named, spelling
+    ):
+        params = CUSTOM + "  n_steps: 10\n" if scenario == "custom" else ""
+        cfg = write_config(
+            tmp_path,
+            f"scenario: {scenario}\nseed: 0\nparams:\n{params}  {key}: {value}\n",
+        )
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error (key: {named})")
+        assert err.rstrip().endswith(spelling)
 
     @pytest.mark.parametrize("start_level", ["-5.0", ".nan", ".inf", "0.4"])
     def test_off_staircase_start_exits_two_before_the_sweep(

@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pdrwm import (
     ConfigError,
@@ -294,6 +296,20 @@ class TestScenarioBodies:
         lines = files["figure2_arm_acceptance.csv"].splitlines()
         got = [[float(v) for v in line.split(",")] for line in lines[2:]]
         assert got == expected
+
+    @given(chunk=st.integers(1, 64), n=st.integers(100, 160), seed=st.integers(0, 2**32 - 1))
+    @example(chunk=7, n=103, seed=11)
+    def test_figure2_chunks_give_the_one_chunk_bits(self, chunk, n, seed):
+        def figure2():
+            files, _ = SCENARIOS["figure2_data"](
+                seed, "", arm_positions=(0.5, 3.0), n_proposals=n, h=0.8
+            )
+            return files["figure2_arm_acceptance.csv"]
+
+        whole = figure2()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "_FIGURE2_CHUNK", chunk)
+            assert figure2() == whole
 
     def test_figure3_geometry_checks(self, tmp_path):
         cfg = ExperimentConfig("figure3_data", 0, str(tmp_path), {})
