@@ -138,8 +138,14 @@ def log_accept_ratio_closed_form(
     the two within 1e-12 on mixed-scale inputs.  The arithmetic is this
     route's own, but the kernel's rules refuse a step size, or a field
     value at ``x`` or an on-support ``y``; the covariance rule's factor
-    is ``scipy.linalg.cho_factor``'s bit for bit.
+    is ``scipy.linalg.cho_factor``'s bit for bit.  In one dimension this
+    is :func:`_closed_form_at`'s ``accept`` at ``float(y[0])``.
     """
+    if field.dim == 1:
+        accept = _closed_form_at(target, field, h, x)
+        _check_shape(target, np.shape(y), "proposal")
+        return accept(float(y[0]))
+
     _step_size(h)
     _check_dim(target, field.dim, "field")
     lp_x = _log_density_on_support(target, x)
@@ -149,26 +155,54 @@ def log_accept_ratio_closed_form(
         return -math.inf
     u = x - y
 
-    if field.dim == 1:
-        s_x = field.inv_metric(x)
-        s_y = field.inv_metric(y)
-        _field_value(h, s_x, x)
-        _field_value(h, s_y, y)
-        d = float(u[0])
-        # log det G = -log S and u^T G u = u^2 / S in one dimension
-        half_logdet = 0.5 * (math.log(s_x) - math.log(s_y))
-        quad = 0.5 * d * d * (1.0 / s_y - 1.0 / s_x) / h
-    else:
-        from scipy.linalg import cho_solve
+    from scipy.linalg import cho_solve
 
-        c_x = (_cholesky(field.inv_metric(x), x), True)
-        c_y = (_cholesky(field.inv_metric(y), y), True)
-        logdet_sx = 2.0 * float(np.sum(np.log(np.diag(c_x[0]))))
-        logdet_sy = 2.0 * float(np.sum(np.log(np.diag(c_y[0]))))
-        half_logdet = 0.5 * (logdet_sx - logdet_sy)
-        quad = 0.5 * (float(u @ cho_solve(c_y, u)) - float(u @ cho_solve(c_x, u))) / h
-
+    c_x = (_cholesky(field.inv_metric(x), x), True)
+    c_y = (_cholesky(field.inv_metric(y), y), True)
+    logdet_sx = 2.0 * float(np.sum(np.log(np.diag(c_x[0]))))
+    logdet_sy = 2.0 * float(np.sum(np.log(np.diag(c_y[0]))))
+    half_logdet = 0.5 * (logdet_sx - logdet_sy)
+    quad = 0.5 * (float(u @ cho_solve(c_y, u)) - float(u @ cho_solve(c_x, u))) / h
     return min(0.0, lp_y - lp_x + half_logdet - quad)
+
+
+def _closed_form_at(target: TargetDensity, field: CovarianceField, h: float, x):
+    """The 1-D closed-form acceptance of the moves from ``x``, on Python
+    floats: ``accept(y)`` is :func:`log_accept_ratio_closed_form` at
+    ``x`` and ``(y,)``, bit for bit.
+
+    The entry checks run once, here: the step size, the field's
+    dimension, ``x``'s shape and support, and the field value at ``x``.
+    ``accept`` evaluates the target at ``y`` (``-inf`` off the support)
+    and, on it, the field value, which the 1-D rule checks; ``log s(x)``
+    and ``1 / s(x)`` are computed once, with the bits of computing them
+    per call.
+    """
+    h = _step_size(h)
+    _check_dim(target, field.dim, "field")
+    lp_x = _log_density_on_support(target, x)
+    s_x = field.inv_metric(x)
+    _field_value(h, s_x, x)
+    log_density, inv_metric = target.log_density, field.inv_metric
+    log, inf = math.log, math.inf
+    x0 = float(x[0])
+    log_sx, inv_sx = log(s_x), 1.0 / s_x
+
+    def accept(y: float) -> float:
+        yt = (y,)
+        lp_y = log_density(yt)
+        if lp_y == -inf:
+            return -inf
+        s_y = inv_metric(yt)
+        if not 0.0 < h * s_y < inf:  # h > 0, so this is the 1-D rule
+            _field_value(h, s_y, yt)  # raises
+        d = x0 - y
+        # log det G = -log S and u^T G u = u^2 / S in one dimension
+        half_logdet = 0.5 * (log_sx - log(s_y))
+        quad = 0.5 * d * d * (1.0 / s_y - inv_sx) / h
+        return min(0.0, lp_y - lp_x + half_logdet - quad)
+
+    return accept
 
 
 def mh_step(

@@ -23,9 +23,9 @@ import numpy as np
 
 from .chain import (
     _check_dim,
+    _closed_form_at,
     batch_means_se,
     log_accept_ratio_batch,
-    log_accept_ratio_closed_form,
     run_chain,
 )
 from .errors import NumericError, ParameterError
@@ -66,9 +66,11 @@ class LyapunovFunction:
 
     ``log_evaluate`` is the primary interface; ``evaluate`` exponentiates
     and returns ``inf`` past the float range, which is why every consumer
-    in this package works with the logs.  ``log_evaluate_batch`` maps an
-    ``(m, dim)`` array of points to the ``(m,)`` array of log V, equal to
-    ``log_evaluate`` row by row to float rounding.
+    in this package works with the logs.  The per-point forms take a
+    length-``dim`` point as a tuple of Python floats or as an array, with
+    the same bits.  ``log_evaluate_batch`` maps an ``(m, dim)`` array of
+    points to the ``(m,)`` array of log V, equal to ``log_evaluate`` row
+    by row to float rounding.
     """
 
     label: str
@@ -82,6 +84,16 @@ class LyapunovFunction:
             return math.inf
 
 
+def _norm(x) -> float:
+    """|x| of a point given as a tuple or an array.  A length-1 point is
+    read as a Python float: ``sqrt(v * v)`` is the bits ``np.linalg.norm``
+    gives (it is ``sqrt(x.dot(x))``), without the array."""
+    if len(x) == 1:
+        v = float(x[0])
+        return math.sqrt(v * v)
+    return float(np.linalg.norm(x))
+
+
 def exp_abs(s: float) -> LyapunovFunction:
     """V(x) = exp(s |x|).  The workhorse for exponential-tail targets;
     pick ``s`` below the target's decay rate."""
@@ -90,7 +102,7 @@ def exp_abs(s: float) -> LyapunovFunction:
     s = float(s)
     return LyapunovFunction(
         f"exp_abs(s={s:g})",
-        lambda x: s * float(np.linalg.norm(x)),
+        lambda x: s * _norm(x),
         lambda xs: s * np.linalg.norm(xs, axis=1),
     )
 
@@ -102,7 +114,7 @@ def abs_pow(s: float) -> LyapunovFunction:
     s = float(s)
 
     def logv(x: np.ndarray) -> float:
-        r = float(np.linalg.norm(x))
+        r = _norm(x)
         return max(0.0, s * math.log(r)) if r > 0 else 0.0
 
     def logv_batch(xs: np.ndarray) -> np.ndarray:
@@ -274,13 +286,12 @@ def tail_acceptance_profile(
         raise ParameterError(
             f"profile probes the tail; need |x| >= {x0:g}, got {x:g}"
         )
-    xv = np.array([float(x)])
     s = gaussian_proposal(cov_field, h).at((float(x),))[0]
+    accept = _closed_form_at(target, cov_field, h, np.array([float(x)]))
     out = []
     for c in offsets:
         y = float(x) + float(c) * s
-        a = math.exp(log_accept_ratio_closed_form(target, cov_field, h, xv, np.array([y])))
-        out.append(ProfilePoint(float(c), y, a))
+        out.append(ProfilePoint(float(c), y, math.exp(accept(y))))
     return out
 
 

@@ -37,7 +37,7 @@ import numpy as np
 import yaml
 
 from .chain import estimate_expectation, log_accept_ratio_batch, run_chain
-from .chain import log_accept_ratio_closed_form
+from .chain import _closed_form_at
 from .diagnostics import (
     _MIN_DRAWS,
     _check_scan_steps,
@@ -360,16 +360,15 @@ def _scenario_figure1(
     rows = []
     fractions = []
     for x in x_points:
-        ys = kern.sample_batch(np.array([x]), n_proposals, rng)[:, 0]
+        xv = np.array([x])
+        ys = kern.sample_batch(xv, n_proposals, rng)[:, 0]
+        accept = _closed_form_at(target, fld, h, xv)
         above = 0
-        for y in ys:
-            la = log_accept_ratio_closed_form(
-                target, fld, h, np.array([x]), np.array([y])
-            )
-            alpha = float(np.exp(la))
+        for y in ys.tolist():
+            alpha = float(np.exp(accept(y)))
             flag = alpha > 0.5
             above += flag
-            rows.append((x, float(y), alpha, flag))
+            rows.append((x, y, alpha, flag))
         fractions.append(above / n_proposals)
 
     decreasing = all(fractions[i + 1] < fractions[i] for i in range(len(fractions) - 1))

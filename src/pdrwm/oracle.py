@@ -50,7 +50,7 @@ import numpy as np
 # scipy is imported inside the functions that use it, so that `import pdrwm`
 # loads only numpy and PyYAML (tests/test_exports.py::TestStartUp)
 
-from .chain import log_accept_ratio_closed_form, log_accept_terms
+from .chain import _closed_form_at, log_accept_terms
 from .diagnostics import LyapunovFunction
 from .errors import DiscretizationError, NumericError, ParameterError
 from .fields import CovarianceField
@@ -616,10 +616,12 @@ def drift_ratio_quadrature(
     Integrates alpha(x, y) q(y | x) (V(y)/V(x) - 1) over twelve proposal
     standard deviations around ``x`` and adds 1; the integrand is
     composed inside a single exponential per term, so the huge V ratios
-    the Monte Carlo probe has to clip never appear here.  Independent of
-    the sampling code path on purpose: only the closed-form acceptance
-    and the kernel's standard deviation are shared, so a step size or
-    field value the kernel refuses raises its error.
+    the Monte Carlo probe has to clip never appear here.  A ratio past
+    the float range raises ``NumericError``.  Independent of the sampling
+    code path on purpose: only the closed-form acceptance and the
+    kernel's standard deviation are shared, so a step size or field
+    value the kernel refuses raises its error.  The integrand runs on
+    Python floats, through the closed form bound once at ``x``.
     """
     from scipy.integrate import IntegrationWarning, quad
 
@@ -627,16 +629,23 @@ def drift_ratio_quadrature(
         raise ParameterError("the drift quadrature is one-dimensional")
     xv = np.array([float(x)])
     std = gaussian_proposal(cov_field, h).at((float(x),))[0]
+    accept = _closed_form_at(target, cov_field, h, xv)
     log_norm = -math.log(std) - 0.5 * math.log(2.0 * math.pi)
-    log_vx = lyapunov.log_evaluate(xv)
+    log_evaluate = lyapunov.log_evaluate
+    log_vx = log_evaluate(xv)
+    x0, exp = float(x), math.exp
 
     def integrand(y: float) -> float:
-        yv = np.array([y])
-        la = log_accept_ratio_closed_form(target, cov_field, h, xv, yv)
-        u = (y - float(x)) / std
+        la = accept(y)
+        u = (y - x0) / std
         lq = log_norm - 0.5 * u * u
-        dv = lyapunov.log_evaluate(yv) - log_vx
-        return math.exp(la + lq + dv) - math.exp(la + lq)
+        dv = log_evaluate((y,)) - log_vx
+        try:
+            return exp(la + lq + dv) - exp(la + lq)
+        except OverflowError:
+            raise NumericError(
+                f"E[V(X_1)]/V(x) of {lyapunov.label} at x={x0!r} exceeds the float range"
+            ) from None
 
     total = 0.0
     err = 0.0

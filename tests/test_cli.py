@@ -113,7 +113,7 @@ BAD_POINTS = [
 # the function in `experiments` that does each scenario's work per point
 POINT_WORK = {
     "figure2_data": "log_accept_ratio_batch",
-    "figure1": "log_accept_ratio_closed_form",
+    "figure1": "_closed_form_at",
     "lemma2_drift": "drift_ratio",
     "lemma3_drift": "drift_ratio",
     "lemma4_probe": "acceptance_set_mass",
@@ -253,6 +253,25 @@ class TestRun:
         )
         assert main(["run", cfg]) == 2
         assert capsys.readouterr().err.startswith(f"config error (key: {key}[{index}])")
+        assert not out_dir.exists()
+
+    def test_drift_ratio_past_the_float_range_fails_without_traceback(
+        self, tmp_path, capsys
+    ):
+        # E[V(X_1)]/V(x) of V = exp(|x| / 2) at x = 30 under a variance of
+        # 31^4 exceeds the float range: a named failure, exit 1
+        out_dir = tmp_path / "out"
+        cfg = write_config(
+            tmp_path,
+            f"scenario: lemma2_drift\nseed: 0\noutput_dir: {out_dir}\nparams:\n"
+            "  a: 0.1\n  b: 4.0\n  s: 0.5\n  xs: [30.0]\n  n: 2000\n",
+        )
+        assert main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "scenario lemma2_drift failed: E[V(X_1)]/V(x) of exp_abs(s=0.5) "
+            "at x=30.0 exceeds the float range\n"
+        )
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("scenario, key, value, named, spelling", EXPONENT_STRINGS)
