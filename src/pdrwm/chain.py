@@ -42,14 +42,14 @@ __all__ = [
 ]
 
 
-def log_accept_terms(lp_x, lp_y, lq_yx, lq_xy):
+def log_accept_terms(lp_x, lp_y, lq_yx, lq_xy, out=None):
     """Combine the four log terms of the Metropolis-Hastings ratio.
 
-    Vectorizes over numpy arrays.
+    Vectorizes over numpy arrays, writing into ``out`` if given.
     Callers must screen out ``lq_yx = -inf`` (an unreachable proposal)
     before calling, since the subtraction would produce NaN.
     """
-    return np.minimum(0.0, lp_y + lq_xy - lp_x - lq_yx)
+    return np.minimum(0.0, lp_y + lq_xy - lp_x - lq_yx, out=out)
 
 
 def _check_dim(target: TargetDensity, dim: int, what: str = "kernel") -> None:

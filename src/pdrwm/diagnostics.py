@@ -29,7 +29,7 @@ from .chain import (
     run_chain,
 )
 from .errors import NumericError, ParameterError
-from .fields import CovarianceField, power_field
+from .fields import CovarianceField, _norm, _norms, power_field
 from .proposals import ProposalKernel, _step_size, gaussian_proposal
 from .targets import TargetDensity, _log_density_on_support
 
@@ -84,16 +84,6 @@ class LyapunovFunction:
             return math.inf
 
 
-def _norm(x) -> float:
-    """|x| of a point given as a tuple or an array.  A length-1 point is
-    read as a Python float: ``sqrt(v * v)`` is the bits ``np.linalg.norm``
-    gives (it is ``sqrt(x.dot(x))``), without the array."""
-    if len(x) == 1:
-        v = float(x[0])
-        return math.sqrt(v * v)
-    return float(np.linalg.norm(x))
-
-
 def exp_abs(s: float) -> LyapunovFunction:
     """V(x) = exp(s |x|).  The workhorse for exponential-tail targets;
     pick ``s`` below the target's decay rate."""
@@ -103,7 +93,7 @@ def exp_abs(s: float) -> LyapunovFunction:
     return LyapunovFunction(
         f"exp_abs(s={s:g})",
         lambda x: s * _norm(x),
-        lambda xs: s * np.linalg.norm(xs, axis=1),
+        lambda xs: s * _norms(xs),
     )
 
 
@@ -119,7 +109,7 @@ def abs_pow(s: float) -> LyapunovFunction:
 
     def logv_batch(xs: np.ndarray) -> np.ndarray:
         # r <= 1 gives V = 1; the floor keeps log(0) out of the pass
-        r = np.maximum(np.linalg.norm(xs, axis=1), 1.0)
+        r = np.maximum(_norms(xs), 1.0)
         return np.maximum(0.0, s * np.log(r))
 
     return LyapunovFunction(f"abs_pow(s={s:g})", logv, logv_batch)

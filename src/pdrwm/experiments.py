@@ -143,11 +143,22 @@ def _fmt(v) -> str:
     return str(v)
 
 
+#: ``_fmt`` of the built-in types, looked up by exact type; numpy
+#: scalars and everything else go through ``_fmt``
+_FMT_BY_TYPE = {
+    float: float.__repr__,
+    int: int.__repr__,
+    str: str,
+    bool: lambda v: "true" if v else "false",
+}
+
+
 def _csv(digest: str, seed: int, header: Sequence[str], rows) -> str:
     """CSV text under a ``# config=<digest> seed=<seed>`` comment line."""
     lines = [f"# config={digest} seed={seed}", ",".join(header)]
+    fmt = _FMT_BY_TYPE.get
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join([fmt(type(v), _fmt)(v) for v in row]))
     return "\n".join(lines) + "\n"
 
 

@@ -102,6 +102,34 @@ def constant_field(sigma) -> CovarianceField:
     return CovarianceField(dim, inv_metric, f"constant(dim={dim})", inv_metric_batch)
 
 
+def _norm(x) -> float:
+    """|x| of a point given as a tuple or an array: ``sqrt(x . x)``, the
+    bits ``np.linalg.norm`` gives, wherever that is finite.  A length-1
+    point is read as a Python float, ``sqrt(v * v)``, without the array.
+    Where the square overflows on a finite point, |v| in 1-D and the
+    overflow-free ``np.hypot`` reduction above."""
+    if len(x) == 1:
+        v = float(x[0])
+        r = math.sqrt(v * v)
+        return r if r < math.inf else abs(v)
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):
+        r = math.sqrt(x.dot(x))
+    return r if r < math.inf else float(np.hypot.reduce(np.abs(x)))
+
+
+def _norms(xs: np.ndarray) -> np.ndarray:
+    """|x| of each row of an ``(m, dim)`` array, with :func:`_norm`'s
+    rule: ``np.linalg.norm`` wherever it is finite, ``np.hypot`` where
+    the squares overflow."""
+    with np.errstate(over="ignore"):
+        r = np.linalg.norm(xs, axis=1)
+    big = r == math.inf
+    if big.any():
+        r[big] = np.hypot.reduce(np.abs(xs[big]), axis=1)
+    return r
+
+
 def power_field(b: float, dim: int = 1) -> CovarianceField:
     """Covariance growing as ``(1 + |x|)^b`` times the identity.
 
@@ -127,11 +155,13 @@ def power_field(b: float, dim: int = 1) -> CovarianceField:
 
         def inv_metric(x) -> float:
             v = float(x[0])
-            # sqrt(v * v), not abs(v): the bits of the batch form's norm
-            return scale(math.sqrt(v * v))
+            # sqrt(v * v), not abs(v): the bits of the batch form's norm;
+            # abs(v) only where the square overflows (_norm, inlined)
+            r = math.sqrt(v * v)
+            return scale(r if r < math.inf else abs(v))
 
         def inv_metric_batch(xs: np.ndarray) -> np.ndarray:
-            return (1.0 + np.linalg.norm(xs, axis=1)) ** b
+            return (1.0 + _norms(xs)) ** b
 
         return CovarianceField(1, inv_metric, label, inv_metric_batch)
 
@@ -140,16 +170,13 @@ def power_field(b: float, dim: int = 1) -> CovarianceField:
     # the scale is written onto the diagonal, not multiplied into an
     # identity: past the float range inf * 0 would put NaN off it
     def inv_metric(x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
         out = np.zeros((dim, dim))
-        # np.linalg.norm of a float vector is sqrt(x.dot(x)); calling
-        # that directly gives the same bits without the wrapper's cost
-        out.flat[:: dim + 1] = scale(math.sqrt(x.dot(x)))
+        out.flat[:: dim + 1] = scale(_norm(x))
         return out
 
     def inv_metric_batch(xs: np.ndarray) -> np.ndarray:
         out = np.zeros((len(xs), dim, dim))
-        out[:, diagonal, diagonal] = ((1.0 + np.linalg.norm(xs, axis=1)) ** b)[:, None]
+        out[:, diagonal, diagonal] = ((1.0 + _norms(xs)) ** b)[:, None]
         return out
 
     return CovarianceField(dim, inv_metric, label, inv_metric_batch)

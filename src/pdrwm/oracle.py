@@ -12,14 +12,15 @@ convergence collapses in the tails (gap falls toward zero).
 The chain is reversible by construction, so similarity by sqrt(pi)
 symmetrizes the transition matrix exactly.  By detailed balance that
 similarity transform equals sqrt(P_ij P_ji) entrywise, which needs no
-density ratio and so cannot overflow; only the transition matrix is
-stored, and the symmetric matrix is formed from it when the spectrum is
+density ratio and so cannot overflow; only transition rows are stored,
+and the symmetric matrix is formed from them when the spectrum is
 wanted.  When target, field and grid are symmetric under x -> -x, so is
-the chain: half of its rows are mirror images of the other half, and the
-symmetric matrix splits into an even and an odd block of about n/2 that
-are solved separately.  The blocks are formed one at a time, each as its
-lower triangle only, and a block is dropped before the next is formed:
-besides the transition matrix, the solve holds one block.
+the chain: P[i, j] = P[n-1-i, n-1-j], so only the rows from n//2 up are
+computed and stored, and every reader reaches a lower row through that
+mirror.  The symmetric matrix then splits into an even and an odd block
+of about n/2 that are solved separately.  The blocks are formed one at a
+time, each as its lower triangle only, and a block is dropped before the
+next is formed: besides the stored rows, the solve holds one block.
 
 The gap needs only the extremes of the spectrum.  The known eigenvector
 sqrt(pi) of eigenvalue 1 is projected out, shift-invert Lanczos finds
@@ -107,46 +108,111 @@ def _row_blocks(n: int, start: int = 0):
 class DiscretizedChain:
     """Grid restriction of the position-dependent random walk Metropolis.
 
-    ``transition`` is row-stochastic and the only n x n matrix stored;
-    ``pi_hat`` is the grid-renormalized target.  ``mirrored`` records
-    that the problem is symmetric under x -> -x, so that
-    ``transition[i, j] == transition[n-1-i, n-1-j]`` exactly.
+    ``rows`` holds rows ``first..n-1`` of the row-stochastic transition
+    matrix P and is the only large array stored; ``pi_hat`` is the
+    grid-renormalized target.  ``mirrored`` records that the problem is
+    symmetric under x -> -x, so that ``P[i, j] == P[n-1-i, n-1-j]``
+    exactly: then ``first = n // 2`` and the lower rows are read through
+    that mirror.  Otherwise ``first = 0`` and ``rows`` is all of P.
     """
 
     grid: np.ndarray
     step: float
-    transition: np.ndarray
+    rows: np.ndarray
     pi_hat: np.ndarray
     label: str
     mirrored: bool
+
+    def __post_init__(self) -> None:
+        want = (self.n - self.first, self.n)
+        if np.shape(self.rows) != want:
+            kind = "mirrored" if self.mirrored else "unmirrored"
+            raise ParameterError(
+                f"a {kind} chain on {self.n} nodes stores rows of shape "
+                f"{want}, got {np.shape(self.rows)}"
+            )
 
     @property
     def n(self) -> int:
         return len(self.grid)
 
     @property
+    def first(self) -> int:
+        """Index of the first row of P that ``rows`` holds."""
+        return self.n // 2 if self.mirrored else 0
+
+    @property
+    def transition(self) -> np.ndarray:
+        """The whole n x n matrix P: the stored rows and, for a mirrored
+        chain, their reversed copy.  Allocated anew on every access."""
+        n, f = self.n, self.first
+        p = np.empty((n, n))
+        p[f:] = self.rows
+        p[:f] = p[n - f:][::-1, ::-1]
+        return p
+
+    @property
     def symmetrized(self) -> np.ndarray:
         """The similarity transform D^{1/2} P D^{-1/2}, D = diag(pi_hat),
         formed on demand as sqrt(P_ij P_ji), which detailed balance makes
-        the same matrix."""
-        sym = self.transition * self.transition.T
-        return np.sqrt(sym, out=sym)
+        the same matrix.  Allocated anew on every access."""
+        n, f = self.n, self.first
+        sym = np.empty((n, n))
+        for i0, i1 in _row_blocks(n, start=f):
+            rows = _times_transpose(self, i0, i1, 0, n, sym[i0:i1])
+            np.sqrt(rows, out=rows)
+        sym[:f] = sym[n - f:][::-1, ::-1]
+        return sym
 
     def row_sum_residual(self) -> float:
-        return float(np.abs(self.transition.sum(axis=1) - 1.0).max())
+        return float(np.abs(self.rows.sum(axis=1) - 1.0).max())
 
     def stationarity_residual(self) -> float:
-        return float(np.abs(self.pi_hat @ self.transition - self.pi_hat).max())
+        """Largest |(pi P)_j - pi_j|.  A mirrored chain's lower rows i
+        contribute pi_i P[n-1-i, n-1-j], a reversed product with the
+        stored rows."""
+        pi, rows, f = self.pi_hat, self.rows, self.first
+        flow = pi[f:] @ rows
+        if f:
+            flow += (pi[f - 1::-1] @ rows[self.n % 2:])[::-1]
+        return float(np.abs(flow - pi).max())
 
     def reversibility_residual(self) -> float:
-        """Largest |pi_i P_ij - pi_j P_ji|, taken one row block at a time."""
-        p, pi = self.transition, self.pi_hat
+        """Largest |pi_i P_ij - pi_j P_ji|, taken one row block of the
+        stored rows at a time.  For a mirrored chain the pair (i, j) has
+        the value of (n-1-i, n-1-j), so the stored rows cover every
+        pair."""
+        pi, f = self.pi_hat, self.first
         worst = 0.0
-        for i0, i1 in _row_blocks(self.n):
-            flow = pi[i0:i1, None] * p[i0:i1]
-            flow -= (pi[:, None] * p[:, i0:i1]).T
+        for i0, i1 in _row_blocks(self.n, start=f):
+            flow = pi[i0:i1, None] * self.rows[i0 - f:i1 - f]
+            for c0, c1, slab in _column_slabs(self, i0, i1, 0, self.n):
+                flow[:, c0:c1] -= (pi[c0:c1, None] * slab).T
             worst = max(worst, float(np.abs(flow, out=flow).max()))
         return worst
+
+
+def _column_slabs(chain: DiscretizedChain, i0: int, i1: int, c0: int, c1: int):
+    """P[c0:c1, i0:i1], for stored rows ``i0 >= first``, as (start, stop,
+    view) pieces over the stored rows: rows c below ``first`` are read
+    through the mirror P[c, i] = P[n-1-c, n-1-i], as a reversed view."""
+    rows, n, f = chain.rows, chain.n, chain.first
+    split = min(max(c0, f), c1)
+    if c0 < split:
+        yield c0, split, rows[n - f - split:n - f - c0, n - i1:n - i0][::-1, ::-1]
+    if split < c1:
+        yield split, c1, rows[split - f:c1 - f, i0:i1]
+
+
+def _times_transpose(
+    chain: DiscretizedChain, i0: int, i1: int, c0: int, c1: int, out: np.ndarray
+) -> np.ndarray:
+    """P[i0:i1, c0:c1] * P[c0:c1, i0:i1].T into ``out``, for stored rows
+    ``i0 >= first``."""
+    mine = chain.rows[i0 - chain.first:i1 - chain.first]
+    for a, b, slab in _column_slabs(chain, i0, i1, c0, c1):
+        np.multiply(mine[:, a:b], slab.T, out=out[:, a - c0:b - c0])
+    return out
 
 
 def _grid_values(
@@ -179,17 +245,17 @@ def _check_spacing(step: float, std: np.ndarray) -> None:
 
 
 def _log_move_rows(
-    grid: np.ndarray, lp: np.ndarray, g: np.ndarray, h: float, i0: int, i1: int
-) -> np.ndarray:
-    """Log of q(x_j | x_i) alpha(x_i, x_j) for rows i0:i1."""
-    # log q(x_j | x_i) = log_norm[i] - (x_i - x_j)^2 / (2 h g[i])
-    log_norm = -0.5 * math.log(2.0 * math.pi * h) - 0.5 * np.log(g)
-    inv_two_hg = 1.0 / (2.0 * h * g)
+    grid: np.ndarray, lp: np.ndarray, log_norm: np.ndarray,
+    inv_two_hg: np.ndarray, i0: int, i1: int, out: np.ndarray,
+) -> None:
+    """Log of q(x_j | x_i) alpha(x_i, x_j) for rows i0:i1, written into
+    ``out``, where log q(x_j | x_i) = log_norm[i] - (x_i - x_j)^2
+    inv_two_hg[i]."""
     d2 = (grid[i0:i1, None] - grid[None, :]) ** 2
     lq = log_norm[i0:i1, None] - d2 * inv_two_hg[i0:i1, None]
     lq_rev = log_norm[None, :] - d2 * inv_two_hg[None, :]
-    la = log_accept_terms(lp[i0:i1, None], lp[None, :], lq, lq_rev)
-    return lq + la
+    log_accept_terms(lp[i0:i1, None], lp[None, :], lq, lq_rev, out=out)
+    out += lq
 
 
 def build_discretized(
@@ -225,8 +291,8 @@ def build_discretized(
     lp, g = _grid_values(target, cov_field, grid)
     _check_spacing(step, _stds(h, g, grid[:, None]))
 
-    # a mirrored chain has P[i, j] == P[n-1-i, n-1-j]: compute the rows
-    # from n//2 up and reflect them into the lower ones
+    # a mirrored chain has P[i, j] == P[n-1-i, n-1-j]: only the rows from
+    # n//2 up are computed and stored
     mirrored = _reflects(grid, -1.0) and _reflects(lp, 1.0) and _reflects(g, 1.0)
     s = n // 2 if mirrored else 0
     if mirrored:
@@ -239,30 +305,31 @@ def build_discretized(
         if n % 2:
             grid[s] = 0.0
     log_step = math.log(step)
-    transition = np.empty((n, n))
+    log_norm = -0.5 * math.log(2.0 * math.pi * h) - 0.5 * np.log(g)
+    inv_two_hg = 1.0 / (2.0 * h * g)
+    rows = np.empty((n - s, n))
     for i0, i1 in _row_blocks(n, start=s):
-        log_move = _log_move_rows(grid, lp, g, h, i0, i1)
-        log_move += log_step
-        np.exp(log_move, out=transition[i0:i1])
+        block = rows[i0 - s:i1 - s]
+        _log_move_rows(grid, lp, log_norm, inv_two_hg, i0, i1, block)
+        block += log_step
+        np.exp(block, out=block)
 
-    idx = np.arange(s, n)
-    transition[idx, idx] = 0.0
-    stay = 1.0 - transition[s:].sum(axis=1)
+    # P[i, i] for the stored rows i = s..n-1
+    diagonal = rows.reshape(-1)[s::n + 1]
+    diagonal[:] = 0.0
+    stay = 1.0 - rows.sum(axis=1)
     if float(stay.min()) < -1e-10:
         raise DiscretizationError(
             f"off-diagonal mass overshoots a row by {-float(stay.min()):g}; "
             "refine the grid"
         )
-    np.clip(stay, 0.0, None, out=stay)
-    transition[idx, idx] = stay
-    if mirrored:
-        transition[:s] = transition[n - s:][::-1, ::-1]
+    np.clip(stay, 0.0, None, out=diagonal)
 
     w = np.exp(lp - lp.max())
     pi_hat = w / w.sum()
 
     label = f"grid(L={half_width:g},n={n},h={h:g},{cov_field.label},{target.label})"
-    return DiscretizedChain(grid, step, transition, pi_hat, label, mirrored)
+    return DiscretizedChain(grid, step, rows, pi_hat, label, mirrored)
 
 
 def _reflects(values: np.ndarray, parity: float) -> bool:
@@ -295,19 +362,20 @@ def _symmetric_block(chain: DiscretizedChain, k: int) -> np.ndarray:
     S[o+k, o+l] +- S[o+k, n-1-o-l].  For odd n the centre basis vector is
     e_c alone: the even block's centre row and column carry 1/sqrt(2) of
     that sum, and the odd block drops them.  Rows are written one row
-    block at a time, from the one stretch of S's columns they read.
+    block at a time, from the one stretch of S's columns they read; the
+    stretch below the stored rows is read through the mirror
+    (:func:`_column_slabs`).
 
     Formed in full, each block would be symmetric to the bit: P's lower
-    rows are exact mirror copies of its upper ones, and each entry of S
+    rows are exact mirror images of its upper ones, and each entry of S
     is a product of the same two factors in either order.  So the lower
     triangle alone carries the block.
     """
-    p, n = chain.transition, chain.n
+    n = chain.n
     if not chain.mirrored:
         block = np.empty((n, n))
         for i0, i1 in _row_blocks(n):
-            rows = block[i0:i1, :i1]
-            np.multiply(p[i0:i1, :i1], p[:i1, i0:i1].T, out=rows)
+            rows = _times_transpose(chain, i0, i1, 0, i1, block[i0:i1, :i1])
             np.sqrt(rows, out=rows)
         return block
     o = n // 2 if k == 0 else n - n // 2
@@ -319,7 +387,8 @@ def _symmetric_block(chain: DiscretizedChain, k: int) -> np.ndarray:
         # rows k0:k1 up to column k1 read S[i, o:o+k1] and, reversed,
         # S[i, m-k1:m]
         c0 = m - k1
-        rows = p[i0:i1, c0:o + k1] * p[c0:o + k1, i0:i1].T
+        rows = np.empty((i1 - i0, o + k1 - c0))
+        _times_transpose(chain, i0, i1, c0, o + k1, rows)
         np.sqrt(rows, out=rows)
         combine(rows[:, o - c0:o - c0 + k1], rows[:, k1 - 1::-1], out=block[k0:k1, :k1])
     if k == 0 and n % 2:
@@ -504,14 +573,15 @@ def spectral_gap(chain: DiscretizedChain) -> SpectralResult:
     eigenvalue past 1 + 1e-3 raises :class:`NumericError`.  Nothing is
     random: reruns at a fixed BLAS thread count give bit-identical
     results (the last bit can move with the thread count).  Besides the
-    transition matrix, one block is held at a time: its lower triangle keeps B, and
+    stored rows, one block is held at a time: its lower triangle keeps B, and
     every factorisation and the dense solver run in place in its strict
     upper triangle and diagonal, with B's diagonal saved as a vector.
     """
     # left end of P's Gershgorin discs: a lower bound on every eigenvalue;
-    # the first block's deflated eigenvalue 0 has to clear -lambda_2 too
-    p = chain.transition
-    floor = float((2.0 * np.diagonal(p) - p.sum(axis=1)).min())
+    # the first block's deflated eigenvalue 0 has to clear -lambda_2 too.
+    # The stored rows hold every row's entries
+    rows = chain.rows
+    floor = float((2.0 * np.diagonal(rows, offset=chain.first) - rows.sum(axis=1)).min())
     lambda2 = 0.0
     path = []
     for k in range(2 if chain.mirrored else 1):
@@ -533,10 +603,11 @@ def tv_decay_curve(
         raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
     dist = np.zeros(n)
     dist[start_index] = 1.0
+    p = chain.transition
     out = np.empty(n_steps + 1)
     out[0] = 0.5 * float(np.abs(dist - chain.pi_hat).sum())
     for k in range(1, n_steps + 1):
-        dist = dist @ chain.transition
+        dist = dist @ p
         out[k] = 0.5 * float(np.abs(dist - chain.pi_hat).sum())
     return out
 

@@ -216,8 +216,6 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
 
         return ProposalKernel(1, at, sample, log_q, label, sample_batch, log_q_batch)
 
-    trtrs = _lapack()[1]
-
     def at(x):
         xa = np.array(x, dtype=float)
         low = _cholesky(h * inv_metric(xa), xa)
@@ -228,8 +226,9 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
 
     def log_q(y, x, at_x):
         xa, low, logdet = at_x
-        # potrf returns a Fortran-ordered factor, which trtrs solves as is
-        v, _ = trtrs(low, np.array(y) - xa, lower=True)
+        # potrf returns a Fortran-ordered factor, which trtrs solves as is;
+        # looked up here, so that building the kernel imports no scipy
+        v, _ = _lapack()[1](low, np.array(y) - xa, lower=True)
         return -0.5 * (dim * _LOG_2PI + logdet + float(v @ v))
 
     def sample_batch(x, n, rng):

@@ -76,6 +76,19 @@ class TestLyapunovCatalogue:
         assert v.evaluate(pt(0.5)) == 1.0  # floored at one inside the ball
         assert v.log_evaluate(pt(16.0)) == pytest.approx(0.25 * math.log(16.0))
 
+    @pytest.mark.parametrize(
+        "x", [(1e155,), (-1e200,), (1e300,), (1e155, 0.0), (-1e200, 1e200), (1e300, -3e299)]
+    )
+    def test_past_the_square(self, x):
+        # |x|^2 overflows but |x| does not: log V stays finite, per point
+        # and in batch, silently
+        r = math.hypot(*x)
+        for v, expected in ((exp_abs(1.0), r), (abs_pow(2.0), 2.0 * math.log(r))):
+            got = v.log_evaluate(x)
+            assert v.log_evaluate(pt(*x)) == got == pytest.approx(expected, rel=1e-15)
+            batch = v.log_evaluate_batch(np.array([x, (3.0,) + x[1:]]))
+            assert batch[0] == pytest.approx(expected, rel=1e-15)
+
     def test_rectangle_v(self):
         v = rectangle_v()
         assert v.evaluate(pt(2.0, 5.0)) == pytest.approx(7.0)

@@ -430,3 +430,13 @@ class TestScenarioBodies:
             with pytest.raises(ConfigError) as err:
                 run_scenario(cfg)
             assert err.value.key == key
+
+
+def test_csv_formats_each_type_as_fmt_does():
+    # built-in types are looked up by exact type, the rest go through _fmt
+    row = (1.5, 2, True, "x", np.float64(0.1), np.int64(3), np.bool_(False),
+           False, -0.0, 1e300, float("nan"), None)
+    text = experiments._csv("d", 0, [f"c{i}" for i in range(len(row))], [row, row])
+    line = "1.5,2,true,x,0.1,3,false,false,-0.0,1e+300,nan,None"
+    assert line == ",".join(experiments._fmt(v) for v in row)
+    assert text.splitlines()[2:] == [line, line]

@@ -47,6 +47,23 @@ print(pdrwm.tuned_jump_quadrature(pdrwm.make_gaussian(), pdrwm.constant_field(1.
 print(pdrwm.exact_rejection_disc((0.0, 3.5)))
 """
 
+# Builds two 2-D Gaussian kernels and reports whether that loaded scipy,
+# then evaluates them, which does.
+KERNEL_CALLS = """
+import sys
+import numpy as np
+import pdrwm
+
+kernels = [
+    pdrwm.gaussian_proposal(pdrwm.ridge_conditional_field(), 1.0),
+    pdrwm.gaussian_proposal(pdrwm.power_field(1.0, dim=2), 0.5),
+]
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+for kernel in kernels:
+    at = kernel.at((0.5, -1.5))
+    print(at[1].tolist(), repr(at[2]), repr(kernel.log_q((1.0, 0.25), (0.5, -1.5), at)))
+"""
+
 CUSTOM_CONFIG = """
 scenario: custom
 seed: 42
@@ -92,6 +109,16 @@ class TestStartUp:
         proc, imported = fresh_python("-m", "pdrwm", "list-scenarios")
         assert "table1_grid" in proc.stdout
         assert "scipy" not in imported
+
+    def test_gaussian_kernel_is_built_without_scipy(self):
+        proc, imported = fresh_python("-c", KERNEL_CALLS)
+        loaded, *values = proc.stdout.splitlines()
+        assert loaded == "[]"
+        assert "scipy" in imported  # at and log_q load it on first use
+        here = io.StringIO()
+        with contextlib.redirect_stdout(here):
+            exec(KERNEL_CALLS, {})
+        assert values == here.getvalue().splitlines()[1:]
 
     def test_first_calls_in_a_fresh_process(self, tmp_path):
         proc, imported = fresh_python("-c", FIRST_CALLS)

@@ -82,20 +82,24 @@ class TestPower:
         ),
     )
     def test_value_has_the_bits_of_the_norm_form(self, b, x):
-        # past |x| = 1e154 the square overflows to inf, and a subnormal
-        # square underflows to 0; both forms must do so alike
+        # a subnormal square underflows to 0, and both forms must do so
+        # alike; past |x| = 1e154, where the square overflows to inf, both
+        # take |x| from np.hypot instead
         xv = np.array(x)
         f = power_field(b, dim=len(x))
         with np.errstate(over="ignore"):
+            norm = np.linalg.norm(xv)
+            if norm == math.inf:
+                norm = np.hypot.reduce(np.abs(xv))
             # a numpy scalar, whose power gives inf past the float range
             # where a Python float's raises OverflowError
-            scale = (1.0 + np.linalg.norm(xv)) ** b
+            scale = (1.0 + norm) ** b
             if len(x) == 1:
                 assert np.float64(f.inv_metric(xv)).tobytes() == scale.tobytes()
             else:
                 expected = np.diag(np.full(len(x), scale))
                 assert f.inv_metric(xv).tobytes() == expected.tobytes()
-            scales = (1.0 + np.linalg.norm(xv[None, :], axis=1)) ** b
+            scales = (1.0 + np.array([norm])) ** b
             batch = f.inv_metric_batch(xv[None, :])
         if np.isfinite(scales[0]):
             # finite values keep the bits of the scaled identity
@@ -205,6 +209,29 @@ class TestPowerFieldOverflowInDimensionTwo:
         x = np.array([1e80, 0.0])
         with pytest.raises(NumericError, match=r"covariance at .* is not finite"):
             sample(kern, x, np.random.default_rng(0))
+
+
+class TestNormPastTheSquare:
+    """Where |x|^2 overflows but |x| does not, the power field takes |x|
+    from abs or np.hypot in every form, silently; where the square is
+    finite it keeps the bits of sqrt(x . x)."""
+
+    @pytest.mark.parametrize("v", [1e155, -1e200, 1e300])
+    def test_one_dimension(self, v):
+        f = power_field(1.0)
+        assert f.inv_metric((v,)) == f.inv_metric(pt(v)) == 1.0 + abs(v)
+        assert f.inv_metric_batch(np.array([[v], [3.0]])).tolist() == [1.0 + abs(v), 4.0]
+
+    @pytest.mark.parametrize("x", [(1e155, 0.0), (-1e200, 1e200), (1e300, -3e299)])
+    def test_two_dimensions(self, x):
+        f = power_field(1.0, dim=2)
+        got = f.inv_metric(x)
+        r = got[0, 0]
+        assert r == pytest.approx(1.0 + math.hypot(*x), rel=1e-15)
+        np.testing.assert_array_equal(got, np.diag([r, r]))
+        np.testing.assert_array_equal(f.inv_metric(pt(*x)), got)
+        batch = f.inv_metric_batch(np.array([x, [3.0, 4.0]]))
+        np.testing.assert_array_equal(batch, [got, 6.0 * np.eye(2)])
 
 
 class TestRidgeConditionalOverflow:

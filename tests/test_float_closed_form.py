@@ -62,13 +62,15 @@ def array_closed_form(target, field, h, x, y):
 
 
 def array_norm(x) -> float:
-    # the dot product overflows with a RuntimeWarning where x * x is inf
+    # the dot product overflows with a RuntimeWarning where x * x is inf;
+    # there |x| is the overflow-free np.hypot reduction
     with np.errstate(over="ignore"):
-        return float(np.linalg.norm(x))
+        r = float(np.linalg.norm(x))
+    return r if r < math.inf else float(np.hypot.reduce(np.abs(x)))
 
 
 #: log V through ``np.linalg.norm`` on arrays, as the Lyapunov functions
-#: computed it per point
+#: computed it per point, and ``np.hypot`` where the square overflows
 ARRAY_LOG_V = {
     "exp_abs": lambda s: lambda x: s * array_norm(x),
     "abs_pow": lambda s: lambda x: (

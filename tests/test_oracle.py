@@ -39,6 +39,16 @@ import pdrwm.oracle
 from pdrwm.oracle import SPACING_FRACTION, _grid_values
 
 
+#: a mirrored 4-state chain with spectrum 1, 0.8 (even block) and -0.7,
+#: -0.9 (odd block)
+FOUR_STATES = np.array([
+    [0.05, 0.10, 0.00, 0.85],
+    [0.10, 0.05, 0.85, 0.00],
+    [0.00, 0.85, 0.05, 0.10],
+    [0.85, 0.00, 0.10, 0.05],
+])
+
+
 @pytest.fixture(scope="module")
 def small_chain():
     t = make_exponential_tail(1.0)
@@ -135,14 +145,9 @@ class TestSpectralGap:
     def test_negative_odd_eigenvalue_sets_lambda2(self):
         # a hand-built mirrored chain whose spectrum is 1, 0.8 (even) and
         # -0.7, -0.9 (odd): lambda_2 is the odd block's lowest eigenvalue
-        p = np.array([
-            [0.05, 0.10, 0.00, 0.85],
-            [0.10, 0.05, 0.85, 0.00],
-            [0.00, 0.85, 0.05, 0.10],
-            [0.85, 0.00, 0.10, 0.05],
-        ])
+        p = FOUR_STATES
         grid = np.array([-1.5, -0.5, 0.5, 1.5])
-        chain = DiscretizedChain(grid, 1.0, p, np.full(4, 0.25), "hand", True)
+        chain = DiscretizedChain(grid, 1.0, p[2:], np.full(4, 0.25), "hand", True)
         res = spectral_gap(chain)
         assert res.lambda2 == pytest.approx(0.9, abs=1e-14)
         assert res.gap == pytest.approx(0.1, abs=1e-14)
@@ -174,7 +179,7 @@ class TestSpectralGap:
         assert np.array_equal(p, p.T) and np.array_equal(p, p[::-1, ::-1])
         assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-15
         chain = DiscretizedChain(
-            np.linspace(-1.0, 1.0, n), 2.0 / (n - 1), p, np.full(n, 1.0 / n),
+            np.linspace(-1.0, 1.0, n), 2.0 / (n - 1), p[n // 2:], np.full(n, 1.0 / n),
             "hand(across)", True,
         )
         res = spectral_gap(chain)
@@ -195,7 +200,9 @@ class TestSpectralGap:
         )
         assert chain.mirrored is True
         split = spectral_gap(chain)
-        whole = spectral_gap(dataclasses.replace(chain, mirrored=False))
+        whole = spectral_gap(
+            dataclasses.replace(chain, rows=chain.transition, mirrored=False)
+        )
         # the block former writes the lower triangle only
         odd = np.tril(pdrwm.oracle._symmetric_block(chain, 1))
         odd_top = scipy.linalg.eigh(odd, eigvals_only=True, lower=True)[-1]
@@ -210,9 +217,8 @@ class TestSpectralGap:
     @pytest.mark.parametrize("mirrored", [True, False])
     def test_broken_chain_raises_naming_it(self, small_chain, mirrored):
         # rows scaled by 1.01 put the stationary Rayleigh quotient at 1.01
-        broken = dataclasses.replace(
-            small_chain, transition=small_chain.transition * 1.01, mirrored=mirrored
-        )
+        rows = small_chain.rows if mirrored else small_chain.transition
+        broken = dataclasses.replace(small_chain, rows=rows * 1.01, mirrored=mirrored)
         with pytest.raises(NumericError) as err:
             spectral_gap(broken)
         assert small_chain.label in str(err.value)
@@ -231,7 +237,9 @@ class TestSpectralGap:
 
     def test_path_of_a_built_chain(self, small_chain):
         assert spectral_gap(small_chain).path == ("extremal", "extremal")
-        whole = dataclasses.replace(small_chain, mirrored=False)
+        whole = dataclasses.replace(
+            small_chain, rows=small_chain.transition, mirrored=False
+        )
         assert spectral_gap(whole).path == ("extremal",)
 
     def test_rerun_is_bit_identical(self):
@@ -280,7 +288,9 @@ class TestMirroredChainProperties:
         assert chain.stationarity_residual() <= 1e-12
         assert chain.reversibility_residual() <= 1e-12
         split = spectral_gap(chain)
-        whole = spectral_gap(dataclasses.replace(chain, mirrored=False))
+        whole = spectral_gap(
+            dataclasses.replace(chain, rows=chain.transition, mirrored=False)
+        )
         assert abs(split.gap - whole.gap) <= 1e-10
         assert abs(split.lambda2 - whole.lambda2) <= 1e-10
         dense = scipy.linalg.eigh(chain.symmetrized, eigvals_only=True)
@@ -288,6 +298,128 @@ class TestMirroredChainProperties:
         assert abs(split.lambda2 - lam2) <= 1e-12
         assert abs(whole.lambda2 - lam2) <= 1e-12
 
+
+def _full_build(target, field, h, half_width, n):
+    """The whole transition matrix of a mirrored problem, built as the
+    oracle built it while it stored all of P: rows n//2..n-1 computed,
+    then copied, reversed, into rows 0..n//2-1."""
+    grid = np.linspace(-half_width, half_width, n)
+    step = float(grid[1] - grid[0])
+    lp, g = _grid_values(target, field, grid)
+    s = n // 2
+    grid[:s] = -grid[n - s:][::-1]
+    lp[:s] = lp[n - s:][::-1]
+    g[:s] = g[n - s:][::-1]
+    if n % 2:
+        grid[s] = 0.0
+    log_norm = -0.5 * math.log(2.0 * math.pi * h) - 0.5 * np.log(g)
+    inv_two_hg = 1.0 / (2.0 * h * g)
+    d2 = (grid[s:, None] - grid[None, :]) ** 2
+    lq = log_norm[s:, None] - d2 * inv_two_hg[s:, None]
+    lq_rev = log_norm[None, :] - d2 * inv_two_hg[None, :]
+    la = np.minimum(0.0, lp[None, :] + lq_rev - lp[s:, None] - lq)
+    p = np.empty((n, n))
+    p[s:] = np.exp(lq + la + math.log(step))
+    idx = np.arange(s, n)
+    p[idx, idx] = 0.0
+    p[idx, idx] = np.clip(1.0 - p[s:].sum(axis=1), 0.0, None)
+    p[:s] = p[n - s:][::-1, ::-1]
+    return p
+
+
+class TestStoredRows:
+    @given(
+        target=_SYMMETRIC_TARGETS,
+        b=st.floats(0.0, 4.0),
+        log_h=st.floats(math.log(0.01), math.log(10.0)),
+        n=st.integers(50, 401),
+        width=st.floats(0.05, 1.0),
+    )
+    def test_transition_is_the_full_build(self, target, b, log_h, n, width):
+        h = math.exp(log_h)
+        half_width = width * 0.5 * SPACING_FRACTION * math.sqrt(h) * (n - 1)
+        chain = build_discretized(target, power_field(b), h, half_width, n)
+        assert chain.mirrored is True
+        assert chain.rows.shape == (n - n // 2, n)
+        full = _full_build(target, power_field(b), h, half_width, n)
+        assert np.array_equal(chain.transition, full)
+        sym = full * full.T
+        assert np.array_equal(chain.symmetrized, np.sqrt(sym, out=sym))
+
+    def test_hand_built_unmirrored_chain_solves(self):
+        # the 4-state chain stored whole, as one block
+        p = FOUR_STATES
+        grid = np.array([-1.5, -0.5, 0.5, 1.5])
+        chain = DiscretizedChain(grid, 1.0, p, np.full(4, 0.25), "hand", False)
+        assert chain.first == 0
+        assert np.array_equal(chain.transition, p)
+        assert chain.row_sum_residual() < 1e-15
+        assert chain.stationarity_residual() < 1e-15
+        assert chain.reversibility_residual() == 0.0
+        res = spectral_gap(chain)
+        assert res.lambda2 == pytest.approx(0.9, abs=1e-14)
+        assert res.path == ("dense: block too small",)
+
+    def test_residuals_of_a_skewed_mirror_are_seen(self, small_chain):
+        # a mirrored chain whose stored rows lose detailed balance and
+        # stationarity: the residuals read from the rows must show it
+        rows = small_chain.rows.copy()
+        rows[5, 7] += 1e-6
+        broken = dataclasses.replace(small_chain, rows=rows)
+        assert broken.row_sum_residual() == pytest.approx(1e-6, rel=1e-6)
+        assert broken.stationarity_residual() > 1e-9
+        assert broken.reversibility_residual() > 1e-9
+        p = broken.transition
+        assert broken.reversibility_residual() == pytest.approx(float(
+            np.abs(broken.pi_hat[:, None] * p - (broken.pi_hat[:, None] * p).T).max()
+        ), rel=1e-12)
+        assert broken.stationarity_residual() == pytest.approx(
+            float(np.abs(broken.pi_hat @ p - broken.pi_hat).max()), rel=1e-9
+        )
+
+    @pytest.mark.parametrize("mirrored", [True, False])
+    def test_mismatched_rows_raise(self, small_chain, mirrored):
+        n = small_chain.n
+        rows = small_chain.transition if mirrored else small_chain.rows
+        with pytest.raises(ParameterError) as err:
+            dataclasses.replace(small_chain, rows=rows, mirrored=mirrored)
+        want = (n - n // 2, n) if mirrored else (n, n)
+        assert str(want) in str(err.value) and str(rows.shape) in str(err.value)
+
+    def test_build_holds_half_the_matrix(self):
+        args = (make_gaussian(), constant_field(1.0), 1.0, 12.0, 2401)
+        build_discretized(*args[:3], 5.0, 101)  # lazy imports outside the trace
+        tracemalloc.start()
+        try:
+            chain = build_discretized(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chain.mirrored is True
+        assert peak < 0.6 * chain.n ** 2 * 8
+
+    def test_residuals_assemble_no_matrix(self):
+        chain = build_discretized(make_gaussian(), constant_field(1.0), 1.0, 12.0, 2401)
+        tracemalloc.start()
+        try:
+            worst = max(chain.row_sum_residual(), chain.stationarity_residual(),
+                        chain.reversibility_residual())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert worst < 1e-12
+        assert peak < 0.05 * chain.n ** 2 * 8
+
+    @pytest.mark.parametrize("start", [0, 10, 150])
+    def test_tv_decay_is_the_loop_over_the_matrix(self, small_chain, start):
+        p, pi = small_chain.transition, small_chain.pi_hat
+        dist = np.zeros(small_chain.n)
+        dist[start] = 1.0
+        expected = [0.5 * float(np.abs(dist - pi).sum())]
+        for _ in range(40):
+            dist = dist @ p
+            expected.append(0.5 * float(np.abs(dist - pi).sum()))
+        assert np.array_equal(tv_decay_curve(small_chain, start, 40), expected)
 
 def _full_blocks(chain):
     """The even and odd blocks formed in full from the whole rows of the
@@ -313,7 +445,7 @@ from pdrwm import build_discretized, make_exponential_tail, power_field, spectra
 for n, whole in ((1201, False), (1200, False), (1201, True)):
     chain = build_discretized(make_exponential_tail(1.0), power_field(1.0), 1.0, 15.0, n)
     if whole:
-        chain = dataclasses.replace(chain, mirrored=False)
+        chain = dataclasses.replace(chain, rows=chain.transition, mirrored=False)
     res = spectral_gap(chain)
     print(n, whole, res.lambda2.hex(), *res.path)
 """
@@ -347,7 +479,7 @@ class TestOneBlockSolve:
             assert np.array_equal(np.tril(block, -1), np.tril(full, -1))
 
     def test_solve_holds_one_block(self):
-        # the transition matrix aside, the solve allocates one block of
+        # the stored rows aside, the solve allocates one block of
         # about n/2 squared and small row-block temporaries
         chain = build_discretized(make_gaussian(), constant_field(1.0), 1.0, 12.0, 2401)
         block_bytes = (chain.n - chain.n // 2) ** 2 * 8
