@@ -31,7 +31,8 @@ from .chain import (
 from .errors import NumericError, ParameterError
 from .fields import CovarianceField, _norm, _norms, power_field
 from .proposals import ProposalKernel, _step_size, gaussian_proposal
-from .targets import TargetDensity, _log_density_on_support
+from .targets import _FLOATS, TargetDensity, _forms, _over_columns
+from .targets import _log_density_on_support
 
 __all__ = [
     "LyapunovFunction",
@@ -90,11 +91,8 @@ def exp_abs(s: float) -> LyapunovFunction:
     if not s > 0:
         raise ParameterError(f"scale must be positive, got {s}")
     s = float(s)
-    return LyapunovFunction(
-        f"exp_abs(s={s:g})",
-        lambda x: s * _norm(x),
-        lambda xs: s * _norms(xs),
-    )
+    log_v = _forms(lambda xp, r: s * r, _norm, _norms)
+    return LyapunovFunction(f"exp_abs(s={s:g})", *log_v)
 
 
 def abs_pow(s: float) -> LyapunovFunction:
@@ -103,16 +101,12 @@ def abs_pow(s: float) -> LyapunovFunction:
         raise ParameterError(f"power must be positive, got {s}")
     s = float(s)
 
-    def logv(x: np.ndarray) -> float:
-        r = _norm(x)
-        return max(0.0, s * math.log(r)) if r > 0 else 0.0
+    # r <= 1 gives V = 1, and the floor keeps log(0) out; at a NaN r the
+    # per-point form gives 0.0 (Python's max keeps its first argument)
+    def log_v(xp, r):
+        return xp.maximum(0.0, s * xp.log(xp.maximum(r, 1.0)))
 
-    def logv_batch(xs: np.ndarray) -> np.ndarray:
-        # r <= 1 gives V = 1; the floor keeps log(0) out of the pass
-        r = np.maximum(_norms(xs), 1.0)
-        return np.maximum(0.0, s * np.log(r))
-
-    return LyapunovFunction(f"abs_pow(s={s:g})", logv, logv_batch)
+    return LyapunovFunction(f"abs_pow(s={s:g})", *_forms(log_v, _norm, _norms))
 
 
 def rectangle_v() -> LyapunovFunction:
@@ -120,13 +114,14 @@ def rectangle_v() -> LyapunovFunction:
     it grows with height, which is the direction the chain must drift
     back down."""
 
-    def logv(y: np.ndarray) -> float:
-        return math.log(abs(float(y[1])) + max(1.0, abs(float(y[0]))))
+    def log_v(xp, y1, y2):
+        return xp.log(abs(y2) + xp.maximum(1.0, abs(y1)))
 
-    def logv_batch(ys: np.ndarray) -> np.ndarray:
-        return np.log(np.abs(ys[:, 1]) + np.maximum(1.0, np.abs(ys[:, 0])))
-
-    return LyapunovFunction("rectangle_v", logv, logv_batch)
+    return LyapunovFunction(
+        "rectangle_v",
+        lambda y: log_v(_FLOATS, float(y[0]), float(y[1])),
+        lambda ys: _over_columns(log_v, ys[:, 0], ys[:, 1]),
+    )
 
 
 class DriftResult(NamedTuple):

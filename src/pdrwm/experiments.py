@@ -60,7 +60,7 @@ from .fields import (
 )
 from .oracle import classify_gap_trend, drift_ratio_quadrature, gap_growth_scan
 from .oracle import stationary_jump_quadrature, tuned_jump_quadrature
-from .proposals import circle_proposal, ellipse_proposal, gaussian_proposal
+from .proposals import _step_size, circle_proposal, ellipse_proposal, gaussian_proposal
 from .rectangle import (
     disc_rejection_area_bound,
     disc_rejection_lower_bound,
@@ -343,6 +343,14 @@ def _check_points(key: str, points, target: TargetDensity, kernels) -> None:
             raise ConfigError(str(exc), key=f"{key}[{i}]") from exc
 
 
+def _check_step(h: float, key: str) -> None:
+    """``ConfigError`` naming ``key`` where the step-size rule refuses ``h``."""
+    try:
+        _step_size(h)
+    except ParameterError as exc:
+        raise ConfigError(str(exc), key=key) from exc
+
+
 def _scenario_figure1(
     seed, digest, /, *, x_points: tuple[float, ...] = (5.0, 10.0, 20.0, 40.0),
     n_proposals: int = 2000, b: float = 4.0, h: float = 1.0, a: float = 1.0,
@@ -362,6 +370,7 @@ def _scenario_figure1(
     """
     if n_proposals < 100:
         raise ConfigError("n_proposals must be at least 100", key="n_proposals")
+    _check_step(h, "h")
 
     target = make_exponential_tail(a)
     fld = power_field(b)
@@ -423,6 +432,7 @@ def _scenario_figure2(
     """
     if n_proposals < 100:
         raise ConfigError("n_proposals must be at least 100", key="n_proposals")
+    _check_step(h, "h")
 
     ridge = make_ridge_2d()
     fields = {
@@ -680,6 +690,7 @@ def _scenario_lemma2(
     within 2 percent (``quadrature_within_2pct``), which is the point of
     keeping two routes.
     """
+    _check_step(h, "h")
     target, fld = make_exponential_tail(a), power_field(b)
     _check_points("xs", [(x,) for x in xs], target, [gaussian_proposal(fld, h)])
     rows = _drift_rows(target, fld, h, exp_abs(s), xs, n, seed)
@@ -715,6 +726,8 @@ def _scenario_lemma3(
     is below one at every step size for 0 < s < p - 1.  See the README's
     verification notes.
     """
+    _check_step(h_small, "h_small")
+    _check_step(h_large, "h_large")
     rows, checks = _heavy_tail_drift(
         seed, seed, p=p, s=s, xs=xs, h_small=h_small, h_large=h_large, n=n
     )
@@ -737,6 +750,7 @@ def _scenario_lemma4(
     point (``mass_small_at_far_point``): the chain keeps less and less
     chance of a genuine move.
     """
+    _check_step(h, "h")
     target = make_exponential_tail(a)
     kern = gaussian_proposal(power_field(b), h)
     _check_points("xs", [(x,) for x in xs], target, [kern])
@@ -930,6 +944,7 @@ def _scenario_esjd(
     if len(b_values) < 2:
         raise ConfigError("b_values needs at least two exponents", key="b_values")
     _check_scan_steps(n_steps)
+    _check_step(h, "h")
 
     target = make_gaussian(1.0)
 
@@ -1038,10 +1053,8 @@ def _scenario_custom(
         raise ConfigError(
             f"field dim {fld.dim} != target dim {density.dim}", key="field"
         )
-    try:
-        kern = gaussian_proposal(fld, h)
-    except ParameterError as exc:  # the kernel's step-size rule
-        raise ConfigError(str(exc), key="h") from exc
+    _check_step(h, "h")
+    kern = gaussian_proposal(fld, h)
     try:
         traj = run_chain(density, kern, x0, n_steps, seed)
     except (ParameterError, SupportError) as exc:

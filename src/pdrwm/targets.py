@@ -8,22 +8,25 @@ are unnormalized throughout; all Metropolis quantities depend only on ratios.
 A point is a sequence of ``dim`` floats that the per-point form indexes,
 a 1-D numpy array or, in :func:`~pdrwm.chain.run_chain`'s float loop, a
 tuple of Python floats; batches of points are ``(m, dim)`` arrays, one
-point per row.  Each formula is written once over coordinates: the
-per-point form hands it Python floats, the batch form whole columns.
-The two forms therefore agree to the last bit or two, not exactly:
-numpy's vectorised ``exp``/``log1p`` may round differently from the C
-library on a few percent of inputs, and the chains keep the per-point
-arithmetic they always had.  The staircase's
-two forms agree exactly: :class:`RectangleDensity` alone defines its
-level rule, which every other module reads, and its array form looks up
-the scalar form's floats.  Its half-width is subnormal from level 646
-and exactly 0.0 from level 680.
+point per row.  Each formula is written once, as ``formula(xp, ...)``
+(:func:`_forms`), as are the fields' and the Lyapunov functions': the
+per-point form passes Python floats and ``_FLOATS``, the batch form
+columns and ``numpy``.  The two forms therefore agree to the last bit or
+two, not exactly: numpy's vectorised ``power``, ``exp``, ``log`` and
+``log1p`` may round differently from the C library on a few percent of
+inputs, and the chains keep the per-point arithmetic they always had.
+The staircase's two forms agree exactly: :class:`RectangleDensity` alone
+defines its level rule, which every other module reads, and its array
+form looks up the scalar form's floats.  Its half-width is subnormal from
+level 646 and exactly 0.0 from level 680.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -134,28 +137,49 @@ class RectangleDensity(TargetDensity):
         return cls._table[np.clip(ks, 1, cls.zero_level).astype(np.intp) - 1]
 
 
-def _log1p(v):
-    """``log1p`` of a Python float (C library) or of an array (numpy)."""
-    return math.log1p(v) if isinstance(v, float) else np.log1p(v)
+#: A formula's operations on Python floats, the C library's; the batch
+#: form passes numpy, whose ufuncs and ``**`` (``x * x`` at exponent 2)
+#: are the only places where the two forms' arithmetic differs.  Python's
+#: ``max`` and ``min`` keep their first argument where the other is NaN.
+_FLOATS = SimpleNamespace(
+    exp=math.exp, log=math.log, log1p=math.log1p, float_power=operator.pow,
+    fmax=max, maximum=max, minimum=min, where=lambda c, a, b: a if c else b,
+)
 
 
 def _over_columns(formula, *columns) -> np.ndarray:
-    """``formula`` over whole columns, as silent as over Python floats:
-    an overflow gives ``±inf`` and ``inf * 0`` gives NaN without numpy's
-    ``RuntimeWarning``."""
+    """``formula`` over whole columns with numpy's operations, as silent as
+    over Python floats: an overflow gives ``±inf`` and ``inf * 0`` gives
+    NaN without numpy's ``RuntimeWarning``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return formula(*columns)
+        return formula(np, *columns)
+
+
+def _coordinate(k: int) -> tuple[Callable, Callable]:
+    """The reads of coordinate ``k``: ``x[k]`` of a point, ``xs[:, k]`` of rows."""
+    return operator.itemgetter(k), operator.itemgetter((slice(None), k))
+
+
+def _forms(formula, read, read_batch) -> tuple[Callable, Callable]:
+    """The per-point and batch forms of ``formula(xp, v)`` at the value
+    ``read`` takes from a point and the column ``read_batch`` takes from
+    rows.  Where float ``**`` raises ``OverflowError`` (numpy's power gives
+    inf), the per-point value is the formula's at a numpy float instead."""
+
+    def per_point(x) -> float:
+        v = float(read(x))
+        try:
+            return formula(_FLOATS, v)
+        except OverflowError:
+            return float(_over_columns(formula, np.float64(v)))
+
+    return per_point, lambda xs: _over_columns(formula, read_batch(xs))
 
 
 def _one_dim(formula, label: str) -> TargetDensity:
-    """Full-support 1-D target from one formula in the coordinate: the
-    per-point form passes it ``float(x[0])``, the batch form ``xs[:, 0]``."""
-    return TargetDensity(
-        1,
-        lambda x: formula(float(x[0])),
-        label,
-        lambda xs: _over_columns(formula, xs[:, 0]),
-    )
+    """Full-support 1-D target from one formula in the coordinate."""
+    log_density, log_density_batch = _forms(formula, *_coordinate(0))
+    return TargetDensity(1, log_density, label, log_density_batch)
 
 
 def make_exponential_tail(a: float) -> TargetDensity:
@@ -167,7 +191,7 @@ def make_exponential_tail(a: float) -> TargetDensity:
     if not a > 0:
         raise ParameterError(f"decay rate must be positive, got {a}")
     a = float(a)
-    return _one_dim(lambda v: -a * abs(v), f"exp_tail(a={a:g})")
+    return _one_dim(lambda xp, v: -a * abs(v), f"exp_tail(a={a:g})")
 
 
 def make_subexponential_tail(a: float, beta: float) -> TargetDensity:
@@ -180,7 +204,7 @@ def make_subexponential_tail(a: float, beta: float) -> TargetDensity:
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"tail exponent must lie in (0,1), got {beta}")
     a, beta = float(a), float(beta)
-    return _one_dim(lambda v: -a * abs(v) ** beta, f"subexp_tail(a={a:g},beta={beta:g})")
+    return _one_dim(lambda xp, v: -a * abs(v) ** beta, f"subexp_tail(a={a:g},beta={beta:g})")
 
 
 def make_polynomial_tail(p: float) -> TargetDensity:
@@ -192,7 +216,7 @@ def make_polynomial_tail(p: float) -> TargetDensity:
     if not p >= 1:
         raise ParameterError(f"tail power must be >= 1, got {p}")
     p = float(p)
-    return _one_dim(lambda v: -p * _log1p(abs(v)), f"poly_tail(p={p:g})")
+    return _one_dim(lambda xp, v: -p * xp.log1p(abs(v)), f"poly_tail(p={p:g})")
 
 
 def make_gaussian(sigma: float = 1.0) -> TargetDensity:
@@ -204,7 +228,7 @@ def make_gaussian(sigma: float = 1.0) -> TargetDensity:
     if not sigma > 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
     s2 = float(sigma) ** 2
-    return _one_dim(lambda v: -0.5 * v * v / s2, f"gaussian(sigma={sigma:g})")
+    return _one_dim(lambda xp, v: -0.5 * v * v / s2, f"gaussian(sigma={sigma:g})")
 
 
 def make_ridge_2d() -> TargetDensity:
@@ -217,18 +241,15 @@ def make_ridge_2d() -> TargetDensity:
     there is ``-inf``, and both forms return that.
     """
 
-    def formula(u, v):
-        return -u * u - v * v - u * u * v * v
+    def formula(xp, u, v):  # fmax(-inf, NaN) is -inf on both sides
+        return xp.fmax(-math.inf, -u * u - v * v - u * u * v * v)
 
-    def logp(x: np.ndarray) -> float:
-        lp = formula(float(x[0]), float(x[1]))
-        return lp if lp == lp else -math.inf
-
-    def logp_batch(xs: np.ndarray) -> np.ndarray:
-        lp = _over_columns(formula, xs[:, 0], xs[:, 1])
-        return np.fmax(lp, -np.inf, out=lp)  # fmax takes -inf over NaN
-
-    return TargetDensity(2, logp, "ridge_2d", logp_batch)
+    return TargetDensity(
+        2,
+        lambda x: formula(_FLOATS, float(x[0]), float(x[1])),
+        "ridge_2d",
+        lambda xs: _over_columns(formula, xs[:, 0], xs[:, 1]),
+    )
 
 
 _LOG3 = math.log(3.0)

@@ -200,6 +200,24 @@ class TestRun:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
+        "scenario, key",
+        [("figure1", "h"), ("figure2_data", "h"), ("lemma2_drift", "h"),
+         ("lemma3_drift", "h_small"), ("lemma3_drift", "h_large"),
+         ("lemma4_probe", "h"), ("esjd_scan", "h")],
+    )
+    def test_step_size_error_names_its_key(self, tmp_path, capsys, scenario, key):
+        # custom's h: test_custom_step_size_must_be_finite
+        out_dir = tmp_path / "out"
+        cfg = write_config(
+            tmp_path,
+            f"scenario: {scenario}\nseed: 0\noutput_dir: {out_dir}\nparams:\n  {key}: -1.0\n",
+        )
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error (key: {key}): step size must be positive")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
         "scenario, params, key", BAD_CONFIGS, ids=[f"{s}-{k}" for s, _, k in BAD_CONFIGS]
     )
     def test_bad_params_exit_two_without_files(self, tmp_path, capsys, scenario, params, key):

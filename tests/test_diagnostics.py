@@ -36,6 +36,8 @@ from pdrwm import (
     tune_step_size,
 )
 from pdrwm.diagnostics import V_RATIO_CAP
+from test_fields import FLOAT_POINTS
+from test_float_closed_form import ARRAY_LOG_V
 from test_proposals import log_q
 
 
@@ -100,6 +102,73 @@ class TestLyapunovCatalogue:
                 exp_abs(bad)
             with pytest.raises(ParameterError):
                 abs_pow(bad)
+
+
+def _written_norms(xs):
+    with np.errstate(over="ignore"):
+        r = np.linalg.norm(xs, axis=1)
+    big = r == math.inf
+    r[big] = np.hypot.reduce(np.abs(xs[big]), axis=1)
+    return r
+
+
+#: each built-in Lyapunov function's batch form, written out
+WRITTEN_LOG_V_BATCH = {
+    "exp_abs": lambda xs: 0.7 * _written_norms(xs),
+    "abs_pow": lambda xs: np.maximum(
+        0.0, 0.7 * np.log(np.maximum(_written_norms(xs), 1.0))
+    ),
+    "rectangle_v": lambda ys: np.log(
+        np.abs(ys[:, 1]) + np.maximum(1.0, np.abs(ys[:, 0]))
+    ),
+}
+#: and its per-point form
+WRITTEN_LOG_V = {
+    "exp_abs": ARRAY_LOG_V["exp_abs"](0.7),
+    "abs_pow": ARRAY_LOG_V["abs_pow"](0.7),
+    "rectangle_v": lambda y: math.log(abs(float(y[1])) + max(1.0, abs(float(y[0])))),
+}
+LYAPUNOV_AT = {"exp_abs": exp_abs(0.7), "abs_pow": abs_pow(0.7), "rectangle_v": rectangle_v()}
+
+
+def bits(v) -> bytes:
+    return np.float64(v).tobytes()
+
+
+KINDS_AND_DIMS = [("exp_abs", 1), ("exp_abs", 2), ("exp_abs", 3), ("abs_pow", 1),
+                  ("abs_pow", 2), ("abs_pow", 3), ("rectangle_v", 2)]
+
+
+class TestLyapunovBits:
+    """The batch forms keep the bits of a test-local copy of their
+    written-out expressions, at single points, pairs and triples of
+    them, and random rows, and so do the per-point forms."""
+
+    @staticmethod
+    def rows(dim):
+        rng = np.random.default_rng(29)
+        scales = np.exp(rng.uniform(-20.0, 20.0, (5000, 1)))
+        pairs = [(u, v) for u in FLOAT_POINTS for v in FLOAT_POINTS]
+        grid = {
+            1: [(u,) for u in FLOAT_POINTS],
+            2: pairs,
+            3: [(u, v, FLOAT_POINTS[i % 16]) for i, (u, v) in enumerate(pairs)],
+        }[dim]
+        return np.vstack([grid, rng.standard_normal((5000, dim)) * scales])
+
+    @pytest.mark.parametrize("kind, dim", KINDS_AND_DIMS)
+    def test_batch(self, kind, dim):
+        xs = self.rows(dim)
+        expected = WRITTEN_LOG_V_BATCH[kind](xs)
+        assert LYAPUNOV_AT[kind].log_evaluate_batch(xs).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind, dim", KINDS_AND_DIMS)
+    def test_per_point(self, kind, dim):
+        v, written = LYAPUNOV_AT[kind], WRITTEN_LOG_V[kind]
+        for x in self.rows(dim)[:1500]:
+            expected = bits(written(x))
+            assert bits(v.log_evaluate(x)) == expected, x
+            assert bits(v.log_evaluate(tuple(x.tolist()))) == expected, x
 
 
 class TestDriftRatio:

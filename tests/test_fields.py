@@ -11,10 +11,13 @@ from pdrwm import (
     EvaluationError,
     NumericError,
     ParameterError,
+    TargetDensity,
     constant_field,
     gaussian_proposal,
     make_exponential_tail,
+    make_gaussian,
     make_rectangle,
+    make_ridge_2d,
     one_plus_square_field,
     power_field,
     ridge_conditional_field,
@@ -170,7 +173,8 @@ class TestFloatVariance:
 
 class TestPerPointOverflow:
     """Where the value passes the float range, the per-point forms give
-    ``inf`` as the batch form does, and the kernel names the point."""
+    ``inf`` as the batch form does, neither with a numpy warning, and the
+    kernel names the point."""
 
     @pytest.mark.parametrize(
         "field, v",
@@ -182,25 +186,26 @@ class TestPerPointOverflow:
         v *= sign
         assert field.inv_metric((v,)) == math.inf
         assert field.inv_metric(pt(v)) == math.inf
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            batch = field.inv_metric_batch(pt(v)[None, :])
-        assert batch[0] == math.inf
+        assert field.inv_metric_batch(pt(v)[None, :])[0] == math.inf
         kern = gaussian_proposal(field, 1.0)
-        with pytest.raises(NumericError, match=re.escape(f"inf at [{v!r}]")):
+        message = re.escape(f"field value inf at [{v!r}] is not usable")
+        with pytest.raises(NumericError, match=message):
             kern.at((v,))
+        with pytest.raises(NumericError, match=message):
+            kern.log_q_batch(pt(0.0), pt(v)[None, :])
 
 
 class TestPowerFieldOverflowInDimensionTwo:
     """Past the float range the scale is ``inf`` on the diagonal and the
-    off-diagonal stays 0, with no inf * 0 NaN in either form."""
+    off-diagonal stays 0, with no inf * 0 NaN and no numpy warning in
+    either form."""
 
     def test_diagonal_inf_off_diagonal_zero(self):
         f = power_field(4.0, dim=2)
         x = np.array([1e80, 0.0])
         expected = np.array([[math.inf, 0.0], [0.0, math.inf]])
         np.testing.assert_array_equal(f.inv_metric(x), expected)
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            batch = f.inv_metric_batch(np.array([x, [3.0, 4.0]]))
+        batch = f.inv_metric_batch(np.array([x, [3.0, 4.0]]))
         np.testing.assert_array_equal(batch[0], expected)
         np.testing.assert_array_equal(batch[1], 6.0**4 * np.eye(2))
 
@@ -284,3 +289,165 @@ class TestTemperedLangevin:
         assert f.inv_metric(pt(0.0, 1.0))[0, 0] == pytest.approx(3.0)
         with pytest.raises(EvaluationError):
             f.inv_metric(pt(0.0, 0.5))
+
+    @pytest.mark.parametrize(
+        "target, x",
+        [
+            (make_exponential_tail(1.0), (math.nan,)),
+            # a 2-D target whose log-density is NaN at a NaN coordinate
+            (
+                TargetDensity(
+                    2,
+                    lambda x: -abs(float(x[0])) - abs(float(x[1])),
+                    "laplace_2d",
+                    lambda xs: -np.abs(xs[:, 0]) - np.abs(xs[:, 1]),
+                ),
+                (1.0, math.nan),
+            ),
+        ],
+        ids=["1d", "2d"],
+    )
+    def test_nan_log_density_is_off_support(self, target, x):
+        # the one support rule: a point is on it iff log pi > -inf
+        assert math.isnan(target.log_density(x))
+        f = tempered_langevin_field(target)
+        message = re.escape(f"off support at {np.array(x)}")
+        with pytest.raises(EvaluationError, match=message):
+            f.inv_metric(x)
+        with pytest.raises(EvaluationError, match=message):
+            f.inv_metric(np.array(x))
+        with pytest.raises(EvaluationError, match=message):
+            f.inv_metric_batch(np.array([np.ones(len(x)), x]))
+
+
+def _bytes_or_error(fn, *args):
+    """``fn(*args)`` as float64 bytes, or the type of what it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return np.asarray(fn(*args), dtype=float).tobytes()
+    except (ArithmeticError, EvaluationError) as exc:
+        return type(exc)
+
+
+def _square(v: float) -> float:
+    """``v ** 2`` on a Python float, inf where that raises."""
+    try:
+        return v**2
+    except OverflowError:
+        return math.inf
+
+
+def _written_one_plus_square():
+    return lambda x: 1.0 + _square(float(x[0])), lambda xs: 1.0 + xs[:, 0] ** 2
+
+
+def _written_ridge():
+    def conditional(other):
+        return 1.0 / (2.0 * (1.0 + _square(other)))
+
+    def per_point(x):
+        return np.array(
+            [[conditional(float(x[1])), 0.0], [0.0, conditional(float(x[0]))]]
+        )
+
+    def batch(xs):
+        out = np.zeros((len(xs), 2, 2))
+        out[:, 0, 0] = 1.0 / (2.0 * (1.0 + np.float_power(xs[:, 1], 2)))
+        out[:, 1, 1] = 1.0 / (2.0 * (1.0 + np.float_power(xs[:, 0], 2)))
+        return out
+
+    return per_point, batch
+
+
+def _written_tempered(target, c_max=1e12):
+    log_cap, eye = math.log(c_max), np.eye(target.dim)
+
+    def per_point(x):
+        lp = target.log_density(x)
+        if lp == -math.inf:
+            raise EvaluationError("off support")
+        s = c_max if -lp >= log_cap else math.exp(-lp)
+        return s if target.dim == 1 else s * eye
+
+    def batch(xs):
+        lp = target.log_density_batch(xs)
+        if (lp == -np.inf).any():
+            raise EvaluationError("off support")
+        s = np.where(-lp >= log_cap, c_max, np.exp(np.minimum(-lp, log_cap)))
+        return s if target.dim == 1 else s[:, None, None] * eye
+
+    return per_point, batch
+
+
+RANDOM_ROWS = np.random.default_rng(29).standard_normal((20_000, 2)) * 3.0
+LINE = np.array(FLOAT_POINTS)[:, None]
+PLANE = np.array([(u, v) for u in FLOAT_POINTS for v in FLOAT_POINTS])
+# a NaN log-density is off the support, where the written-out tempered
+# field gave NaN and the field raises (TestTemperedLangevin)
+LINE_NOT_NAN = LINE[~np.isnan(LINE[:, 0])]
+# random points on the staircase support, levels 1 to 5
+_rng = np.random.default_rng(30)
+_heights = 1.0 + 5.0 * _rng.random(20_000)
+STAIRS = np.column_stack(
+    [_rng.uniform(-1.0, 1.0, 20_000) * 3.0 ** (1.0 - np.floor(_heights)), _heights]
+)
+
+
+class TestFieldBits:
+    """Each form of each built-in field keeps the bits of a test-local copy
+    of its written-out expression, at ``FLOAT_POINTS`` (alone and in pairs)
+    and at random rows; where the copy raises, the field raises the same
+    error type."""
+
+    CASES = {
+        "one_plus_square": (
+            one_plus_square_field, _written_one_plus_square, LINE, RANDOM_ROWS[:, :1]
+        ),
+        "ridge_conditional": (ridge_conditional_field, _written_ridge, PLANE, RANDOM_ROWS),
+        "tempered_exp_tail": (
+            lambda: tempered_langevin_field(make_exponential_tail(1.0)),
+            lambda: _written_tempered(make_exponential_tail(1.0)),
+            LINE_NOT_NAN,
+            RANDOM_ROWS[:, :1] * 10.0,
+        ),
+        "tempered_gaussian_cap": (
+            lambda: tempered_langevin_field(make_gaussian(2.0), c_max=50.0),
+            lambda: _written_tempered(make_gaussian(2.0), 50.0),
+            LINE_NOT_NAN,
+            RANDOM_ROWS[:, :1],
+        ),
+        "tempered_ridge": (
+            lambda: tempered_langevin_field(make_ridge_2d(), c_max=1e6),
+            lambda: _written_tempered(make_ridge_2d(), 1e6),
+            PLANE,
+            RANDOM_ROWS,
+        ),
+        "tempered_rectangle": (
+            lambda: tempered_langevin_field(make_rectangle()),
+            lambda: _written_tempered(make_rectangle()),
+            PLANE,
+            STAIRS,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_per_point(self, case):
+        make, written, points, random_rows = self.CASES[case]
+        field, (per_point, _) = make(), written()
+        # 6000 rows hold a few of the 8 in 10 000 where pow and x * x differ
+        for x in np.vstack([points, random_rows[:6000]]):
+            expected = _bytes_or_error(per_point, x)
+            assert _bytes_or_error(field.inv_metric, x) == expected, x
+            assert _bytes_or_error(field.inv_metric, tuple(x.tolist())) == expected, x
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_batch(self, case):
+        make, written, points, random_rows = self.CASES[case]
+        field, (_, batch) = make(), written()
+        for row in points[:, None, :]:
+            assert _bytes_or_error(field.inv_metric_batch, row) == _bytes_or_error(
+                batch, row
+            ), row
+        expected = _bytes_or_error(batch, random_rows)
+        assert isinstance(expected, bytes)
+        assert _bytes_or_error(field.inv_metric_batch, random_rows) == expected
