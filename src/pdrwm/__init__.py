@@ -79,6 +79,7 @@ from .oracle import (
 from .proposals import (
     ProposalKernel,
     TruncatedGaussianSpec,
+    UniformBlock,
     circle_proposal,
     ellipse_proposal,
     gaussian_proposal,

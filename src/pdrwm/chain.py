@@ -16,6 +16,7 @@ start whose value is not ``> -inf`` raises, a proposal at ``-inf`` is rejected.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,6 +41,10 @@ __all__ = [
     "batch_means_se",
     "config_digest",
 ]
+
+#: steps whose uniforms :func:`_float_chain` draws in one call, for a
+#: kernel with a uniform block
+_CHUNK = 1 << 12
 
 
 def log_accept_terms(lp_x, lp_y, lq_yx, lq_xy, out=None):
@@ -294,13 +299,19 @@ def run_chain(
     the current state is carried from the step that accepted it, so a
     chain evaluates the target ``n_steps + 1`` times.
 
-    :func:`_float_chain` steps the kernel's per-point callables
-    (``kernel.at``, ``kernel.sample``, ``kernel.log_q``) on tuples of
-    Python floats, handing the target those tuples; :func:`mh_step` is
-    one step of the same loop.  The Gaussian in two or more dimensions
-    keeps its LAPACK and BLAS calls on arrays.  A step costs about
-    3 µs for the 1-D Gaussian, 5 µs for the disc and the ellipse, and
-    18 µs for the Gaussian on the ridge (best of 15 runs on a 2-vCPU VM).
+    :func:`_float_chain` steps the kernel's per-point callables on
+    tuples of Python floats, handing the target those tuples;
+    :func:`mh_step` is one step of the same loop.  It reads ``kernel.at``
+    and ``kernel.log_q`` of every kernel, and draws proposals through
+    ``kernel.block`` while the block reproduces ``kernel.sample`` (the
+    disc and the ellipse: their uniforms drawn ``_CHUNK`` steps at a
+    time), else through ``kernel.sample`` (the Gaussian, whose ziggurat
+    normals no block can reproduce, and any kernel whose ``sample`` was
+    replaced), with the same bits.  The Gaussian in two or more dimensions keeps its LAPACK
+    and BLAS calls on arrays.  A step costs about 3 µs for the 1-D
+    Gaussian, 1.4-2.2 µs for the disc and the ellipse (3.1-4.1 µs drawn
+    per step), and 14-21 µs for the Gaussian on the ridge (best of 15
+    runs on a 2-vCPU VM whose host runs at two speeds).
     """
     if n_steps < 1:
         raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
@@ -350,6 +361,19 @@ def _float_acceptance(target: TargetDensity, kernel: ProposalKernel):
     return accept
 
 
+def _block_draws(block, rng: np.random.Generator, n_steps: int):
+    """``(offset, u)`` for each of ``n_steps`` steps of a kernel with the
+    uniform block ``block``, as Python floats: the ``block.k`` uniforms
+    of a proposal, then its acceptance uniform ``u`` in (0, 1], the
+    stream order of ``sample`` followed by one uniform.  Drawn
+    ``_CHUNK`` steps at a time."""
+    k = block.k
+    for start in range(0, n_steps, _CHUNK):
+        us = rng.random((min(_CHUNK, n_steps - start), k + 1))
+        accept_us = (1.0 - us[:, k]).tolist()
+        yield from zip(block.offsets(us[:, :k]).tolist(), accept_us)
+
+
 def _float_chain(
     target: TargetDensity,
     kernel: ProposalKernel,
@@ -361,20 +385,31 @@ def _float_chain(
     """:func:`run_chain`'s transitions on tuples of Python floats, through
     the kernel's per-point callables.
 
-    Per step: draw ``y``, then ``u``, then :func:`_float_acceptance`.  What the proposal from a point depends
-    on, ``at(x)`` (the Gaussian's scale or factor, the ellipse's width),
-    is computed once per proposal on the support and carried with the
-    state.  Off the support ``la`` is ``-inf``, where ``exp(la)`` is 0.
+    Per step: draw ``y``, then ``u``, then :func:`_float_acceptance`.  A
+    kernel whose uniform block reproduces its ``sample`` places ``y`` with
+    ``block.move`` at an offset from :func:`_block_draws`, which drew
+    ``u`` with it; any other kernel, one whose ``sample`` was replaced
+    too, draws ``y`` with ``sample`` and the loop draws ``u`` after it.
+    Both consume the stream in the same order.  What the proposal from a
+    point depends on, ``at(x)`` (the Gaussian's scale or factor, the
+    ellipse's width), is computed once per proposal on the support and
+    carried with the state.  Off the support ``la`` is ``-inf``, where
+    ``exp(la)`` is 0.
     """
-    at, draw = kernel.at, kernel.sample
+    at, block = kernel.at, kernel.block
+    if block is None or block.sample is not kernel.sample:
+        place, draws = kernel.sample, itertools.repeat((rng, None), n_steps)
+    else:
+        place, draws = block.move, _block_draws(block, rng, n_steps)
     accept = _float_acceptance(target, kernel)
     uniform, log, exp = rng.random, math.log, math.exp
     x = tuple(x0.tolist())
     at_x = at(x)
     xs, flags, alphas = [x], [], []
-    for _ in range(n_steps):
-        y = draw(x, at_x, rng)
-        u = 1.0 - uniform()
+    for arg, u in draws:
+        y = place(x, at_x, arg)  # arg is the offset, or the stream for sample
+        if u is None:
+            u = 1.0 - uniform()
         la, lp_y, at_y = accept(x, at_x, lp_x, y)
         accepted = log(u) < la
         if accepted:

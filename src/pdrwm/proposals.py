@@ -40,6 +40,7 @@ from .targets import RectangleDensity
 
 __all__ = [
     "ProposalKernel",
+    "UniformBlock",
     "gaussian_proposal",
     "circle_proposal",
     "ellipse_proposal",
@@ -54,6 +55,41 @@ _TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
+class UniformBlock:
+    """A kernel's proposals drawn from plain uniform doubles, many steps
+    at a time.
+
+    A kernel that consumes a fixed number ``k`` of uniform doubles per
+    proposal can hand a chain this form: the chain draws the uniforms of
+    a chunk of steps in one call, the kernel turns them into offsets in
+    one numpy pass, and ``move`` places each proposal on Python floats.
+    ``move(x, at(x), offsets(u)[0])`` is ``sample(x, at(x), rng)`` bit for
+    bit when ``u`` holds the ``k`` uniforms ``sample`` would draw.  A
+    chain takes the block only while the kernel's ``sample`` is the one
+    the block names, so a replaced ``sample`` is drawn step by step.
+
+    Attributes
+    ----------
+    k : int
+        Uniform doubles per proposal.
+    offsets : callable
+        ``offsets(us)`` maps an ``(m, k)`` array of uniforms in [0, 1),
+        row ``i`` holding proposal ``i``'s in stream order, to an
+        ``(m, dim)`` array of offsets.  It may write them over ``us``.
+    move : callable
+        ``move(x, at(x), offset)`` is the proposal from ``x`` at
+        ``offset``, a sequence of ``dim`` Python floats, as a tuple.
+    sample : callable
+        The kernel's ``sample`` that the block reproduces.
+    """
+
+    k: int
+    offsets: Callable[[np.ndarray], np.ndarray]
+    move: Callable[[Sequence[float], tuple, Sequence[float]], tuple]
+    sample: Callable[[Sequence[float], tuple, np.random.Generator], tuple]
+
+
+@dataclass(frozen=True)
 class ProposalKernel:
     """A Markov proposal mechanism with evaluable density.
 
@@ -62,8 +98,11 @@ class ProposalKernel:
     ``x`` depends on, so that a chain computes it once per point and
     carries it with the state.  :func:`~pdrwm.chain.run_chain`,
     :func:`~pdrwm.chain.mh_step` and :func:`~pdrwm.chain.log_accept_ratio`
-    all move through them, so a kernel built with ``dataclasses.replace``
-    reaches every chain.
+    all move through them: a chain reads ``at`` and ``log_q``, and draws
+    its proposals through ``block`` while the block reproduces ``sample``
+    (the unit disc and the staircase ellipse), else through ``sample``
+    (the Gaussian, and a kernel whose ``sample`` was replaced).  So a
+    kernel built with ``dataclasses.replace`` reaches every chain.
 
     Attributes
     ----------
@@ -93,6 +132,14 @@ class ProposalKernel:
         ``xs``.  Agrees with ``log_q`` row by row to float rounding
         (see :func:`~pdrwm.chain.log_accept_ratio_batch` for where the
         Gaussian's rows are bit for bit).
+    block : UniformBlock or None
+        The kernel's proposals from blocks of uniforms, or None.  A chain
+        whose kernel's ``sample`` is ``block.sample`` draws the same
+        stream as ``sample`` and one uniform per step would, and never
+        calls ``sample``.  The Gaussian has none: numpy's ziggurat takes
+        a data-dependent number of 64-bit words per normal, so no block
+        of normals reproduces the stream of normals interleaved with
+        acceptance uniforms.
     """
 
     dim: int
@@ -102,6 +149,7 @@ class ProposalKernel:
     label: str
     sample_batch: Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
     log_q_batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    block: UniformBlock | None = None
 
 
 def _step_size(h: float) -> float:
@@ -254,24 +302,33 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
     return ProposalKernel(dim, at, sample, log_q, label, sample_batch, log_q_batch)
 
 
-def _disc_offsets(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform points on the unit disc, shape (n, 2), each coordinate
-    contiguous (cheaper to write than two stacked columns)."""
-    r = np.sqrt(rng.random(n))
-    theta = _TWO_PI * rng.random(n)
-    out = np.empty((2, n))
-    np.multiply(r, np.cos(theta), out=out[0])
-    np.multiply(r, np.sin(theta), out=out[1])
-    return out.T
+def _disc_offsets(us: np.ndarray) -> np.ndarray:
+    """Uniform points on the unit disc from the ``(m, 2)`` uniforms
+    ``us``: radius ``sqrt(us[:, 0])``, angle ``2 pi us[:, 1]``.  Written
+    over ``us`` and returned, so that the offsets take no memory beyond
+    the uniforms and two columns.  The angle is a contiguous copy."""
+    r = np.sqrt(us[:, 0], out=us[:, 0])
+    theta = _TWO_PI * us[:, 1]
+    np.multiply(r, np.sin(theta), out=us[:, 1])
+    np.multiply(r, np.cos(theta, out=theta), out=r)
+    return us
 
 
 def _uniform_ellipse(width: Callable, widths: Callable, label: str) -> ProposalKernel:
     """Uniform proposal on the axis-aligned ellipse with semi-axes
     ``(w, 1)`` about the start, ``w = width(x)`` (``widths(xs)`` over
-    rows), and ``at(x) = (w, -log(pi w))``.  One draw is
-    :func:`_disc_offsets`'s for ``n = 1`` on Python floats, bit for bit:
-    ``sqrt`` is correctly rounded in both, and ``cos`` and ``sin`` stay
-    numpy's.  At ``w = 1`` every product and quotient by ``w`` is exact.
+    rows), and ``at(x) = (w, -log(pi w))``.
+
+    Every draw goes through :func:`_disc_offsets`: ``sample`` on the
+    two uniforms of one row, the block on a chain's rows (radius, angle,
+    then the acceptance uniform, step after step), ``sample_batch`` on
+    ``n`` radius uniforms followed by ``n`` angle uniforms.  numpy's
+    ``cos`` and ``sin`` gave a scalar call's bits on a contiguous angle
+    array of every length tried (1 to 4096, numpy 2.4 on x86-64 with
+    AVX-512), so a chain's proposals do not depend on how many steps
+    share a block; the tests hold a chain to the per-step route across
+    the block boundaries.  At ``w = 1`` every product and quotient by
+    ``w`` is exact.
     """
     inf = math.inf
 
@@ -279,13 +336,11 @@ def _uniform_ellipse(width: Callable, widths: Callable, label: str) -> ProposalK
         w = width(x)
         return w, -math.log(math.pi * w)
 
+    def move(x, at_x, offset):
+        return x[0] + offset[0] * at_x[0], x[1] + offset[1]
+
     def sample(x, at_x, rng):
-        r = math.sqrt(rng.random())
-        theta = _TWO_PI * rng.random()
-        return (
-            x[0] + float(r * np.cos(theta)) * at_x[0],
-            x[1] + float(r * np.sin(theta)),
-        )
+        return move(x, at_x, _disc_offsets(rng.random((1, 2)))[0].tolist())
 
     def log_q(y, x, at_x):
         w, log_density = at_x
@@ -294,7 +349,7 @@ def _uniform_ellipse(width: Callable, widths: Callable, label: str) -> ProposalK
         return log_density if du * du + dv * dv <= 1.0 else -inf
 
     def sample_batch(x, n, rng):
-        ys = _disc_offsets(n, rng)
+        ys = _disc_offsets(rng.random((2, n)).T)
         ys[:, 0] *= width(x)
         ys += x  # the sums x + offset, in place
         return ys
@@ -306,7 +361,10 @@ def _uniform_ellipse(width: Callable, widths: Callable, label: str) -> ProposalK
         dv = ys[:, 1] - xs[:, 1]
         return np.where(du * du + dv * dv <= 1.0, -np.log(math.pi * w), -np.inf)
 
-    return ProposalKernel(2, at, sample, log_q, label, sample_batch, log_q_batch)
+    block = UniformBlock(2, _disc_offsets, move, sample)
+    return ProposalKernel(
+        2, at, sample, log_q, label, sample_batch, log_q_batch, block
+    )
 
 
 def circle_proposal() -> ProposalKernel:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pdrwm import (
@@ -39,6 +39,7 @@ from pdrwm import (
     tempered_langevin_field,
     tune_step_size,
 )
+from pdrwm.chain import _CHUNK
 # the uncached Gaussian kernel factors with scipy at every call: the
 # array arithmetic the float step must reproduce
 from test_proposals import (
@@ -548,6 +549,58 @@ FIELD_ROUTES = {
         lambda t, f, k: drift_ratio_quadrature(t, f, 1.0, exp_abs(0.5), 0.5)
     ),
 }
+
+
+#: chain lengths around the block route's chunk boundaries
+CHUNK_STEPS = [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]
+
+
+class TestBlockRoute:
+    """The disc and the ellipse step through their uniform block: a chain
+    draws a chunk of steps' uniforms at once, and must give the bits of
+    the per-step reference, which draws each proposal with ``sample`` and
+    then one uniform, at any length across the chunk boundaries."""
+
+    @pytest.mark.parametrize("n_steps", CHUNK_STEPS)
+    @pytest.mark.parametrize("make_kernel", [circle_proposal, ellipse_proposal])
+    @settings(max_examples=2)
+    @given(level=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_chain(self, make_kernel, n_steps, level, seed):
+        x0 = pt(0.0, level + 0.5)
+        target = make_rectangle()
+        traj = run_chain(target, make_kernel(), x0, n_steps, seed)
+        ref = reference_chain(target, make_kernel(), x0, n_steps, seed)
+        assert_same_bytes(traj, ref)
+        assert_same_bytes(traj, mh_step_chain(target, make_kernel(), x0, n_steps, seed))
+
+    @pytest.mark.parametrize("make_kernel", [circle_proposal, ellipse_proposal])
+    def test_a_replaced_sample_is_drawn_per_step(self, make_kernel):
+        # a kernel whose sample was replaced, with its block or without,
+        # takes the per-step route of the same loop: the same chain, and
+        # the replacement called once a step
+        kernel = make_kernel()
+        calls = []
+
+        def counted(x, at_x, rng):
+            calls.append(1)
+            return kernel.sample(x, at_x, rng)
+
+        x0, n_steps = pt(0.0, 4.5), _CHUNK + 3
+        traj = run_chain(make_rectangle(), kernel, x0, n_steps, seed=8)
+        assert 0 < traj.accepted.sum() < n_steps
+        for block in (kernel.block, None):
+            calls.clear()
+            replaced = dataclasses.replace(kernel, sample=counted, block=block)
+            assert_same_chain(run_chain(make_rectangle(), replaced, x0, n_steps, seed=8), traj)
+            assert len(calls) == n_steps
+
+    def test_a_step_draws_three_uniforms(self):
+        # mh_step leaves the stream where the per-step route leaves it
+        rng = np.random.default_rng(4)
+        x = pt(0.0, 2.5)
+        for _ in range(5):
+            x = mh_step(make_rectangle(), ellipse_proposal(), x, rng)[0]
+        assert rng.random() == np.random.default_rng(4).random(16)[-1]
 
 
 class TestReplacedField:

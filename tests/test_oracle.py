@@ -438,21 +438,30 @@ def _full_blocks(chain):
 
 
 #: lambda_2 and the paths of three chains, recorded before the solver
-#: formed its blocks one at a time, with one BLAS thread
+#: formed its blocks one at a time, with one BLAS thread; then the
+#: leading hex digits of the sha256 of each chain's stored rows
 PINNED_SOLVES = """
-import dataclasses
+import dataclasses, hashlib
 from pdrwm import build_discretized, make_exponential_tail, power_field, spectral_gap
+digests = []
 for n, whole in ((1201, False), (1200, False), (1201, True)):
     chain = build_discretized(make_exponential_tail(1.0), power_field(1.0), 1.0, 15.0, n)
     if whole:
         chain = dataclasses.replace(chain, rows=chain.transition, mirrored=False)
     res = spectral_gap(chain)
     print(n, whole, res.lambda2.hex(), *res.path)
+    digests.append(f"{n} {whole} rows {hashlib.sha256(chain.rows.tobytes()).hexdigest()[:16]}")
+print(*digests, sep="\\n")
 """
 PINNED_LINES = [
     "1201 False 0x1.98f11ba8ea3dap-1 extremal extremal",
     "1200 False 0x1.98f0c57819dafp-1 extremal extremal",
     "1201 True 0x1.98f11ba8ea3d9p-1 extremal",
+]
+PINNED_ROWS = [
+    "1201 False rows 1e8914250d054436",
+    "1200 False rows 36f68200aeab17ab",
+    "1201 True rows 7aa8f56bb5bf4c65",
 ]
 
 
@@ -506,7 +515,7 @@ class TestOneBlockSolve:
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
-        assert proc.stdout.splitlines() == PINNED_LINES
+        assert proc.stdout.splitlines() == PINNED_LINES + PINNED_ROWS
 
 
 class TestGridValues:

@@ -430,6 +430,56 @@ class TestUniformSampleBits:
             assert y.tobytes() == array_disc_sample(x, w, rng_array).tobytes()
 
 
+#: rows 0, 17 and 39 of ``sample_batch(x, 40, default_rng(7))``, recorded
+#: before the disc's draws shared one offsets formula with the chain's
+#: uniform block
+BATCH_ROWS = {
+    "disc": ((0.3, 1.2), [
+        ("0x1.b3b684707fa63p-3", "0x1.fc5d71e62d901p+0"),
+        ("-0x1.633674ebf2a3dp-2", "0x1.cfccbbadf5140p+0"),
+        ("0x1.1478b527d2a46p-1", "0x1.82e07cd517e16p+0"),
+    ]),
+    "ellipse": ((0.01, 4.2), [
+        ("0x1.bb95301e2c564p-8", "0x1.3f175c798b640p+2"),
+        ("-0x1.c966d8b38474bp-7", "0x1.33f32eeb7d450p+2"),
+        ("0x1.35772ae60018ep-6", "0x1.20b81f3545f86p+2"),
+    ]),
+}
+UNIFORM_KERNELS = {"disc": circle_proposal, "ellipse": ellipse_proposal}
+
+
+class TestUniformBlock:
+    """The disc and the ellipse hand a chain a block form: two uniforms
+    per proposal, mapped to offsets in one numpy pass."""
+
+    @pytest.mark.parametrize("name", sorted(BATCH_ROWS))
+    def test_sample_batch_keeps_its_recorded_rows(self, name):
+        x, rows = BATCH_ROWS[name]
+        ys = UNIFORM_KERNELS[name]().sample_batch(pt(*x), 40, np.random.default_rng(7))
+        got = [tuple(float(v).hex() for v in ys[i]) for i in (0, 17, 39)]
+        assert got == rows
+
+    @pytest.mark.parametrize("name", sorted(UNIFORM_KERNELS))
+    @given(
+        st.tuples(st.floats(-5.0, 5.0), st.floats(-3.0, 14.0)),
+        st.integers(1, 40),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_block_places_the_draws_of_sample(self, name, x, m, seed):
+        # the offsets of m rows at once, each placed with move, are m
+        # calls of sample on the same uniforms
+        k = UNIFORM_KERNELS[name]()
+        assert k.block.k == 2
+        x = floats(x)
+        at_x = k.at(x)
+        us = np.random.default_rng(seed).random((m, 2))
+        offsets = k.block.offsets(us)
+        assert offsets.shape == (m, 2)
+        rng = np.random.default_rng(seed)
+        for offset in offsets.tolist():
+            assert k.block.move(x, at_x, offset) == k.sample(x, at_x, rng)
+
+
 class TestCircle:
     def test_samples_inside_unit_disc(self):
         k = circle_proposal()
