@@ -439,6 +439,11 @@ def estimate_expectation(
     return float(values.mean()), batch_means_se(values)
 
 
+def _iid_mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Mean of iid draws and its standard error, sd / sqrt(n)."""
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
+
+
 def batch_means_se(values: np.ndarray) -> float:
     """Batch-means standard error of the mean of a serially correlated
     series: about sqrt(n) equal batches, trailing values dropped, and

@@ -24,6 +24,7 @@ import numpy as np
 from .chain import (
     _check_dim,
     _closed_form_at,
+    _iid_mean_se,
     batch_means_se,
     log_accept_ratio_batch,
     run_chain,
@@ -101,8 +102,7 @@ def abs_pow(s: float) -> LyapunovFunction:
         raise ParameterError(f"power must be positive, got {s}")
     s = float(s)
 
-    # r <= 1 gives V = 1, and the floor keeps log(0) out; at a NaN r the
-    # per-point form gives 0.0 (Python's max keeps its first argument)
+    # r <= 1 gives V = 1, and the floor keeps log(0) out
     def log_v(xp, r):
         return xp.maximum(0.0, s * xp.log(xp.maximum(r, 1.0)))
 
@@ -193,9 +193,7 @@ def drift_ratio(
     clipped = int(np.count_nonzero(target.log_density_batch(ys[over]) > -np.inf))
     summands = (1.0 - np.exp(la)) + np.exp(la + np.minimum(dv, _LOG_CAP))
 
-    estimate = float(summands.mean())
-    se = float(summands.std(ddof=1) / math.sqrt(n))
-    return DriftResult(estimate, se, clipped / n)
+    return DriftResult(*_iid_mean_se(summands), clipped / n)
 
 
 def rejection_probability(
@@ -211,10 +209,8 @@ def rejection_probability(
     sup r(x) < 1 is one of the two legs certifying it.
     """
     x = _probe_setup(target, kernel, x, n)
-    alphas = _alphas(target, kernel, x, n, seed)
-    return ProbeEstimate(
-        1.0 - float(alphas.mean()), float(alphas.std(ddof=1) / math.sqrt(n))
-    )
+    mean, se = _iid_mean_se(_alphas(target, kernel, x, n, seed))
+    return ProbeEstimate(1.0 - mean, se)
 
 
 def acceptance_set_mass(
@@ -236,10 +232,7 @@ def acceptance_set_mass(
         raise ParameterError(f"eps must lie in (0,1), got {eps}")
     x = _probe_setup(target, kernel, x, n)
     alphas = _alphas(target, kernel, x, n, seed)
-    hits = (alphas >= eps).astype(float)
-    return ProbeEstimate(
-        float(hits.mean()), float(hits.std(ddof=1) / math.sqrt(n))
-    )
+    return ProbeEstimate(*_iid_mean_se((alphas >= eps).astype(float)))
 
 
 class ProfilePoint(NamedTuple):
@@ -288,6 +281,12 @@ class EsjdPoint(NamedTuple):
     acceptance_rate: float
 
 
+def _check_rate(rate: float) -> None:
+    """The target-rate rule: an acceptance rate strictly inside (0, 1)."""
+    if not 0.0 < rate < 1.0:
+        raise ParameterError(f"target rate must lie in (0,1), got {rate}")
+
+
 def tune_step_size(
     target: TargetDensity,
     cov_field: CovarianceField,
@@ -302,8 +301,7 @@ def tune_step_size(
     loudly if no bracket exists within twenty decades.  An ``h0`` the
     kernel refuses raises its error before any probe chain runs.
     """
-    if not 0.0 < target_rate < 1.0:
-        raise ParameterError(f"target rate must lie in (0,1), got {target_rate}")
+    _check_rate(target_rate)
     lo = hi = _step_size(h0)
 
     x0 = np.zeros(target.dim)
@@ -349,42 +347,41 @@ def _check_scan_steps(n_steps: int) -> None:
 def esjd_scan(
     target: TargetDensity,
     b_values: Sequence[float],
-    h: float,
+    step_sizes: Sequence[float],
     n_steps: int = 100_000,
     seed: int = 0,
-    tune_acceptance: float = 0.44,
 ) -> list[EsjdPoint]:
     """Expected squared jumping distance across power-field exponents.
 
-    For each exponent ``b`` the scan builds the ``(1+|x|)^b`` field,
-    tunes the step size from ``h`` to the given acceptance rate, runs one
-    long chain from the origin, and reports mean squared jumps with a
-    batch-means standard error.  One dimension only.
+    For each exponent ``b`` the scan builds the ``(1+|x|)^b`` field, runs
+    one long chain from the origin at the matching entry of
+    ``step_sizes``, and reports mean squared jumps with a batch-means
+    standard error, and the acceptance rate.  One dimension only.  Every
+    kernel is built before the first chain runs, so a step size the
+    kernel refuses raises its error at once.
 
     Chains for different ``b`` use seeds derived from ``seed`` by fixed
     arithmetic, so the scan is one deterministic artifact.
     """
     if target.dim != 1:
         raise ParameterError("the scan is defined for one-dimensional targets")
+    if len(step_sizes) != len(b_values):
+        raise ParameterError(f"got {len(step_sizes)} step sizes for {len(b_values)} exponents")
     _check_scan_steps(n_steps)
+    kernels = [
+        gaussian_proposal(power_field(float(b)), h) for b, h in zip(b_values, step_sizes)
+    ]
     out = []
-    for i, b in enumerate(b_values):
-        fld = power_field(float(b))
-        seed_tune = seed + 7919 * i + 1
-        seed_run = seed + 7919 * i + 2
-        h_b = tune_step_size(target, fld, h, tune_acceptance, seed_tune)
-        traj = run_chain(
-            target, gaussian_proposal(fld, h_b), np.zeros(1), n_steps, seed_run
-        )
+    for i, (b, h, kern) in enumerate(zip(b_values, step_sizes, kernels)):
+        traj = run_chain(target, kern, np.zeros(1), n_steps, seed + 7919 * i + 2)
         jumps_sq = np.diff(traj.states[:, 0]) ** 2
         out.append(
             EsjdPoint(
                 float(b),
-                h_b,
+                float(h),
                 float(jumps_sq.mean()),
                 batch_means_se(jumps_sq),
                 traj.acceptance_rate,
             )
         )
     return out
-

@@ -37,9 +37,10 @@ import numpy as np
 import yaml
 
 from .chain import estimate_expectation, log_accept_ratio_batch, run_chain
-from .chain import _closed_form_at
+from .chain import _closed_form_at, _iid_mean_se
 from .diagnostics import (
     _MIN_DRAWS,
+    _check_rate,
     _check_scan_steps,
     abs_pow,
     acceptance_set_mass,
@@ -59,7 +60,7 @@ from .fields import (
     tempered_langevin_field,
 )
 from .oracle import classify_gap_trend, drift_ratio_quadrature, gap_growth_scan
-from .oracle import stationary_jump_quadrature, tuned_jump_quadrature
+from .oracle import tuned_jump_quadrature
 from .proposals import _step_size, circle_proposal, ellipse_proposal, gaussian_proposal
 from .rectangle import (
     disc_rejection_area_bound,
@@ -343,10 +344,10 @@ def _check_points(key: str, points, target: TargetDensity, kernels) -> None:
             raise ConfigError(str(exc), key=f"{key}[{i}]") from exc
 
 
-def _check_step(h: float, key: str) -> None:
-    """``ConfigError`` naming ``key`` where the step-size rule refuses ``h``."""
+def _check_rule(rule: Callable, value: float, key: str) -> None:
+    """``ConfigError`` naming ``key`` where ``rule`` refuses ``value``."""
     try:
-        _step_size(h)
+        rule(value)
     except ParameterError as exc:
         raise ConfigError(str(exc), key=key) from exc
 
@@ -370,7 +371,7 @@ def _scenario_figure1(
     """
     if n_proposals < 100:
         raise ConfigError("n_proposals must be at least 100", key="n_proposals")
-    _check_step(h, "h")
+    _check_rule(_step_size, h, "h")
 
     target = make_exponential_tail(a)
     fld = power_field(b)
@@ -432,7 +433,7 @@ def _scenario_figure2(
     """
     if n_proposals < 100:
         raise ConfigError("n_proposals must be at least 100", key="n_proposals")
-    _check_step(h, "h")
+    _check_rule(_step_size, h, "h")
 
     ridge = make_ridge_2d()
     fields = {
@@ -690,7 +691,7 @@ def _scenario_lemma2(
     within 2 percent (``quadrature_within_2pct``), which is the point of
     keeping two routes.
     """
-    _check_step(h, "h")
+    _check_rule(_step_size, h, "h")
     target, fld = make_exponential_tail(a), power_field(b)
     _check_points("xs", [(x,) for x in xs], target, [gaussian_proposal(fld, h)])
     rows = _drift_rows(target, fld, h, exp_abs(s), xs, n, seed)
@@ -726,8 +727,8 @@ def _scenario_lemma3(
     is below one at every step size for 0 < s < p - 1.  See the README's
     verification notes.
     """
-    _check_step(h_small, "h_small")
-    _check_step(h_large, "h_large")
+    _check_rule(_step_size, h_small, "h_small")
+    _check_rule(_step_size, h_large, "h_large")
     rows, checks = _heavy_tail_drift(
         seed, seed, p=p, s=s, xs=xs, h_small=h_small, h_large=h_large, n=n
     )
@@ -750,7 +751,7 @@ def _scenario_lemma4(
     point (``mass_small_at_far_point``): the chain keeps less and less
     chance of a genuine move.
     """
-    _check_step(h, "h")
+    _check_rule(_step_size, h, "h")
     target = make_exponential_tail(a)
     kern = gaussian_proposal(power_field(b), h)
     _check_points("xs", [(x,) for x in xs], target, [kern])
@@ -825,8 +826,7 @@ def _scenario_lemma6(
         accept = np.array([min(1.0, 3.0 ** (p - k)) for k in ks])
         rej = 1.0 - accept[levels - low]
         rej[(y2 < 1.0) | (np.abs(y1) > half)] = 1.0  # off the support
-        mc_est = float(rej.mean())
-        mc_se = float(rej.std(ddof=1) / np.sqrt(mc_draws))
+        mc_est, mc_se = _iid_mean_se(rej)
         gap = abs(exact - mc_est)
         # a probe so high that every draw misses the support has mc_se = 0
         z = gap / mc_se if mc_se > 0 else (math.inf if gap else 0.0)
@@ -925,44 +925,40 @@ _ESJD_WINDOW = (8.0, 1601)
 def _scenario_esjd(
     seed, digest, /, *,
     b_values: tuple[float, ...] = tuple(round(0.4 * i, 1) for i in range(9)),
-    n_steps: int = 20_000, h: float = 1.0, tune_acceptance: float = 0.44,
+    n_steps: int = 20_000, tune_acceptance: float = 0.44,
 ) -> ScenarioOutput:
     """Jump-distance scan over field exponents at a fixed acceptance rate.
 
-    Unit Gaussian target, ``(1+|x|)^b`` fields, one chain per exponent at
-    a step size tuned to ``tune_acceptance``.  The quadrature columns
-    give the stationary squared jump at the chain's step size
-    (``quad_esjd``, and the chain's ``z`` against it) and the curve at
-    the step size of stationary acceptance exactly ``tune_acceptance``
-    (``tuned_*``).  The curve's argmax must lie in [1.2, 2.0], ahead of
-    the runner-up by more than their summed error estimates; at the
-    default config the quadrature adds about 2.5 s to the chains' 2 s.
-    The tuned curve needs no chain, so it is solved first: an exponent
-    whose step size the quadrature grid cannot resolve fails before any
-    chain runs.
+    Unit Gaussian target, ``(1+|x|)^b`` fields.  The quadrature solves
+    each exponent's step size of stationary acceptance exactly
+    ``tune_acceptance`` and the squared jump there (the tuned curve,
+    ``quad_esjd`` and ``quad_esjd_err``); one chain per exponent then
+    runs at that step size, and its ``z`` is its distance to the tuned
+    curve in standard errors.  The curve's argmax must lie in [1.2, 2.0],
+    ahead of the runner-up by more than their summed error estimates.
+    The curve needs no chain, so it is solved first: an exponent whose
+    step size the quadrature grid cannot resolve fails before any chain
+    runs.
     """
     if len(b_values) < 2:
         raise ConfigError("b_values needs at least two exponents", key="b_values")
     _check_scan_steps(n_steps)
-    _check_step(h, "h")
+    _check_rule(_check_rate, tune_acceptance, "tune_acceptance")
 
     target = make_gaussian(1.0)
 
-    def quadrature(route, b: float, arg: float):
+    def tuned(b: float):
         try:
-            return route(target, power_field(b), arg, *_ESJD_WINDOW)
+            return tuned_jump_quadrature(target, power_field(b), tune_acceptance, *_ESJD_WINDOW)
         except DiscretizationError as exc:
             raise ConfigError(f"b = {b:g}: {exc}", key="b_values") from exc
 
-    curve = [quadrature(tuned_jump_quadrature, float(b), tune_acceptance) for b in b_values]
+    curve = [tuned(float(b)) for b in b_values]
     points = esjd_scan(
-        target, b_values, h, n_steps=n_steps, seed=seed, tune_acceptance=tune_acceptance,
+        target, b_values, [c.step_size for c in curve], n_steps=n_steps, seed=seed
     )
-    zs, rows = [], []
-    for p, c in zip(points, curve):
-        quad = quadrature(stationary_jump_quadrature, p.b, p.step_size).esjd
-        zs.append(abs(p.esjd - quad) / p.se)
-        rows.append((*p, quad, zs[-1], c.step_size, c.esjd, c.esjd_err))
+    zs = [abs(p.esjd - c.esjd) / p.se for p, c in zip(points, curve)]
+    rows = [(*p, c.esjd, c.esjd_err, z) for p, c, z in zip(points, curve, zs)]
     runner_up, top = sorted(range(len(curve)), key=lambda i: curve[i].esjd)[-2:]
     margin = curve[top].esjd - curve[runner_up].esjd
     err = curve[top].esjd_err + curve[runner_up].esjd_err
@@ -983,8 +979,8 @@ def _scenario_esjd(
             + ", ".join(f"{p.b:g}:{c.esjd:.5f}" for p, c in zip(points, curve)),
         ),
     )
-    header = ("b", "step_size", "esjd", "se", "acceptance_rate", "quad_esjd", "z",
-              "tuned_step_size", "tuned_esjd", "tuned_esjd_err")
+    header = ("b", "step_size", "esjd", "se", "acceptance_rate", "quad_esjd",
+              "quad_esjd_err", "z")
     return {"esjd_scan.csv": _csv(digest, seed, header, rows)}, checks
 
 
@@ -1053,7 +1049,7 @@ def _scenario_custom(
         raise ConfigError(
             f"field dim {fld.dim} != target dim {density.dim}", key="field"
         )
-    _check_step(h, "h")
+    _check_rule(_step_size, h, "h")
     kern = gaussian_proposal(fld, h)
     try:
         traj = run_chain(density, kern, x0, n_steps, seed)

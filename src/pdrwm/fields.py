@@ -110,7 +110,7 @@ def constant_field(sigma) -> CovarianceField:
 
 def _norm(x) -> float:
     """|x| of a point given as a tuple or an array: ``sqrt(x . x)``, the
-    bits ``np.linalg.norm`` gives, wherever that is finite (``sqrt(v * v)``
+    bits ``np.linalg.norm`` gives, wherever that is not inf (``sqrt(v * v)``
     on a Python float in 1-D); where the square overflows on a finite
     point, |v| in 1-D and the overflow-free ``np.hypot`` reduction above."""
     if len(x) == 1:
@@ -120,7 +120,7 @@ def _norm(x) -> float:
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
         r = math.sqrt(x.dot(x))
-    return r if r < math.inf else float(np.hypot.reduce(np.abs(x)))
+    return r if r != math.inf else float(np.hypot.reduce(np.abs(x)))
 
 
 def _norms(xs: np.ndarray) -> np.ndarray:

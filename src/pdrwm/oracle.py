@@ -52,7 +52,7 @@ import numpy as np
 # loads only numpy and PyYAML (tests/test_exports.py::TestStartUp)
 
 from .chain import _closed_form_at, log_accept_terms
-from .diagnostics import LyapunovFunction
+from .diagnostics import LyapunovFunction, _check_rate
 from .errors import DiscretizationError, NumericError, ParameterError
 from .fields import CovarianceField
 from .proposals import _stds, _step_size, gaussian_proposal
@@ -835,8 +835,7 @@ def tuned_jump_quadrature(
     ``acceptance_err`` is how far the halved rule puts the acceptance at
     the reported step size.
     """
-    if not 0.0 < rate < 1.0:
-        raise ParameterError(f"target rate must lie in (0,1), got {rate}")
+    _check_rate(rate)
     _check_nodes(n)
     moments = functools.partial(_jump_moments, target, cov_field, half_width)
     m = (n + 1) // 2

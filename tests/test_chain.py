@@ -17,6 +17,7 @@ from pdrwm import (
     constant_field,
     drift_ratio_quadrature,
     ellipse_proposal,
+    esjd_scan,
     estimate_expectation,
     exp_abs,
     gaussian_proposal,
@@ -714,8 +715,9 @@ class TestOneExistenceRule:
             ),
             lambda f, h: build_discretized(make_gaussian(), f, h, 5.0, 51),
             lambda f, h: tune_step_size(make_gaussian(), f, h, 0.44, 0),
+            lambda f, h: esjd_scan(make_gaussian(), [0.0, 1.0], [1.0, h]),
         ],
-        ids=["closed_form", "build_discretized", "tune_step_size"],
+        ids=["closed_form", "build_discretized", "tune_step_size", "esjd_scan"],
     )
     def test_step_size(self, route, h):
         with pytest.raises(ParameterError) as kernel:

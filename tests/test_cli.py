@@ -71,6 +71,8 @@ BAD_CONFIGS = [
     ("lemma4_probe", "  n: abc\n", "n"),
     ("figure1", "  n_proposals: 50\n", "n_proposals"),
     ("esjd_scan", "  n_steps: 50\n", "n_steps"),
+    ("esjd_scan", "  tune_acceptance: 1.5\n", "tune_acceptance"),
+    ("esjd_scan", "  tune_acceptance: 0.0\n", "tune_acceptance"),
     ("lemma2_drift", "  n: 10\n", "n"),
     ("custom", "  target: {name: exponential}\n  field: {name: power, b: 1.5}\n"
      "  x0: [0.0]\n  n_steps: 10\n", "target.a"),
@@ -203,7 +205,7 @@ class TestRun:
         "scenario, key",
         [("figure1", "h"), ("figure2_data", "h"), ("lemma2_drift", "h"),
          ("lemma3_drift", "h_small"), ("lemma3_drift", "h_large"),
-         ("lemma4_probe", "h"), ("esjd_scan", "h")],
+         ("lemma4_probe", "h")],
     )
     def test_step_size_error_names_its_key(self, tmp_path, capsys, scenario, key):
         # custom's h: test_custom_step_size_must_be_finite

@@ -32,6 +32,7 @@ from pdrwm import (
     rectangle_v,
     rejection_probability,
     ridge_conditional_field,
+    run_chain,
     tail_acceptance_profile,
     tune_step_size,
 )
@@ -122,11 +123,18 @@ WRITTEN_LOG_V_BATCH = {
         np.abs(ys[:, 1]) + np.maximum(1.0, np.abs(ys[:, 0]))
     ),
 }
-#: and its per-point form
+
+
+def nan_max(a: float, b: float) -> float:
+    """``max`` with numpy's ``maximum`` rule: NaN where either is NaN."""
+    return math.nan if math.isnan(a) or math.isnan(b) else max(a, b)
+
+
+#: and its per-point form, which agrees with the batch form at NaN
 WRITTEN_LOG_V = {
     "exp_abs": ARRAY_LOG_V["exp_abs"](0.7),
     "abs_pow": ARRAY_LOG_V["abs_pow"](0.7),
-    "rectangle_v": lambda y: math.log(abs(float(y[1])) + max(1.0, abs(float(y[0])))),
+    "rectangle_v": lambda y: math.log(abs(float(y[1])) + nan_max(1.0, abs(float(y[0])))),
 }
 LYAPUNOV_AT = {"exp_abs": exp_abs(0.7), "abs_pow": abs_pow(0.7), "rectangle_v": rectangle_v()}
 
@@ -169,6 +177,17 @@ class TestLyapunovBits:
             expected = bits(written(x))
             assert bits(v.log_evaluate(x)) == expected, x
             assert bits(v.log_evaluate(tuple(x.tolist()))) == expected, x
+
+    @pytest.mark.parametrize("kind, dim", KINDS_AND_DIMS)
+    def test_forms_agree_at_nan(self, kind, dim):
+        xs = self.rows(dim)
+        xs = xs[np.isnan(xs).any(axis=1)]
+        v = LYAPUNOV_AT[kind]
+        # NaN equals NaN here; a NaN coordinate beside an infinite one
+        # gives |x| = inf
+        per_point = [v.log_evaluate(x) for x in xs]
+        np.testing.assert_array_equal(per_point, v.log_evaluate_batch(xs))
+        assert np.isnan(per_point).any()
 
 
 class TestDriftRatio:
@@ -474,18 +493,32 @@ class TestTailProfile:
 
 
 class TestEsjdScan:
+    # the step sizes of stationary acceptance 0.44 at b = 1.2 and 1.6
+    # (tuned_jump_quadrature on the esjd_scan scenario's window)
+    STEPS = (2.6912845348484917, 2.079194386956562)
+
     def test_tuned_scan_hits_acceptance_window(self):
         t = make_gaussian()
-        pts = esjd_scan(t, [0.0, 1.0], h=1.0, n_steps=20_000, seed=14)
+        pts = esjd_scan(t, [1.2, 1.6], self.STEPS, n_steps=20_000, seed=14)
+        assert [p.step_size for p in pts] == list(self.STEPS)
         for p in pts:
             assert abs(p.acceptance_rate - 0.44) < 0.05
             assert p.esjd > 0 and p.se > 0
+        # exponent i runs from seed + 7919 i + 2
+        kern = gaussian_proposal(power_field(1.6), self.STEPS[1])
+        traj = run_chain(t, kern, pt(0.0), 20_000, 14 + 7919 + 2)
+        assert pts[1].acceptance_rate == traj.acceptance_rate
+        assert pts[1].esjd == float((np.diff(traj.states[:, 0]) ** 2).mean())
 
     def test_deterministic(self):
         t = make_gaussian()
-        a = esjd_scan(t, [0.5], h=1.0, n_steps=5000, seed=3)
-        b = esjd_scan(t, [0.5], h=1.0, n_steps=5000, seed=3)
+        a = esjd_scan(t, [0.5], [3.0], n_steps=5000, seed=3)
+        b = esjd_scan(t, [0.5], [3.0], n_steps=5000, seed=3)
         assert a == b
+
+    def test_one_step_size_per_exponent(self):
+        with pytest.raises(ParameterError, match="got 1 step sizes for 2 exponents"):
+            esjd_scan(make_gaussian(), [1.2, 1.6], self.STEPS[:1])
 
 
 def test_tune_step_size_converges():

@@ -14,13 +14,16 @@ from pdrwm import (
     list_scenarios,
     load_config,
     log_accept_ratio,
+    make_gaussian,
     make_ridge_2d,
     one_plus_square_field,
+    power_field,
     ridge_conditional_field,
     run_scenario,
     scenario_digest,
+    tuned_jump_quadrature,
 )
-from pdrwm import experiments
+from pdrwm import diagnostics, experiments
 from pdrwm.experiments import (
     OUTPUT_DIR_ENV,
     SCENARIOS,
@@ -328,27 +331,51 @@ class TestScenarioBodies:
     def test_esjd_scan_reports_its_quadrature_route(self):
         files, checks = SCENARIOS["esjd_scan"](0, "", b_values=(1.2, 1.6), n_steps=2000)
         lines = files["esjd_scan.csv"].splitlines()
-        assert lines[1] == (
-            "b,step_size,esjd,se,acceptance_rate,quad_esjd,z,"
-            "tuned_step_size,tuned_esjd,tuned_esjd_err"
-        )
-        assert [row.split(",")[0] for row in lines[2:]] == ["1.2", "1.6"]
+        assert lines[1] == "b,step_size,esjd,se,acceptance_rate,quad_esjd,quad_esjd_err,z"
+        rows = [row.split(",") for row in lines[2:]]
+        assert [row[0] for row in rows] == ["1.2", "1.6"]
+        # the chains run at the tuned curve's step sizes, and the curve's
+        # columns keep the bits the curve had beside the stochastic tuner
+        for row, b in zip(rows, (1.2, 1.6)):
+            c = tuned_jump_quadrature(
+                make_gaussian(1.0), power_field(b), 0.44, *experiments._ESJD_WINDOW
+            )
+            assert row[1] == repr(c.step_size)
+            assert row[5:7] == [repr(c.esjd), repr(c.esjd_err)]
+            assert row[7] == repr(abs(float(row[2]) - c.esjd) / float(row[3]))
+        assert [row[1] for row in rows] == ["2.6912845348484917", "2.079194386956562"]
+        assert [row[5:7] for row in rows] == [
+            ["0.7706173039238697", "6.0295319064263e-06"],
+            ["0.7639170562339058", "4.257013911823648e-06"],
+        ]
         assert [c.name for c in checks] == [
             "acceptance_in_window", "chains_match_quadrature", "quadrature_argmax_located",
         ]
         assert all(c.passed for c in checks)
+
+    def test_esjd_scan_runs_without_a_second_step_size_route(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a second step-size route ran")
+
+        monkeypatch.setattr(diagnostics, "tune_step_size", refused)
+        monkeypatch.setattr(experiments, "stationary_jump_quadrature", refused, raising=False)
+        files, checks = SCENARIOS["esjd_scan"](0, "", b_values=(1.2, 1.6), n_steps=500)
+        assert len(files["esjd_scan.csv"].splitlines()) == 4
 
     def test_esjd_scan_rejects_bad_input_before_quadrature(self, monkeypatch):
         def no_quadrature(*args, **kwargs):
             raise AssertionError("quadrature ran")
 
         monkeypatch.setattr(experiments, "tuned_jump_quadrature", no_quadrature)
-        monkeypatch.setattr(experiments, "stationary_jump_quadrature", no_quadrature)
         with pytest.raises(ParameterError, match="n_steps"):
             SCENARIOS["esjd_scan"](0, "", n_steps=50)
         with pytest.raises(ConfigError) as err:
             SCENARIOS["esjd_scan"](0, "", b_values=(1.2,))
         assert err.value.key == "b_values"
+        for rate in (1.5, 0.0):
+            with pytest.raises(ConfigError, match=r"^target rate must lie in \(0,1\)") as err:
+                SCENARIOS["esjd_scan"](0, "", tune_acceptance=rate)
+            assert err.value.key == "tune_acceptance"
 
     def test_esjd_scan_names_the_exponent_its_grid_cannot_resolve(self):
         # b = 50 tunes to a step size whose proposal std is finer than the

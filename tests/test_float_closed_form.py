@@ -63,10 +63,10 @@ def array_closed_form(target, field, h, x, y):
 
 def array_norm(x) -> float:
     # the dot product overflows with a RuntimeWarning where x * x is inf;
-    # there |x| is the overflow-free np.hypot reduction
+    # there |x| is the overflow-free np.hypot reduction, and a NaN stays
     with np.errstate(over="ignore"):
         r = float(np.linalg.norm(x))
-    return r if r < math.inf else float(np.hypot.reduce(np.abs(x)))
+    return r if r != math.inf else float(np.hypot.reduce(np.abs(x)))
 
 
 #: log V through ``np.linalg.norm`` on arrays, as the Lyapunov functions
@@ -74,7 +74,7 @@ def array_norm(x) -> float:
 ARRAY_LOG_V = {
     "exp_abs": lambda s: lambda x: s * array_norm(x),
     "abs_pow": lambda s: lambda x: (
-        max(0.0, s * math.log(r)) if (r := array_norm(x)) > 0 else 0.0
+        max(0.0, s * math.log(r)) if (r := array_norm(x)) > 0 else 0.0 if r == 0 else math.nan
     ),
 }
 LYAPUNOV = {"exp_abs": exp_abs, "abs_pow": abs_pow}
