@@ -22,9 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scipy is imported inside the functions that use it, so that `import pdrwm`
-# loads only numpy and PyYAML (tests/test_exports.py::TestStartUp)
-
 from .errors import ParameterError
 from .fields import CovarianceField
 from .proposals import ProposalKernel, _cholesky, _field_value, _step_size
@@ -101,7 +98,7 @@ def log_accept_ratio_batch(
     vectorised ``log`` and ``power`` differ from libm's in the last bit
     (16 of 4000 rows from ``power_field(1.5)`` on the exponential tail),
     and with an off-diagonal covariance the batch's LU ``solve`` and the
-    per-point ``trtrs`` round differently.
+    per-point route's ``trtrs`` arithmetic round differently.
     """
     _check_dim(target, kernel.dim)
     lp_x = _log_density_on_support(target, x)
@@ -142,9 +139,12 @@ def log_accept_ratio_closed_form(
     Must agree with the generic route to float accuracy; the tests hold
     the two within 1e-12 on mixed-scale inputs.  The arithmetic is this
     route's own, but the kernel's rules refuse a step size, or a field
-    value at ``x`` or an on-support ``y``; the covariance rule's factor
-    is ``scipy.linalg.cho_factor``'s bit for bit.  In one dimension this
-    is :func:`_closed_form_at`'s ``accept`` at ``float(y[0])``.
+    value at ``x`` or an on-support ``y``.  Above 1-D each field value
+    is factored by the kernel's covariance rule (LAPACK ``potrf``'s bits
+    in 2-D), and ``u^T S^{-1} u`` is ``|L^{-1} u|^2`` with ``L^{-1} u``
+    from numpy's ``linalg.solve``, so no scipy is imported.  In one
+    dimension this is :func:`_closed_form_at`'s ``accept`` at
+    ``float(y[0])``.
     """
     if field.dim == 1:
         accept = _closed_form_at(target, field, h, x)
@@ -160,14 +160,16 @@ def log_accept_ratio_closed_form(
         return -math.inf
     u = x - y
 
-    from scipy.linalg import cho_solve
+    def forms(z):
+        """log det S(z) and u^T S(z)^{-1} u, through S(z)'s factor L:
+        the quadratic form is |L^{-1} u|^2, solved by numpy's LU."""
+        low = np.array(_cholesky(field.inv_metric(z), z))
+        v = np.linalg.solve(low, u)
+        return 2.0 * float(np.log(low.diagonal()).sum()), float(v @ v)
 
-    c_x = (_cholesky(field.inv_metric(x), x), True)
-    c_y = (_cholesky(field.inv_metric(y), y), True)
-    logdet_sx = 2.0 * float(np.sum(np.log(np.diag(c_x[0]))))
-    logdet_sy = 2.0 * float(np.sum(np.log(np.diag(c_y[0]))))
+    (logdet_sx, quad_x), (logdet_sy, quad_y) = forms(x), forms(y)
     half_logdet = 0.5 * (logdet_sx - logdet_sy)
-    quad = 0.5 * (float(u @ cho_solve(c_y, u)) - float(u @ cho_solve(c_x, u))) / h
+    quad = 0.5 * (quad_y - quad_x) / h
     return min(0.0, lp_y - lp_x + half_logdet - quad)
 
 
@@ -307,10 +309,12 @@ def run_chain(
     disc and the ellipse: their uniforms drawn ``_CHUNK`` steps at a
     time), else through ``kernel.sample`` (the Gaussian, whose ziggurat
     normals no block can reproduce, and any kernel whose ``sample`` was
-    replaced), with the same bits.  The Gaussian in two or more dimensions keeps its LAPACK
-    and BLAS calls on arrays.  A step costs about 3 µs for the 1-D
+    replaced), with the same bits.  The Gaussian in two or more
+    dimensions factors and solves on Python floats with LAPACK's
+    operations, and keeps numpy's BLAS calls for ``low @ z`` and
+    ``v @ v``.  A step costs about 3 µs for the 1-D
     Gaussian, 1.4-2.2 µs for the disc and the ellipse (3.1-4.1 µs drawn
-    per step), and 14-21 µs for the Gaussian on the ridge (best of 15
+    per step), and 15-19 µs for the Gaussian on the ridge (best of 15
     runs on a 2-vCPU VM whose host runs at two speeds).
     """
     if n_steps < 1:

@@ -936,9 +936,10 @@ def _scenario_esjd(
     runs at that step size, and its ``z`` is its distance to the tuned
     curve in standard errors.  The curve's argmax must lie in [1.2, 2.0],
     ahead of the runner-up by more than their summed error estimates.
-    The curve needs no chain, so it is solved first: an exponent whose
-    step size the quadrature grid cannot resolve fails before any chain
-    runs.
+    The curve needs no chain, so it is solved first, at every exponent,
+    before any chain runs: a rate whose step size the quadrature grid
+    resolves at no exponent fails under ``tune_acceptance``, and one it
+    resolves at some exponents under ``b_values``, naming the others.
     """
     if len(b_values) < 2:
         raise ConfigError("b_values needs at least two exponents", key="b_values")
@@ -947,13 +948,22 @@ def _scenario_esjd(
 
     target = make_gaussian(1.0)
 
-    def tuned(b: float):
+    curve, failures = [], []
+    for b in b_values:
         try:
-            return tuned_jump_quadrature(target, power_field(b), tune_acceptance, *_ESJD_WINDOW)
+            curve.append(
+                tuned_jump_quadrature(target, power_field(float(b)), tune_acceptance, *_ESJD_WINDOW)
+            )
         except DiscretizationError as exc:
-            raise ConfigError(f"b = {b:g}: {exc}", key="b_values") from exc
-
-    curve = [tuned(float(b)) for b in b_values]
+            failures.append(f"b = {float(b):g}: {exc}")
+    if len(failures) == len(b_values):
+        raise ConfigError(
+            f"no exponent has a step size of acceptance {tune_acceptance:g} "
+            "that the quadrature grid resolves; " + "; ".join(failures),
+            key="tune_acceptance",
+        )
+    if failures:
+        raise ConfigError("; ".join(failures), key="b_values")
     points = esjd_scan(
         target, b_values, [c.step_size for c in curve], n_steps=n_steps, seed=seed
     )

@@ -94,8 +94,10 @@ BAD_CONFIGS = [
     ("figure3_data", "  probe_levels: [650]\n", "probe_levels"),
     ("figure3_data", "  probe_levels: [700]\n", "probe_levels"),
     ("lemma6_exact", "  mc_draws: 1\n", "mc_draws"),
-    # b = 50 needs a step size the quadrature grid cannot resolve
+    # b = 50 needs a step size the quadrature grid cannot resolve, and so
+    # does every exponent at acceptance 0.999
     ("esjd_scan", "  b_values: [0.0, 50.0]\n  n_steps: 1000\n", "b_values"),
+    ("esjd_scan", "  tune_acceptance: 0.999\n  b_values: [0.0, 1.0]\n", "tune_acceptance"),
 ]
 
 

@@ -394,6 +394,27 @@ class TestScenarioBodies:
             SCENARIOS["esjd_scan"](0, "", b_values=(0.0, 50.0))
         assert err.value.key == "b_values"
 
+    def test_esjd_scan_names_every_exponent_its_grid_cannot_resolve(self, monkeypatch):
+        def no_chains(*args, **kwargs):
+            raise AssertionError("chains ran")
+
+        # at 0.44, b = 10 and b = 50 fail and b = 0 resolves
+        monkeypatch.setattr(experiments, "esjd_scan", no_chains)
+        with pytest.raises(ConfigError, match=r"^b = 10: grid spacing .*; b = 50: grid") as err:
+            SCENARIOS["esjd_scan"](0, "", b_values=(0.0, 10.0, 50.0))
+        assert err.value.key == "b_values"
+        assert "b = 0:" not in str(err.value)
+
+    def test_esjd_scan_names_a_rate_no_exponent_resolves(self, monkeypatch):
+        def no_chains(*args, **kwargs):
+            raise AssertionError("chains ran")
+
+        monkeypatch.setattr(experiments, "esjd_scan", no_chains)
+        with pytest.raises(ConfigError, match=r"acceptance 0\.999 that the quadrature") as err:
+            SCENARIOS["esjd_scan"](0, "", b_values=(0.0, 1.0, 2.0), tune_acceptance=0.999)
+        assert err.value.key == "tune_acceptance"
+        assert all(f"b = {b}: grid spacing" in str(err.value) for b in (0, 1, 2))
+
     def test_lemma6_probe_past_every_draw_fails_its_monte_carlo_check(self):
         # at p = 13 all 1e5 draws miss the support, so mc_se is 0; at
         # p = 700 the strips hold no area and the exact rejection is 1 too

@@ -33,11 +33,6 @@ import numpy as np
 import pdrwm
 from pdrwm.proposals import _log_gauss_mass
 
-ridge, field2 = pdrwm.make_ridge_2d(), pdrwm.power_field(1.0, 2)
-print(pdrwm.log_accept_ratio_closed_form(ridge, field2, 1.0, np.zeros(2), np.ones(2)))
-kernel = pdrwm.gaussian_proposal(field2, 1.0)
-at = kernel.at((0.0, 0.0))
-print(kernel.log_q(kernel.sample((0.0, 0.0), at, np.random.default_rng(0)), (0.0, 0.0), at))
 print(_log_gauss_mass(0.5, 1.0), _log_gauss_mass(-0.5, 0.5))
 tail, field1 = pdrwm.make_exponential_tail(1.0), pdrwm.power_field(1.0)
 chain = pdrwm.build_discretized(tail, field1, h=1.0, half_width=8.0, n=101)
@@ -47,21 +42,27 @@ print(pdrwm.tuned_jump_quadrature(pdrwm.make_gaussian(), pdrwm.constant_field(1.
 print(pdrwm.exact_rejection_disc((0.0, 3.5)))
 """
 
-# Builds two 2-D Gaussian kernels and reports whether that loaded scipy,
-# then evaluates them, which does.
+# Runs every route of the Gaussian kernels of both 2-D fields, the 2-D
+# closed-form acceptance and a ridge chain, then prints the scipy modules
+# loaded: none, since the kernel factors and solves on Python floats.
 KERNEL_CALLS = """
 import sys
 import numpy as np
 import pdrwm
 
-kernels = [
-    pdrwm.gaussian_proposal(pdrwm.ridge_conditional_field(), 1.0),
-    pdrwm.gaussian_proposal(pdrwm.power_field(1.0, dim=2), 0.5),
-]
+ridge, rng, x = pdrwm.make_ridge_2d(), np.random.default_rng(0), (0.5, -1.5)
+for field, h in ((pdrwm.ridge_conditional_field(), 1.0), (pdrwm.power_field(1.0, dim=2), 0.5)):
+    kernel = pdrwm.gaussian_proposal(field, h)
+    at = kernel.at(x)
+    y = kernel.sample(x, at, rng)
+    print(at[1].tolist(), repr(at[2]), y, repr(kernel.log_q(y, x, at)))
+    ys = kernel.sample_batch(np.array(x), 3, rng)
+    print(ys.tolist(), kernel.log_q_batch(ys, np.array(x)).tolist())
+    print(repr(pdrwm.log_accept_ratio_closed_form(ridge, field, h, np.array(x), np.array(y))))
+kernel = pdrwm.gaussian_proposal(pdrwm.ridge_conditional_field(), 1.0)
+traj = pdrwm.run_chain(ridge, kernel, [4.0, 0.0], 200, seed=3)
+print(traj.states[-1].tolist(), traj.alpha.sum())
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-for kernel in kernels:
-    at = kernel.at((0.5, -1.5))
-    print(at[1].tolist(), repr(at[2]), repr(kernel.log_q((1.0, 0.25), (0.5, -1.5), at)))
 """
 
 CUSTOM_CONFIG = """
@@ -97,8 +98,9 @@ def fresh_python(*args, env=None):
 
 class TestStartUp:
     """``import pdrwm`` loads numpy and PyYAML only; scipy is imported by
-    the functions that use it.  Each check needs a fresh process, since
-    the test process has scipy loaded already."""
+    the functions that use it, and no sampling route is one of them.
+    Each check needs a fresh process, since the test process has scipy
+    loaded already."""
 
     def test_import_loads_no_scipy(self):
         _, imported = fresh_python("-c", "import pdrwm")
@@ -110,15 +112,23 @@ class TestStartUp:
         assert "table1_grid" in proc.stdout
         assert "scipy" not in imported
 
-    def test_gaussian_kernel_is_built_without_scipy(self):
+    def test_gaussian_kernel_is_built_without_scipy(self, tmp_path):
         proc, imported = fresh_python("-c", KERNEL_CALLS)
-        loaded, *values = proc.stdout.splitlines()
+        *values, loaded = proc.stdout.splitlines()
         assert loaded == "[]"
-        assert "scipy" in imported  # at and log_q load it on first use
+        assert "scipy" not in imported
+        # the same values as in this process, where scipy is loaded
         here = io.StringIO()
         with contextlib.redirect_stdout(here):
             exec(KERNEL_CALLS, {})
-        assert values == here.getvalue().splitlines()[1:]
+        assert values == here.getvalue().splitlines()[:-1]
+
+        config = Path(__file__).resolve().parent.parent / "configs" / "figure2_data.yaml"
+        out = tmp_path / "out"
+        proc, imported = fresh_python("-m", "pdrwm", "run", str(config),
+                                      env={OUTPUT_DIR_ENV: str(out)})
+        assert (out / "figure2_data").is_dir()
+        assert "scipy" not in imported
 
     def test_first_calls_in_a_fresh_process(self, tmp_path):
         proc, imported = fresh_python("-c", FIRST_CALLS)

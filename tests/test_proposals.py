@@ -1,12 +1,13 @@
 import dataclasses
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import cholesky, get_lapack_funcs, solve_triangular
 from scipy.stats import multivariate_normal, norm, truncnorm
 
 from pdrwm import (
@@ -30,6 +31,7 @@ from pdrwm import (
     truncated_mean,
     truncated_mgf,
 )
+from pdrwm.proposals import _cholesky, _fma, _solve_lower
 
 # Frozen by direct quadrature of the Gaussian density (independent of the
 # closed forms under test).
@@ -149,6 +151,12 @@ class TestGaussianKernelMultiDim:
         y = pt(0.3, -1.1)
         expected = multivariate_normal.logpdf(y, mean=x, cov=0.5 * sigma)
         assert log_q(k, y, x) == pytest.approx(expected, abs=1e-12)
+        # above 2-D the factor and the solve run the same loops
+        sigma = np.array([[2.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 0.7]])
+        k = gaussian_proposal(constant_field(sigma), h=0.5)
+        x, y = pt(1.0, -2.0, 0.5), pt(0.3, -1.1, 1.4)
+        expected = multivariate_normal.logpdf(y, mean=x, cov=0.5 * sigma)
+        assert log_q(k, y, x) == pytest.approx(expected, abs=1e-12)
 
     def test_batch_covariance(self):
         sigma = np.array([[2.0, 0.6], [0.6, 1.0]])
@@ -191,6 +199,108 @@ class TestGaussianKernelMultiDim:
         # the finite side still evaluates
         assert np.isfinite(log_q(k, far, x))
         assert np.isfinite(k.log_q_batch(np.zeros((2, 2)), x)).all()
+
+
+# LAPACK as scipy calls it, with no check on the inputs
+_TRTRS = get_lapack_funcs(("trtrs",), (np.empty((2, 2)),))[0]
+
+
+def lapack_fma(a, b, c):
+    """``fma(a, b, c)`` as LAPACK's ``trtrs`` computes it: the second
+    entry of ``[[1, 0], [-a, 1]]^{-1} [b, c]`` is ``c - (-a) b``, fused."""
+    low = np.array([[1.0, 0.0], [-a, 1.0]], order="F")
+    return float(_TRTRS(low, np.array([b, c]), lower=True)[0][1])
+
+
+def bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+# magnitudes from 1e-150 to 1e150, either sign
+magnitudes = st.builds(
+    lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(-150, 149)
+)
+signed = st.builds(lambda v, s: -v if s else v, magnitudes, st.booleans())
+rhs = st.one_of(signed, st.sampled_from([0.0, -0.0]))
+
+
+class TestLapackBits:
+    """The 2-D kernel's factor and solve on Python floats against
+    ``scipy.linalg.cholesky(lower=True)`` and ``solve_triangular(lower=True)``,
+    which call LAPACK ``potrf`` and ``trtrs``: byte for byte."""
+
+    @settings(max_examples=400)
+    @given(
+        magnitudes, magnitudes, st.floats(-1.0, 1.0), st.booleans(),
+        st.tuples(rhs, rhs),
+    )
+    def test_factor_and_solve_are_lapacks(self, a11, a22, rho, diagonal, b):
+        a21 = math.copysign(0.0, rho) if diagonal else rho * math.sqrt(a11) * math.sqrt(a22)
+        cov = np.array([[a11, a21], [a21, a22]])
+        try:
+            low = cholesky(cov, lower=True)
+        except np.linalg.LinAlgError:
+            with pytest.raises(NumericError, match="failed to factor"):
+                _cholesky(cov, cov[0])
+            return
+        rows = _cholesky(cov, cov[0])
+        assert bits(rows) == bits(low)
+        assert bits(_solve_lower(rows, b)) == bits(solve_triangular(low, np.array(b), lower=True))
+
+    @settings(max_examples=200)
+    @given(signed, signed, rhs)
+    def test_fma_is_lapacks(self, a, b, c):
+        assert bits(_fma(a, b, c)) == bits(lapack_fma(a, b, c))
+        if hasattr(math, "fma"):  # Python 3.13 and later
+            assert bits(_fma(a, b, c)) == bits(math.fma(a, b, c))
+
+    @pytest.mark.parametrize(
+        "a, b, c, expected",
+        [
+            # past the largest float: the exact sum rounds to +-inf
+            (1e300, 1e10, 1.0, math.inf),
+            (-1e300, 1e10, 1.0, -math.inf),
+            # within half an ulp of the largest float it rounds down to it,
+            # and at half an ulp the tie goes to the even 2**1024, inf
+            (np.finfo(float).max, 1.0, 2.0**969, np.finfo(float).max),
+            (np.finfo(float).max, 1.0, 2.0**970, math.inf),
+            # subnormal results, in units of 2**-1074: 1.5 and 4.5 units
+            # round to the even 2 and 4, 0.5 units to 0, and a difference
+            # of normals lands on 1 unit exactly
+            (1.5 * 2.0**-537, 2.0**-537, 0.0, 2.0**-1073),
+            (1.5, 3.0 * 2.0**-1074, 0.0, 2.0**-1072),
+            (2.0**-537, 2.0**-538, 0.0, 0.0),
+            (1.0 + 2.0**-52, 2.0**-1022, -(2.0**-1022), 2.0**-1074),
+            # the sum cancels the square's rounding
+            (1.0 + 2.0**-30, 1.0 + 2.0**-30, -(1.0 + 2.0**-29), 2.0**-60),
+            # an exact zero keeps IEEE's sign
+            (1.0, 1.0, -1.0, 0.0),
+            (-0.5, 0.0, -0.0, -0.0),
+            (0.5, -0.0, -0.0, -0.0),
+            (0.5, 0.0, -0.0, 0.0),
+        ],
+    )
+    def test_fma_rounds_the_exact_sum(self, a, b, c, expected):
+        assert bits(_fma(a, b, c)) == bits(expected)
+        assert bits(lapack_fma(a, b, c)) == bits(expected)
+        if math.isfinite(expected):
+            # the nearest float to the exact sum
+            exact = Fraction(a) * Fraction(b) + Fraction(c)
+            error = abs(Fraction(expected) - exact)
+            for side in (math.nextafter(expected, -math.inf), math.nextafter(expected, math.inf)):
+                if math.isfinite(side):
+                    assert error <= abs(Fraction(side) - exact)
+
+    @pytest.mark.parametrize("special", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    @pytest.mark.parametrize("other", [0.0, -0.0, 1.5, 1e300])
+    def test_fma_at_non_finite_inputs_is_lapacks(self, special, where, other):
+        # at other = 1e300 the finite product overflows, where fma keeps
+        # an infinite c
+        args = [other, -1e10, 3.0]
+        args[where] = special
+        got, lapack = _fma(*args), lapack_fma(*args)
+        assert (math.isnan(got) and math.isnan(lapack)) or bits(got) == bits(lapack)
 
 
 def uncached_gaussian_proposal(field, h):
