@@ -27,9 +27,12 @@ sqrt(pi) of eigenvalue 1 is projected out, shift-invert Lanczos finds
 the top of what is left, and Cholesky factorisations (or, at the bottom,
 Gershgorin discs) certify that no eigenvalue lies beyond lambda_2 at
 either end.  Each factorisation runs in the block's own strict upper
-triangle.  A block that cannot be certified that way is diagonalized by
-the dense symmetric eigensolver, and the result records which path each
-block took.
+triangle.  The odd block first tries to certify its top at the even
+block's lambda_2 with one factorisation, unless the even block's top
+eigenvector, carried over to the odd block, has a Rayleigh quotient
+there that already proves the try would fail.  A block that cannot be
+certified that way is diagonalized by the dense symmetric eigensolver,
+and the result records which path each block took.
 
 The module also holds the deterministic routes the Monte Carlo probes
 are checked against: adaptive quadrature for the one-step drift ratio,
@@ -51,7 +54,7 @@ import numpy as np
 # scipy is imported inside the functions that use it, so that `import pdrwm`
 # loads only numpy and PyYAML (tests/test_exports.py::TestStartUp)
 
-from .chain import _closed_form_at, log_accept_terms
+from .chain import _closed_form_at
 from .diagnostics import LyapunovFunction, _check_rate
 from .errors import DiscretizationError, NumericError, ParameterError
 from .fields import CovarianceField
@@ -77,9 +80,10 @@ __all__ = [
 #: grid spacing must be at most this fraction of the finest proposal std
 SPACING_FRACTION = 0.2
 
-#: entries per row block of the n x n passes: each temporary of the build
-#: and of the block former is 0.5 MB, small enough that a block's several
-#: elementwise passes stay in cache and small beside the one block held
+#: entries per row block of the n x n passes: the build's one scratch row
+#: block and each temporary of the block former is 0.5 MB, small enough
+#: that a block's several elementwise passes stay in cache and small
+#: beside the one block held
 _BLOCK_ENTRIES = 1 << 16
 
 #: relative tolerance of the x -> -x symmetry test
@@ -91,6 +95,12 @@ _SHIFT_GAP = 1e-3
 
 #: slack of the certificate that no eigenvalue exceeds lambda_2
 _TOP_SLACK = 1e-12
+
+#: rounding margin of a Rayleigh quotient in a block: a quotient past
+#: lambda_2 + _TOP_SLACK by more than this proves that the block has an
+#: eigenvalue past lambda_2 + _TOP_SLACK, far beyond the quotient's own
+#: rounding error of about m * 1e-16
+_RAYLEIGH_MARGIN = 1e-9
 
 #: Lanczos basis size; a block no larger than it is solved dense
 _LANCZOS_BASIS = 20
@@ -246,15 +256,30 @@ def _check_spacing(step: float, std: np.ndarray) -> None:
 
 def _log_move_rows(
     grid: np.ndarray, lp: np.ndarray, log_norm: np.ndarray,
-    inv_two_hg: np.ndarray, i0: int, i1: int, out: np.ndarray,
+    inv_two_hg: np.ndarray, i0: int, i1: int, out: np.ndarray, lq: np.ndarray,
 ) -> None:
     """Log of q(x_j | x_i) alpha(x_i, x_j) for rows i0:i1, written into
     ``out``, where log q(x_j | x_i) = log_norm[i] - (x_i - x_j)^2
-    inv_two_hg[i]."""
-    d2 = (grid[i0:i1, None] - grid[None, :]) ** 2
-    lq = log_norm[i0:i1, None] - d2 * inv_two_hg[i0:i1, None]
-    lq_rev = log_norm[None, :] - d2 * inv_two_hg[None, :]
-    log_accept_terms(lp[i0:i1, None], lp[None, :], lq, lq_rev, out=out)
+    inv_two_hg[i].  ``lq``, of ``out``'s shape, is scratch.
+
+    The operations and their order are those of
+    ``lq + log_accept_terms(lp_x, lp_y, lq, lq_rev)`` on whole arrays, so
+    each entry gets the same bits, but every pass writes into ``out`` or
+    ``lq``: no row-block temporary is allocated."""
+    col = (slice(i0, i1), None)
+    d2 = np.subtract(grid[col], grid[None, :], out=lq)
+    np.square(d2, out=d2)
+    # lq_rev = log_norm_j - d2 inv_two_hg_j, then lp_j + lq_rev - lp_i
+    np.multiply(d2, inv_two_hg[None, :], out=out)
+    np.subtract(log_norm[None, :], out, out=out)
+    np.add(lp[None, :], out, out=out)
+    np.subtract(out, lp[col], out=out)
+    # lq = log_norm_i - d2 inv_two_hg_i, over d2
+    np.multiply(d2, inv_two_hg[col], out=lq)
+    np.subtract(log_norm[col], lq, out=lq)
+    np.subtract(out, lq, out=out)
+    # log_accept_terms' min(0, .), in its argument order
+    np.minimum(0.0, out, out=out)
     out += lq
 
 
@@ -308,9 +333,11 @@ def build_discretized(
     log_norm = -0.5 * math.log(2.0 * math.pi * h) - 0.5 * np.log(g)
     inv_two_hg = 1.0 / (2.0 * h * g)
     rows = np.empty((n - s, n))
+    # one row block of scratch serves every block of rows
+    scratch = np.empty_like(rows[:max(1, _BLOCK_ENTRIES // n)])
     for i0, i1 in _row_blocks(n, start=s):
         block = rows[i0 - s:i1 - s]
-        _log_move_rows(grid, lp, log_norm, inv_two_hg, i0, i1, block)
+        _log_move_rows(grid, lp, log_norm, inv_two_hg, i0, i1, block, scratch[:i1 - i0])
         block += log_step
         np.exp(block, out=block)
 
@@ -397,23 +424,28 @@ def _symmetric_block(chain: DiscretizedChain, k: int) -> np.ndarray:
     return block
 
 
+def _quadratic_form(block: np.ndarray, v: np.ndarray) -> float:
+    """v^T B v for the block B whose lower triangle ``block`` holds."""
+    from scipy.linalg import get_blas_funcs
+
+    # the Fortran view's upper triangle is the block's lower one
+    symv = get_blas_funcs("symv", (block,))
+    return float(v @ symv(1.0, block.T, v, lower=0))
+
+
 def _deflate_stationary(chain: DiscretizedChain, block: np.ndarray) -> None:
     """Check that the unit vector u = sqrt(pi_hat) carries eigenvalue 1 of
     the first block and subtract u u^T from its lower triangle in place,
     which moves that eigenvalue to 0.  For a mirrored chain u is folded
     into the even block: its upper half times sqrt(2), the odd-n centre
     once."""
-    from scipy.linalg import get_blas_funcs
-
     u = np.sqrt(chain.pi_hat)
     if chain.mirrored:
         s = chain.n // 2
         u = u[s:] * math.sqrt(2.0)
         if chain.n % 2:
             u[0] = math.sqrt(chain.pi_hat[s])
-    # the Fortran view's upper triangle is the block's lower one
-    symv = get_blas_funcs("symv", (block,))
-    lead = float(u @ symv(1.0, block.T, u, lower=0))
+    lead = _quadratic_form(block, u)
     if abs(lead - 1.0) > 1e-6:
         raise NumericError(
             f"stationary Rayleigh quotient {lead!r} is not 1; chain "
@@ -474,8 +506,13 @@ def _lanczos_top(block: np.ndarray, d: np.ndarray) -> float | None:
     triangular solves.  The start vector is fixed, so the result is
     deterministic, and it is not mirror-symmetric, so that a mirrored
     chain solved whole still reaches its odd eigenvectors.  Lanczos stops
-    after about ``len(block)`` solves, past which the dense solver is
-    cheaper, and then raises :class:`ArpackNoConvergence`.
+    after about ``len(block)`` solves and then raises
+    :class:`ArpackNoConvergence`.  That cap lies well past the point
+    where the dense solver is cheaper: dense ``eigh`` of a block costs
+    about 120 solves at 800 rows, 230 at 1600 and 400 at 4000 (CPU time,
+    one BLAS thread, a 2-CPU Xeon box).  It stays, because a lower cap
+    would send the solves that need more steps to the dense solver,
+    whose lambda_2 differs in its last bits.
     """
     from scipy.linalg import get_lapack_funcs
     from scipy.sparse.linalg import LinearOperator, eigsh
@@ -499,13 +536,49 @@ def _lanczos_top(block: np.ndarray, d: np.ndarray) -> float | None:
     return shift - 1.0 / float(mu)
 
 
+def _top_vector(factor: np.ndarray) -> np.ndarray:
+    """The top eigenvector of B, unnormalised, from the Cholesky
+    ``factor`` of ``(lambda_2 + delta) I - B`` that certified B's top at
+    its own top eigenvalue lambda_2: that matrix has eigenvalue delta =
+    1e-12 along the top eigenvector and at least B's spectral gap along
+    the rest, so one solve on a fixed vector returns the top eigenvector
+    to within about delta over that gap."""
+    from scipy.linalg import get_lapack_funcs
+
+    potrs = get_lapack_funcs("potrs", (factor,))
+    return potrs(factor, np.linspace(1.0, 2.0, len(factor)), lower=1)[0]
+
+
+def _top_exceeds(block: np.ndarray, v: np.ndarray, bound: float) -> bool:
+    """Whether the Rayleigh quotient in the block B (lower triangle
+    ``block``) of the positive part of ``v``, or of its negative part,
+    exceeds ``bound`` by more than ``_RAYLEIGH_MARGIN``.  No Rayleigh
+    quotient exceeds B's top eigenvalue, so then ``bound * I - B`` is not
+    positive definite, and its Cholesky factorisation would fail."""
+    for part in (np.maximum(v, 0.0), np.minimum(v, 0.0)):
+        norm2 = float(part @ part)
+        if norm2 > 0.0 and _quadratic_form(block, part) > (bound + _RAYLEIGH_MARGIN) * norm2:
+            return True
+    return False
+
+
 def _solve_block(
-    chain: DiscretizedChain, k: int, lambda2: float, floor: float
-) -> tuple[float, str]:
+    chain: DiscretizedChain, k: int, lambda2: float, floor: float,
+    probe: np.ndarray | None,
+) -> tuple[float, str, np.ndarray | None]:
     """Form block ``k`` of the symmetrized chain, raise ``lambda2`` to its
     largest |eigenvalue| other than the stationary 1, and return it with
     the block's path.  Steps 1-3 of :func:`spectral_gap`; the block is
-    dropped on return."""
+    dropped on return.
+
+    ``probe`` is a vector in the block's coordinates whose Rayleigh
+    quotients may prove that the try of step 2 fails, or None.  The
+    even block of a mirrored chain certified by Lanczos returns its top
+    eigenvector in the odd block's coordinates as the odd block's probe:
+    an even mode of (e_i + e_{n-1-i}) / sqrt(2) maps to the odd mode
+    (e_i - e_{n-1-i}) / sqrt(2) of the same index, and the odd-n centre,
+    which the odd block lacks, is dropped.  Every other return gives
+    None."""
     from scipy.linalg import eigh
     from scipy.sparse.linalg import ArpackNoConvergence
 
@@ -514,13 +587,19 @@ def _solve_block(
         _deflate_stationary(chain, block)
     d = block.diagonal().copy()
 
-    def dense(reason: str) -> tuple[float, str]:
+    def dense(reason: str) -> tuple[float, str, None]:
         vals = eigh(_mirrored(block, d, 1.0, 0.0), eigvals_only=True, overwrite_a=True)
-        return max(lambda2, float(vals[-1]), -float(vals[0])), f"dense: {reason}"
+        return max(lambda2, float(vals[-1]), -float(vals[0])), f"dense: {reason}", None
 
     if len(block) <= _LANCZOS_BASIS:
         return dense("block too small")
-    if k == 0 or _factors(block, d, -1.0, lambda2 + _TOP_SLACK) is None:
+    bound = lambda2 + _TOP_SLACK
+    top_vector = None
+    if (
+        k == 0
+        or (probe is not None and _top_exceeds(block, probe, bound))
+        or _factors(block, d, -1.0, bound) is None
+    ):
         try:
             top = _lanczos_top(block, d)
         except ArpackNoConvergence:
@@ -531,10 +610,15 @@ def _solve_block(
                 f"{chain.label} is not a proper Metropolis restriction"
             )
         lambda2 = max(lambda2, top)
-        if _factors(block, d, -1.0, lambda2 + _TOP_SLACK) is None:
+        factor = _factors(block, d, -1.0, lambda2 + _TOP_SLACK)
+        if factor is None:
             return dense("top certificate failed")
+        if k == 0 and chain.mirrored:
+            # the even block's lambda_2 is its own top; the bottom
+            # certificate is about to overwrite the factor
+            top_vector = _top_vector(factor)[chain.n % 2:]
     if min(floor, 0.0) > -lambda2 or _factors(block, d, 1.0, lambda2) is not None:
-        return lambda2, "extremal"
+        return lambda2, "extremal", top_vector
     return dense("bottom certificate failed")
 
 
@@ -556,7 +640,19 @@ def spectral_gap(chain: DiscretizedChain) -> SpectralResult:
        (:func:`_lanczos_top`).  The odd block first tries one Cholesky
        factorisation of ``(lambda_2 + delta) I - B``, delta = 1e-12, at
        the lambda_2 of the first block; only if that fails does it run
-       Lanczos too and raise lambda_2.
+       Lanczos too and raise lambda_2.  The try is skipped where it is
+       proven to fail.  The even block's top certificate (step 3)
+       factors a matrix with eigenvalue delta along the even block's
+       top eigenvector, so one solve with that factor returns the
+       eigenvector (:func:`_top_vector`).  Carried over to the odd
+       block's indices, its positive part and its negative part each
+       have a Rayleigh quotient there (:func:`_top_exceeds`), and no
+       Rayleigh quotient exceeds the top eigenvalue.  If either
+       quotient exceeds lambda_2 + delta by more than a rounding margin
+       of 1e-9, the odd block's top does too, so the try would fail, and
+       the odd block goes straight to Lanczos.  Lanczos and the
+       certificates then run as after a failed try, so the skip changes
+       neither lambda_2 nor ``path``, only which factorisations run.
     3. The block is then certified at the lambda_2 reached so far.  Top:
        a Cholesky factorisation of ``(lambda_2 + delta) I - B`` succeeds,
        so no eigenvalue lies above lambda_2 + delta, which a Lanczos
@@ -582,10 +678,10 @@ def spectral_gap(chain: DiscretizedChain) -> SpectralResult:
     # The stored rows hold every row's entries
     rows = chain.rows
     floor = float((2.0 * np.diagonal(rows, offset=chain.first) - rows.sum(axis=1)).min())
-    lambda2 = 0.0
+    lambda2, probe = 0.0, None
     path = []
     for k in range(2 if chain.mirrored else 1):
-        lambda2, how = _solve_block(chain, k, lambda2, floor)
+        lambda2, how, probe = _solve_block(chain, k, lambda2, floor, probe)
         path.append(how)
     gap = min(1.0, max(0.0, 1.0 - lambda2))
     return SpectralResult(gap, lambda2, tuple(path))
@@ -768,7 +864,12 @@ def _solve_step_size(
 ) -> float:
     """Step size at which ``moments(n, h)`` puts the stationary
     acceptance at exactly ``rate``, searched outward from ``h0`` in log
-    steps that start at ``first_move`` and double."""
+    steps that start at ``first_move`` and double.
+
+    A probe whose proposal the grid cannot resolve raises
+    :class:`DiscretizationError` naming that probe's step size and the
+    last step size the grid resolved, with its acceptance, so the
+    message says how far the rate lies beyond the grid."""
     from scipy.optimize import brentq
 
     # brentq re-evaluates the bracket ends the search already has
@@ -783,7 +884,15 @@ def _solve_step_size(
     move = first_move if above else -first_move
     for _ in range(40):
         b = a + move
-        if (excess(b) > 0.0) != above:
+        try:
+            flipped = (excess(b) > 0.0) != above
+        except DiscretizationError as err:
+            raise DiscretizationError(
+                f"{err}; this grid cannot reach acceptance {rate:g}: it resolved "
+                f"step size {math.exp(a):g}, of acceptance {excess(a) + rate:g}, "
+                f"but not the next probe, {math.exp(b):g}"
+            ) from err
+        if flipped:
             lo, hi = sorted((a, b))
             return math.exp(brentq(excess, lo, hi, xtol=1e-10))
         a, move = b, 2.0 * move

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -414,6 +415,24 @@ class TestScenarioBodies:
             SCENARIOS["esjd_scan"](0, "", b_values=(0.0, 1.0, 2.0), tune_acceptance=0.999)
         assert err.value.key == "tune_acceptance"
         assert all(f"b = {b}: grid spacing" in str(err.value) for b in (0, 1, 2))
+
+    def test_esjd_scan_tells_each_exponent_how_far_its_grid_reached(self, monkeypatch):
+        def no_chains(*args, **kwargs):
+            raise AssertionError("chains ran")
+
+        # both exponents leave the grid's reach at the same probe, but each
+        # reaches its own acceptance at the last step size resolved
+        monkeypatch.setattr(experiments, "esjd_scan", no_chains)
+        with pytest.raises(ConfigError) as err:
+            SCENARIOS["esjd_scan"](0, "", b_values=(0.0, 1.0), tune_acceptance=0.999)
+        assert err.value.key == "tune_acceptance"
+        reached = re.findall(
+            r"b = (\d+): grid spacing [^;]*; this grid cannot reach acceptance 0\.999: "
+            r"it resolved step size (\S+), of acceptance (\S+),",
+            str(err.value),
+        )
+        assert [b for b, _, _ in reached] == ["0", "1"]
+        assert reached[0][2] != reached[1][2]
 
     def test_lemma6_probe_past_every_draw_fails_its_monte_carlo_check(self):
         # at p = 13 all 1e5 draws miss the support, so mc_se is 0; at

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -36,6 +37,7 @@ from pdrwm import (
     tv_decay_curve,
 )
 import pdrwm.oracle
+from pdrwm.chain import log_accept_terms
 from pdrwm.oracle import SPACING_FRACTION, _grid_values
 
 
@@ -299,6 +301,143 @@ class TestMirroredChainProperties:
         assert abs(whole.lambda2 - lam2) <= 1e-12
 
 
+def _counting_factors(monkeypatch):
+    """Count the Cholesky factorisations the solver runs."""
+    calls = []
+    factors = pdrwm.oracle._factors
+
+    def counted(*args):
+        calls.append(args[2:])
+        return factors(*args)
+
+    monkeypatch.setattr(pdrwm.oracle, "_factors", counted)
+    return calls
+
+
+def _proofs(monkeypatch):
+    """Record the verdicts of the odd block's Rayleigh-quotient proof."""
+    verdicts = []
+    top_exceeds = pdrwm.oracle._top_exceeds
+
+    def recorded(*args):
+        verdicts.append(top_exceeds(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(pdrwm.oracle, "_top_exceeds", recorded)
+    return verdicts
+
+
+class TestOddBlockProof:
+    #: Table 1's subexponential target under the (1+|x|)^1.5 field at
+    #: L = 40: lambda_2 lies in the odd block
+    ODD = (make_subexponential_tail(1.0, 0.5), power_field(1.5), 1.0, 40.0, 401)
+    #: the exponential target under the same field at L = 20: lambda_2
+    #: lies in the even block
+    EVEN = (make_exponential_tail(1.0), power_field(1.5), 1.0, 20.0, 201)
+
+    def test_odd_lambda2_skips_the_try(self, monkeypatch):
+        chain = build_discretized(*self.ODD)
+        calls = _counting_factors(monkeypatch)
+        verdicts = _proofs(monkeypatch)
+        res = spectral_gap(chain)
+        # even: Lanczos, top certificate; odd: Lanczos, top certificate.
+        # The bottoms hold by the Gershgorin discs
+        assert verdicts == [True]
+        assert len(calls) == 4
+        skipped = list(calls)
+        monkeypatch.setattr(pdrwm.oracle, "_top_exceeds", lambda *args: False)
+        calls.clear()
+        tried = spectral_gap(chain)
+        # the fifth is the odd block's try, at the even block's top
+        # certificate's shift; the other four are the same factorisations
+        assert len(calls) == 5
+        assert calls[2] == calls[1]
+        assert calls[:2] + calls[3:] == skipped
+        assert (res.lambda2.hex(), res.path) == (tried.lambda2.hex(), tried.path)
+        odd = np.tril(pdrwm.oracle._symmetric_block(chain, 1))
+        odd_top = scipy.linalg.eigh(odd, eigvals_only=True, lower=True)[-1]
+        assert odd_top == pytest.approx(res.lambda2, abs=1e-12)
+
+    def test_even_lambda2_still_tries(self, monkeypatch):
+        chain = build_discretized(*self.EVEN)
+        calls = _counting_factors(monkeypatch)
+        verdicts = _proofs(monkeypatch)
+        res = spectral_gap(chain)
+        # even: Lanczos, top certificate; odd: the try, which succeeds
+        assert verdicts == [False]
+        assert len(calls) == 3
+        monkeypatch.setattr(pdrwm.oracle, "_top_exceeds", lambda *args: False)
+        calls.clear()
+        tried = spectral_gap(chain)
+        assert len(calls) == 3
+        assert (res.lambda2.hex(), res.path) == (tried.lambda2.hex(), tried.path)
+
+    def test_top_vector_is_the_even_top_eigenvector(self):
+        chain = build_discretized(*self.ODD)
+        block = pdrwm.oracle._symmetric_block(chain, 0)
+        pdrwm.oracle._deflate_stationary(chain, block)
+        d = block.diagonal().copy()
+        top = pdrwm.oracle._lanczos_top(block, d)
+        factor = pdrwm.oracle._factors(block, d, -1.0, top + pdrwm.oracle._TOP_SLACK)
+        v = pdrwm.oracle._top_vector(factor)
+        # the factorisations overwrote the diagonal, which d keeps
+        vals, vecs = scipy.linalg.eigh(np.tril(block, -1) + np.diag(d), lower=True)
+        assert vals[-1] == pytest.approx(top, abs=1e-12)
+        assert abs(vecs[:, -1] @ v) / np.linalg.norm(v) == pytest.approx(1.0, abs=1e-9)
+
+    def test_unmirrored_chain_carries_no_vector(self, monkeypatch):
+        chain = build_discretized(*self.ODD)
+        whole = dataclasses.replace(chain, rows=chain.transition, mirrored=False)
+
+        def refused(factor):
+            raise AssertionError("no block follows the whole matrix")
+
+        monkeypatch.setattr(pdrwm.oracle, "_top_vector", refused)
+        assert spectral_gap(whole).path == ("extremal",)
+
+    @given(
+        target=_SYMMETRIC_TARGETS,
+        b=st.floats(0.0, 4.0),
+        log_h=st.floats(math.log(0.01), math.log(10.0)),
+        n=st.integers(50, 800),
+        width=st.floats(0.05, 1.0),
+    )
+    def test_proof_moves_no_bit(self, target, b, log_h, n, width):
+        # with the proof or without it (every odd block tries), lambda_2
+        # and the paths agree to the bit
+        h = math.exp(log_h)
+        half_width = width * 0.5 * SPACING_FRACTION * math.sqrt(h) * (n - 1)
+        chain = build_discretized(target, power_field(b), h, half_width, n)
+        res = spectral_gap(chain)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pdrwm.oracle, "_top_exceeds", lambda *args: False)
+            tried = spectral_gap(chain)
+        assert (res.lambda2.hex(), res.path) == (tried.lambda2.hex(), tried.path)
+
+
+def _skewed_log_density(x):
+    v = float(x[0])
+    return -abs(v) - 0.3 * v
+
+
+#: log pi(x) = -|x| - 0.3x: no x -> -x symmetry, so its chain stores all
+#: of P
+_SKEWED = TargetDensity(
+    1, _skewed_log_density, "skewed_laplace",
+    lambda xs: np.array([_skewed_log_density(x) for x in xs]),
+)
+
+
+def _log_move_rows_with_temporaries(grid, lp, log_norm, inv_two_hg, i0, i1, out, lq):
+    """The row former as it was before it wrote into a scratch row block:
+    the formula on whole arrays, a temporary for each pass."""
+    d2 = (grid[i0:i1, None] - grid[None, :]) ** 2
+    lq = log_norm[i0:i1, None] - d2 * inv_two_hg[i0:i1, None]
+    lq_rev = log_norm[None, :] - d2 * inv_two_hg[None, :]
+    log_accept_terms(lp[i0:i1, None], lp[None, :], lq, lq_rev, out=out)
+    out += lq
+
+
 def _full_build(target, field, h, half_width, n):
     """The whole transition matrix of a mirrored problem, built as the
     oracle built it while it stored all of P: rows n//2..n-1 computed,
@@ -397,6 +536,34 @@ class TestStoredRows:
             tracemalloc.stop()
         assert chain.mirrored is True
         assert peak < 0.6 * chain.n ** 2 * 8
+        # beyond the stored rows, one scratch row block and vectors of
+        # length n; a temporary per elementwise pass would put several
+        # row blocks on top
+        row_block = pdrwm.oracle._BLOCK_ENTRIES * 8
+        assert peak - chain.rows.nbytes <= 2 * row_block + 16 * chain.n * 8
+
+    @given(
+        target=st.one_of(_SYMMETRIC_TARGETS, st.just(_SKEWED)),
+        field=st.one_of(
+            st.builds(power_field, st.floats(0.0, 4.0)),
+            st.just(one_plus_square_field()),
+        ),
+        log_h=st.floats(math.log(0.01), math.log(10.0)),
+        n=st.integers(50, 1200),
+        width=st.floats(0.05, 1.0),
+    )
+    def test_rows_are_those_of_the_temporaries(self, target, field, log_h, n, width):
+        # the scratch-buffer row former gives every entry the bits of the
+        # same formula on whole arrays, one temporary per pass, for
+        # mirrored and unmirrored chains and any number of row blocks
+        h = math.exp(log_h)
+        half_width = width * 0.5 * SPACING_FRACTION * math.sqrt(h) * (n - 1)
+        chain = build_discretized(target, field, h, half_width, n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pdrwm.oracle, "_log_move_rows", _log_move_rows_with_temporaries)
+            reference = build_discretized(target, field, h, half_width, n)
+        assert chain.mirrored is (target is not _SKEWED)
+        assert chain.rows.tobytes() == reference.rows.tobytes()
 
     def test_residuals_assemble_no_matrix(self):
         chain = build_discretized(make_gaussian(), constant_field(1.0), 1.0, 12.0, 2401)
@@ -438,11 +605,14 @@ def _full_blocks(chain):
 
 
 #: lambda_2 and the paths of three chains, recorded before the solver
-#: formed its blocks one at a time, with one BLAS thread; then the
-#: leading hex digits of the sha256 of each chain's stored rows
+#: formed its blocks one at a time, with one BLAS thread, and of a fourth
+#: whose lambda_2 lies in the odd block, recorded before the odd block's
+#: try could be skipped; then the leading hex digits of the sha256 of
+#: each chain's stored rows
 PINNED_SOLVES = """
 import dataclasses, hashlib
-from pdrwm import build_discretized, make_exponential_tail, power_field, spectral_gap
+from pdrwm import (build_discretized, make_exponential_tail, make_subexponential_tail,
+                   power_field, spectral_gap)
 digests = []
 for n, whole in ((1201, False), (1200, False), (1201, True)):
     chain = build_discretized(make_exponential_tail(1.0), power_field(1.0), 1.0, 15.0, n)
@@ -451,17 +621,23 @@ for n, whole in ((1201, False), (1200, False), (1201, True)):
     res = spectral_gap(chain)
     print(n, whole, res.lambda2.hex(), *res.path)
     digests.append(f"{n} {whole} rows {hashlib.sha256(chain.rows.tobytes()).hexdigest()[:16]}")
+chain = build_discretized(make_subexponential_tail(1.0, 0.5), power_field(1.5), 1.0, 160.0, 1601)
+res = spectral_gap(chain)
+print("subexponential 1601", res.lambda2.hex(), *res.path)
+digests.append(f"subexponential 1601 rows {hashlib.sha256(chain.rows.tobytes()).hexdigest()[:16]}")
 print(*digests, sep="\\n")
 """
 PINNED_LINES = [
     "1201 False 0x1.98f11ba8ea3dap-1 extremal extremal",
     "1200 False 0x1.98f0c57819dafp-1 extremal extremal",
     "1201 True 0x1.98f11ba8ea3d9p-1 extremal",
+    "subexponential 1601 0x1.e8b7a5d62de7bp-1 extremal extremal",
 ]
 PINNED_ROWS = [
     "1201 False rows 1e8914250d054436",
     "1200 False rows 36f68200aeab17ab",
     "1201 True rows 7aa8f56bb5bf4c65",
+    "subexponential 1601 rows f892a2eb0dde50eb",
 ]
 
 
@@ -662,6 +838,30 @@ class TestJumpQuadrature:
         got = tuned_jump_quadrature(make_gaussian(), power_field(b), 0.44, 8.0, 1601)
         for g, e in zip(got, expected):
             assert g == pytest.approx(e, rel=0.0, abs=1e-12)
+
+    def test_unreachable_rate_names_the_step_size_its_grid_resolved(self):
+        # acceptance 0.999 needs a step size below the grid's reach; the
+        # message names the last step size the outward search resolved,
+        # the acceptance there, and the probe that left the grid's reach
+        messages = []
+        for b in (0.0, 1.0):
+            with pytest.raises(DiscretizationError) as err:
+                tuned_jump_quadrature(make_gaussian(), power_field(b), 0.999, 8.0, 1601)
+            message = str(err.value)
+            assert isinstance(err.value.__cause__, DiscretizationError)
+            assert message.startswith(f"{err.value.__cause__}; ")
+            h, acceptance, probe = re.search(
+                r"cannot reach acceptance 0\.999: it resolved step size (\S+), of "
+                r"acceptance (\S+), but not the next probe, (\S+)$", message
+            ).groups()
+            # the search runs on the (1601 + 1) // 2-node chain first
+            at_h = stationary_jump_quadrature(make_gaussian(), power_field(b), float(h), 8.0, 801)
+            assert at_h.acceptance == pytest.approx(float(acceptance), rel=1e-5)
+            assert at_h.acceptance < 0.999
+            with pytest.raises(DiscretizationError):
+                build_discretized(make_gaussian(), power_field(b), float(probe), 8.0, 801)
+            messages.append(message)
+        assert messages[0] != messages[1]
 
     def test_domain_checks(self):
         t = make_gaussian(1.0)
