@@ -45,15 +45,18 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-# scipy is imported inside the functions that use it, so that `import pdrwm`
-# loads only numpy and PyYAML (tests/test_exports.py::TestStartUp)
+# scipy.linalg and scipy.sparse.linalg are imported inside the spectral
+# solvers, so that `import pdrwm` loads only numpy and PyYAML; the drift
+# quadrature and the step-size solve reach QUADPACK and Brent's method
+# through ._compiled, which imports neither scipy.integrate nor
+# scipy.optimize (tests/test_exports.py::TestStartUp)
 
+from . import _compiled
 from .chain import _closed_form_at
 from .diagnostics import LyapunovFunction, _check_rate
 from .errors import DiscretizationError, NumericError, ParameterError
@@ -790,8 +793,6 @@ def drift_ratio_quadrature(
     value the kernel refuses raises its error.  The integrand runs on
     Python floats, through the closed form bound once at ``x``.
     """
-    from scipy.integrate import IntegrationWarning, quad
-
     if target.dim != 1 or cov_field.dim != 1:
         raise ParameterError("the drift quadrature is one-dimensional")
     xv = np.array([float(x)])
@@ -816,14 +817,13 @@ def drift_ratio_quadrature(
 
     total = 0.0
     err = 0.0
-    # wide ranges (large h) trip the slow-convergence warning; the
-    # returned abserr already tells the caller how good the value is
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for lo, hi in ((x - 12.0 * std, x), (x, x + 12.0 * std)):
-            val, abserr = quad(integrand, lo, hi, limit=400, epsabs=1e-12, epsrel=1e-10)
-            total += val
-            err += abserr
+    # wide ranges (large h) end QUADPACK short of its tolerance, which
+    # _compiled.quad does not report; the returned abserr tells the
+    # caller how good the value is
+    for lo, hi in ((x - 12.0 * std, x), (x, x + 12.0 * std)):
+        val, abserr = _compiled.quad(integrand, lo, hi, limit=400, epsabs=1e-12, epsrel=1e-10)
+        total += val
+        err += abserr
     return QuadDriftResult(1.0 + total, err)
 
 
@@ -870,8 +870,6 @@ def _solve_step_size(
     :class:`DiscretizationError` naming that probe's step size and the
     last step size the grid resolved, with its acceptance, so the
     message says how far the rate lies beyond the grid."""
-    from scipy.optimize import brentq
-
     # brentq re-evaluates the bracket ends the search already has
     @functools.lru_cache(maxsize=None)
     def excess(log_h: float) -> float:
@@ -894,7 +892,7 @@ def _solve_step_size(
             ) from err
         if flipped:
             lo, hi = sorted((a, b))
-            return math.exp(brentq(excess, lo, hi, xtol=1e-10))
+            return math.exp(_compiled.brentq(excess, lo, hi, xtol=1e-10))
         a, move = b, 2.0 * move
     raise NumericError(f"no step size brackets acceptance {rate}")
 
