@@ -1,26 +1,38 @@
-"""QUADPACK and Brent's method from scipy's compiled extensions.
+"""QUADPACK, Brent's method, LAPACK, BLAS and ARPACK from scipy's
+compiled extensions.
 
-``scipy.integrate.quad`` and ``scipy.optimize.brentq`` are thin Python
-wrappers over one compiled routine each (QUADPACK's ``qagse``/``qagpe``
-in ``scipy/integrate/_quadpack``, Brent's method in
-``scipy/optimize/_zeros``), but importing either subpackage loads all of
-it, about 44 MB of resident memory and 0.4-0.5 s of CPU.  This module
-loads only the two extension files, from scipy's install directory, and
-calls them with exactly the arguments the public wrappers pass (scipy
-1.17), so every value keeps its bits.  A module scipy has already
-loaded is reused.  There is no fallback to the public functions: a
-scipy whose files are laid out differently raises an ``ImportError``
-naming the missing file, and tests/test_compiled.py compares both
-routes bit for bit.
+``scipy.integrate.quad``, ``scipy.optimize.brentq``,
+``scipy.linalg.eigh`` and ``scipy.sparse.linalg.eigsh`` are Python
+wrappers over compiled routines: QUADPACK's ``qagse``/``qagpe`` in
+``scipy/integrate/_quadpack``, Brent's method in ``scipy/optimize/_zeros``,
+LAPACK's ``dpotrf``, ``dpotrs`` and ``dsyevr`` in ``scipy/linalg/_flapack``,
+BLAS's ``dsymv`` in ``scipy/linalg/_fblas``, and ARPACK's
+``dsaupd``/``dseupd`` (Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*,
+SIAM 1998) in ``scipy/sparse/linalg/_eigen/arpack/_arpacklib``.  Importing
+a subpackage loads all of it: about 44 MB of resident memory for
+``scipy.integrate`` or ``scipy.optimize``, and 26 MB for ``scipy.linalg``
+with ``scipy.sparse.linalg``.  This module loads only the extension files,
+from scipy's install directory, and calls them with exactly the arguments
+the public wrappers pass (scipy 1.17), so every value keeps its bits.  A
+module scipy has already loaded is reused.  There is no fallback to the
+public functions: a scipy whose files are laid out differently, that
+lacks a routine, or whose ARPACK wrapper refuses scipy 1.17's solver
+state raises an ``ImportError`` naming the mismatch, and
+tests/test_compiled.py compares both routes bit for bit.
 
 Unlike ``quad``, :func:`quad` warns about nothing: QUADPACK's return
 codes 1-5 and 7 (limit reached, roundoff, divergence...) are not
 reported, and the caller judges the returned ``abserr``.  Code 6, input
 QUADPACK refuses, raises as ``quad`` does.
+
+:func:`one_blas_thread` runs a block with the OpenBLAS libraries bundled
+in the scipy and numpy wheels at one thread, through each library's own
+setter, so that a result does not depend on the caller's thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import importlib.machinery
 import importlib.util
@@ -31,7 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import NumericError, ParameterError
 
 # brentq's default relative tolerance, 4 * np.finfo(float).eps
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
@@ -41,7 +53,8 @@ _BRENT_MAXITER = 100
 @functools.cache
 def _extension(subpackage: str, name: str):
     """Compiled module ``scipy.<subpackage>.<name>``, without importing
-    its subpackage."""
+    its subpackage; ``subpackage`` may be dotted, as in
+    ``"sparse.linalg._eigen.arpack"``."""
     full = f"scipy.{subpackage}.{name}"
     loaded = sys.modules.get(full)
     if loaded is not None:
@@ -49,7 +62,7 @@ def _extension(subpackage: str, name: str):
     spec = importlib.util.find_spec("scipy")
     if spec is None or not spec.submodule_search_locations:
         raise ImportError(f"{full} needs scipy, which is not installed", name=full)
-    folder = Path(spec.submodule_search_locations[0], subpackage)
+    folder = Path(spec.submodule_search_locations[0], *subpackage.split("."))
     suffixes = importlib.machinery.EXTENSION_SUFFIXES
     path = next((p for p in (folder / (name + s) for s in suffixes) if p.is_file()), None)
     if path is None:
@@ -64,7 +77,7 @@ def _extension(subpackage: str, name: str):
     loader.exec_module(module)
     # a single-phase extension enters itself in sys.modules as it loads;
     # left there without its subpackage, it would stand in for the
-    # module a later `import scipy.integrate` binds as an attribute
+    # module a later import of the subpackage binds as an attribute
     if sys.modules.get(full) is module:
         del sys.modules[full]
     return module
@@ -113,3 +126,217 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float) -> floa
 
     zeros = _extension("optimize", "_zeros")
     return zeros._brentq(guarded, a, b, xtol, _BRENT_RTOL, _BRENT_MAXITER, (), False, True)
+
+
+def _routine(subpackage: str, module: str, name: str):
+    """Routine ``name`` of the compiled ``scipy.<subpackage>.<module>``."""
+    try:
+        return getattr(_extension(subpackage, module), name)
+    except AttributeError:
+        full = f"scipy.{subpackage}.{module}"
+        raise ImportError(f"{full} has no routine {name}", name=full) from None
+
+
+def symv(a: np.ndarray, x: np.ndarray, *, lower: int) -> np.ndarray:
+    """``a @ x`` by BLAS ``dsymv``, which reads only the ``lower`` (1) or
+    upper (0) triangle of the symmetric ``a``, as
+    ``get_blas_funcs("symv", (a,))(1.0, a, x, lower=lower)`` calls it."""
+    return _routine("linalg", "_fblas", "dsymv")(1.0, a, x, lower=lower)
+
+
+def potrf(a: np.ndarray, *, lower: int) -> tuple[np.ndarray, int]:
+    """LAPACK ``dpotrf`` of the Fortran-ordered ``a``, in place
+    (``overwrite_a=1, clean=0``, as ``get_lapack_funcs("potrf")`` is
+    called): the array holding the Cholesky factor in its ``lower`` or
+    upper triangle, and LAPACK's ``info``."""
+    return _routine("linalg", "_flapack", "dpotrf")(a, lower=lower, overwrite_a=1, clean=0)
+
+
+def potrs(factor: np.ndarray, b: np.ndarray, *, lower: int) -> np.ndarray:
+    """Solution x of ``A x = b`` from the Cholesky factor of A that
+    :func:`potrf` returned, by LAPACK ``dpotrs``; ``b`` is not
+    overwritten."""
+    x, info = _routine("linalg", "_flapack", "dpotrs")(factor, b, lower=lower)
+    if info != 0:
+        raise NumericError(f"LAPACK dpotrs rejected argument {-info}")
+    return x
+
+
+def eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of the symmetric ``a`` from its lower
+    triangle, overwriting ``a``: LAPACK ``dsyevr`` with the workspace its
+    size query asks for, as ``scipy.linalg.eigh(a, eigvals_only=True,
+    overwrite_a=True)`` calls it."""
+    n = len(a)
+    work, iwork, info = _routine("linalg", "_flapack", "dsyevr_lwork")(n=n, lower=True)
+    if info != 0:
+        raise NumericError(f"LAPACK dsyevr's workspace query failed with info {info}")
+    w, *_, info = _routine("linalg", "_flapack", "dsyevr")(
+        a=a, overwrite_a=True, lower=True, compute_v=0, lwork=int(work), liwork=int(iwork),
+    )
+    if info != 0 or not np.all(np.isfinite(w)):
+        raise NumericError(
+            f"LAPACK dsyevr failed on a {n} x {n} matrix (info {info}); a "
+            "non-finite entry gives non-finite eigenvalues"
+        )
+    return w
+
+
+class ArpackNoConvergence(NumericError):
+    """ARPACK's Lanczos iteration reached its cap (``dsaupd`` info 1)
+    before the requested eigenvalue converged."""
+
+
+_ARPACK = "sparse.linalg._eigen.arpack"
+
+#: ARPACK's solver state as scipy 1.17's ``_ArpackParams`` starts it for
+#: ``eigsh``'s standard problem (``mode`` 1): ``which`` 6 is "LA",
+#: ``bmat`` 0 the identity "I", ``tol`` 0 machine precision; ``info``,
+#: ``maxiter``, ``n``, ``ncv`` and ``nev`` are set per solve
+_ARPACK_STATE = {
+    "tol": 0, "getv0_rnorm0": 0.0, "aitr_betaj": 0.0, "aitr_rnorm1": 0.0,
+    "aitr_wnorm": 0.0, "aup2_rnorm": 0.0, "ido": 0, "which": 6, "bmat": 0,
+    "info": 0, "iter": 0, "maxiter": 0, "mode": 1, "n": 0, "nconv": 0, "ncv": 0,
+    "nev": 0, "np": 0, "shift": 1, "getv0_first": 0, "getv0_iter": 0,
+    "getv0_itry": 0, "getv0_orth": 0, "aitr_iter": 0, "aitr_j": 0, "aitr_orth1": 0,
+    "aitr_orth2": 0, "aitr_restart": 0, "aitr_step3": 0, "aitr_step4": 0,
+    "aitr_ierr": 0, "aup2_initv": 0, "aup2_iter": 0, "aup2_getv0": 0,
+    "aup2_cnorm": 0, "aup2_kplusp": 0, "aup2_nev": 0, "aup2_nev0": 0,
+    "aup2_np0": 0, "aup2_numcnv": 0, "aup2_update": 0, "aup2_ushift": 0,
+}
+
+
+def _arpack(name: str, *args) -> None:
+    """Call ARPACK's wrapper ``name``; one that refuses scipy 1.17's state
+    or work arrays belongs to a scipy this module does not match."""
+    routine = _routine(_ARPACK, "_arpacklib", name)
+    try:
+        routine(*args)
+    except (SystemError, KeyError, TypeError, ValueError) as err:
+        full = f"scipy.{_ARPACK}._arpacklib"
+        raise ImportError(
+            f"{full}.{name} refused the ARPACK state and work arrays of scipy "
+            f"1.17's eigsh: {err}", name=full,
+        ) from err
+
+
+def largest_eigenvalue(
+    matvec: Callable[[np.ndarray], np.ndarray], v0: np.ndarray, *, ncv: int, maxiter: int,
+) -> float:
+    """Largest eigenvalue of the symmetric operator ``matvec`` on vectors
+    of ``len(v0)``, by ARPACK's implicitly restarted Lanczos from the start
+    vector ``v0`` with ``ncv`` basis vectors and at most ``maxiter``
+    iterations (restarts): exactly ``scipy.sparse.linalg.eigsh(LinearOperator((n, n),
+    matvec=matvec, dtype=float), k=1, which="LA", v0=v0, ncv=ncv,
+    maxiter=maxiter, return_eigenvectors=False)[0]``.  At the cap it raises
+    :class:`ArpackNoConvergence`.
+
+    ARPACK asks for a random vector only where its Lanczos basis breaks
+    down on an invariant subspace; the vectors are then drawn, as eigsh
+    draws them, from one unseeded generator per solve."""
+    n = len(v0)
+    ncv_used = min(ncv, n)
+    if ncv_used < 2 or maxiter < 1:
+        raise ParameterError(
+            f"ARPACK needs 1 < ncv and 1 <= maxiter, got ncv {ncv} on {n} rows "
+            f"and maxiter {maxiter}"
+        )
+    state = {**_ARPACK_STATE, "info": 1, "maxiter": int(maxiter), "n": n,
+             "ncv": ncv_used, "nev": 1}
+    # ARPACK overwrites its start vector; eigsh sizes v by the ncv asked for
+    resid = np.array(v0, dtype=float)
+    v = np.zeros((n, ncv))
+    ipntr = np.zeros(11, dtype=np.int32)
+    workd = np.zeros(3 * n)
+    workl = np.zeros(ncv_used * (ncv_used + 8))
+    rng = None
+    while True:
+        _arpack("dsaupd_wrap", state, resid, v, ipntr, workd, workl)
+        ido = state["ido"]
+        x = workd[ipntr[0]:ipntr[0] + n]
+        y = slice(ipntr[1], ipntr[1] + n)
+        if ido in (1, 5):
+            workd[y] = matvec(x)
+        elif ido == 4:
+            rng = rng or np.random.default_rng()
+            resid[:] = rng.uniform(low=-1.0, high=1.0, size=[n])
+        elif ido == 99:
+            break
+        else:
+            # 2 (a product with B) and 3 (user shifts) are never asked of
+            # a standard problem with ARPACK's own shifts
+            raise NumericError(f"ARPACK made request ido={ido} of a standard eigenproblem")
+    if state["info"] == 1:
+        raise ArpackNoConvergence(
+            f"ARPACK's Lanczos reached its cap of {maxiter} iterations with "
+            f"{state['nconv']}/1 eigenvalues converged"
+        )
+    if state["info"] != 0:
+        raise NumericError(f"ARPACK dsaupd failed with info {state['info']}")
+    state["info"] = 0
+    d = np.zeros(1)
+    _arpack(
+        "dseupd_wrap", state, False, 0, np.zeros(ncv_used, dtype=np.int32), d,
+        np.zeros((n, ncv_used), order="F"), 0, resid, v, ipntr, workd, workl,
+    )
+    if state["info"] != 0 or state["nconv"] < 1:
+        raise NumericError(
+            f"ARPACK dseupd failed with info {state['info']}, "
+            f"{state['nconv']} eigenvalues converged"
+        )
+    return float(d[0])
+
+
+#: the OpenBLAS a wheel bundles: its file name's stem, and the suffix of
+#: its scipy_openblas_set_num_threads and _get_num_threads symbols
+_OPENBLAS = {"scipy": ("libscipy_openblas", ""), "numpy": ("libscipy_openblas64_", "64_")}
+
+
+@functools.cache
+def _openblas_threads(package: str):
+    """``(set, get)`` of the thread count of the OpenBLAS bundled with
+    ``package``'s wheel, or None where no such library is found."""
+    spec = importlib.util.find_spec(package)
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    root = Path(spec.submodule_search_locations[0])
+    stem, suffix = _OPENBLAS[package]
+    # manylinux and Windows wheels keep it in <package>.libs, macOS
+    # wheels in <package>/.dylibs
+    found = [p for folder in (root.parent / f"{package}.libs", root / ".dylibs")
+             for p in sorted(folder.glob(stem + "[-.]*"))]
+    if len(found) != 1:
+        return None
+    import ctypes
+
+    try:
+        library = ctypes.CDLL(str(found[0]))
+        setter = getattr(library, f"scipy_openblas_set_num_threads{suffix}")
+        getter = getattr(library, f"scipy_openblas_get_num_threads{suffix}")
+    except (OSError, AttributeError):
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return setter, getter
+
+
+@contextlib.contextmanager
+def one_blas_thread(*packages: str):
+    """Run the block with the OpenBLAS bundled with each of ``packages``
+    (``"scipy"``, ``"numpy"``) at one thread, and restore each library's
+    thread count afterwards.  Summation order, and so the last bit of a
+    BLAS or LAPACK result, can depend on the thread count.  A package
+    whose bundled OpenBLAS is not found is left as it is: its results may
+    then depend on the caller's thread count.  Usable as a decorator."""
+    pinned = []
+    try:
+        for package in packages:
+            found = _openblas_threads(package)
+            if found is not None:
+                setter, getter = found
+                pinned.append((setter, getter()))
+                setter(1)
+        yield
+    finally:
+        for setter, before in reversed(pinned):
+            setter(before)

@@ -50,11 +50,12 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-# scipy.linalg and scipy.sparse.linalg are imported inside the spectral
-# solvers, so that `import pdrwm` loads only numpy and PyYAML; the drift
-# quadrature and the step-size solve reach QUADPACK and Brent's method
-# through ._compiled, which imports neither scipy.integrate nor
-# scipy.optimize (tests/test_exports.py::TestStartUp)
+# the spectral solve reaches LAPACK, BLAS and ARPACK, the drift quadrature
+# QUADPACK and the step-size solve Brent's method through ._compiled,
+# which loads scipy's compiled extensions on first use and imports none of
+# scipy.linalg, scipy.sparse, scipy.integrate or scipy.optimize, so that
+# `import pdrwm` loads only numpy and PyYAML
+# (tests/test_exports.py::TestStartUp)
 
 from . import _compiled
 from .chain import _closed_form_at
@@ -429,11 +430,8 @@ def _symmetric_block(chain: DiscretizedChain, k: int) -> np.ndarray:
 
 def _quadratic_form(block: np.ndarray, v: np.ndarray) -> float:
     """v^T B v for the block B whose lower triangle ``block`` holds."""
-    from scipy.linalg import get_blas_funcs
-
     # the Fortran view's upper triangle is the block's lower one
-    symv = get_blas_funcs("symv", (block,))
-    return float(v @ symv(1.0, block.T, v, lower=0))
+    return float(v @ _compiled.symv(block.T, v, lower=0))
 
 
 def _deflate_stationary(chain: DiscretizedChain, block: np.ndarray) -> None:
@@ -488,11 +486,7 @@ def _factors(block: np.ndarray, d: np.ndarray, sign: float, shift: float):
     upper triangle and diagonal (:func:`_mirrored`) and factored there in
     place, so B's lower triangle survives and the factor is the lower
     triangle of the Fortran view ``block.T``."""
-    from scipy.linalg import get_lapack_funcs
-
-    a = _mirrored(block, d, sign, shift)
-    potrf = get_lapack_funcs("potrf", (a,))
-    factor, info = potrf(a, lower=1, overwrite_a=1, clean=0)
+    factor, info = _compiled.potrf(_mirrored(block, d, sign, shift), lower=1)
     if info < 0:
         raise NumericError(f"LAPACK potrf rejected argument {-info}")
     return factor if info == 0 else None
@@ -510,33 +504,27 @@ def _lanczos_top(block: np.ndarray, d: np.ndarray) -> float | None:
     deterministic, and it is not mirror-symmetric, so that a mirrored
     chain solved whole still reaches its odd eigenvectors.  Lanczos stops
     after about ``len(block)`` solves and then raises
-    :class:`ArpackNoConvergence`.  That cap lies well past the point
-    where the dense solver is cheaper: dense ``eigh`` of a block costs
-    about 120 solves at 800 rows, 230 at 1600 and 400 at 4000 (CPU time,
-    one BLAS thread, a 2-CPU Xeon box).  It stays, because a lower cap
-    would send the solves that need more steps to the dense solver,
-    whose lambda_2 differs in its last bits.
+    :class:`pdrwm._compiled.ArpackNoConvergence`.  That cap lies well
+    past the point where the dense solver is cheaper: dense ``eigh`` of a
+    block costs about 120 solves at 800 rows, 230 at 1600 and 400 at 4000
+    (CPU time, one BLAS thread, a 2-CPU Xeon box).  It stays, because a
+    lower cap would send the solves that need more steps to the dense
+    solver, whose lambda_2 differs in its last bits.
     """
-    from scipy.linalg import get_lapack_funcs
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
     m = len(block)
     shift = 1.0 + _SHIFT_GAP
     factor = _factors(block, d, -1.0, shift)
     if factor is None:
         return None
-    potrs = get_lapack_funcs("potrs", (factor,))
 
     def solve(x: np.ndarray) -> np.ndarray:
-        return potrs(factor, x, lower=1)[0]
+        return _compiled.potrs(factor, x, lower=1)
 
-    inverse = LinearOperator((m, m), matvec=solve, dtype=float)
-    mu = eigsh(
-        inverse, k=1, which="LA", v0=np.linspace(1.0, 2.0, m),
-        ncv=_LANCZOS_BASIS, maxiter=max(1, m // _LANCZOS_BASIS),
-        return_eigenvectors=False,
-    )[0]
-    return shift - 1.0 / float(mu)
+    mu = _compiled.largest_eigenvalue(
+        solve, np.linspace(1.0, 2.0, m), ncv=_LANCZOS_BASIS,
+        maxiter=max(1, m // _LANCZOS_BASIS),
+    )
+    return shift - 1.0 / mu
 
 
 def _top_vector(factor: np.ndarray) -> np.ndarray:
@@ -546,10 +534,7 @@ def _top_vector(factor: np.ndarray) -> np.ndarray:
     1e-12 along the top eigenvector and at least B's spectral gap along
     the rest, so one solve on a fixed vector returns the top eigenvector
     to within about delta over that gap."""
-    from scipy.linalg import get_lapack_funcs
-
-    potrs = get_lapack_funcs("potrs", (factor,))
-    return potrs(factor, np.linspace(1.0, 2.0, len(factor)), lower=1)[0]
+    return _compiled.potrs(factor, np.linspace(1.0, 2.0, len(factor)), lower=1)
 
 
 def _top_exceeds(block: np.ndarray, v: np.ndarray, bound: float) -> bool:
@@ -582,16 +567,13 @@ def _solve_block(
     (e_i - e_{n-1-i}) / sqrt(2) of the same index, and the odd-n centre,
     which the odd block lacks, is dropped.  Every other return gives
     None."""
-    from scipy.linalg import eigh
-    from scipy.sparse.linalg import ArpackNoConvergence
-
     block = _symmetric_block(chain, k)
     if k == 0:
         _deflate_stationary(chain, block)
     d = block.diagonal().copy()
 
     def dense(reason: str) -> tuple[float, str, None]:
-        vals = eigh(_mirrored(block, d, 1.0, 0.0), eigvals_only=True, overwrite_a=True)
+        vals = _compiled.eigvalsh(_mirrored(block, d, 1.0, 0.0))
         return max(lambda2, float(vals[-1]), -float(vals[0])), f"dense: {reason}", None
 
     if len(block) <= _LANCZOS_BASIS:
@@ -605,7 +587,7 @@ def _solve_block(
     ):
         try:
             top = _lanczos_top(block, d)
-        except ArpackNoConvergence:
+        except _compiled.ArpackNoConvergence:
             return dense("no convergence")
         if top is None:
             raise NumericError(
@@ -625,6 +607,7 @@ def _solve_block(
     return dense("bottom certificate failed")
 
 
+@_compiled.one_blas_thread("scipy", "numpy")
 def spectral_gap(chain: DiscretizedChain) -> SpectralResult:
     """Spectral gap 1 - |lambda_2| of the grid chain.
 
@@ -670,8 +653,11 @@ def spectral_gap(chain: DiscretizedChain) -> SpectralResult:
     why.  Certificates hold for every larger lambda_2, so a later block
     that raises lambda_2 leaves earlier ones valid.  A block with an
     eigenvalue past 1 + 1e-3 raises :class:`NumericError`.  Nothing is
-    random: reruns at a fixed BLAS thread count give bit-identical
-    results (the last bit can move with the thread count).  Besides the
+    random, and the solve runs with the OpenBLAS bundled in the scipy and
+    numpy wheels at one thread (:func:`pdrwm._compiled.one_blas_thread`),
+    so reruns give bit-identical results at any thread count the caller
+    sets; with a BLAS whose thread setter is not found, only reruns at
+    one thread count do.  Besides the
     stored rows, one block is held at a time: its lower triangle keeps B, and
     every factorisation and the dense solver run in place in its strict
     upper triangle and diagonal, with B's diagonal saved as a vector.
@@ -835,13 +821,16 @@ class JumpQuadResult(NamedTuple):
     esjd_err: float
 
 
+@_compiled.one_blas_thread("numpy")
 def _jump_moments(
     target: TargetDensity, cov_field: CovarianceField, half_width: float,
     n: int, h: float,
 ) -> tuple[float, float]:
     """Stationary acceptance rate and squared jump of the grid chain on
     ``n`` nodes.  Its diagonal holds the stay mass, so each node's own
-    term q(x_i | x_i) step, always accepted, is added back."""
+    term q(x_i | x_i) step, always accepted, is added back.  The products
+    with P run at one BLAS thread, so their bits do not depend on the
+    caller's thread count."""
     chain = build_discretized(target, cov_field, h, half_width, n)
     p, pi, x = chain.transition, chain.pi_hat, chain.grid
     g = cov_field.inv_metric_batch(x[:, None])

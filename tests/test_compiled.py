@@ -1,7 +1,9 @@
-"""pdrwm._compiled calls QUADPACK and Brent's method with exactly the
-arguments of ``scipy.integrate.quad`` and ``scipy.optimize.brentq``, so
-every area, drift ratio and solved step size must keep the public
-functions' bits, or raise the same exception type.
+"""pdrwm._compiled calls QUADPACK, Brent's method, LAPACK, BLAS and
+ARPACK with exactly the arguments of ``scipy.integrate.quad``,
+``scipy.optimize.brentq``, ``scipy.linalg`` and
+``scipy.sparse.linalg.eigsh``, so every area, drift ratio, solved step
+size and eigenvalue must keep the public functions' bits, or raise the
+same exception type.
 
 This process imports scipy's subpackages first, so the route reuses
 their compiled modules; ``TestRouteFirst`` reruns the properties in a
@@ -10,6 +12,8 @@ scipy is imported.
 """
 
 import contextlib
+import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -18,10 +22,13 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 import scipy.optimize
-from hypothesis import given
+import scipy.sparse.linalg
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import pdrwm
@@ -30,6 +37,7 @@ from pdrwm import (
     NumericError,
     ParameterError,
     abs_pow,
+    build_discretized,
     chord_overlap_integral,
     constant_field,
     drift_ratio_quadrature,
@@ -40,10 +48,11 @@ from pdrwm import (
     make_subexponential_tail,
     one_plus_square_field,
     power_field,
+    spectral_gap,
     tuned_jump_quadrature,
 )
 from pdrwm import _compiled
-from pdrwm.oracle import _solve_step_size
+from pdrwm.oracle import _deflate_stationary, _mirrored, _solve_step_size, _symmetric_block
 
 
 def public_quad(f, a, b, **kwargs):
@@ -55,26 +64,45 @@ def public_quad(f, a, b, **kwargs):
 
 
 def bits(value):
-    return [float(v).hex() for v in (value if isinstance(value, tuple) else (value,))]
+    if isinstance(value, tuple):
+        return [bits(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return float(value).hex()
 
 
 def traced(f, nodes):
+    """``f``, recording the bits of each point it is called at (a digest
+    for a vector)."""
     def g(x):
-        nodes.append(float(x).hex())
+        if isinstance(x, np.ndarray):
+            nodes.append(hashlib.blake2b(x.tobytes(), digest_size=16).hexdigest())
+        else:
+            nodes.append(float(x).hex())
         return f(x)
     return g
+
+
+def scipy_error(err):
+    """The exception type scipy raises where the route raises ``err``."""
+    if isinstance(err, ParameterError):
+        return ValueError
+    if isinstance(err, _compiled.ArpackNoConvergence):
+        return scipy.sparse.linalg.ArpackNoConvergence
+    return type(err)
 
 
 def same(f, ours, theirs):
     """Run both routes on ``f``: they must evaluate it at the same nodes
     and return the same bits, or raise the same exception type (scipy's
-    ValueError where the route raises a ParameterError).  Duplicate
-    break points, say, change the nodes but seldom the value."""
+    ValueError where the route raises a ParameterError, its
+    ArpackNoConvergence for the route's).  Duplicate break points, say,
+    change the nodes but seldom the value."""
     mine_nodes, their_nodes = [], []
     try:
         mine = ours(traced(f, mine_nodes))
     except Exception as err:
-        expected = ValueError if isinstance(err, ParameterError) else type(err)
+        expected = scipy_error(err)
         with pytest.raises(expected):
             theirs(traced(f, their_nodes))
         assert mine_nodes == their_nodes
@@ -84,13 +112,46 @@ def same(f, ours, theirs):
     return mine
 
 
+def in_place(ours, theirs, a):
+    """Run the in-place routine ``ours`` on ``a`` and ``theirs`` on a copy:
+    the results and the overwritten matrices must have the same bits."""
+    copy = a.copy(order="K")
+    mine = ours(a)
+    assert bits(mine) == bits(theirs(copy))
+    assert bits(a) == bits(copy)
+    return mine
+
+
+def seeded(solve):
+    """``solve`` with numpy's unseeded generators seeded alike: ARPACK asks
+    for random vectors where its Lanczos basis breaks down, and both
+    routes draw them from one unseeded generator per solve."""
+    real = np.random.default_rng
+
+    def run(g):
+        with mock.patch.object(np.random, "default_rng",
+                               lambda seed=None: real(0 if seed is None else seed)):
+            return solve(g)
+    return run
+
+
+def scipy_largest(matvec, v0, ncv, maxiter):
+    op = scipy.sparse.linalg.LinearOperator((len(v0), len(v0)), matvec=matvec, dtype=float)
+    return scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=v0, ncv=ncv, maxiter=maxiter,
+                                     return_eigenvectors=False)[0]
+
+
 @contextlib.contextmanager
 def against_scipy():
-    """Check every ``_compiled.quad`` and ``_compiled.brentq`` call of the
-    block against scipy's public function; yields the calls made, as
-    ``(name, f, a, b, points)``."""
+    """Check every ``_compiled`` call of the block (``quad``, ``brentq``,
+    ``symv``, ``potrf``, ``potrs``, ``eigvalsh``, ``largest_eigenvalue``)
+    against scipy's public function; yields the calls made, as
+    ``(name, f, a, b, points)`` for the quadratures and root solves and
+    ``(name,)`` for the rest."""
     calls = []
     quad, brentq = _compiled.quad, _compiled.brentq
+    symv, potrf, potrs = _compiled.symv, _compiled.potrf, _compiled.potrs
+    eigvalsh, largest = _compiled.eigvalsh, _compiled.largest_eigenvalue
 
     def checked_quad(f, a, b, **kwargs):
         calls.append(("quad", f, a, b, kwargs.get("points")))
@@ -102,8 +163,40 @@ def against_scipy():
         return same(f, lambda g: brentq(g, a, b, xtol),
                     lambda g: scipy.optimize.brentq(g, a, b, xtol=xtol))
 
-    with mock.patch.object(_compiled, "quad", checked_quad), \
-            mock.patch.object(_compiled, "brentq", checked_brentq):
+    def checked_symv(a, x, *, lower):
+        calls.append(("symv",))
+        mine = symv(a, x, lower=lower)
+        assert bits(mine) == bits(scipy.linalg.get_blas_funcs("symv", (a,))(1.0, a, x, lower=lower))
+        return mine
+
+    def checked_potrf(a, *, lower):
+        calls.append(("potrf",))
+        return in_place(lambda m: potrf(m, lower=lower),
+                        lambda m: scipy.linalg.get_lapack_funcs("potrf", (m,))(
+                            m, lower=lower, overwrite_a=1, clean=0), a)
+
+    def checked_potrs(factor, b, *, lower):
+        calls.append(("potrs",))
+        mine = potrs(factor, b, lower=lower)
+        theirs = scipy.linalg.get_lapack_funcs("potrs", (factor,))(factor, b, lower=lower)[0]
+        assert bits(mine) == bits(theirs)
+        return mine
+
+    def checked_eigvalsh(a):
+        calls.append(("eigvalsh",))
+        return in_place(eigvalsh, lambda m: scipy.linalg.eigh(m, eigvals_only=True,
+                                                             overwrite_a=True), a)
+
+    def checked_largest(matvec, v0, *, ncv, maxiter):
+        calls.append(("largest_eigenvalue",))
+        return same(matvec, seeded(lambda g: largest(g, v0, ncv=ncv, maxiter=maxiter)),
+                    seeded(lambda g: scipy_largest(g, v0, ncv, maxiter)))
+
+    with mock.patch.multiple(
+        _compiled, quad=checked_quad, brentq=checked_brentq, symv=checked_symv,
+        potrf=checked_potrf, potrs=checked_potrs, eigvalsh=checked_eigvalsh,
+        largest_eigenvalue=checked_largest,
+    ):
         yield calls
 
 
@@ -218,6 +311,73 @@ def test_jump_step_sizes_match_brentq(b, rate, n):
     assert [name for name, *_ in calls] == ["brentq", "brentq"]
 
 
+@given(
+    n=st.integers(2, 60),
+    seed=st.integers(0, 2**32 - 1),
+    shift=st.floats(-2.0, 12.0),
+    ncv=st.sampled_from([2, 5, 20, 80]),
+    maxiter=st.sampled_from([1, 3, 1000]),
+)
+# the basis breaks down once, and ARPACK asks for a random vector
+@example(n=53, seed=53, shift=0.65, ncv=2, maxiter=1000)
+def test_linear_algebra_matches_scipy(n, seed, shift, ncv, maxiter):
+    # a random symmetric matrix, shifted so that its Cholesky
+    # factorisation sometimes fails; Lanczos on the matrix itself and on
+    # the inverse of the shifted one
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    a = np.asfortranarray(a + a.T)
+    x = rng.standard_normal(n)
+    with against_scipy() as calls:
+        for lower in (0, 1):
+            _compiled.symv(a, x, lower=lower)
+        with contextlib.suppress(_compiled.ArpackNoConvergence):
+            _compiled.largest_eigenvalue(lambda y: a @ y, x, ncv=ncv, maxiter=maxiter)
+        factor, info = _compiled.potrf(a + shift * math.sqrt(n) * np.eye(n, order="F"), lower=1)
+        if info == 0:
+            _compiled.potrs(factor, x, lower=1)
+            with contextlib.suppress(_compiled.ArpackNoConvergence):
+                _compiled.largest_eigenvalue(lambda y: _compiled.potrs(factor, y, lower=1),
+                                             np.linspace(1.0, 2.0, n), ncv=ncv, maxiter=maxiter)
+        _compiled.eigvalsh(a.copy(order="F"))
+    assert {"symv", "potrf", "eigvalsh", "largest_eigenvalue"} <= {c[0] for c in calls}
+
+
+@given(
+    target=st.sampled_from(TAILS),
+    field=st.sampled_from(FIELDS),
+    n=st.sampled_from([151, 200, 301]),
+    half_width=st.floats(5.0, 10.0),
+)
+def test_spectral_solves_match_scipy(target, field, n, half_width):
+    # the solve of a built chain, of the same chain solved whole, and the
+    # dense eigenvalues of its blocks
+    chain = build_discretized(target, field, 1.0, half_width, n)
+    whole = dataclasses.replace(chain, rows=chain.transition, mirrored=False)
+    with against_scipy() as calls:
+        for c in (chain, whole):
+            spectral_gap(c)
+        for k in range(2):
+            block = _symmetric_block(chain, k)
+            _compiled.eigvalsh(_mirrored(block, block.diagonal().copy(), 1.0, 0.0))
+    assert {"symv", "potrf", "potrs", "eigvalsh", "largest_eigenvalue"} <= {c[0] for c in calls}
+
+
+def test_one_iteration_cap_does_not_converge():
+    # Lanczos with five basis vectors on the inverse of 1.001 I - B, B
+    # the deflated even block, needs more than one iteration
+    chain = build_discretized(make_exponential_tail(1.0), power_field(1.0), 1.0, 15.0, 301)
+    block = _symmetric_block(chain, 0)
+    _deflate_stationary(chain, block)
+    factor, info = _compiled.potrf(_mirrored(block, block.diagonal().copy(), -1.0, 1.001),
+                                   lower=1)
+    assert info == 0
+    with against_scipy():
+        with pytest.raises(_compiled.ArpackNoConvergence, match="cap of 1 iterations"):
+            _compiled.largest_eigenvalue(lambda y: _compiled.potrs(factor, y, lower=1),
+                                         np.linspace(1.0, 2.0, len(block)), ncv=5, maxiter=1)
+
+
 # the properties above, rerun where the route loads first
 PROPERTIES = [
     test_chord_quadratures_match_quad,
@@ -226,6 +386,9 @@ PROPERTIES = [
     test_brent_roots_match_brentq,
     test_step_size_brackets_match_brentq,
     test_jump_step_sizes_match_brentq,
+    test_linear_algebra_matches_scipy,
+    test_spectral_solves_match_scipy,
+    test_one_iteration_cap_does_not_converge,
 ]
 
 
@@ -271,29 +434,55 @@ class TestInvalidInput:
         assert _compiled.quad(math.sin, 2.0, 2.0, limit=0, epsabs=0.0, epsrel=0.0) == (0.0, 0.0)
 
 
+#: (subpackage, module) of every extension the route loads
+EXTENSIONS = [("integrate", "_quadpack"), ("optimize", "_zeros"), ("linalg", "_flapack"),
+              ("linalg", "_fblas"), ("sparse.linalg._eigen.arpack", "_arpacklib")]
+
+
 class TestLoading:
     def test_reuses_the_modules_scipy_loaded(self):
-        assert _compiled._extension("integrate", "_quadpack") is \
-            sys.modules["scipy.integrate._quadpack"]
-        assert _compiled._extension("optimize", "_zeros") is sys.modules["scipy.optimize._zeros"]
+        for subpackage, name in EXTENSIONS:
+            assert _compiled._extension(subpackage, name) is \
+                sys.modules[f"scipy.{subpackage}.{name}"]
 
     def test_missing_file_is_named(self):
         with pytest.raises(ImportError, match="scipy.integrate._no_such_module"):
             _compiled._extension.__wrapped__("integrate", "_no_such_module")
+        with pytest.raises(ImportError, match=r"scipy\.sparse\.linalg\._eigen\.arpack\._none"):
+            _compiled._extension.__wrapped__("sparse.linalg._eigen.arpack", "_none")
+
+    def test_missing_routine_is_named(self):
+        with pytest.raises(ImportError, match="scipy.linalg._flapack has no routine dnosuch"):
+            _compiled._routine("linalg", "_flapack", "dnosuch")
+
+    def test_arpack_state_mismatch_is_named(self):
+        state = {k: v for k, v in _compiled._ARPACK_STATE.items() if k != "aitr_betaj"}
+        with mock.patch.object(_compiled, "_ARPACK_STATE", state):
+            with pytest.raises(ImportError, match="dsaupd_wrap refused the ARPACK state"):
+                _compiled.largest_eigenvalue(lambda y: y, np.linspace(1.0, 2.0, 30),
+                                             ncv=20, maxiter=5)
+
+    def test_lanczos_needs_a_basis_and_a_cap(self):
+        for ncv, maxiter in ((1, 5), (20, 0)):
+            with pytest.raises(ParameterError, match="ARPACK needs"):
+                _compiled.largest_eigenvalue(lambda y: y, np.ones(30), ncv=ncv, maxiter=maxiter)
 
 
 ROUTE_FIRST = """
 import sys
 from pdrwm import _compiled
 
-loaded = [_compiled._extension("integrate", "_quadpack"), _compiled._extension("optimize", "_zeros")]
-# the route loaded the files itself, leaving no scipy.integrate or
-# scipy.optimize module behind
-assert not [m for m in sys.modules if m.startswith(("scipy.integrate", "scipy.optimize"))]
+EXTENSIONS = {extensions!r}
+loaded = [_compiled._extension(subpackage, name) for subpackage, name in EXTENSIONS]
+# the route loaded the files itself, leaving no module of their
+# subpackages behind
+assert not [m for m in sys.modules if m.startswith(
+    ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse"))]
 sys.path.insert(0, {tests!r})
 import conftest, test_compiled
 
-assert loaded[0] is not sys.modules["scipy.integrate._quadpack"]
+for (subpackage, name), module in zip(EXTENSIONS, loaded):
+    assert module is not sys.modules[f"scipy.{{subpackage}}.{{name}}"]
 for prop in test_compiled.PROPERTIES:
     prop()
     print(prop.__name__)
@@ -305,7 +494,7 @@ class TestRouteFirst:
         tests = str(Path(__file__).resolve().parent)
         src = str(Path(pdrwm.__file__).resolve().parents[1])
         proc = subprocess.run(
-            [sys.executable, "-c", ROUTE_FIRST.format(tests=tests)],
+            [sys.executable, "-c", ROUTE_FIRST.format(tests=tests, extensions=EXTENSIONS)],
             capture_output=True, text=True, timeout=300,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(
                 filter(None, [src, os.environ.get("PYTHONPATH")]))},

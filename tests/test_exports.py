@@ -1,7 +1,8 @@
 """The package has one export surface: what a module lists in
 ``__all__`` is importable from ``pdrwm`` itself.  Importing it loads no
 scipy: each scipy subpackage is imported by the functions that use it,
-and the quadratures and the step-size solve import none."""
+and the quadratures, the step-size solve and the spectral solve import
+none."""
 
 import contextlib
 import importlib
@@ -26,11 +27,14 @@ def test_listed_names_are_package_attributes(module):
     assert [name for name in listed if not hasattr(pdrwm, name)] == []
 
 
-# Calls every function that imports a scipy subpackage inside its body
-# (scipy.special, scipy.linalg, scipy.sparse.linalg), each once on a small
-# input, in a process that has not loaded scipy yet.  Criterion 9
-# (scipy.stats) is left out: it takes about 9 s, and its own test runs it.
+# Calls the truncated-Gaussian mass, which imports scipy.special inside
+# its body, and the spectral solve, which reaches LAPACK, BLAS and ARPACK
+# through pdrwm._compiled, each once on a small input, in a process that
+# has not loaded scipy yet; then prints the scipy.linalg and scipy.sparse
+# modules loaded.  Criterion 9 (scipy.stats) is left out: it takes about
+# 9 s, and its own test runs it.
 FIRST_CALLS = """
+import sys
 import numpy as np
 import pdrwm
 from pdrwm.proposals import _log_gauss_mass
@@ -39,6 +43,9 @@ print(_log_gauss_mass(0.5, 1.0), _log_gauss_mass(-0.5, 0.5))
 tail, field1 = pdrwm.make_exponential_tail(1.0), pdrwm.power_field(1.0)
 chain = pdrwm.build_discretized(tail, field1, h=1.0, half_width=8.0, n=101)
 print(pdrwm.spectral_gap(chain))
+chain = pdrwm.build_discretized(tail, field1, h=1.0, half_width=15.0, n=301)
+print(pdrwm.spectral_gap(chain))
+print(sorted(m for m in sys.modules if m.startswith(("scipy.linalg", "scipy.sparse"))))
 """
 
 # Calls every function that reaches QUADPACK or Brent's method: the chord
@@ -153,12 +160,16 @@ class TestStartUp:
 
     def test_first_calls_in_a_fresh_process(self, tmp_path):
         proc, imported = fresh_python("-c", FIRST_CALLS)
-        assert loaded(imported, "scipy.linalg") and loaded(imported, "scipy.special")
+        *values, linalg_modules = proc.stdout.splitlines()
+        assert linalg_modules == "[]"
+        for package in ("scipy.linalg", "scipy.sparse", "scipy.integrate"):
+            assert not loaded(imported, package)
+        assert loaded(imported, "scipy.special")
         # the same values as in this process, where scipy was loaded first
         here = io.StringIO()
         with contextlib.redirect_stdout(here):
             exec(FIRST_CALLS, {})
-        assert proc.stdout == here.getvalue()
+        assert values == here.getvalue().splitlines()[:-1]
 
         config = tmp_path / "custom.yaml"
         config.write_text(CUSTOM_CONFIG)

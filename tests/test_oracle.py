@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import os
@@ -10,10 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from pdrwm import (
     DiscretizationError,
@@ -37,6 +36,7 @@ from pdrwm import (
     tv_decay_curve,
 )
 import pdrwm.oracle
+from pdrwm import _compiled
 from pdrwm.chain import log_accept_terms
 from pdrwm.oracle import SPACING_FRACTION, _grid_values
 
@@ -229,10 +229,10 @@ class TestSpectralGap:
         expected = spectral_gap(small_chain)
 
         def no_convergence(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+            raise _compiled.ArpackNoConvergence("no convergence")
 
-        # spectral_gap imports eigsh from scipy when it runs
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        # spectral_gap reaches ARPACK through pdrwm._compiled
+        monkeypatch.setattr(_compiled, "largest_eigenvalue", no_convergence)
         res = spectral_gap(small_chain)
         assert res.path[0] == "dense: no convergence"
         assert abs(res.lambda2 - expected.lambda2) <= 1e-12
@@ -668,7 +668,7 @@ class TestOneBlockSolve:
         # about n/2 squared and small row-block temporaries
         chain = build_discretized(make_gaussian(), constant_field(1.0), 1.0, 12.0, 2401)
         block_bytes = (chain.n - chain.n // 2) ** 2 * 8
-        # a first solve loads what scipy imports lazily, outside the trace
+        # a first solve loads scipy's compiled extensions, outside the trace
         spectral_gap(build_discretized(make_gaussian(), constant_field(1.0), 1.0, 5.0, 101))
         tracemalloc.start()
         try:
@@ -692,6 +692,54 @@ class TestOneBlockSolve:
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.splitlines() == PINNED_LINES + PINNED_ROWS
+
+
+# item 12 of ROADMAP.md: two chains whose lambda_2 moved in its last bit
+# with the BLAS thread count before the solve pinned it to one thread
+THREAD_SOLVES = """
+from pdrwm import build_discretized, make_exponential_tail, power_field, spectral_gap
+tail = make_exponential_tail(1.0)
+for field, half_width, n in ((power_field(1.0), 15.0, 301), (power_field(1.5), 80.0, 801)):
+    print(spectral_gap(build_discretized(tail, field, 1.0, half_width, n)).lambda2.hex())
+"""
+
+
+@pytest.mark.skipif(_compiled._openblas_threads("scipy") is None,
+                    reason="no thread setter of scipy's bundled OpenBLAS was found")
+def test_lambda2_does_not_depend_on_blas_threads():
+    src = str(Path(pdrwm.oracle.__file__).resolve().parents[1])
+    lines = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", THREAD_SOLVES],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        lines.append(proc.stdout.splitlines())
+    # the one-thread values the item records
+    assert lines[0] == ["0x1.98f4bdc534b38p-1", "0x1.7ca146360c227p-1"]
+    assert lines[1] == lines[0]
+
+
+def test_blas_thread_count_is_restored():
+    found = [pair for pair in map(_compiled._openblas_threads, ("scipy", "numpy")) if pair]
+    if not found:
+        pytest.skip("no thread setter of a bundled OpenBLAS was found")
+    before = [get() for _, get in found]
+    try:
+        for set_, _ in found:
+            set_(2)
+        outside = [get() for _, get in found]
+        for fails in (False, True):
+            with contextlib.suppress(NumericError):
+                with _compiled.one_blas_thread("scipy", "numpy"):
+                    assert [get() for _, get in found] == [1] * len(found)
+                    if fails:
+                        raise NumericError("inside the block")
+            assert [get() for _, get in found] == outside
+    finally:
+        for (set_, _), count in zip(found, before):
+            set_(count)
 
 
 class TestGridValues:
