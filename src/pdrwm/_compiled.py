@@ -13,7 +13,9 @@ a subpackage loads all of it: about 44 MB of resident memory for
 ``scipy.integrate`` or ``scipy.optimize``, and 26 MB for ``scipy.linalg``
 with ``scipy.sparse.linalg``.  This module loads only the extension files,
 from scipy's install directory, and calls them with exactly the arguments
-the public wrappers pass (scipy 1.17), so every value keeps its bits.  A
+the public wrappers pass (scipy 1.17), so every value keeps its bits.  The
+one difference is that :func:`largest_eigenvalue` seeds the generator of
+ARPACK's rare random start vectors, which ``eigsh`` leaves unseeded.  A
 module scipy has already loaded is reused.  There is no fallback to the
 public functions: a scipy whose files are laid out differently, that
 lacks a routine, or whose ARPACK wrapper refuses scipy 1.17's solver
@@ -27,7 +29,8 @@ QUADPACK refuses, raises as ``quad`` does.
 
 :func:`one_blas_thread` runs a block with the OpenBLAS libraries bundled
 in the scipy and numpy wheels at one thread, through each library's own
-setter, so that a result does not depend on the caller's thread count.
+setter, so that a result does not depend on the caller's thread count;
+a caller that gave BLAS more threads pays for this in wall time.
 """
 
 from __future__ import annotations
@@ -224,31 +227,28 @@ def largest_eigenvalue(
     matvec: Callable[[np.ndarray], np.ndarray], v0: np.ndarray, *, ncv: int, maxiter: int,
 ) -> float:
     """Largest eigenvalue of the symmetric operator ``matvec`` on vectors
-    of ``len(v0)``, by ARPACK's implicitly restarted Lanczos from the start
-    vector ``v0`` with ``ncv`` basis vectors and at most ``maxiter``
-    iterations (restarts): exactly ``scipy.sparse.linalg.eigsh(LinearOperator((n, n),
-    matvec=matvec, dtype=float), k=1, which="LA", v0=v0, ncv=ncv,
-    maxiter=maxiter, return_eigenvectors=False)[0]``.  At the cap it raises
+    of ``n = len(v0)``, by ARPACK's implicitly restarted Lanczos from the
+    start vector ``v0`` with ``ncv`` basis vectors, ``2 <= ncv < n``, and
+    at most ``maxiter >= 1`` iterations (restarts): exactly
+    ``scipy.sparse.linalg.eigsh(LinearOperator((n, n), matvec=matvec,
+    dtype=float), k=1, which="LA", v0=v0, ncv=ncv, maxiter=maxiter,
+    return_eigenvectors=False)[0]``.  At the cap it raises
     :class:`ArpackNoConvergence`.
 
     ARPACK asks for a random vector only where its Lanczos basis breaks
-    down on an invariant subspace; the vectors are then drawn, as eigsh
-    draws them, from one unseeded generator per solve."""
+    down on an invariant subspace.  eigsh draws these from an unseeded
+    generator; here they come from one generator seeded with 0 per solve,
+    so every solve is repeatable, and equals eigsh's whenever eigsh's
+    generator draws what seed 0 draws."""
     n = len(v0)
-    ncv_used = min(ncv, n)
-    if ncv_used < 2 or maxiter < 1:
-        raise ParameterError(
-            f"ARPACK needs 1 < ncv and 1 <= maxiter, got ncv {ncv} on {n} rows "
-            f"and maxiter {maxiter}"
-        )
     state = {**_ARPACK_STATE, "info": 1, "maxiter": int(maxiter), "n": n,
-             "ncv": ncv_used, "nev": 1}
-    # ARPACK overwrites its start vector; eigsh sizes v by the ncv asked for
+             "ncv": ncv, "nev": 1}
+    # ARPACK overwrites its start vector
     resid = np.array(v0, dtype=float)
     v = np.zeros((n, ncv))
     ipntr = np.zeros(11, dtype=np.int32)
     workd = np.zeros(3 * n)
-    workl = np.zeros(ncv_used * (ncv_used + 8))
+    workl = np.zeros(ncv * (ncv + 8))
     rng = None
     while True:
         _arpack("dsaupd_wrap", state, resid, v, ipntr, workd, workl)
@@ -258,7 +258,7 @@ def largest_eigenvalue(
         if ido in (1, 5):
             workd[y] = matvec(x)
         elif ido == 4:
-            rng = rng or np.random.default_rng()
+            rng = rng or np.random.default_rng(0)
             resid[:] = rng.uniform(low=-1.0, high=1.0, size=[n])
         elif ido == 99:
             break
@@ -276,8 +276,8 @@ def largest_eigenvalue(
     state["info"] = 0
     d = np.zeros(1)
     _arpack(
-        "dseupd_wrap", state, False, 0, np.zeros(ncv_used, dtype=np.int32), d,
-        np.zeros((n, ncv_used), order="F"), 0, resid, v, ipntr, workd, workl,
+        "dseupd_wrap", state, False, 0, np.zeros(ncv, dtype=np.int32), d,
+        np.zeros((n, ncv), order="F"), 0, resid, v, ipntr, workd, workl,
     )
     if state["info"] != 0 or state["nconv"] < 1:
         raise NumericError(

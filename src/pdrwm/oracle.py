@@ -653,11 +653,14 @@ def spectral_gap(chain: DiscretizedChain) -> SpectralResult:
     why.  Certificates hold for every larger lambda_2, so a later block
     that raises lambda_2 leaves earlier ones valid.  A block with an
     eigenvalue past 1 + 1e-3 raises :class:`NumericError`.  Nothing is
-    random, and the solve runs with the OpenBLAS bundled in the scipy and
-    numpy wheels at one thread (:func:`pdrwm._compiled.one_blas_thread`),
-    so reruns give bit-identical results at any thread count the caller
-    sets; with a BLAS whose thread setter is not found, only reruns at
-    one thread count do.  Besides the
+    random (ARPACK's rare request for a random start vector is met from a
+    generator seeded with 0), and the solve runs with the OpenBLAS bundled
+    in the scipy and numpy wheels at one thread
+    (:func:`pdrwm._compiled.one_blas_thread`), so reruns give
+    bit-identical results at any thread count the caller sets; with a BLAS
+    whose thread setter is not found, only reruns at one thread count do.
+    Where the caller gave BLAS more threads, the pin costs wall time (18%
+    on ``table1_grid`` at two threads) and saves CPU time.  Besides the
     stored rows, one block is held at a time: its lower triangle keeps B, and
     every factorisation and the dense solver run in place in its strict
     upper triangle and diagonal, with B's diagonal saved as a vector.
