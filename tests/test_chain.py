@@ -230,6 +230,21 @@ class TestRunChain:
         assert traj.accepted.shape == (1000,)
         assert 0.0 < traj.acceptance_rate < 1.0
 
+    def test_state_of_the_wrong_length_names_its_step(self):
+        # the third proposal repeats the state with one coordinate more;
+        # its density and move are the current point's, so it is accepted
+        kernel = gaussian_proposal(constant_field(1.0), 1.0)
+        calls = []
+
+        def longer(x, at_x, rng):
+            calls.append(1)
+            y = kernel.sample(x, at_x, rng)
+            return (*x, 0.0) if len(calls) == 3 else y
+
+        replaced = dataclasses.replace(kernel, sample=longer)
+        with pytest.raises(ParameterError, match="step 3 moved to a state of 2 coordinates"):
+            run_chain(make_gaussian(), replaced, [0.0], 10, seed=1)
+
     def test_gaussian_moments_recovered(self):
         t = make_gaussian()
         k = gaussian_proposal(constant_field(1.0), 2.38**2)
