@@ -194,7 +194,7 @@ def _stds(h: float, g: np.ndarray, xs: np.ndarray) -> np.ndarray:
     raise AssertionError("a row fails the 1-D rule")
 
 
-def _fma_ratios(a: float, b: float, c: float) -> float:
+def _fma(a: float, b: float, c: float) -> float:
     """``a * b + c`` rounded once, as IEEE 754's fused multiply-add.
 
     Finite inputs are summed exactly as integer ratios, whose quotient
@@ -225,24 +225,6 @@ def _fma_ratios(a: float, b: float, c: float) -> float:
         return n / d
     except OverflowError:
         return math.inf if n > 0 else -math.inf
-
-
-def _float_fma(fma: Callable[[float, float, float], float]):
-    """``math.fma`` with LAPACK's results where it raises: a ValueError
-    for a NaN from non-NaN inputs (``inf * 0``, ``inf - inf``) and an
-    OverflowError for an infinite result from finite inputs, where
-    :func:`_fma_ratios` returns the NaN or the infinity."""
-    def fused(a: float, b: float, c: float) -> float:
-        try:
-            return fma(a, b, c)
-        except (ValueError, OverflowError):
-            return _fma_ratios(a, b, c)
-    return fused
-
-
-#: the fused multiply-add at float speed where Python has ``math.fma``
-#: (3.13 and later), else on integer ratios, at about 1 µs a call
-_fma = _float_fma(math.fma) if hasattr(math, "fma") else _fma_ratios
 
 
 def _cholesky(cov: np.ndarray, x: np.ndarray) -> list[list[float]]:

@@ -24,11 +24,8 @@ performs the same IEEE operations in the same order as the textbook
 bit-identical to that form's.  The chord is also mirror-exact in the
 horizontal centre, which lets :func:`hemisphere_sweep` solve each
 mirrored pair of sweep points once.  Each quadrature also pays a fixed
-cost outside the integrand, which ``_compiled.quad`` keeps small by
-building QUADPACK's break-point array on Python floats: a quadrature of
-a constant over three break points takes about 10 µs, of which the
-break points take 2 µs (14 µs through ``np.unique``), on a 2-vCPU
-x86-64 VM.
+cost outside the integrand, which the README's "Start-up" section
+measures.
 """
 
 from __future__ import annotations

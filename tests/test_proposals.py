@@ -31,7 +31,7 @@ from pdrwm import (
     truncated_mean,
     truncated_mgf,
 )
-from pdrwm.proposals import _cholesky, _float_fma, _fma, _fma_ratios, _solve_lower
+from pdrwm.proposals import _cholesky, _fma, _solve_lower
 
 # Frozen by direct quadrature of the Gaussian density (independent of the
 # closed forms under test).
@@ -224,30 +224,10 @@ signed = st.builds(lambda v, s: -v if s else v, magnitudes, st.booleans())
 rhs = st.one_of(signed, st.sampled_from([0.0, -0.0]))
 
 
-def raising_fma(a, b, c):
-    """``math.fma`` of Python 3.13 on any Python: the integer-ratio route,
-    raising a ValueError for a NaN from non-NaN inputs and an
-    OverflowError for an infinite result from finite inputs."""
-    r = _fma_ratios(a, b, c)
-    if math.isnan(r) and not any(map(math.isnan, (a, b, c))):
-        raise ValueError("invalid operation in fma")
-    if math.isinf(r) and all(map(math.isfinite, (a, b, c))):
-        raise OverflowError("overflow in fma")
-    return r
-
-
-#: math.fma where Python has it (3.13 and later), else its stand-in
-STRICT_FMA = getattr(math, "fma", raising_fma)
-
-
 class TestLapackBits:
     """The 2-D kernel's factor and solve on Python floats against
     ``scipy.linalg.cholesky(lower=True)`` and ``solve_triangular(lower=True)``,
-    which call LAPACK ``potrf`` and ``trtrs``: byte for byte.  The
-    integer-ratio fused multiply-add ``_fma_ratios`` is checked against
-    LAPACK, against ``Fraction`` rounding and, on Python 3.13 and later,
-    against ``math.fma``; ``_fma``, which is ``math.fma`` there, against
-    LAPACK."""
+    which call LAPACK ``potrf`` and ``trtrs``: byte for byte."""
 
     @settings(max_examples=400)
     @given(
@@ -270,13 +250,9 @@ class TestLapackBits:
     @settings(max_examples=200)
     @given(signed, signed, rhs)
     def test_fma_is_lapacks(self, a, b, c):
-        assert bits(_fma_ratios(a, b, c)) == bits(lapack_fma(a, b, c))
         assert bits(_fma(a, b, c)) == bits(lapack_fma(a, b, c))
         if hasattr(math, "fma"):  # Python 3.13 and later
-            assert bits(_fma_ratios(a, b, c)) == bits(math.fma(a, b, c))
-
-    def test_fma_is_math_fma_where_python_has_it(self):
-        assert (_fma is _fma_ratios) == (not hasattr(math, "fma"))
+            assert bits(_fma(a, b, c)) == bits(math.fma(a, b, c))
 
     @pytest.mark.parametrize(
         "a, b, c, expected",
@@ -305,9 +281,7 @@ class TestLapackBits:
         ],
     )
     def test_fma_rounds_the_exact_sum(self, a, b, c, expected):
-        assert bits(_fma_ratios(a, b, c)) == bits(expected)
         assert bits(_fma(a, b, c)) == bits(expected)
-        assert bits(_float_fma(STRICT_FMA)(a, b, c)) == bits(expected)
         assert bits(lapack_fma(a, b, c)) == bits(expected)
         if math.isfinite(expected):
             # the nearest float to the exact sum
@@ -325,11 +299,8 @@ class TestLapackBits:
         # an infinite c
         args = [other, -1e10, 3.0]
         args[where] = special
-        lapack = lapack_fma(*args)
-        # math.fma raises at inf * 0 and inf - inf, where LAPACK gives NaN
-        for fma in (_fma_ratios, _fma, _float_fma(STRICT_FMA)):
-            got = fma(*args)
-            assert (math.isnan(got) and math.isnan(lapack)) or bits(got) == bits(lapack)
+        got, lapack = _fma(*args), lapack_fma(*args)
+        assert (math.isnan(got) and math.isnan(lapack)) or bits(got) == bits(lapack)
 
 
 def uncached_gaussian_proposal(field, h):
