@@ -88,8 +88,12 @@ def log_accept_ratio_batch(
 
     One pass over the ``(m, dim)`` rows through the batch callables, with
     the per-point rules: ``-inf`` off the support, ``-inf`` where the
-    reverse kernel cannot reach ``x``, and :class:`ParameterError` if
-    the forward kernel cannot reach an on-support row.
+    reverse kernel cannot reach ``x``, and :class:`ParameterError`
+    naming the first on-support row the forward kernel cannot reach.
+    When every row is on the support, the kernel sees ``ys`` itself and
+    no masked copy is made; either way a row's value does not depend on
+    the other rows, so callers may pass a large batch in row chunks
+    (the probes of :mod:`pdrwm.diagnostics` do).
 
     For a Gaussian kernel above 1-D with a diagonal covariance, and a
     field and target whose batch forms give their per-point bits (every
@@ -104,11 +108,12 @@ def log_accept_ratio_batch(
     lp_x = _log_density_on_support(target, x)
     _check_shape(target, np.shape(ys)[1:], "each proposal row")
     lp_y = target.log_density_batch(ys)
-    out = np.full(len(ys), -np.inf)
     on = lp_y > -np.inf
-    if not on.any():
-        return out
-    ys_on = ys[on]
+    n_on = int(np.count_nonzero(on))
+    if n_on == 0:
+        return np.full(len(ys), -np.inf)
+    full = n_on == len(ys)
+    ys_on = ys if full else ys[on]
     lq_yx = kernel.log_q_batch(ys_on, x)
     unreachable = lq_yx == -np.inf
     if unreachable.any():
@@ -116,6 +121,9 @@ def log_accept_ratio_batch(
         raise ParameterError(f"move {x} -> {y} is not proposable by {kernel.label}")
     # where lq_xy is -inf the finite other terms carry it through to -inf
     lq_xy = kernel.log_q_batch(x, ys_on)
+    if full:
+        return log_accept_terms(lp_x, lp_y, lq_yx, lq_xy)
+    out = np.full(len(ys), -np.inf)
     out[on] = log_accept_terms(lp_x, lp_y[on], lq_yx, lq_xy)
     return out
 

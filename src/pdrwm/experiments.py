@@ -42,6 +42,7 @@ from .diagnostics import (
     _MIN_DRAWS,
     _check_rate,
     _check_scan_steps,
+    _row_chunks,
     abs_pow,
     acceptance_set_mass,
     drift_ratio,
@@ -407,11 +408,6 @@ def _scenario_figure1(
     return files, checks
 
 
-#: proposals per batch in ``figure2_data``, so that its memory stays
-#: bounded at any ``n_proposals``
-_FIGURE2_CHUNK = 2**15
-
-
 def _scenario_figure2(
     seed, digest, /, *, arm_positions: tuple[float, ...] = (0.0, 1.0, 2.0, 4.0, 8.0),
     n_proposals: int = 3000, h: float = 1.0, sigma2: float = 0.25,
@@ -450,10 +446,11 @@ def _scenario_figure2(
         for name, kern in kernels.items():
             rng = np.random.default_rng(seed)  # common draws across arm points
             acc = 0.0
-            # chunk by chunk, each summed in order from the running total:
-            # the bits of a per-proposal loop of acc += alpha
-            for start in range(0, n_proposals, _FIGURE2_CHUNK):
-                ys = kern.sample_batch(x, min(_FIGURE2_CHUNK, n_proposals - start), rng)
+            # drawn and summed chunk by chunk, so memory stays bounded at any
+            # n_proposals, each chunk in order from the running total: the
+            # bits of a per-proposal loop of acc += alpha
+            for chunk in _row_chunks(n_proposals):
+                ys = kern.sample_batch(x, chunk.stop - chunk.start, rng)
                 alpha = np.exp(log_accept_ratio_batch(ridge, kern, x, ys))
                 alpha[0] += acc
                 acc = float(np.add.accumulate(alpha)[-1])

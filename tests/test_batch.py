@@ -208,10 +208,40 @@ class TestBatchAcceptanceRules:
             log_accept_ratio_batch(t, k, pt(0.0, 0.5), np.array([[0.0, 1.5]]))
 
     def test_unreachable_forward_move_is_callers_error(self):
-        t, k = make_rectangle(), circle_proposal()
-        ys = np.array([[0.0, 1.9], [0.0, 4.5]])
-        with pytest.raises(ParameterError, match="not proposable"):
-            log_accept_ratio_batch(t, k, pt(0.0, 1.5), ys)
+        # (0, 4.5) is on the staircase but outside the disc around x
+        t, k, x = make_rectangle(), circle_proposal(), pt(0.0, 1.5)
+        ys = np.array([[0.0, 1.9], [0.0, 4.5], [0.01, 4.5]])
+        assert (t.log_density_batch(ys) > -np.inf).all()
+        messages = []
+        # an off-support row in front forces the masked path
+        for rows in (ys, np.vstack([[0.0, 0.7], ys])):
+            with pytest.raises(ParameterError, match="not proposable") as err:
+                log_accept_ratio_batch(t, k, x, rows)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert f"-> {ys[1]} " in messages[0]
+
+    @pytest.mark.parametrize(
+        "target, kernel, x, off",
+        [
+            (make_rectangle(), circle_proposal(), pt(0.05, 3.5), [0.0, 0.7]),
+            # reverse ellipses from level 2 miss the start: lq_xy = -inf
+            (make_rectangle(), ellipse_proposal(), pt(0.5, 1.9), [0.0, 0.7]),
+            (make_exponential_tail(1.0), gaussian_proposal(power_field(1.5), 1.0),
+             pt(20.0), [math.inf]),
+            (make_ridge_2d(), gaussian_proposal(ridge_conditional_field(), 1.0),
+             pt(4.0, 0.0), [math.inf, math.inf]),
+        ],
+    )
+    def test_full_support_rows_give_the_masked_bits(self, target, kernel, x, off):
+        ys = kernel.sample_batch(x, 400, np.random.default_rng(5))
+        ys = ys[target.log_density_batch(ys) > -np.inf]
+        assert len(ys) > 0 and target.log_density_batch(np.array([off]))[0] == -math.inf
+        # the appended off-support row forces the masked path
+        masked = log_accept_ratio_batch(target, kernel, x, np.vstack([ys, off]))
+        full = log_accept_ratio_batch(target, kernel, x, ys)
+        assert full.tolist() == masked[:-1].tolist()
+        assert masked[-1] == -math.inf
 
     def test_unreachable_reverse_move_is_rejected(self):
         t, k = make_rectangle(), ellipse_proposal()

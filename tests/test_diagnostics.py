@@ -36,7 +36,7 @@ from pdrwm import (
     tail_acceptance_profile,
     tune_step_size,
 )
-from pdrwm.diagnostics import V_RATIO_CAP
+from pdrwm.diagnostics import _ROW_CHUNK, V_RATIO_CAP
 from test_fields import FLOAT_POINTS
 from test_float_closed_form import ARRAY_LOG_V
 from test_proposals import log_q
@@ -431,6 +431,66 @@ class TestProbesMatchPerDrawLoop:
         x = pt(*x)
         ys = k.sample_batch(x, n, np.random.default_rng(seed))
         assert any(t.support_test(y) and log_q(k, x, y) == -math.inf for y in ys)
+
+
+def _whole_array_probes(target, kernel, lyapunov, x, n, seed, eps):
+    """Reference implementation of the three probes as one whole-array pass
+    over the same proposals the probes draw: (drift, rejection, mass)."""
+    x = np.asarray(x, dtype=float).ravel()
+    ys = kernel.sample_batch(x, n, np.random.default_rng(seed))
+    lp_y = target.log_density_batch(ys)
+    on = lp_y > -np.inf
+    lq_yx, lq_xy = kernel.log_q_batch(ys[on], x), kernel.log_q_batch(x, ys[on])
+    la = np.full(n, -np.inf)
+    la[on] = np.minimum(0.0, lp_y[on] + lq_xy - target.log_density(x) - lq_yx)
+    dv = lyapunov.log_evaluate_batch(ys) - lyapunov.log_evaluate(x)
+    log_cap = math.log(V_RATIO_CAP)
+    clipped = int(np.count_nonzero(target.log_density_batch(ys[dv > log_cap]) > -np.inf))
+    summands = (1.0 - np.exp(la)) + np.exp(la + np.minimum(dv, log_cap))
+    alphas = np.exp(la)
+    hits = (alphas >= eps).astype(float)
+
+    def mean_se(v):
+        return float(v.mean()), float(v.std(ddof=1) / math.sqrt(n))
+
+    mean, se = mean_se(alphas)
+    return (
+        DriftResult(*mean_se(summands), clipped / n),
+        ProbeEstimate(1.0 - mean, se),
+        ProbeEstimate(*mean_se(hits)),
+    )
+
+
+#: draw counts on both sides of one and two chunk edges
+_EDGE_NS = (_ROW_CHUNK - 1, _ROW_CHUNK, _ROW_CHUNK + 1, 2 * _ROW_CHUNK + 17)
+
+
+class TestProbesAcrossRowChunks:
+    """The probes evaluate their draws in row chunks; at draw counts around
+    the chunk edges they equal one whole-array pass over the same
+    proposals, every estimate, standard error and clipped mass."""
+
+    @pytest.mark.parametrize("n", _EDGE_NS)
+    @pytest.mark.parametrize("case", sorted(_PROBE_CASES))
+    def test_three_probes(self, case, n):
+        target, kernel, lyapunov, x = _PROBE_CASES[case]
+        seed, eps = 7, 0.1
+        got = (
+            drift_ratio(target, kernel, lyapunov, x, n=n, seed=seed),
+            rejection_probability(target, kernel, x, n=n, seed=seed),
+            acceptance_set_mass(target, kernel, x, eps, n=n, seed=seed),
+        )
+        assert got == _whole_array_probes(target, kernel, lyapunov, x, n, seed, eps)
+
+    def test_edges_reach_their_branches(self):
+        n, seed = _EDGE_NS[-1], 7
+        t, k, v, x = _PROBE_CASES["exp_power4_clipped"]
+        assert drift_ratio(t, k, v, x, n=n, seed=seed).truncated_mass > 0.0
+        # off-support rows in the first and the last chunk
+        t, k, _, x = _PROBE_CASES["rectangle_circle"]
+        ys = k.sample_batch(pt(*x), n, np.random.default_rng(seed))
+        off = ~(t.log_density_batch(ys) > -np.inf)
+        assert off[:_ROW_CHUNK].any() and off[2 * _ROW_CHUNK:].any()
 
 
 class TestProbeInputChecks:

@@ -312,7 +312,7 @@ class TestScenarioBodies:
 
         whole = figure2()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(experiments, "_FIGURE2_CHUNK", chunk)
+            mp.setattr(diagnostics, "_ROW_CHUNK", chunk)
             assert figure2() == whole
 
     def test_figure3_geometry_checks(self, tmp_path):
