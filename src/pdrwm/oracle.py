@@ -27,11 +27,10 @@ sqrt(pi) of eigenvalue 1 is projected out, shift-invert Lanczos finds
 the top of what is left, and Cholesky factorisations (or, at the bottom,
 Gershgorin discs) certify that no eigenvalue lies beyond lambda_2 at
 either end.  Each factorisation runs in the block's own strict upper
-triangle.  The odd block first tries to certify its top at the even
-block's lambda_2 with one factorisation, unless the even block's top
-eigenvector, carried over to the odd block, has a Rayleigh quotient
-there that already proves the try would fail.  A block that cannot be
-certified that way is diagonalized by the dense symmetric eigensolver,
+triangle.  Rayleigh quotients of x and of x^2 guess which block holds
+lambda_2, and that block is solved first; the other first tries to
+certify its top at that lambda_2 with one factorisation.  A block that
+cannot be certified is diagonalized by the dense symmetric eigensolver,
 and the result records which path each block took.
 
 The module also holds the deterministic routes the Monte Carlo probes
@@ -99,12 +98,6 @@ _SHIFT_GAP = 1e-3
 
 #: slack of the certificate that no eigenvalue exceeds lambda_2
 _TOP_SLACK = 1e-12
-
-#: rounding margin of a Rayleigh quotient in a block: a quotient past
-#: lambda_2 + _TOP_SLACK by more than this proves that the block has an
-#: eigenvalue past lambda_2 + _TOP_SLACK, far beyond the quotient's own
-#: rounding error of about m * 1e-16
-_RAYLEIGH_MARGIN = 1e-9
 
 #: Lanczos basis size; a block no larger than it is solved dense
 _LANCZOS_BASIS = 20
@@ -428,12 +421,6 @@ def _symmetric_block(chain: DiscretizedChain, k: int) -> np.ndarray:
     return block
 
 
-def _quadratic_form(block: np.ndarray, v: np.ndarray) -> float:
-    """v^T B v for the block B whose lower triangle ``block`` holds."""
-    # the Fortran view's upper triangle is the block's lower one
-    return float(v @ _compiled.symv(block.T, v, lower=0))
-
-
 def _deflate_stationary(chain: DiscretizedChain, block: np.ndarray) -> None:
     """Check that the unit vector u = sqrt(pi_hat) carries eigenvalue 1 of
     the first block and subtract u u^T from its lower triangle in place,
@@ -446,7 +433,8 @@ def _deflate_stationary(chain: DiscretizedChain, block: np.ndarray) -> None:
         u = u[s:] * math.sqrt(2.0)
         if chain.n % 2:
             u[0] = math.sqrt(chain.pi_hat[s])
-    lead = _quadratic_form(block, u)
+    # u^T B u: the Fortran view's upper triangle is the block's lower one
+    lead = float(u @ _compiled.symv(block.T, u, lower=0))
     if abs(lead - 1.0) > 1e-6:
         raise NumericError(
             f"stationary Rayleigh quotient {lead!r} is not 1; chain "
@@ -527,64 +515,47 @@ def _lanczos_top(block: np.ndarray, d: np.ndarray) -> float | None:
     return shift - 1.0 / mu
 
 
-def _top_vector(factor: np.ndarray) -> np.ndarray:
-    """The top eigenvector of B, unnormalised, from the Cholesky
-    ``factor`` of ``(lambda_2 + delta) I - B`` that certified B's top at
-    its own top eigenvalue lambda_2: that matrix has eigenvalue delta =
-    1e-12 along the top eigenvector and at least B's spectral gap along
-    the rest, so one solve on a fixed vector returns the top eigenvector
-    to within about delta over that gap."""
-    return _compiled.potrs(factor, np.linspace(1.0, 2.0, len(factor)), lower=1)
+def _lambda2_block(chain: DiscretizedChain) -> int:
+    """The mirror block that likely holds lambda_2: 1 (odd) or 0 (even).
 
-
-def _top_exceeds(block: np.ndarray, v: np.ndarray, bound: float) -> bool:
-    """Whether the Rayleigh quotient in the block B (lower triangle
-    ``block``) of the positive part of ``v``, or of its negative part,
-    exceeds ``bound`` by more than ``_RAYLEIGH_MARGIN``.  No Rayleigh
-    quotient exceeds B's top eigenvalue, so then ``bound * I - B`` is not
-    positive definite, and its Cholesky factorisation would fail."""
-    for part in (np.maximum(v, 0.0), np.minimum(v, 0.0)):
-        norm2 = float(part @ part)
-        if norm2 > 0.0 and _quadratic_form(block, part) > (bound + _RAYLEIGH_MARGIN) * norm2:
-            return True
-    return False
+    Compares the Rayleigh quotients <f, P f> / <f, f> in L^2(pi_hat) of
+    f = x, an odd function, and f = x^2 - E[x^2], an even one orthogonal
+    to the constants; each bounds its block's top eigenvalue from below.
+    Both come from one product of the stored rows with the two vectors.
+    A mirrored chain's terms at i and n-1-i are equal, so the stored rows
+    carry half of each sum, with an odd n's centre row at half weight."""
+    x, f = chain.grid, chain.first
+    x2 = x * x
+    probes = np.column_stack((x, x2 - float(chain.pi_hat @ x2)))
+    weighted = chain.pi_hat[f:, None] * probes[f:]
+    if chain.n % 2:
+        weighted[0] *= 0.5
+    num = (weighted * (chain.rows @ probes)).sum(axis=0)
+    den = (weighted * probes[f:]).sum(axis=0)
+    # cross-multiplied: a quotient over a zero norm guesses even, unwarned
+    return 1 if num[0] * den[1] > num[1] * den[0] else 0
 
 
 def _solve_block(
-    chain: DiscretizedChain, k: int, lambda2: float, floor: float,
-    probe: np.ndarray | None,
-) -> tuple[float, str, np.ndarray | None]:
+    chain: DiscretizedChain, k: int, lambda2: float, floor: float, first: bool,
+) -> tuple[float, str]:
     """Form block ``k`` of the symmetrized chain, raise ``lambda2`` to its
     largest |eigenvalue| other than the stationary 1, and return it with
-    the block's path.  Steps 1-3 of :func:`spectral_gap`; the block is
-    dropped on return.
-
-    ``probe`` is a vector in the block's coordinates whose Rayleigh
-    quotients may prove that the try of step 2 fails, or None.  The
-    even block of a mirrored chain certified by Lanczos returns its top
-    eigenvector in the odd block's coordinates as the odd block's probe:
-    an even mode of (e_i + e_{n-1-i}) / sqrt(2) maps to the odd mode
-    (e_i - e_{n-1-i}) / sqrt(2) of the same index, and the odd-n centre,
-    which the odd block lacks, is dropped.  Every other return gives
-    None."""
+    the block's path.  Steps 1-3 of :func:`spectral_gap`: the ``first``
+    block solved runs Lanczos, a later one first tries to certify its top
+    at ``lambda2``.  The block is dropped on return."""
     block = _symmetric_block(chain, k)
     if k == 0:
         _deflate_stationary(chain, block)
     d = block.diagonal().copy()
 
-    def dense(reason: str) -> tuple[float, str, None]:
+    def dense(reason: str) -> tuple[float, str]:
         vals = _compiled.eigvalsh(_mirrored(block, d, 1.0, 0.0))
-        return max(lambda2, float(vals[-1]), -float(vals[0])), f"dense: {reason}", None
+        return max(lambda2, float(vals[-1]), -float(vals[0])), f"dense: {reason}"
 
     if len(block) <= _LANCZOS_BASIS:
         return dense("block too small")
-    bound = lambda2 + _TOP_SLACK
-    top_vector = None
-    if (
-        k == 0
-        or (probe is not None and _top_exceeds(block, probe, bound))
-        or _factors(block, d, -1.0, bound) is None
-    ):
+    if first or _factors(block, d, -1.0, lambda2 + _TOP_SLACK) is None:
         try:
             top = _lanczos_top(block, d)
         except _compiled.ArpackNoConvergence:
@@ -595,15 +566,10 @@ def _solve_block(
                 f"{chain.label} is not a proper Metropolis restriction"
             )
         lambda2 = max(lambda2, top)
-        factor = _factors(block, d, -1.0, lambda2 + _TOP_SLACK)
-        if factor is None:
+        if _factors(block, d, -1.0, lambda2 + _TOP_SLACK) is None:
             return dense("top certificate failed")
-        if k == 0 and chain.mirrored:
-            # the even block's lambda_2 is its own top; the bottom
-            # certificate is about to overwrite the factor
-            top_vector = _top_vector(factor)[chain.n % 2:]
     if min(floor, 0.0) > -lambda2 or _factors(block, d, 1.0, lambda2) is not None:
-        return lambda2, "extremal", top_vector
+        return lambda2, "extremal"
     return dense("bottom certificate failed")
 
 
@@ -617,28 +583,25 @@ def spectral_gap(chain: DiscretizedChain) -> SpectralResult:
     diagonalized in full.  The blocks are solved in turn, each formed
     only when its turn comes (:func:`_symmetric_block`):
 
-    1. The first block (the even one, or the whole matrix) holds
-       eigenvalue 1, with eigenvector sqrt(pi_hat).  Its Rayleigh
-       quotient must be 1 to six decimals, or the chain construction
-       itself is broken (:class:`NumericError`).  Its projector is then
-       subtracted in place, which moves that eigenvalue to 0.
-    2. The first block's top eigenvalue comes from shift-invert Lanczos
-       (:func:`_lanczos_top`).  The odd block first tries one Cholesky
-       factorisation of ``(lambda_2 + delta) I - B``, delta = 1e-12, at
-       the lambda_2 of the first block; only if that fails does it run
-       Lanczos too and raise lambda_2.  The try is skipped where it is
-       proven to fail.  The even block's top certificate (step 3)
-       factors a matrix with eigenvalue delta along the even block's
-       top eigenvector, so one solve with that factor returns the
-       eigenvector (:func:`_top_vector`).  Carried over to the odd
-       block's indices, its positive part and its negative part each
-       have a Rayleigh quotient there (:func:`_top_exceeds`), and no
-       Rayleigh quotient exceeds the top eigenvalue.  If either
-       quotient exceeds lambda_2 + delta by more than a rounding margin
-       of 1e-9, the odd block's top does too, so the try would fail, and
-       the odd block goes straight to Lanczos.  Lanczos and the
-       certificates then run as after a failed try, so the skip changes
-       neither lambda_2 nor ``path``, only which factorisations run.
+    1. The even block (or the whole matrix) holds eigenvalue 1, with
+       eigenvector sqrt(pi_hat).  Its Rayleigh quotient must be 1 to six
+       decimals, or the chain construction itself is broken
+       (:class:`NumericError`).  Its projector is then subtracted in
+       place, which moves that eigenvalue to 0.
+    2. A mirrored chain first solves the block that more likely holds
+       lambda_2 (:func:`_lambda2_block`): the odd block if the Rayleigh
+       quotient of f = x, an odd function, exceeds that of the even
+       f = x^2 - E[x^2], else the even block.  The block solved first
+       gets its top eigenvalue from shift-invert Lanczos
+       (:func:`_lanczos_top`).  The other block first tries one
+       Cholesky factorisation of ``(lambda_2 + delta) I - B``, delta =
+       1e-12, at the lambda_2 of the first; only if that fails does it
+       run Lanczos too and raise lambda_2.  Lanczos depends on the
+       block alone, and a try succeeds only where the block's top lies
+       at most delta above lambda_2, so the order moves lambda_2 only
+       where the two blocks' tops lie within delta of each other; it
+       changes which factorisations run.  ``path`` lists the even block
+       first in either order.
     3. The block is then certified at the lambda_2 reached so far.  Top:
        a Cholesky factorisation of ``(lambda_2 + delta) I - B`` succeeds,
        so no eigenvalue lies above lambda_2 + delta, which a Lanczos
@@ -652,7 +615,8 @@ def spectral_gap(chain: DiscretizedChain) -> SpectralResult:
     symmetric eigensolver instead; ``path`` records which blocks did and
     why.  Certificates hold for every larger lambda_2, so a later block
     that raises lambda_2 leaves earlier ones valid.  A block with an
-    eigenvalue past 1 + 1e-3 raises :class:`NumericError`.  Nothing is
+    eigenvalue past 1 + 1e-3, or a NaN or inf among the stored rows,
+    raises :class:`NumericError`.  Nothing is
     random (ARPACK's rare request for a random start vector is met from a
     generator seeded with 0), and the solve runs with the OpenBLAS bundled
     in the scipy and numpy wheels at one thread
@@ -666,15 +630,20 @@ def spectral_gap(chain: DiscretizedChain) -> SpectralResult:
     upper triangle and diagonal, with B's diagonal saved as a vector.
     """
     # left end of P's Gershgorin discs: a lower bound on every eigenvalue;
-    # the first block's deflated eigenvalue 0 has to clear -lambda_2 too.
-    # The stored rows hold every row's entries
+    # the deflated eigenvalue 0 has to clear -lambda_2 too.
+    # The stored rows hold every row's entries, so a NaN or inf among
+    # them leaves the floor non-finite
     rows = chain.rows
     floor = float((2.0 * np.diagonal(rows, offset=chain.first) - rows.sum(axis=1)).min())
-    lambda2, probe = 0.0, None
-    path = []
-    for k in range(2 if chain.mirrored else 1):
-        lambda2, how, probe = _solve_block(chain, k, lambda2, floor, probe)
-        path.append(how)
+    if not math.isfinite(floor):
+        raise NumericError(f"chain {chain.label} has a non-finite transition entry")
+    order = (0,)
+    if chain.mirrored:
+        order = (1, 0) if _lambda2_block(chain) else (0, 1)
+    lambda2 = 0.0
+    path = [""] * len(order)
+    for k in order:
+        lambda2, path[k] = _solve_block(chain, k, lambda2, floor, k == order[0])
     gap = min(1.0, max(0.0, 1.0 - lambda2))
     return SpectralResult(gap, lambda2, tuple(path))
 

@@ -7,6 +7,9 @@ per-example deadline, and the example count is kept small enough for
 the whole suite to stay quick.  A failing example is reported as found,
 without the shrink and explain phases: shrinking a failing 200-step
 chain can take many minutes, and the same examples run either way.
+
+The ``wide`` profile is ``tier1`` with 300 examples, for the oracle's
+bit-identity properties (``--hypothesis-profile=wide``).
 """
 
 from hypothesis import Phase, settings
@@ -19,4 +22,5 @@ settings.register_profile(
     max_examples=20,
     phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target],
 )
+settings.register_profile("wide", settings.get_profile("tier1"), max_examples=300)
 settings.load_profile("tier1")

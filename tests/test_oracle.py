@@ -38,6 +38,7 @@ from pdrwm import (
 import pdrwm.oracle
 from pdrwm import _compiled
 from pdrwm.chain import log_accept_terms
+from pdrwm.experiments import _TABLE1_CELLS
 from pdrwm.oracle import SPACING_FRACTION, _grid_values
 
 
@@ -314,20 +315,34 @@ def _counting_factors(monkeypatch):
     return calls
 
 
-def _proofs(monkeypatch):
-    """Record the verdicts of the odd block's Rayleigh-quotient proof."""
-    verdicts = []
-    top_exceeds = pdrwm.oracle._top_exceeds
+def _table1_windows(max_n):
+    """(target factory, field factory, h, half_width, n) of every Table 1
+    window with at most ``max_n`` nodes, each named by its cell and n."""
+    out = []
+    for tail, growth, mk_target, mk_field, h, windows, ppu, _ in _TABLE1_CELLS:
+        for half_width in windows:
+            n = int(round(2.0 * half_width * ppu)) + 1
+            if n <= max_n:
+                out.append(pytest.param(mk_target, mk_field, h, half_width, n,
+                                        id=f"{tail}-{growth}-{n}"))
+    return out
 
-    def recorded(*args):
-        verdicts.append(top_exceeds(*args))
-        return verdicts[-1]
 
-    monkeypatch.setattr(pdrwm.oracle, "_top_exceeds", recorded)
-    return verdicts
+def _block_tops(chain):
+    """Largest |eigenvalue| of the deflated even block and of the odd
+    block, by the dense solver."""
+    tops = []
+    for k in (0, 1):
+        block = pdrwm.oracle._symmetric_block(chain, k)
+        if k == 0:
+            pdrwm.oracle._deflate_stationary(chain, block)
+        # the block former writes the lower triangle only
+        vals = scipy.linalg.eigh(np.tril(block), eigvals_only=True, lower=True)
+        tops.append(max(vals[-1], -vals[0]))
+    return tops
 
 
-class TestOddBlockProof:
+class TestBlockOrder:
     #: Table 1's subexponential target under the (1+|x|)^1.5 field at
     #: L = 40: lambda_2 lies in the odd block
     ODD = (make_subexponential_tail(1.0, 0.5), power_field(1.5), 1.0, 40.0, 401)
@@ -335,64 +350,55 @@ class TestOddBlockProof:
     #: lies in the even block
     EVEN = (make_exponential_tail(1.0), power_field(1.5), 1.0, 20.0, 201)
 
-    def test_odd_lambda2_skips_the_try(self, monkeypatch):
+    def test_odd_lambda2_solves_odd_first(self, monkeypatch):
         chain = build_discretized(*self.ODD)
+        assert pdrwm.oracle._lambda2_block(chain) == 1
         calls = _counting_factors(monkeypatch)
-        verdicts = _proofs(monkeypatch)
         res = spectral_gap(chain)
-        # even: Lanczos, top certificate; odd: Lanczos, top certificate.
-        # The bottoms hold by the Gershgorin discs
-        assert verdicts == [True]
-        assert len(calls) == 4
-        skipped = list(calls)
-        monkeypatch.setattr(pdrwm.oracle, "_top_exceeds", lambda *args: False)
-        calls.clear()
-        tried = spectral_gap(chain)
-        # the fifth is the odd block's try, at the even block's top
-        # certificate's shift; the other four are the same factorisations
-        assert len(calls) == 5
-        assert calls[2] == calls[1]
-        assert calls[:2] + calls[3:] == skipped
-        assert (res.lambda2.hex(), res.path) == (tried.lambda2.hex(), tried.path)
-        odd = np.tril(pdrwm.oracle._symmetric_block(chain, 1))
-        odd_top = scipy.linalg.eigh(odd, eigvals_only=True, lower=True)[-1]
+        # odd: Lanczos, top certificate; even: the try, at the top
+        # certificate's shift, which succeeds.  The bottoms hold by the
+        # Gershgorin discs
+        assert len(calls) == 3
+        assert calls[0] == (-1.0, 1.0 + pdrwm.oracle._SHIFT_GAP)
+        assert calls[2] == calls[1] == (-1.0, res.lambda2 + pdrwm.oracle._TOP_SLACK)
+        assert res.path == ("extremal", "extremal")
+        even_top, odd_top = _block_tops(chain)
         assert odd_top == pytest.approx(res.lambda2, abs=1e-12)
+        assert even_top < odd_top
 
-    def test_even_lambda2_still_tries(self, monkeypatch):
+    def test_even_lambda2_solves_even_first(self, monkeypatch):
         chain = build_discretized(*self.EVEN)
+        assert pdrwm.oracle._lambda2_block(chain) == 0
         calls = _counting_factors(monkeypatch)
-        verdicts = _proofs(monkeypatch)
         res = spectral_gap(chain)
         # even: Lanczos, top certificate; odd: the try, which succeeds
-        assert verdicts == [False]
         assert len(calls) == 3
-        monkeypatch.setattr(pdrwm.oracle, "_top_exceeds", lambda *args: False)
-        calls.clear()
-        tried = spectral_gap(chain)
-        assert len(calls) == 3
-        assert (res.lambda2.hex(), res.path) == (tried.lambda2.hex(), tried.path)
+        assert calls[2] == calls[1]
+        even_top, odd_top = _block_tops(chain)
+        assert even_top == pytest.approx(res.lambda2, abs=1e-12)
+        assert odd_top < even_top
 
-    def test_top_vector_is_the_even_top_eigenvector(self):
-        chain = build_discretized(*self.ODD)
-        block = pdrwm.oracle._symmetric_block(chain, 0)
-        pdrwm.oracle._deflate_stationary(chain, block)
-        d = block.diagonal().copy()
-        top = pdrwm.oracle._lanczos_top(block, d)
-        factor = pdrwm.oracle._factors(block, d, -1.0, top + pdrwm.oracle._TOP_SLACK)
-        v = pdrwm.oracle._top_vector(factor)
-        # the factorisations overwrote the diagonal, which d keeps
-        vals, vecs = scipy.linalg.eigh(np.tril(block, -1) + np.diag(d), lower=True)
-        assert vals[-1] == pytest.approx(top, abs=1e-12)
-        assert abs(vecs[:, -1] @ v) / np.linalg.norm(v) == pytest.approx(1.0, abs=1e-9)
+    @pytest.mark.parametrize("mk_target, mk_field, h, half_width, n", _table1_windows(1601))
+    def test_guess_names_the_lambda2_block(self, mk_target, mk_field, h, half_width, n):
+        chain = build_discretized(mk_target(), mk_field(), h, half_width, n)
+        even_top, odd_top = _block_tops(chain)
+        assert pdrwm.oracle._lambda2_block(chain) == int(odd_top > even_top)
 
-    def test_unmirrored_chain_carries_no_vector(self, monkeypatch):
+    def test_guess_over_zero_norms_is_even(self):
+        # pi_hat on the centre alone gives both test functions norm 0;
+        # the guess falls to the even block without a 0/0 warning
+        chain = DiscretizedChain(np.array([-1.0, 0.0, 1.0]), 1.0, np.eye(3)[1:],
+                                 np.array([0.0, 1.0, 0.0]), "point mass", True)
+        assert pdrwm.oracle._lambda2_block(chain) == 0
+
+    def test_unmirrored_chain_skips_the_guess(self, monkeypatch):
         chain = build_discretized(*self.ODD)
         whole = dataclasses.replace(chain, rows=chain.transition, mirrored=False)
 
-        def refused(factor):
-            raise AssertionError("no block follows the whole matrix")
+        def refused(chain):
+            raise AssertionError("a chain solved whole has no blocks to order")
 
-        monkeypatch.setattr(pdrwm.oracle, "_top_vector", refused)
+        monkeypatch.setattr(pdrwm.oracle, "_lambda2_block", refused)
         assert spectral_gap(whole).path == ("extremal",)
 
     @given(
@@ -402,17 +408,45 @@ class TestOddBlockProof:
         n=st.integers(50, 800),
         width=st.floats(0.05, 1.0),
     )
-    def test_proof_moves_no_bit(self, target, b, log_h, n, width):
-        # with the proof or without it (every odd block tries), lambda_2
-        # and the paths agree to the bit
+    def test_order_moves_no_bit(self, target, b, log_h, n, width):
+        # whichever block goes first, lambda_2 keeps every bit: a block
+        # solved second either runs the Lanczos it would have run first,
+        # or certifies that its top lies below lambda_2.  The paths agree
+        # too, except where an order sent a block to the dense solver:
+        # a certificate at the smaller lambda_2 of one block can fail
+        # where one at the larger lambda_2 holds, and a block whose top
+        # lies below lambda_2 runs Lanczos only when it goes first
         h = math.exp(log_h)
         half_width = width * 0.5 * SPACING_FRACTION * math.sqrt(h) * (n - 1)
         chain = build_discretized(target, power_field(b), h, half_width, n)
-        res = spectral_gap(chain)
+        guessed = spectral_gap(chain)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pdrwm.oracle, "_top_exceeds", lambda *args: False)
-            tried = spectral_gap(chain)
-        assert (res.lambda2.hex(), res.path) == (tried.lambda2.hex(), tried.path)
+            mp.setattr(pdrwm.oracle, "_lambda2_block", lambda chain: 0)
+            even_first = spectral_gap(chain)
+            mp.setattr(pdrwm.oracle, "_lambda2_block", lambda chain: 1)
+            odd_first = spectral_gap(chain)
+        assert guessed.lambda2.hex() == even_first.lambda2.hex() == odd_first.lambda2.hex()
+        paths = {guessed.path, even_first.path, odd_first.path}
+        if not any(how.startswith("dense") for path in paths for how in path):
+            assert len(paths) == 1
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_chain_is_refused(self, value, monkeypatch):
+        # one bad entry leaves the Gershgorin floor non-finite; the solve
+        # stops there, before the guess and before any block is formed
+        chain = build_discretized(*self.EVEN)
+        rows = chain.rows.copy()
+        rows[30, 40] = value
+        broken = dataclasses.replace(chain, rows=rows)
+
+        def refused(*args):
+            raise AssertionError("reached past the finiteness check")
+
+        monkeypatch.setattr(pdrwm.oracle, "_lambda2_block", refused)
+        monkeypatch.setattr(pdrwm.oracle, "_symmetric_block", refused)
+        with pytest.raises(NumericError, match="non-finite") as err:
+            spectral_gap(broken)
+        assert chain.label in str(err.value)
 
 
 def _skewed_log_density(x):
