@@ -101,8 +101,9 @@ def log_accept_ratio_batch(
     bit.  Elsewhere the two agree to float rounding: in 1-D numpy's
     vectorised ``log`` and ``power`` differ from libm's in the last bit
     (16 of 4000 rows from ``power_field(1.5)`` on the exponential tail),
-    and with an off-diagonal covariance the batch's LU ``solve`` and the
-    per-point route's ``trtrs`` arithmetic round differently.
+    and with an off-diagonal covariance the batch rounds the solve's
+    multiply-add unfused, where the per-point route fuses it as
+    ``trtrs`` does.
     """
     _check_dim(target, kernel.dim)
     lp_x = _log_density_on_support(target, x)
@@ -283,15 +284,14 @@ class ChainTrajectory:
         lines = [
             f"# config={self.digest} seed={self.seed}",
             ",".join(cols),
-            "0," + ",".join(repr(v) for v in self.states[0]) + ",,",
+            "0," + ",".join(map(repr, self.states[0])) + ",,",
         ]
-        for i in range(self.n_steps):
-            row = (
-                [str(i + 1)]
-                + [repr(v) for v in self.states[i + 1]]
-                + [str(int(self.accepted[i])), repr(float(self.alpha[i]))]
-            )
-            lines.append(",".join(row))
+        # column by column: numpy's scalar repr for the coordinates
+        columns = [map(str, range(1, self.n_steps + 1))]
+        columns += [map(repr, self.states[1:, k]) for k in range(dim)]
+        columns.append(map(str, map(int, self.accepted.tolist())))
+        columns.append(map(float.__repr__, self.alpha.tolist()))
+        lines.extend(map(",".join, zip(*columns)))
         return "\n".join(lines) + "\n"
 
 

@@ -34,7 +34,6 @@ from types import UnionType
 from typing import Callable, Sequence
 
 import numpy as np
-import yaml
 
 from .chain import estimate_expectation, log_accept_ratio_batch, run_chain
 from .chain import _closed_form_at, _iid_mean_se
@@ -155,12 +154,25 @@ _FMT_BY_TYPE = {
 }
 
 
-def _csv(digest: str, seed: int, header: Sequence[str], rows) -> str:
-    """CSV text under a ``# config=<digest> seed=<seed>`` comment line."""
-    lines = [f"# config={digest} seed={seed}", ",".join(header)]
+def _format_column(column: tuple) -> map:
+    """Each value of ``column`` as ``_fmt`` spells it: one lookup for a
+    column of one type, one per value otherwise."""
+    types = set(map(type, column))
+    if len(types) == 1:
+        return map(_FMT_BY_TYPE.get(types.pop(), _fmt), column)
     fmt = _FMT_BY_TYPE.get
-    for row in rows:
-        lines.append(",".join([fmt(type(v), _fmt)(v) for v in row]))
+    return map(lambda v: fmt(type(v), _fmt)(v), column)
+
+
+def _csv(digest: str, seed: int, header: Sequence[str], rows) -> str:
+    """CSV text under a ``# config=<digest> seed=<seed>`` comment line,
+    one row per item of ``rows``, each as long as ``header``."""
+    rows = list(rows)
+    if set(map(len, rows)) - {len(header)}:
+        raise ValueError(f"a row's length differs from the header's {len(header)}")
+    columns = map(_format_column, zip(*rows))
+    lines = [f"# config={digest} seed={seed}", ",".join(header)]
+    lines.extend(map(",".join, zip(*columns)))
     return "\n".join(lines) + "\n"
 
 
@@ -217,6 +229,8 @@ def _number_spelling(value, hint) -> str:
         return ""
     alts = typing.get_args(hint) if typing.get_origin(hint) is UnionType else (hint,)
     if float in alts:
+        import yaml
+
         return "; write " + yaml.safe_dump(number).split("\n", 1)[0]
     if int in alts and number.is_integer():
         return f"; write {int(number)}"
@@ -301,6 +315,8 @@ def build_field(spec: dict, target: TargetDensity | None = None) -> CovarianceFi
 
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a single-document YAML scenario config."""
+    import yaml  # here, so that `import pdrwm` loads numpy only
+
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}", key="path")
@@ -383,15 +399,12 @@ def _scenario_figure1(
     fractions = []
     for x in x_points:
         xv = np.array([x])
-        ys = kern.sample_batch(xv, n_proposals, rng)[:, 0]
+        ys = kern.sample_batch(xv, n_proposals, rng)[:, 0].tolist()
         accept = _closed_form_at(target, fld, h, xv)
-        above = 0
-        for y in ys.tolist():
-            alpha = float(np.exp(accept(y)))
-            flag = alpha > 0.5
-            above += flag
-            rows.append((x, y, alpha, flag))
-        fractions.append(above / n_proposals)
+        alphas = np.exp(list(map(accept, ys))).tolist()
+        flags = [alpha > 0.5 for alpha in alphas]
+        rows.extend(zip([x] * n_proposals, ys, alphas, flags))
+        fractions.append(sum(flags) / n_proposals)
 
     decreasing = all(fractions[i + 1] < fractions[i] for i in range(len(fractions) - 1))
     checks = (

@@ -53,7 +53,7 @@ import numpy as np
 # QUADPACK and the step-size solve Brent's method through ._compiled,
 # which loads scipy's compiled extensions on first use and imports none of
 # scipy.linalg, scipy.sparse, scipy.integrate or scipy.optimize, so that
-# `import pdrwm` loads only numpy and PyYAML
+# `import pdrwm` loads only numpy
 # (tests/test_exports.py::TestStartUp)
 
 from . import _compiled

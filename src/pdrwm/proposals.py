@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 # scipy.special is imported inside the truncated-Gaussian mass, so that
-# `import pdrwm` loads only numpy and PyYAML (tests/test_exports.py)
+# `import pdrwm` loads only numpy (tests/test_exports.py)
 
 from .errors import NumericError, ParameterError
 from .fields import CovarianceField
@@ -296,9 +296,14 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
     field exists, and the sums are this module's own, in index order.
     No route of the kernel imports scipy.  A chain carries ``at(x)``
     with its state, so it evaluates the field once per point;
-    ``sample_batch`` computes it afresh at each call, and
-    ``log_q_batch`` factors all its start points in one stacked numpy
-    call and sums each ``v @ v`` with BLAS ``ddot``, as ``log_q`` does.
+    ``sample_batch`` computes it afresh at each call.  ``log_q_batch``
+    runs ``_cholesky``'s and ``_solve_lower``'s formulas on numpy
+    columns, one array per matrix entry over all its rows, and sums each
+    ``v @ v`` with BLAS ``ddot``, as ``log_q`` does.  Its one difference
+    from ``log_q`` is the solve's multiply-add, which it rounds unfused.
+    For a diagonal covariance that product is zero, so every row is
+    ``log_q``'s bit for bit; with an off-diagonal entry the rows agree
+    to rounding.
     A step size, field value or covariance that the module's rules
     refuse raises their error, naming the point.
     """
@@ -352,21 +357,46 @@ def gaussian_proposal(field: CovarianceField, h: float) -> ProposalKernel:
     def sample_batch(x, n, rng):
         return x[None, :] + rng.standard_normal((n, dim)) @ at(x)[1].T
 
+    def refuse(cov, xs):
+        for c, x in zip(cov, xs):
+            _cholesky(c, x)  # raises at the first row that fails
+        raise AssertionError("a row fails the covariance rule")
+
     def log_q_batch(ys, xs):
         ys, xs = np.atleast_2d(ys), np.atleast_2d(xs)
         cov = h * inv_metric_batch(xs)
-        try:
-            if not np.isfinite(cov).all():  # numpy factors them without raising
-                raise np.linalg.LinAlgError("covariance is not finite")
-            low = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            for c, x in zip(cov, xs):
-                _cholesky(c, x)  # raises at the first row that fails
-            raise
-        v = np.linalg.solve(low, (ys - xs)[..., None])
-        logdet = 2.0 * np.log(np.diagonal(low, axis1=1, axis2=2)).sum(axis=1)
+        if not np.isfinite(cov).all():
+            refuse(cov, xs)
+        b = ys - xs
+        # _cholesky and _solve_lower on columns, one per matrix entry:
+        # diag[:, j] is l_jj, off[j][i] is l_ji and v[:, i] is v_i.  Past
+        # the float range they overflow silently, as on Python floats
+        diag = np.empty((len(cov), dim))
+        v = np.empty(b.shape)
+        off: list[list[np.ndarray]] = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(dim):
+                lj = []
+                for i, li in enumerate(off):
+                    t = cov[:, j, i]
+                    for ljk, lik in zip(lj, li):
+                        t = t - ljk * lik
+                    lj.append(t * (1.0 / diag[:, i]))
+                t = cov[:, j, j]
+                for ljk in lj:
+                    t = t - ljk * ljk
+                if not (t > 0.0).all():
+                    refuse(cov, xs)
+                np.sqrt(t, out=diag[:, j])
+                off.append(lj)
+                # trtrs's multiply-add, rounded unfused
+                t = b[:, j]
+                for ljk, vk in zip(lj, v.T):
+                    t = t - ljk * vk
+                np.divide(t, diag[:, j], out=v[:, j])
+        logdet = 2.0 * np.log(diag, out=diag).sum(axis=1)
         # matmul's vector-vector case is BLAS ddot, the sum log_q's v @ v takes
-        vv = np.matmul(v.transpose(0, 2, 1), v)[:, 0, 0]
+        vv = np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
         return -0.5 * (dim * _LOG_2PI + logdet + vv)
 
     return ProposalKernel(dim, at, sample, log_q, label, sample_batch, log_q_batch)

@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 # scipy is imported inside the functions that use it, so that `import pdrwm`
-# loads only numpy and PyYAML (tests/test_exports.py::TestStartUp)
+# loads only numpy (tests/test_exports.py::TestStartUp)
 
 from . import experiments
 from .chain import _iid_mean_se, log_accept_ratio, log_accept_ratio_closed_form

@@ -8,8 +8,10 @@ the whole suite to stay quick.  A failing example is reported as found,
 without the shrink and explain phases: shrinking a failing 200-step
 chain can take many minutes, and the same examples run either way.
 
-The ``wide`` profile is ``tier1`` with 300 examples, for the oracle's
-bit-identity properties (``--hypothesis-profile=wide``).
+The ``wide`` profile is ``tier1`` with 300 examples, for the
+bit-identity properties that CI also runs on more examples: the
+oracle's, and the column routes' of the batch Gaussian density and the
+CSV writer (``--hypothesis-profile=wide``).
 """
 
 from hypothesis import Phase, settings

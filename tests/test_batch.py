@@ -6,20 +6,25 @@ The two forms share their formulas but not their arithmetic: numpy's
 vectorised ``power``/``exp``/``log`` may round differently from the C
 library in the last bit, so row-by-row agreement is checked to 1e-13
 relative, not for equality.  The exception is the Gaussian above 1-D
-with a diagonal covariance, whose batch draws and acceptances are the
-per-point ones bit for bit (``TestGaussianBatchBits``).
+(``TestGaussianBatchBits``).  Its batch density runs the per-point
+factor and solve on numpy columns, rounding the solve's multiply-add
+unfused where the per-point route fuses it.  With a diagonal covariance
+that product is zero, so the batch draws, densities and acceptances are
+the per-point ones bit for bit; with an off-diagonal entry they agree to
+rounding.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from pdrwm import (
     CovarianceField,
     EvaluationError,
+    NumericError,
     ParameterError,
     SupportError,
     abs_pow,
@@ -273,6 +278,21 @@ def correlated_fields(draw):
     return constant_field(np.array([[a, c], [c, b]]))
 
 
+@st.composite
+def correlated_fields_3d(draw):
+    """A constant 3-D field ``L L^T`` whose lower factor ``L`` has a
+    positive diagonal and at least one nonzero entry below it."""
+    low = np.diag([draw(st.floats(0.2, 2.0)) for _ in range(3)])
+    below = [draw(st.floats(-1.0, 1.0)) for _ in range(3)]
+    assume(max(map(abs, below)) > 0.01)
+    low[np.tril_indices(3, -1)] = below
+    return constant_field(low @ low.T)
+
+
+#: covariance entries that the covariance rule refuses on the diagonal
+BAD_ENTRIES = (0.0, -0.0, -2.0, math.nan, math.inf, -math.inf)
+
+
 log10_steps = st.floats(-2.0, 1.0)
 plane_points = st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0))
 seeds = st.integers(0, 2**32 - 1)
@@ -323,3 +343,88 @@ class TestGaussianBatchBits:
         np.testing.assert_allclose(
             batch, per_point_acceptances(ridge, kernel, x, ys), rtol=1e-12, atol=1e-12
         )
+
+    # the column route of log_q_batch against log_q, in both directions
+
+    @given(
+        dim=st.integers(2, 3),
+        log10_vars=st.lists(st.floats(-150.0, 150.0), min_size=3, max_size=3),
+        log10_h=log10_steps,
+        log10_spread=st.floats(-3.0, 3.0),
+        seed=seeds,
+    )
+    def test_diagonal_density_is_bit_exact(self, dim, log10_vars, log10_h,
+                                           log10_spread, seed):
+        base = 10.0 ** np.array(log10_vars[:dim])
+
+        def inv_metric(x):  # a diagonal that moves with the point
+            return np.diag(base * (1.0 + np.square(x)))
+
+        field = CovarianceField(dim, inv_metric, "diagonal",
+                                lambda xs: np.stack([inv_metric(x) for x in xs]))
+        h = 10.0**log10_h
+        kernel = gaussian_proposal(field, h)
+        rng = np.random.default_rng(seed)
+        x = 10.0**log10_spread * rng.standard_normal(dim)
+        scale = np.sqrt(h * np.diag(inv_metric(x)))
+        ys = x + scale * 10.0**log10_spread * rng.standard_normal((40, dim))
+        assert np.array_equal(kernel.log_q_batch(ys, x), [log_q(kernel, y, x) for y in ys])
+        assert np.array_equal(kernel.log_q_batch(x, ys), [log_q(kernel, x, y) for y in ys])
+
+    @given(field=st.one_of(correlated_fields(), correlated_fields_3d()),
+           log10_h=log10_steps, seed=seeds)
+    def test_correlated_density_agrees_to_rounding(self, field, log10_h, seed):
+        kernel = gaussian_proposal(field, 10.0**log10_h)
+        rng = np.random.default_rng(seed)
+        x = 4.0 * rng.standard_normal(field.dim)
+        ys = kernel.sample_batch(x, 40, rng)
+        check_kernel(kernel, x, ys)
+
+    @given(
+        table=st.lists(
+            st.tuples(
+                st.lists(st.one_of(st.floats(0.1, 10.0), st.sampled_from(BAD_ENTRIES)),
+                         min_size=3, max_size=3),
+                st.sampled_from((0.0, math.nan, math.inf, -math.inf)),
+            ),
+            min_size=1, max_size=12,
+        ),
+        dim=st.integers(2, 3),
+    )
+    def test_refused_covariance_names_the_first_row(self, table, dim):
+        # row i of the table is the covariance at the point (i, 0[, 0]):
+        # a diagonal and one entry above it, which factoring never reads
+        covs = []
+        for diagonal, above in table:
+            cov = np.diag(diagonal[:dim])
+            cov[0, dim - 1] = above
+            covs.append(cov)
+        covs = np.array(covs)
+        field = CovarianceField(dim, lambda x: covs[int(x[0])], "table",
+                                lambda xs: covs[xs[:, 0].astype(int)])
+        kernel = gaussian_proposal(field, 1.0)
+        xs = np.zeros((len(covs), dim))
+        xs[:, 0] = np.arange(len(covs))
+        refusals = []
+        for x in xs:
+            try:
+                kernel.at(tuple(x.tolist()))
+            except NumericError as err:
+                refusals.append(str(err))
+            else:
+                refusals.append(None)
+        ys = np.ones((3, dim))
+        for x, refusal in zip(xs, refusals):  # one start against end points
+            if refusal is None:
+                assert np.isfinite(kernel.log_q_batch(ys, x)).all()
+            else:
+                with pytest.raises(NumericError) as err:
+                    kernel.log_q_batch(ys, x)
+                assert str(err.value) == refusal
+        first = next(filter(None, refusals), None)  # starts against one end point
+        if first is None:
+            assert np.isfinite(kernel.log_q_batch(ys[0], xs)).all()
+        else:
+            with pytest.raises(NumericError) as err:
+                kernel.log_q_batch(ys[0], xs)
+            assert str(err.value) == first

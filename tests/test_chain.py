@@ -867,3 +867,42 @@ class TestEstimateExpectation:
             estimate_expectation(traj, lambda s: s[0], burn_in=51)
         with pytest.raises(ParameterError):
             estimate_expectation(traj, lambda s: s[0], burn_in=-1)
+
+
+def per_row_trajectory_csv(traj):
+    """The writer ``ChainTrajectory.to_csv`` replaced, row by row."""
+    dim = traj.states.shape[1]
+    cols = ["step"] + [f"x{i}" for i in range(dim)] + ["accepted", "alpha"]
+    lines = [
+        f"# config={traj.digest} seed={traj.seed}",
+        ",".join(cols),
+        "0," + ",".join(repr(v) for v in traj.states[0]) + ",,",
+    ]
+    for i in range(traj.n_steps):
+        row = (
+            [str(i + 1)]
+            + [repr(v) for v in traj.states[i + 1]]
+            + [str(int(traj.accepted[i])), repr(float(traj.alpha[i]))]
+        )
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+class TestTrajectoryCsv:
+    """``to_csv`` formats column by column, with the bytes of the per-row
+    writer it replaced: numpy's scalar ``repr`` for each coordinate."""
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 300])
+    def test_one_dimension(self, n_steps):
+        traj = run_chain(make_exponential_tail(1.0), gaussian_proposal(power_field(1.5), 1.0),
+                         [0.0], n_steps, seed=42)
+        text = traj.to_csv()
+        assert text == per_row_trajectory_csv(traj)
+        assert len(text.splitlines()) == 3 + n_steps
+
+    @pytest.mark.parametrize("n_steps", [1, 300])
+    def test_two_dimensions(self, n_steps):
+        traj = run_chain(make_ridge_2d(), gaussian_proposal(ridge_conditional_field(), 1.0),
+                         [4.0, 0.0], n_steps, seed=5)
+        assert 0 < traj.accepted.sum() < n_steps or n_steps == 1
+        assert traj.to_csv() == per_row_trajectory_csv(traj)

@@ -507,3 +507,81 @@ def test_csv_formats_each_type_as_fmt_does():
     line = "1.5,2,true,x,0.1,3,false,false,-0.0,1e+300,nan,None"
     assert line == ",".join(experiments._fmt(v) for v in row)
     assert text.splitlines()[2:] == [line, line]
+
+
+def per_value_csv(digest, seed, header, rows):
+    """The writer ``_csv`` replaced: one lookup per value, row by row."""
+    lines = [f"# config={digest} seed={seed}", ",".join(header)]
+    fmt = experiments._FMT_BY_TYPE.get
+    for row in rows:
+        lines.append(",".join([fmt(type(v), experiments._fmt)(v) for v in row]))
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_FLOATS = (float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324)
+csv_values = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from(SPECIAL_FLOATS),
+    st.text(alphabet="ab-_ ", max_size=3),
+    st.builds(np.bool_, st.booleans()),
+    st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
+    st.builds(np.float64, st.floats()),
+    st.builds(np.float32, st.floats(width=32)),
+)
+
+
+class TestCsvWriter:
+    """``_csv`` formats column by column, with the bytes of the per-value
+    writer it replaced."""
+
+    @given(width=st.integers(1, 5), data=st.data())
+    def test_columns_give_the_per_value_text(self, width, data):
+        rows = data.draw(st.lists(st.tuples(*[csv_values] * width), max_size=12))
+        header = [f"c{i}" for i in range(width)]
+        assert experiments._csv("d", 3, header, rows) == per_value_csv("d", 3, header, rows)
+
+    def test_a_column_of_mixed_types(self):
+        column = [True, 1, np.int64(-2), np.float64(0.5), "s", 2.5, np.bool_(True),
+                  np.float32(0.1), None]
+        rows = [(v, 1.0) for v in column]
+        text = experiments._csv("d", 0, ("mixed", "one"), rows)
+        assert text == per_value_csv("d", 0, ("mixed", "one"), rows)
+        assert [line.split(",")[0] for line in text.splitlines()[2:]] == [
+            "true", "1", "-2", "0.5", "s", "2.5", "true", "0.10000000149011612", "None"]
+
+    def test_special_floats(self):
+        rows = [(v, np.float64(v)) for v in SPECIAL_FLOATS]
+        text = experiments._csv("d", 0, ("float", "np.float64"), rows)
+        assert text == per_value_csv("d", 0, ("float", "np.float64"), rows)
+        assert text.splitlines()[2:6] == ["nan,nan", "inf,inf", "-inf,-inf", "-0.0,-0.0"]
+
+    def test_zero_rows(self):
+        assert experiments._csv("d", 1, ("a", "b"), []) == "# config=d seed=1\na,b\n"
+        assert experiments._csv("d", 1, ("a", "b"), iter(())) == "# config=d seed=1\na,b\n"
+
+    @pytest.mark.parametrize("rows", [[(1.0, 2.0), (3.0,)], [(1.0, 2.0, 3.0)], [()]])
+    def test_a_row_of_another_length_raises(self, rows):
+        with pytest.raises(ValueError, match="length differs from the header's 2"):
+            experiments._csv("d", 0, ("a", "b"), rows)
+
+
+def test_figure1_exp_of_a_column_is_exp_of_each_value():
+    # the acceptance probabilities exp(log-ratio) in one call: log-ratios
+    # at and near -inf, near 0, and around -745, where exp is subnormal
+    rng = np.random.default_rng(11)
+    special = [-np.inf, -1e308, -746.0, -745.2, -745.13, -745.0, -744.4, -709.0,
+               -708.4, -708.39, -1.0, -1e-300, -5e-324, -0.0, 0.0]
+    logs = np.concatenate([
+        special,
+        rng.uniform(-746.0, -700.0, 4000),
+        -(10.0 ** rng.uniform(-320.0, 0.0, 2000)),
+        rng.uniform(-40.0, 0.0, 2000),
+    ])
+    for n in (1, 3, 7, 8, 9, 17, len(logs)):  # lengths around vector widths
+        column = np.exp(logs[:n].tolist()).tolist()
+        assert [v.hex() for v in column] == [float(np.exp(v)).hex() for v in logs[:n].tolist()]
+    alphas = np.exp(logs)
+    assert ((0.0 < alphas) & (alphas < np.finfo(float).tiny)).sum() > 100  # subnormal
+    assert (alphas == 0.0).any() and (alphas == 1.0).any()

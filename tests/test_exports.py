@@ -88,6 +88,17 @@ print(traj.states[-1].tolist(), traj.alpha.sum())
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
+# Imports the package, then loads the config named on the command line;
+# prints whether PyYAML was loaded before and after.
+YAML_CALLS = """
+import sys
+import pdrwm
+
+print("yaml" in sys.modules)
+print(pdrwm.load_config(sys.argv[1]).scenario)
+print("yaml" in sys.modules)
+"""
+
 CUSTOM_CONFIG = """
 scenario: custom
 seed: 42
@@ -125,15 +136,22 @@ def loaded(imported, package):
 
 
 class TestStartUp:
-    """``import pdrwm`` loads numpy and PyYAML only; scipy is imported by
-    the functions that use it, and no sampling route is one of them, nor
-    any quadrature or step-size solve.  Each check needs a fresh process,
-    since the test process has scipy loaded already."""
+    """``import pdrwm`` loads numpy only; PyYAML is imported by
+    ``load_config``, and scipy by the functions that use it, and no
+    sampling route is one of them, nor any quadrature or step-size solve.
+    Each check needs a fresh process, since the test process has PyYAML
+    and scipy loaded already."""
 
     def test_import_loads_no_scipy(self):
         _, imported = fresh_python("-c", "import pdrwm")
         assert "pdrwm" in imported and "numpy" in imported
         assert not loaded(imported, "scipy")
+
+    def test_load_config_imports_yaml(self):
+        config = Path(__file__).resolve().parent.parent / "configs" / "figure1.yaml"
+        proc, imported = fresh_python("-c", YAML_CALLS, str(config))
+        assert proc.stdout.split() == ["False", "figure1", "True"]
+        assert loaded(imported, "yaml")
 
     def test_list_scenarios_loads_no_scipy(self):
         proc, imported = fresh_python("-m", "pdrwm", "list-scenarios")
